@@ -163,15 +163,16 @@ def ensemble_summary(fits: dict[str, list[DecayFit]]) -> EnsembleSummary:
     return EnsembleSummary(stats=stats, ratios=ratios)
 
 
-def save_rho_csv(results: list[AutocorrResult], path) -> None:
-    """(lag, rho_mean, rho_std) across runs."""
+def save_rho_csv(results: list[AutocorrResult], path, thin: int = 1) -> None:
+    """(lag, rho_mean, rho_std) across runs; lags in chain steps, one recorded
+    sample per ``thin`` steps."""
     rhos = np.array([r.rho for r in results if not r.degenerate])
     with open(path, "w") as f:
         f.write("lag,rho_mean,rho_std\n")
         for l in range(rhos.shape[1]):
             mean = rhos[:, l].mean()
             std = rhos[:, l].std(ddof=1) if len(rhos) > 1 else 0.0
-            f.write(f"{l},{mean!r},{std!r}\n")
+            f.write(f"{l * thin},{mean!r},{std!r}\n")
 
 
 def save_tau_summary_csv(summary: EnsembleSummary, path) -> None:

@@ -349,14 +349,25 @@ def load_trace(path) -> ChainTrace:
         raw = f.read()
     if raw[:4] != _TRACE_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r} at offset 0")
+    if len(raw) < 43:
+        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need 43 bytes")
     version, code, n, k, steps, thin, beta_pi = struct.unpack(">HBIIQId", raw[4:35])
     if version != _TRACE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if not 1 <= code <= len(KERNEL_KINDS):
+        raise FormatError(f"{path}: unknown kernel code {code} at offset 6")
+    if thin < 1:
+        raise FormatError(f"{path}: thin {thin} < 1 at offset 23")
     (seed,) = struct.unpack(">Q", raw[35:43])
     kind = KERNEL_KINDS[code - 1]
     off = 43
     n_rec = steps // thin + 1
     row_bytes = (n + 7) // 8
+    need = off + n_rec * row_bytes + 8 * (steps + 1) + steps + 8 * steps + 8 * steps
+    if len(raw) < need:
+        raise FormatError(f"{path}: body truncated at offset {len(raw)}, need {need} bytes")
+    if len(raw) > need:
+        raise FormatError(f"{path}: {len(raw) - need} trailing bytes at offset {need}")
     packed = np.frombuffer(raw, dtype=np.uint8, count=n_rec * row_bytes, offset=off)
     configs = np.unpackbits(packed.reshape(n_rec, row_bytes), axis=1)[:, :n].astype(np.uint8)
     off += n_rec * row_bytes
@@ -371,9 +382,6 @@ def load_trace(path) -> ChainTrace:
         .reshape(steps, 2)
         .astype(np.int32)
     )
-    off += 8 * steps
-    if off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - off} trailing bytes at offset {off}")
     return ChainTrace(
         n=int(n),
         k=int(k),

@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -502,16 +502,17 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
     result = {"kernels": {}}
     fits_per_kernel = {}
     for kernel in sorted(traces):
+        thin = traces[kernel][0][0].thin
         pair_acs = []
         for a, b in traces[kernel]:
             lag = min(max_lag, len(a.configs) - int(burn_fraction * len(a.configs)) - 11)
             pair_acs.append(analysis.pair_autocorrelation(a, b, lag, burn_fraction))
         mean_ac = analysis.mean_autocorrelation(pair_acs)
-        headline = analysis.fit_decay_rate(mean_ac, cutoff=cutoff)
+        headline = _per_step(analysis.fit_decay_rate(mean_ac, cutoff=cutoff), thin)
         per_pair = []
         for ac in pair_acs:
             try:
-                per_pair.append(analysis.fit_decay_rate(ac, cutoff=cutoff))
+                per_pair.append(_per_step(analysis.fit_decay_rate(ac, cutoff=cutoff), thin))
             except analysis.InsufficientDataError:
                 continue
         fits_per_kernel[kernel] = per_pair or [headline]
@@ -525,7 +526,7 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
         }
         result["kernels"][kernel] = entry
         if out_dir is not None:
-            analysis.save_rho_csv(pair_acs, Path(out_dir) / f"rho_{kernel}.csv")
+            analysis.save_rho_csv(pair_acs, Path(out_dir) / f"rho_{kernel}.csv", thin=thin)
             analysis.save_best_energy_csv(
                 traces[kernel][0][0], Path(out_dir) / f"best_energy_{kernel}.csv"
             )
@@ -539,6 +540,12 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
     if out_dir is not None:
         _save_tau_table(result, Path(out_dir) / "tau_summary.csv")
     return result
+
+
+def _per_step(fit: analysis.DecayFit, thin: int) -> analysis.DecayFit:
+    """Rescale a fit over recorded samples, one per ``thin`` chain steps, to steps."""
+    lo, hi = fit.fit_window
+    return replace(fit, rate=fit.rate / thin, fit_window=(lo * thin, hi * thin))
 
 
 def _save_tau_table(result, path):

@@ -1,12 +1,13 @@
 """Exact statevector simulation of per-block QAOA with XY mixers.
 
 Blocks are small (<= 24 qubits), so states are dense complex vectors over
-the 2^|B| computational basis. The cost layer is a diagonal phase; the XY
-mixer exponential is computed exactly (to tolerance) by sub-stepped Taylor
-series on a sparse mixer matrix, which keeps every fixed-Hamming-weight
-subspace invariant by construction. Parameter optimization is derivative
-free on the noiseless expectation; sampling inverts the cumulative basis
-probabilities.
+the 2^|B| computational basis. The cost layer is a diagonal phase. Both
+layers conserve Hamming weight, so the XY mixer exponential acts on each
+fixed-weight sector separately: up to 512 dims it is exact from the ring
+mixer's eigendecomposition per sector, computed once per block; above, a
+sub-stepped Taylor series on the sparse mixer matrix computes it to
+tolerance. Parameter optimization is derivative free on the noiseless
+expectation; sampling inverts the cumulative basis probabilities.
 
 Index convention used package-wide: bit t of a basis index is the variable
 at position t of the block's vertex list.
@@ -17,18 +18,20 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .errors import ResourceLimitError
+from .errors import FormatError, ResourceLimitError
 from .partition import Block
 from .qubo import QuboInstance
 from .streams import stream
 
 MAX_BLOCK_QUBITS = 24
+_EIGEN_MAX_DIM = 512
 _TAYLOR_TERM_TOL = 1e-13
 _NORM_DRIFT_TOL = 1e-10
 
@@ -59,12 +62,14 @@ class BlockProblem:
         return len(self.diag_energies)
 
     def mixer_operator(self):
-        """Matrix of (1/2) sum over edges of (X_i X_j + Y_i Y_j).
+        """The mixer (1/2) sum over edges of (X_i X_j + Y_i Y_j), built once and cached.
 
         Each edge contributes the exact swap of antiparallel bit pairs:
         matrix element 1 between z and z^mask wherever bits i and j of z
-        differ. Dense below 512 dims (BLAS matvec beats sparse call
-        overhead there), CSR above. Built once and cached.
+        differ, so z and z^mask share a Hamming weight. Up to 512 dims the
+        result is a ``SectorEigenbasis``; above, a CSR matrix for the Taylor
+        series, because the sector dims there (924 at |B|=12) make dense
+        eigenvector products cost more than sparse matvecs.
         """
         if self._mixer_op is None:
             dim = self.dim
@@ -77,14 +82,48 @@ class BlockProblem:
                 cols.append(sel ^ mask)
             r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
             c = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-            if dim <= 512:
-                h = np.zeros((dim, dim), dtype=np.complex128)
-                h[r, c] = 1.0
-                self._mixer_op = h
+            if dim <= _EIGEN_MAX_DIM:
+                self._mixer_op = _sector_eigenbasis(self.size, r, c)
             else:
                 data = np.ones(len(r), dtype=np.complex128)
                 self._mixer_op = scipy.sparse.csr_matrix((data, (r, c)), shape=(dim, dim))
         return self._mixer_op
+
+
+@dataclass
+class SectorEigenbasis:
+    """Eigendecomposition of the mixer restricted to each Hamming-weight sector.
+
+    ``order`` lists the basis indices by weight, ascending within a weight,
+    so sector w is ``order[bounds[w]:bounds[w + 1]]``. The sector's
+    eigenvalues are ``values[bounds[w]:bounds[w + 1]]`` and its eigenvectors
+    the columns of ``vectors[w]``, in the same position order. The sector
+    Hamiltonians are real symmetric, so the eigenvectors are real.
+    """
+
+    order: np.ndarray
+    bounds: list[int]
+    values: np.ndarray
+    vectors: list[np.ndarray]
+
+
+def _sector_eigenbasis(size: int, rows: np.ndarray, cols: np.ndarray) -> SectorEigenbasis:
+    """Diagonalize the mixer with nonzero entries (rows, cols) sector by sector."""
+    w = basis_weights(size)
+    order = np.argsort(w, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(w, minlength=size + 1))))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order)) - bounds[w[order]]
+    values = np.empty(len(order))
+    vectors = []
+    for k in range(size + 1):
+        lo, hi = bounds[k], bounds[k + 1]
+        sel = w[rows] == k
+        h = np.zeros((hi - lo, hi - lo))
+        h[pos[rows[sel]], pos[cols[sel]]] = 1.0
+        values[lo:hi], v = np.linalg.eigh(h)
+        vectors.append(v)
+    return SectorEigenbasis(order=order, bounds=bounds.tolist(), values=values, vectors=vectors)
 
 
 @dataclass
@@ -195,19 +234,51 @@ def apply_cost_layer(state: Statevector, bp: BlockProblem, gamma: float) -> Stat
 
 
 def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> Statevector:
-    """Apply e^{-i beta H_mixer} by sub-stepped truncated Taylor series.
+    """Apply e^{-i beta H_mixer}, sector-exactly up to 512 dims, by Taylor series above.
 
-    The step count ceil(|beta| * n_edges) keeps each sub-exponent small so
-    the series converges in a few terms; terms are appended until their norm
-    drops below 1e-13 and the result is rescaled to the input norm (drift
-    beyond 1e-10 would indicate a bug and raises).
+    Up to 512 dims each weight sector w maps to V_w diag(e^{-i beta lambda_w})
+    V_w^T from the block's cached ``SectorEigenbasis``. Above, a truncated
+    Taylor series on the CSR mixer runs in ceil(|beta| * n_edges) sub-steps,
+    which keeps each sub-exponent small so the series converges in a few
+    terms; terms are appended until their norm drops below 1e-13. Either way
+    the result is rescaled to the input norm (drift beyond 1e-10 would
+    indicate a bug and raises).
     """
     if len(state) != bp.dim:
         raise ValueError("state dimension does not match block problem")
     h = bp.mixer_operator()
-    r = max(1, math.ceil(abs(beta) * max(1, len(bp.mixer_edges))))
-    coeff = -1j * beta / r
     norm_in = np.linalg.norm(state)
+    if isinstance(h, SectorEigenbasis):
+        psi = _sector_exp(state, h, beta)
+    else:
+        psi = _taylor_exp(state, h, beta, len(bp.mixer_edges), norm_in)
+    norm_out = np.linalg.norm(psi)
+    if norm_in > 0.0:
+        if abs(norm_out - norm_in) > _NORM_DRIFT_TOL * norm_in:
+            raise RuntimeError(f"mixer norm drift {abs(norm_out - norm_in):.3e}")
+        psi *= norm_in / norm_out
+    return psi
+
+
+def _sector_exp(state: Statevector, eig: SectorEigenbasis, beta: float) -> Statevector:
+    """Exact exponential per sector; the real eigenvectors multiply the
+    (d, 2) float view of each complex sector slice, never upcast to complex."""
+    psi = np.asarray(state, dtype=np.complex128)[eig.order]
+    phases = np.exp(-1j * beta * eig.values)
+    flat = psi.view(np.float64).reshape(-1, 2)
+    for k, v in enumerate(eig.vectors):
+        lo, hi = eig.bounds[k], eig.bounds[k + 1]
+        y = (v.T @ flat[lo:hi]).view(np.complex128).ravel()
+        y *= phases[lo:hi]
+        flat[lo:hi] = v @ y.view(np.float64).reshape(-1, 2)
+    out = np.empty_like(psi)
+    out[eig.order] = psi
+    return out
+
+
+def _taylor_exp(state: Statevector, h, beta: float, n_edges: int, norm_in: float) -> Statevector:
+    r = max(1, math.ceil(abs(beta) * max(1, n_edges)))
+    coeff = -1j * beta / r
     psi = state.astype(np.complex128)
     for _ in range(r):
         term = psi
@@ -220,11 +291,6 @@ def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> S
         else:
             raise RuntimeError("mixer Taylor series failed to converge")
         psi = acc
-    norm_out = np.linalg.norm(psi)
-    if norm_in > 0.0:
-        if abs(norm_out - norm_in) > _NORM_DRIFT_TOL * norm_in:
-            raise RuntimeError(f"mixer norm drift {abs(norm_out - norm_in):.3e}")
-        psi *= norm_in / norm_out
     return psi
 
 
@@ -315,16 +381,24 @@ def generate_training_set(
     shots_per_init: int,
     seed: int,
 ) -> BlockSampleSet:
-    """Evolve each product initial state and measure; label samples by weight."""
+    """Evolve each product initial state and measure; label samples by weight.
+
+    The circuit is simulated once per block, not once per angle. It never
+    mixes Hamming-weight sectors, and ``prepare_initial_state(|B|, a)`` is
+    constant on each sector (cos^{|B|-w}(a/2) sin^w(a/2) at weight w). So
+    with U the circuit, U applied to that state equals U applied to the
+    all-ones vector, scaled elementwise by that state.
+    """
     if shots_per_init < 1:
         raise ValueError("shots_per_init must be >= 1")
     rng = stream(seed, 91)
     b = bp.size
     t_arange = np.arange(b)
+    evolved = qaoa_state(bp, params, np.ones(bp.dim, dtype=np.complex128))
     all_samples = []
     all_prov = []
     for a_idx, angle in enumerate(init_angles):
-        psi = qaoa_state(bp, params, prepare_initial_state(b, angle))
+        psi = evolved * prepare_initial_state(b, angle)
         idx = sample_state(psi, shots_per_init, rng)
         bits = ((idx[:, None] >> t_arange) & 1).astype(np.uint8)
         all_samples.append(bits)
@@ -352,10 +426,40 @@ def save_params(params: QaoaParams, loss: float, block_id: tuple[int, int], path
 
 
 def load_params(path) -> tuple[QaoaParams, float, tuple[int, int]]:
-    with open(path) as f:
-        doc = json.load(f)
+    """Read what ``save_params`` wrote; anything else raises ``FormatError``."""
+    try:
+        with open(path, "rb") as f:
+            doc = json.loads(f.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level is not an object")
+    missing = sorted({"block_id", "p", "gammas", "betas", "loss"} - doc.keys())
+    if missing:
+        raise FormatError(f"{path}: missing keys {missing}")
+    block_id, p = doc["block_id"], doc["p"]
+    if not (isinstance(block_id, list) and len(block_id) == 2 and all(map(_is_int, block_id))):
+        raise FormatError(f"{path}: block_id {block_id!r} is not two ints")
+    if not (_is_int(p) and p >= 1):
+        raise FormatError(f"{path}: p {p!r} is not an int >= 1")
+    for key in ("gammas", "betas"):
+        v = doc[key]
+        if not (isinstance(v, list) and len(v) == p and all(map(_is_finite, v))):
+            raise FormatError(f"{path}: {key} is not a list of {p} finite numbers")
+    if not _is_finite(doc["loss"]):
+        raise FormatError(f"{path}: loss {doc['loss']!r} is not a finite number")
     params = QaoaParams(gammas=np.array(doc["gammas"]), betas=np.array(doc["betas"]))
-    return params, float(doc["loss"]), tuple(doc["block_id"])
+    return params, float(doc["loss"]), (block_id[0], block_id[1])
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    if _is_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
 
 
 _SAMPLES_MAGIC = b"BMCS"
@@ -382,12 +486,12 @@ def save_sample_set(ss: BlockSampleSet, path) -> None:
 
 
 def load_sample_set(path) -> BlockSampleSet:
-    from .errors import FormatError
-
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _SAMPLES_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r} at offset 0")
+    if len(raw) < 20:
+        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need 20 bytes")
     version, s, m, b, count = struct.unpack(">HHHHQ", raw[4:20])
     if version != _SAMPLES_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")

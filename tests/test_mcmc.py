@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockmc import made, mcmc, qubo
-from blockmc.errors import ConfigError
+from blockmc.errors import ConfigError, FormatError
 from blockmc.partition import Block, PartitionPair, build_partition_pair, crossing_matrix
 from blockmc.streams import stream
 
@@ -367,6 +367,44 @@ class TestPersistence:
         assert np.array_equal(back.accepted, trace.accepted)
         assert np.array_equal(back.acceptance_probs, trace.acceptance_probs)
         assert np.array_equal(back.details, trace.details)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "trace.bin"
+        mcmc.save_trace(self._trace(), path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("code", [0, 4, 255])
+    def test_unknown_kind_byte(self, tmp_path, code):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:6] + bytes([code]) + raw[7:])
+        with pytest.raises(FormatError, match="offset 6"):
+            mcmc.load_trace(path)
+
+    @pytest.mark.parametrize("cut", [4, 20, 42])
+    def test_short_header(self, tmp_path, cut):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match=f"offset {cut}"):
+            mcmc.load_trace(path)
+
+    @pytest.mark.parametrize("cut", [1, 100])
+    def test_truncated_body(self, tmp_path, cut):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(FormatError, match=f"offset {len(raw) - cut}"):
+            mcmc.load_trace(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(FormatError, match=f"offset {len(raw)}"):
+            mcmc.load_trace(path)
+
+    def test_zero_thin(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:23] + bytes(4) + raw[27:])
+        with pytest.raises(FormatError, match="offset 23"):
+            mcmc.load_trace(path)
 
     def test_csv_sidecar(self, tmp_path):
         trace = self._trace()

@@ -5,10 +5,12 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from blockmc import pipeline
+from blockmc import analysis, mcmc, pipeline, qubo
 from blockmc.errors import ConfigError
+from blockmc.streams import stream
 
 
 def tiny_config(**overrides):
@@ -149,3 +151,36 @@ class TestSweeps:
         assert len(rows) == 2
         assert {r["n"] for r in rows} == {12, 16}
         assert (tmp_path / "sweep_n.csv").exists()
+
+
+class TestAnalyzeTracesUnits:
+    def test_thinned_tau_is_per_step(self, tmp_path):
+        """At thin=2 the reported rates are the per-sample fits halved and the
+        windows are in step lags."""
+        inst = qubo.gen_regular_instance(16, 3, seed=7)
+        cfg = mcmc.KernelConfig("local-kawasaki", 0.5)
+        chains = []
+        for pair in range(2):
+            pair_chains = []
+            for tag in range(2):
+                init = np.zeros(16, dtype=np.uint8)
+                init[stream(8, pair, tag).permutation(16)[:8]] = 1
+                pair_chains.append(
+                    mcmc.run_chain(inst, 8, cfg, steps=6000, init=init, seed=10 * pair + tag, thin=2)
+                )
+            chains.append(tuple(pair_chains))
+        result = pipeline.analyze_traces(
+            {"local-kawasaki": chains}, max_lag=300, cutoff=0.05, burn_fraction=0.1,
+            out_dir=tmp_path,
+        )
+        acs = [analysis.pair_autocorrelation(a, b, 300, 0.1) for a, b in chains]
+        per_sample = analysis.fit_decay_rate(analysis.mean_autocorrelation(acs), cutoff=0.05)
+        pair_rates = [analysis.fit_decay_rate(ac, cutoff=0.05).rate for ac in acs]
+        e = result["kernels"]["local-kawasaki"]
+        assert per_sample.rate > 0.0
+        assert e["tau"] == per_sample.rate / 2
+        assert e["fit_window"] == [2 * per_sample.fit_window[0], 2 * per_sample.fit_window[1]]
+        assert e["tau_mean"] == pytest.approx(np.mean(pair_rates) / 2, rel=1e-12)
+        assert e["tau_std"] == pytest.approx(np.std(pair_rates, ddof=1) / 2, rel=1e-12)
+        lags = (tmp_path / "rho_local-kawasaki.csv").read_text().split("\n")[1:4]
+        assert [row.split(",")[0] for row in lags] == ["0", "2", "4"]

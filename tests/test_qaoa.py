@@ -1,13 +1,15 @@
 """Tests for the block QAOA simulator against dense matrix-exponential oracles."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from blockmc import qaoa, qubo
-from blockmc.errors import ResourceLimitError
+from blockmc.errors import FormatError, ResourceLimitError
 from blockmc.partition import Block
 from blockmc.streams import stream
 
@@ -348,3 +350,140 @@ class TestTrainingSet:
         assert np.array_equal(back.betas, params.betas)
         assert loss == -1.25
         assert block_id == (1, 3)
+
+
+class TestSectorEigenMixer:
+    def test_sector_positions(self):
+        """Sector w lists the weight-w basis indices in ascending order."""
+        for size in (1, 2, 5, 8):
+            bp = qaoa.BlockProblem(
+                block=Block(id=(1, 0), vertices=list(range(size))),
+                diag_energies=np.zeros(1 << size),
+                mixer_edges=qaoa.ring_mixer_edges(size),
+            )
+            eig = bp.mixer_operator()
+            assert isinstance(eig, qaoa.SectorEigenbasis)
+            for w in range(size + 1):
+                expected = [z for z in range(1 << size) if bin(z).count("1") == w]
+                got = eig.order[eig.bounds[w] : eig.bounds[w + 1]]
+                assert got.tolist() == expected
+
+    def test_sector_blocks_reconstruct_dense_mixer(self):
+        size = 7
+        bp = random_block_problem(size, seed=30)
+        eig = bp.mixer_operator()
+        h = dense_mixer(bp.mixer_edges, size)
+        for w, v in enumerate(eig.vectors):
+            assert v.dtype == np.float64
+            lo, hi = eig.bounds[w], eig.bounds[w + 1]
+            sector = eig.order[lo:hi]
+            rebuilt = (v * eig.values[lo:hi]) @ v.T
+            assert np.max(np.abs(rebuilt - h[np.ix_(sector, sector)])) < 1e-12
+
+    def test_csr_above_512_dims(self):
+        bp = random_block_problem(10, seed=31)
+        assert scipy.sparse.issparse(bp.mixer_operator())
+
+    @pytest.mark.parametrize("size", [7, 8, 9])
+    def test_matches_dense_expm_larger_blocks(self, size):
+        bp = random_block_problem(size, seed=40 + size)
+        rng = stream(50 + size)
+        h = dense_mixer(bp.mixer_edges, size)
+        for beta in (-1.3, 0.0, 0.4, 2.9):
+            psi = random_state(1 << size, rng)
+            oracle = scipy.linalg.expm(-1j * beta * h) @ psi
+            out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+            assert np.max(np.abs(out - oracle)) < 1e-9
+
+    def test_single_sector_stays_exactly_in_sector(self):
+        size = 8
+        bp = random_block_problem(size, seed=32)
+        w = qaoa.basis_weights(size)
+        rng = stream(33)
+        for k in (0, 3, 8):
+            sel = w == k
+            psi = np.zeros(1 << size, dtype=np.complex128)
+            psi[sel] = random_state(int(sel.sum()), rng)
+            out = qaoa.apply_xy_mixer_layer(psi, bp, 1.1)
+            assert np.all(out[~sel] == 0.0)
+            assert abs(np.linalg.norm(out[sel]) - 1.0) < 1e-12
+
+
+class TestTrainingSetOneEvolution:
+    @pytest.mark.parametrize("size", [6, 10])
+    def test_matches_per_angle_reference_loop(self, size):
+        """One evolution scaled per angle samples exactly as one evolution per angle."""
+        bp = random_block_problem(size, seed=60 + size)
+        rng = stream(61)
+        params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 3), betas=rng.uniform(-1.5, 1.5, 3))
+        angles = [0.0, 0.7, math.pi / 2, 2.2, math.pi]
+        shots, seed = 400, 17
+        ss = qaoa.generate_training_set(bp, params, angles, shots, seed=seed)
+        ref_rng = stream(seed, 91)
+        ref_samples, ref_prov = [], []
+        for a_idx, angle in enumerate(angles):
+            psi = qaoa.qaoa_state(bp, params, qaoa.prepare_initial_state(size, angle))
+            idx = qaoa.sample_state(psi, shots, ref_rng)
+            ref_samples.append(((idx[:, None] >> np.arange(size)) & 1).astype(np.uint8))
+            ref_prov.append(np.full(shots, a_idx, dtype=np.int64))
+        assert np.array_equal(ss.samples, np.concatenate(ref_samples))
+        assert np.array_equal(ss.provenance, np.concatenate(ref_prov))
+
+    def test_one_circuit_evaluation_per_block(self, monkeypatch):
+        bp = random_block_problem(5, seed=62)
+        params = qaoa.QaoaParams(gammas=np.array([0.4]), betas=np.array([0.9]))
+        calls = []
+        inner = qaoa.qaoa_state
+        monkeypatch.setattr(qaoa, "qaoa_state", lambda *a: calls.append(1) or inner(*a))
+        qaoa.generate_training_set(bp, params, qaoa.default_training_angles(5, 1.0), 10, seed=5)
+        assert len(calls) == 1
+
+
+GOOD_PARAMS = {"block_id": [1, 3], "p": 2, "gammas": [0.1, 0.2], "betas": [0.3, 0.4], "loss": -1.0}
+BAD_PARAMS = [
+    "{not json",
+    "[1, 2]",
+    json.dumps({k: v for k, v in GOOD_PARAMS.items() if k != "betas"}),
+    json.dumps({**GOOD_PARAMS, "betas": [0.3]}),
+    json.dumps({**GOOD_PARAMS, "p": 3}),
+    json.dumps({**GOOD_PARAMS, "p": 0, "gammas": [], "betas": []}),
+    json.dumps({**GOOD_PARAMS, "gammas": [0.1, "x"]}),
+    json.dumps({**GOOD_PARAMS, "gammas": [0.1, True]}),
+    json.dumps({**GOOD_PARAMS, "block_id": [1]}),
+    json.dumps({**GOOD_PARAMS, "block_id": [1, 2.5]}),
+    json.dumps({**GOOD_PARAMS, "block_id": [True, 1]}),
+    json.dumps({**GOOD_PARAMS, "block_id": "13"}),
+    json.dumps(GOOD_PARAMS).replace("-1.0", "NaN"),
+] + [json.dumps(GOOD_PARAMS).replace("0.2", bad) for bad in ("NaN", "Infinity", "1e999", "1" + "0" * 400)]
+
+
+class TestLoaderValidation:
+    @pytest.mark.parametrize("text", BAD_PARAMS, ids=[f"case{i}" for i in range(len(BAD_PARAMS))])
+    def test_bad_params_raise_format_error(self, tmp_path, text):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            qaoa.load_params(path)
+
+    def test_non_utf8_params_raise_format_error(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_bytes(b'{"p": "\xff"}')
+        with pytest.raises(FormatError):
+            qaoa.load_params(path)
+
+    def test_good_params_load(self, tmp_path):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(GOOD_PARAMS))
+        params, loss, block_id = qaoa.load_params(path)
+        assert params.p == 2 and loss == -1.0 and block_id == (1, 3)
+
+    @pytest.mark.parametrize("cut", [4, 10, 19])
+    def test_short_sample_header_raises_format_error(self, tmp_path, cut):
+        bp = random_block_problem(4, seed=63)
+        params = qaoa.QaoaParams(gammas=np.array([0.4]), betas=np.array([0.9]))
+        ss = qaoa.generate_training_set(bp, params, [1.0], 5, seed=6)
+        path = tmp_path / "samples.bin"
+        qaoa.save_sample_set(ss, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(FormatError, match="offset"):
+            qaoa.load_sample_set(path)
