@@ -11,16 +11,9 @@ driver), ``analysis`` (overlap autocorrelation and decay-rate fits),
 
 from .analysis import autocorrelation, fit_decay_rate, overlap_series
 from .made import ConditionalMadeModel, TrainConfig, build_model, train
-from .mcmc import ChainTrace, KernelConfig, run_chain, run_chain_pair
+from .mcmc import ChainTrace, KernelConfig, run_chain
 from .partition import Block, PartitionPair, build_partition, build_partition_pair
 from .qaoa import BlockProblem, QaoaParams, build_block_problem, optimize_params
-from .qubo import (
-    IsingForm,
-    QuboInstance,
-    energy,
-    enumerate_constrained_boltzmann,
-    gen_regular_instance,
-    qubo_to_ising,
-)
+from .qubo import QuboInstance, energy, enumerate_constrained_boltzmann, gen_regular_instance
 
 __version__ = "0.1.0"

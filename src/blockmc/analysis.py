@@ -175,14 +175,6 @@ def save_rho_csv(results: list[AutocorrResult], path, thin: int = 1) -> None:
             f.write(f"{l * thin},{mean!r},{std!r}\n")
 
 
-def save_tau_summary_csv(summary: EnsembleSummary, path) -> None:
-    with open(path, "w") as f:
-        f.write("kernel,tau_mean,tau_std,n\n")
-        for kernel in sorted(summary.stats):
-            s = summary.stats[kernel]
-            f.write(f"{kernel},{s.tau_mean!r},{s.tau_std!r},{s.n}\n")
-
-
 def save_best_energy_csv(trace: ChainTrace, path) -> None:
     best = best_energy_trace(trace)
     with open(path, "w") as f:

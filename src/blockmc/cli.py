@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands run individual pipeline stages (upstream stages are ensured
-first, cached stages are reused), the full pipeline, the two tau sweeps,
-and the feature-selection experiment. Exit codes: 0 success, 2 config
+first, cached stages are reused), the full pipeline, a tau sweep over
+system size (``sweep-n``) or block size (``sweep-b``), and the
+feature-selection experiment. Exit codes: 0 success, 2 config
 error, 3 data/format error, 4 resource limit.
 """
 
@@ -15,15 +16,11 @@ import sys
 from .errors import ConfigError, FormatError, ResourceLimitError
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
-from .pipeline import (
-    PipelineRun,
-    config_from_dict,
-    reseed_config,
-    sweep_block_size,
-    sweep_system_size,
-)
+from .pipeline import PipelineRun, config_from_dict, reseed_config, sweep
 
 _STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
+# command -> (swept field, its values under the config's "sweep", printed label)
+_SWEEPS = {"sweep-n": ("n", "n_values", "n"), "sweep-b": ("block_size", "block_sizes", "|B|")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-surrogate MCMC for fixed-Hamming-weight Boltzmann sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = list(_STAGES) + ["pipeline", "sweep-n", "sweep-b", "mnist"]
+    commands = list(_STAGES) + ["pipeline", *_SWEEPS, "mnist"]
     for name in commands:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
@@ -46,22 +43,25 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_raw(path) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            doc = json.load(f)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} is not a JSON object")
+    return doc
 
 
 def _experiment_config(raw: dict, args):
     raw = dict(raw)
-    sweep = raw.pop("sweep", None)
+    sweep_cfg = raw.pop("sweep", None)
     cfg = config_from_dict(raw)
     if args.seed is not None:
         reseed_config(cfg, args.seed)
     if args.workers is not None:
         cfg.workers = args.workers
-    return cfg, sweep or {}
+    return cfg, sweep_cfg or {}
 
 
 def _run(args) -> int:
@@ -77,22 +77,14 @@ def _run(args) -> int:
         return 0
 
     raw = _load_raw(args.config)
-    cfg, sweep = _experiment_config(raw, args)
-    if args.command == "sweep-n":
-        values = sweep.get("n_values")
+    cfg, sweep_cfg = _experiment_config(raw, args)
+    if args.command in _SWEEPS:
+        field, values_key, label = _SWEEPS[args.command]
+        values = sweep_cfg.get(values_key)
         if not values:
-            raise ConfigError("sweep-n requires config field sweep.n_values")
-        rows = sweep_system_size(cfg, values, args.out, force=args.force)
-        for r in rows:
-            print(f"n={r['n']} kernel={r['kernel']} tau={r['tau']:.6f}")
-        return 0
-    if args.command == "sweep-b":
-        values = sweep.get("block_sizes")
-        if not values:
-            raise ConfigError("sweep-b requires config field sweep.block_sizes")
-        rows = sweep_block_size(cfg, values, args.out, force=args.force)
-        for r in rows:
-            print(f"|B|={r['block_size']} kernel={r['kernel']} tau={r['tau']:.6f}")
+            raise ConfigError(f"{args.command} requires config field sweep.{values_key}")
+        for r in sweep(cfg, field, values, args.out, force=args.force):
+            print(f"{label}={r[field]} kernel={r['kernel']} tau={r['tau']:.6f}")
         return 0
 
     run = PipelineRun(cfg, args.out, force=args.force)

@@ -339,56 +339,50 @@ def save_model(model: ConditionalMadeModel, path) -> None:
 
 
 def load_model(path) -> ConditionalMadeModel:
+    """Read what ``save_model`` wrote; anything else raises ``FormatError``.
+
+    The header and the full length it implies are checked before any
+    tensor is decoded.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != _MODEL_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r} at offset 0")
+    if len(raw) < 16:
+        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need 16 bytes")
     version, s, m, b, ctx_dim, n_hidden = struct.unpack(">HHHHHH", raw[4:16])
     if version != _MODEL_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if ctx_dim != b + 1:
         raise FormatError(f"{path}: context_dim {ctx_dim} != block_size+1")
-    off = 16
-    widths = []
-    for _ in range(n_hidden):
-        widths.append(struct.unpack(">I", raw[off : off + 4])[0])
-        off += 4
-    ordering = np.frombuffer(raw, dtype=">u2", count=b, offset=off).astype(np.int64)
-    off += 2 * b
-    dims = [b, *widths, b]
-    masks = []
-    for l in range(len(dims) - 1):
-        size = dims[l + 1] * dims[l]
-        masks.append(
-            np.frombuffer(raw, dtype=np.uint8, count=size, offset=off)
-            .reshape(dims[l + 1], dims[l])
-            .astype(np.float64)
-        )
-        off += size
+    off = 16 + 4 * n_hidden
+    if len(raw) < off:
+        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need {off} bytes")
+    widths = list(struct.unpack(f">{n_hidden}I", raw[16:off]))
+    shapes = list(zip([*widths, b], [b, *widths]))  # (out, in) per weighted layer
+    need = off + 2 * b
+    need += sum(o * i for o, i in shapes)  # uint8 masks
+    need += 8 * sum(o * i + o for o, i in shapes)  # float64 weights and biases
+    need += 8 * sum(w * ctx_dim for w in widths)  # float64 context weights
+    if len(raw) < need:
+        raise FormatError(f"{path}: body truncated at offset {len(raw)}, need {need} bytes")
+    if len(raw) > need:
+        raise FormatError(f"{path}: {len(raw) - need} trailing bytes at offset {need}")
+
+    def take(dtype, *shape):
+        nonlocal off
+        count = int(np.prod(shape))
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
+        off += count * arr.itemsize
+        return arr
+
+    ordering = take(">u2", b).astype(np.int64)
+    masks = [take(np.uint8, o, i).astype(np.float64) for o, i in shapes]
     weights, biases = [], []
-    for l in range(len(dims) - 1):
-        size = dims[l + 1] * dims[l]
-        weights.append(
-            np.frombuffer(raw, dtype=">f8", count=size, offset=off)
-            .reshape(dims[l + 1], dims[l])
-            .astype(np.float64)
-        )
-        off += 8 * size
-        biases.append(
-            np.frombuffer(raw, dtype=">f8", count=dims[l + 1], offset=off).astype(np.float64)
-        )
-        off += 8 * dims[l + 1]
-    ctx_weights = []
-    for width in widths:
-        size = width * ctx_dim
-        ctx_weights.append(
-            np.frombuffer(raw, dtype=">f8", count=size, offset=off)
-            .reshape(width, ctx_dim)
-            .astype(np.float64)
-        )
-        off += 8 * size
-    if off != len(raw):
-        raise FormatError(f"{path}: {len(raw) - off} trailing bytes at offset {off}")
+    for o, i in shapes:
+        weights.append(take(">f8", o, i).astype(np.float64))
+        biases.append(take(">f8", o).astype(np.float64))
+    ctx_weights = [take(">f8", w, ctx_dim).astype(np.float64) for w in widths]
     return ConditionalMadeModel(
         block_id=(int(s), int(m)),
         block_size=int(b),

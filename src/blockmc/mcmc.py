@@ -18,10 +18,9 @@ leaves the feasible set; this is re-validated periodically.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,11 +37,10 @@ _REVALIDATE_EVERY = 10_000
 
 @dataclass
 class ChainState:
-    """Current configuration with cached energy and (fixed) weight."""
+    """Current configuration with its cached energy."""
 
     x: np.ndarray
     energy: float
-    weight: int
 
 
 @dataclass
@@ -200,7 +198,7 @@ def accept(
             x[i], x[j] = x[j], x[i]
         else:
             x[cand.block_vertices] = cand.block_bits
-        nxt = ChainState(x=x, energy=proposed_energy, weight=state.weight)
+        nxt = ChainState(x=x, energy=proposed_energy)
         return nxt, TransitionRecord(step, proposed_energy, True, cand.detail, alpha)
     return state, TransitionRecord(step, proposed_energy, False, cand.detail, alpha)
 
@@ -233,7 +231,7 @@ def run_chain(
     if thin < 1:
         raise ValueError("thin must be >= 1")
     rng = stream(seed)
-    state = ChainState(x=init.copy(), energy=energy(inst, init), weight=k)
+    state = ChainState(x=init.copy(), energy=energy(inst, init))
     n_rec = steps // thin + 1
     configs = np.empty((n_rec, inst.n), dtype=np.uint8)
     energies = np.empty(steps + 1, dtype=np.float64)
@@ -281,23 +279,6 @@ def _revalidate(inst, state, k):
     state.energy = e
 
 
-def run_chain_pair(
-    inst: QuboInstance,
-    k: int,
-    kernel: KernelConfig,
-    steps: int,
-    init_a: np.ndarray,
-    init_b: np.ndarray,
-    seed_a: int,
-    seed_b: int,
-    thin: int = 1,
-) -> tuple[ChainTrace, ChainTrace]:
-    """Two chains with identical target and kernel but independent streams."""
-    a = run_chain(inst, k, kernel, steps, init_a, seed_a, thin)
-    b = run_chain(inst, k, kernel, steps, init_b, seed_b, thin)
-    return a, b
-
-
 def empirical_distribution(trace: ChainTrace, burn_in: int = 0) -> dict[bytes, float]:
     """Visit frequencies over recorded configurations (keys as in the
     exact enumeration oracle)."""
@@ -320,7 +301,7 @@ _TRACE_VERSION = 1
 
 
 def save_trace(trace: ChainTrace, path) -> None:
-    """Binary pack of the full trace; see ``trace_csv`` for the sidecar."""
+    """Binary pack of the full trace; ``load_trace`` reads it back."""
     with open(path, "wb") as f:
         f.write(_TRACE_MAGIC)
         f.write(
@@ -395,59 +376,3 @@ def load_trace(path) -> ChainTrace:
         acceptance_probs=probs,
         details=details,
     )
-
-
-def trace_csv(trace: ChainTrace, path) -> None:
-    """Plot-ready sidecar: one row per step."""
-    with open(path, "w") as f:
-        f.write("step,energy,accepted,kernel_detail,acceptance_prob\n")
-        for t in range(trace.steps):
-            f.write(
-                f"{t},{trace.energies[t + 1]!r},{int(trace.accepted[t])},"
-                f"{trace.details[t, 0]}|{trace.details[t, 1]},{trace.acceptance_probs[t]!r}\n"
-            )
-
-
-def save_checkpoint(path, state: ChainState, rng: np.random.Generator, step: int) -> None:
-    """Serialized ChainState + RNG state for chain resumption."""
-    bg = rng.bit_generator.state
-    doc = {
-        "x": state.x.tolist(),
-        "energy": state.energy,
-        "weight": state.weight,
-        "step": step,
-        "rng": _jsonify(bg),
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-
-
-def load_checkpoint(path) -> tuple[ChainState, np.random.Generator, int]:
-    with open(path) as f:
-        doc = json.load(f)
-    state = ChainState(
-        x=np.array(doc["x"], dtype=np.uint8),
-        energy=float(doc["energy"]),
-        weight=int(doc["weight"]),
-    )
-    rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = _unjsonify(doc["rng"])
-    return state, rng, int(doc["step"])
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
-def _unjsonify(obj):
-    if isinstance(obj, dict):
-        if "__ndarray__" in obj:
-            return np.array(obj["__ndarray__"], dtype=obj["dtype"])
-        return {k: _unjsonify(v) for k, v in obj.items()}
-    return obj

@@ -7,6 +7,10 @@ configured stop steps into pixel masks, and scores every mask (plus
 Random-K and Linear-Terms-K baselines) with the logistic-regression
 classifier. Local Kawasaki is not offered here: thresholded MI graphs have
 isolated vertices, which leave that kernel unable to move their bits.
+
+The partition, per-block QAOA and MADE and the search chains run on the
+stage code of ``pipeline`` (``optimize_blocks``, ``train_surrogates``,
+``fan_out``), without its stage cache: every run builds them afresh.
 """
 
 from __future__ import annotations
@@ -14,16 +18,14 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import mcmc
+from . import analysis, mcmc
 from .errors import ConfigError
 from .features import (
-    FeatureMask,
     LabeledDataset,
     binarize,
     build_feature_qubo,
@@ -37,7 +39,17 @@ from .features import (
 )
 from .idx import load_idx
 from .partition import build_partition_pair, save_partition_pair, spread_block_sizes
-from .pipeline import MadeConfig, QaoaConfig, _made_block_task, _qaoa_block_task
+from .pipeline import (
+    MadeConfig,
+    QaoaConfig,
+    _chain_task,
+    fan_out,
+    fill_config,
+    optimize_blocks,
+    require_kernels,
+    require_positive,
+    train_surrogates,
+)
 from .qubo import QuboInstance, random_weight_k_config, save_instance
 from .streams import derive_seed, stream
 
@@ -80,8 +92,7 @@ class MnistConfig:
     repeats: int = 10
     random_masks: int = 10
     kernels: list[str] = field(default_factory=lambda: ["block-surrogate", "global-kawasaki"])
-    biased_target_weight: float | None = None  # default K * |B| / N
-    qaoa: QaoaConfig = field(default_factory=QaoaConfig)
+    qaoa: QaoaConfig = field(default_factory=QaoaConfig)  # biased_target_weight None: K*|B|/N
     made: MadeConfig = field(default_factory=MadeConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     seed: int = 11
@@ -89,23 +100,17 @@ class MnistConfig:
 
 
 def mnist_config_from_dict(doc: dict) -> MnistConfig:
-    cfg = MnistConfig()
-    nested = {"qaoa": QaoaConfig, "made": MadeConfig, "classifier": ClassifierConfig}
-    for key, value in doc.items():
-        if key in nested:
-            section = nested[key]()
-            for k2, v2 in value.items():
-                if not hasattr(section, k2):
-                    raise ConfigError(f"unknown field {key}.{k2}")
-                setattr(section, k2, v2)
-            setattr(cfg, key, section)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
-        else:
-            raise ConfigError(f"unknown mnist config field {key!r}")
-    for kernel in cfg.kernels:
-        if kernel not in ("block-surrogate", "global-kawasaki"):
-            raise ConfigError(f"kernel {kernel!r} not supported for mask search")
+    cfg = fill_config(MnistConfig(), doc)
+    require_kernels(cfg.kernels, ("block-surrogate", "global-kawasaki"))
+    if not (isinstance(cfg.stop_steps, list) and cfg.stop_steps):
+        raise ConfigError("stop_steps must be a non-empty list")
+    require_positive(
+        {
+            "repeats": cfg.repeats,
+            "workers": cfg.workers,
+            **{f"stop_steps[{i}]": stop for i, stop in enumerate(cfg.stop_steps)},
+        }
+    )
     if max(cfg.stop_steps) > cfg.steps:
         raise ConfigError("stop_steps must not exceed steps")
     return cfg
@@ -172,6 +177,11 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
         "reference_full_scale": FULL_SCALE_REFERENCE_ACCURACY,
     }
     cls = cfg.classifier
+
+    def accuracy(mask):
+        return evaluate_mask(train, test, mask, reg_strength=cls.reg_strength,
+                             iterations=cls.iterations, learning_rate=cls.learning_rate)
+
     (out / "masks").mkdir(exist_ok=True)
     for kernel in cfg.kernels:
         entry = {"stops": {}}
@@ -183,14 +193,7 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
                 mask = mask_from_config(bits)
                 save_mask(mask, out / "masks" / f"{kernel}_stop{stop}_run{r}.txt")
                 energies.append(float(np.min(trace.energies[: stop + 1])))
-                accs.append(
-                    evaluate_mask(
-                        train, test, mask,
-                        reg_strength=cls.reg_strength,
-                        iterations=cls.iterations,
-                        learning_rate=cls.learning_rate,
-                    )
-                )
+                accs.append(accuracy(mask))
             entry["stops"][str(stop)] = {
                 "best_energy": energies,
                 "accuracy": accs,
@@ -204,17 +207,10 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
             ))
 
     rng = stream(cfg.seed, 7)
-    rand_accs = []
-    for r in range(cfg.random_masks):
-        mask = random_mask(inst.n, cfg.k, rng)
-        rand_accs.append(
-            evaluate_mask(train, test, mask, reg_strength=cls.reg_strength,
-                          iterations=cls.iterations, learning_rate=cls.learning_rate)
-        )
+    rand_accs = [accuracy(random_mask(inst.n, cfg.k, rng)) for _ in range(cfg.random_masks)]
     lin_mask = top_k_linear_mask(inst, cfg.k)
     save_mask(lin_mask, out / "masks" / "linear_terms.txt")
-    lin_acc = evaluate_mask(train, test, lin_mask, reg_strength=cls.reg_strength,
-                            iterations=cls.iterations, learning_rate=cls.learning_rate)
+    lin_acc = accuracy(lin_mask)
     report["baselines"] = {
         "random": {
             "accuracy": rand_accs,
@@ -236,75 +232,39 @@ def _optimize_masks(cfg: MnistConfig, inst: QuboInstance, out: Path, say) -> dic
     pp = models = None
     if "block-surrogate" in cfg.kernels:
         t0 = time.monotonic()
-        sizes1 = spread_block_sizes(inst.n, cfg.block_size)
-        sizes2 = spread_block_sizes(inst.n, cfg.block_size)
-        pp = build_partition_pair(inst, sizes1, sizes2, derive_seed(cfg.seed, 1))
+        sizes = spread_block_sizes(inst.n, cfg.block_size)
+        pp = build_partition_pair(inst, sizes, sizes, derive_seed(cfg.seed, 1))
         save_partition_pair(pp, out / "partition.json")
-        blocks = list(pp.p1) + list(pp.p2)
-        target = (
-            cfg.biased_target_weight
-            if cfg.biased_target_weight is not None
-            else cfg.k * cfg.block_size / inst.n
-        )
-        tasks = [
-            (
-                inst,
-                b,
-                cfg.qaoa.p,
-                cfg.qaoa.restarts,
-                cfg.qaoa.max_evals_per_restart,
-                target,
-                cfg.qaoa.shots_per_angle,
-                derive_seed(cfg.qaoa.seed, *b.id),
-            )
-            for b in blocks
-        ]
-        qaoa_results = _pmap(_qaoa_block_task, tasks, cfg.workers)
-        say(f"qaoa: {len(blocks)} blocks ({time.monotonic() - t0:.1f}s)")
+        target = cfg.qaoa.biased_target_weight
+        if target is None:
+            target = cfg.k * cfg.block_size / inst.n
+        qaoa_cfg = replace(cfg.qaoa, biased_target_weight=target)
+        qaoa_out = optimize_blocks(inst, list(pp.p1) + list(pp.p2), qaoa_cfg, cfg.workers)
+        say(f"qaoa: {len(qaoa_out)} blocks ({time.monotonic() - t0:.1f}s)")
         t0 = time.monotonic()
-        made_tasks = [
-            (b.id, res[2], asdict(cfg.made), derive_seed(cfg.made.seed, *b.id))
-            for b, res in zip(blocks, qaoa_results)
-        ]
-        made_results = _pmap(_made_block_task, made_tasks, cfg.workers)
-        models = {b.id: model for b, (model, _) in zip(blocks, made_results)}
+        trained = train_surrogates(qaoa_out, cfg.made, cfg.workers)
+        models = {bid: model for bid, (model, _) in trained.items()}
         say(f"made: {len(models)} models ({time.monotonic() - t0:.1f}s)")
 
-    traces = {}
+    t0 = time.monotonic()
+    tasks = []
     for k_idx, kernel in enumerate(cfg.kernels):
-        kernel_cfg = mcmc.KernelConfig(
-            kind=kernel,
-            beta_pi=cfg.beta_pi,
-            partition_pair=pp if kernel == "block-surrogate" else None,
-            models=models if kernel == "block-surrogate" else None,
-        )
-        t0 = time.monotonic()
-        tasks = []
+        kernel_cfg = mcmc.KernelConfig(kernel, cfg.beta_pi, pp, models)
         for r in range(cfg.repeats):
             init = random_weight_k_config(inst.n, cfg.k, stream(cfg.seed, 50, r))
-            tasks.append(
-                (inst, cfg.k, kernel_cfg, cfg.steps, init, derive_seed(cfg.seed, k_idx, r), 1)
-            )
-        traces[kernel] = _pmap(_chain_task_local, tasks, cfg.workers)
-        say(f"mcmc {kernel}: {cfg.repeats} runs x {cfg.steps} steps "
-            f"({time.monotonic() - t0:.1f}s)")
-    return traces
-
-
-def _chain_task_local(args):
-    inst, k, kernel_cfg, steps, init, seed, thin = args
-    return mcmc.run_chain(inst, k, kernel_cfg, steps, init, seed, thin)
-
-
-def _pmap(fn, tasks, workers):
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+            seed = derive_seed(cfg.seed, k_idx, r)
+            tasks.append((inst, cfg.k, kernel_cfg, cfg.steps, init, seed, 1))
+    chains = fan_out(_chain_task, tasks, cfg.workers)
+    say(f"mcmc: {len(tasks)} runs x {cfg.steps} steps ({time.monotonic() - t0:.1f}s)")
+    return {
+        kernel: chains[k_idx * cfg.repeats : (k_idx + 1) * cfg.repeats]
+        for k_idx, kernel in enumerate(cfg.kernels)
+    }
 
 
 def _write_best_energy_csv(traces, path):
-    best = [np.minimum.accumulate(t.energies) for t in traces]
+    """Running minimum of every run, one column per run."""
+    best = [analysis.best_energy_trace(t) for t in traces]
     with open(path, "w") as f:
         f.write("step," + ",".join(f"run{r}" for r in range(len(best))) + "\n")
         for t in range(len(best[0])):

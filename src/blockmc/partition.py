@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FormatError
 from .qubo import QuboInstance
 from .streams import derive_seed, stream
 
@@ -276,14 +277,53 @@ def save_partition_pair(pp: PartitionPair, path) -> None:
 
 
 def load_partition_pair(path) -> PartitionPair:
-    with open(path) as f:
-        doc = json.load(f)
-    p1 = [Block(id=(1, m), vertices=v) for m, v in enumerate(doc["p1"]["blocks"])]
-    p2 = [Block(id=(2, m), vertices=v) for m, v in enumerate(doc["p2"]["blocks"])]
+    """Read what ``save_partition_pair`` wrote; anything else raises ``FormatError``.
+
+    Each partition must be a non-empty list of non-empty int lists that
+    together hold every vertex 0..n-1 once, n being the size of p1, and
+    ``crossing`` must hold one row per p2 block of one int per p1 block.
+    """
+    try:
+        with open(path, "rb") as f:
+            doc = json.loads(f.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level is not an object")
+    missing = sorted({"p1", "p2", "crossing", "degraded", "notes"} - doc.keys())
+    if missing:
+        raise FormatError(f"{path}: missing keys {missing}")
+    parts = {}
+    for name in ("p1", "p2"):
+        blocks = doc[name].get("blocks") if isinstance(doc[name], dict) else None
+        if not (isinstance(blocks, list) and blocks and all(_is_int_list(b) and b for b in blocks)):
+            raise FormatError(f"{path}: {name}.blocks is not a list of non-empty int lists")
+        parts[name] = blocks
+    n = sum(map(len, parts["p1"]))
+    for name, blocks in parts.items():
+        if sorted(v for b in blocks for v in b) != list(range(n)):
+            raise FormatError(f"{path}: {name} does not hold every vertex of [0, {n}) once")
+    crossing = doc["crossing"]
+    if not (
+        isinstance(crossing, list)
+        and len(crossing) == len(parts["p2"])
+        and all(_is_int_list(row) and len(row) == len(parts["p1"]) for row in crossing)
+    ):
+        raise FormatError(
+            f"{path}: crossing is not a {len(parts['p2'])}x{len(parts['p1'])} int matrix"
+        )
+    if not isinstance(doc["degraded"], bool):
+        raise FormatError(f"{path}: degraded {doc['degraded']!r} is not a bool")
+    if not (isinstance(doc["notes"], list) and all(isinstance(x, str) for x in doc["notes"])):
+        raise FormatError(f"{path}: notes is not a list of strings")
     return PartitionPair(
-        p1=p1,
-        p2=p2,
-        crossing=np.array(doc["crossing"], dtype=np.intp),
-        degraded=bool(doc["degraded"]),
-        notes=list(doc["notes"]),
+        p1=[Block(id=(1, m), vertices=v) for m, v in enumerate(parts["p1"])],
+        p2=[Block(id=(2, m), vertices=v) for m, v in enumerate(parts["p2"])],
+        crossing=np.array(crossing, dtype=np.intp),
+        degraded=doc["degraded"],
+        notes=doc["notes"],
     )
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)

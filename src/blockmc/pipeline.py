@@ -1,25 +1,30 @@
-"""Staged experiment pipeline with content-hash caching.
+"""Staged experiment pipeline with content-hash caching, and the stage code
+both experiments share.
 
-A run executes: instance -> partition -> per-block QAOA -> per-block MADE
--> MCMC ensembles -> analysis, persisting every stage under the output
+A tau run executes: instance -> partition -> per-block QAOA -> per-block
+MADE -> MCMC ensembles -> analysis, persisting every stage under the output
 directory. Each stage is keyed by the hash of its config subsection plus
 its upstream keys; re-running with an unchanged key reuses the artifacts
-on disk (``--force`` overrides). All artifact files are byte-deterministic
-for fixed config and seeds; wall-clock timings go to the log only.
+on disk (``--force`` overrides), and within one ``PipelineRun`` every stage
+is built or loaded once. All artifact files are byte-deterministic for
+fixed config and seeds; wall-clock timings go to the log only.
+
+The mask search (``mnistexp``) runs the same per-block QAOA and MADE
+helpers, chain task and fan-out, and fills its config with the same
+loader, without the stage cache.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, made, mcmc, qaoa
 from .errors import ConfigError
@@ -65,7 +70,7 @@ class QaoaConfig:
 
 @dataclass
 class MadeConfig:
-    widths: list[int] | None = None  # default 2 x (4|B|) per block
+    widths: list[int] | None = None  # None: made.default_train_config's widths
     learning_rate: float = 0.05
     batch_size: int = 128
     epochs: int = 30
@@ -107,47 +112,59 @@ class ExperimentConfig:
         return self.k if self.k is not None else n // 2
 
 
-_SECTIONS = {
-    "instance": InstanceConfig,
-    "partition": PartitionConfig,
-    "qaoa": QaoaConfig,
-    "made": MadeConfig,
-    "mcmc": McmcConfig,
-    "analysis": AnalysisConfig,
-}
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+def fill_config(cfg, doc: dict, where: str = ""):
+    """Set the fields of dataclass ``cfg`` from ``doc``; a field that holds a
+    dataclass is a section, filled in place from a nested object."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {where.rstrip('.') or 'document'} is not an object")
+    names = {f.name for f in fields(cfg)}
     for key, value in doc.items():
-        if key in _SECTIONS:
-            section = _SECTIONS[key]()
-            for k2, v2 in value.items():
-                if not hasattr(section, k2):
-                    raise ConfigError(f"unknown field {key}.{k2}")
-                setattr(section, k2, v2)
-            setattr(cfg, key, section)
-        elif hasattr(cfg, key):
-            setattr(cfg, key, value)
+        if key not in names:
+            raise ConfigError(f"unknown config field {where}{key!r}")
+        section = getattr(cfg, key)
+        if is_dataclass(section):
+            fill_config(section, value, where=f"{where}{key}.")
         else:
-            raise ConfigError(f"unknown config field {key!r}")
-    for kernel in cfg.mcmc.kernels:
-        if kernel not in mcmc.KERNEL_KINDS:
-            raise ConfigError(f"unknown kernel {kernel!r}")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
+            setattr(cfg, key, value)
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+def require_positive(values: dict) -> None:
+    """Raise ``ConfigError`` unless every value is an int >= 1."""
+    for name, v in values.items():
+        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+
+
+def require_kernels(kernels: list, allowed: tuple) -> None:
+    """Raise ``ConfigError`` unless ``kernels`` are distinct names from ``allowed``."""
+    for kernel in kernels:
+        if kernel not in allowed:
+            raise ConfigError(f"unknown kernel {kernel!r}; choose from {', '.join(allowed)}")
+    if len(set(kernels)) != len(kernels):
+        raise ConfigError(f"kernels {kernels} name a kernel twice")
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    cfg = fill_config(ExperimentConfig(), doc)
+    require_kernels(cfg.mcmc.kernels, mcmc.KERNEL_KINDS)
+    require_positive(
+        {
+            "workers": cfg.workers,
+            "mcmc.steps": cfg.mcmc.steps,
+            "mcmc.pairs": cfg.mcmc.pairs,
+            "mcmc.thin": cfg.mcmc.thin,
+            "partition.block_size": cfg.partition.block_size,
+        }
+    )
+    if cfg.instance.source == "generate":
+        n = cfg.instance.n
+        require_positive({"instance.n": n})
+        if cfg.k is not None and not (isinstance(cfg.k, int) and 0 <= cfg.k <= n):
+            raise ConfigError(f"k={cfg.k!r} is not an integer in [0, instance.n={n}]")
+        if cfg.partition.block_size > n:
+            raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
+    return cfg
 
 
 def reseed_config(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
@@ -160,12 +177,9 @@ def reseed_config(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     return cfg
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _hash(obj) -> str:
-    return hashlib.sha256(_canonical(obj).encode()).hexdigest()[:16]
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -194,6 +208,18 @@ class RunManifest:
         return cls(config_hash=doc["config_hash"], stages=doc["stages"])
 
 
+def _once(ensure):
+    """Build or load a stage at most once per ``PipelineRun``."""
+
+    @functools.wraps(ensure)
+    def memoized(self):
+        if ensure.__name__ not in self._done:
+            self._done[ensure.__name__] = ensure(self)
+        return self._done[ensure.__name__]
+
+    return memoized
+
+
 class PipelineRun:
     """One experiment bound to an output directory."""
 
@@ -209,6 +235,7 @@ class PipelineRun:
         else:
             self.manifest = RunManifest(config_hash="", stages={})
         self.manifest.config_hash = config_hash(cfg)
+        self._done = {}
 
     def _say(self, msg: str) -> None:
         print(msg, file=self.log)
@@ -227,6 +254,7 @@ class PipelineRun:
 
     # ------------------------------------------------------------------ #
 
+    @_once
     def ensure_instance(self) -> tuple[QuboInstance, str]:
         cfg = self.cfg.instance
         key = _hash(asdict(cfg))
@@ -251,6 +279,7 @@ class PipelineRun:
         self._say(f"stage instance: built in {time.monotonic() - t0:.2f}s")
         return inst, key
 
+    @_once
     def ensure_partition(self) -> tuple[PartitionPair, str]:
         inst, up = self.ensure_instance()
         cfg = self.cfg.partition
@@ -268,81 +297,58 @@ class PipelineRun:
         self._say(f"stage partition: built in {time.monotonic() - t0:.2f}s")
         return pp, key
 
-    def _needs_surrogate(self) -> bool:
-        return "block-surrogate" in self.cfg.mcmc.kernels
-
+    @_once
     def ensure_qaoa(self) -> tuple[dict, str]:
-        """Optimized params and training samples per block."""
+        """Optimized params, their loss and training samples per block."""
         pp, up = self.ensure_partition()
         inst, _ = self.ensure_instance()
         cfg = self.cfg.qaoa
         key = _hash({"cfg": asdict(cfg), "up": up})
         blocks = list(pp.p1) + list(pp.p2)
-        paths = {}
-        for b in blocks:
-            s, m = b.id
-            paths[b.id] = (f"qaoa/params_{s}_{m}.json", f"qaoa/samples_{s}_{m}.bin")
-        flat = [p for pair in paths.values() for p in pair]
+        paths = {
+            b.id: (f"qaoa/params_{b.id[0]}_{b.id[1]}.json", f"qaoa/samples_{b.id[0]}_{b.id[1]}.bin")
+            for b in blocks
+        }
         if self._cached("qaoa", key):
             self._say("stage qaoa: cached")
             out = {}
-            for b in blocks:
-                params, loss, _ = qaoa.load_params(self.out / paths[b.id][0])
-                samples = qaoa.load_sample_set(self.out / paths[b.id][1])
-                out[b.id] = (params, loss, samples)
+            for bid, (params_path, samples_path) in paths.items():
+                params, loss, _ = qaoa.load_params(self.out / params_path)
+                out[bid] = (params, loss, qaoa.load_sample_set(self.out / samples_path))
             return out, key
         t0 = time.monotonic()
         (self.out / "qaoa").mkdir(exist_ok=True)
-        tasks = [
-            (
-                inst,
-                b,
-                cfg.p,
-                cfg.restarts,
-                cfg.max_evals_per_restart,
-                cfg.biased_target_weight,
-                cfg.shots_per_angle,
-                derive_seed(cfg.seed, s, m),
-            )
-            for b in blocks
-            for s, m in [b.id]
-        ]
-        results = self._map(_qaoa_block_task, tasks)
-        out = {}
-        for b, (params, loss, samples) in zip(blocks, results):
-            qaoa.save_params(params, loss, b.id, self.out / paths[b.id][0])
-            qaoa.save_sample_set(samples, self.out / paths[b.id][1])
-            out[b.id] = (params, loss, samples)
-        self._record("qaoa", key, flat)
+        out = optimize_blocks(inst, blocks, cfg, self.cfg.workers)
+        for bid, (params, loss, samples) in out.items():
+            qaoa.save_params(params, loss, bid, self.out / paths[bid][0])
+            qaoa.save_sample_set(samples, self.out / paths[bid][1])
+        self._record("qaoa", key, [p for pair in paths.values() for p in pair])
         self._say(f"stage qaoa: {len(blocks)} blocks in {time.monotonic() - t0:.2f}s")
         return out, key
 
+    @_once
     def ensure_made(self) -> tuple[dict, str]:
         qaoa_out, up = self.ensure_qaoa()
         cfg = self.cfg.made
         key = _hash({"cfg": asdict(cfg), "up": up})
-        ids = sorted(qaoa_out)
-        paths = {bid: (f"made/model_{bid[0]}_{bid[1]}.bin", f"made/train_{bid[0]}_{bid[1]}.csv") for bid in ids}
-        flat = [p for pair in paths.values() for p in pair]
+        paths = {
+            bid: (f"made/model_{bid[0]}_{bid[1]}.bin", f"made/train_{bid[0]}_{bid[1]}.csv")
+            for bid in sorted(qaoa_out)
+        }
         if self._cached("made", key):
             self._say("stage made: cached")
-            return {bid: made.load_model(self.out / paths[bid][0]) for bid in ids}, key
+            return {bid: made.load_model(self.out / p) for bid, (p, _) in paths.items()}, key
         t0 = time.monotonic()
         (self.out / "made").mkdir(exist_ok=True)
-        tasks = [
-            (bid, qaoa_out[bid][2], asdict(cfg), derive_seed(cfg.seed, *bid))
-            for bid in ids
-        ]
-        results = self._map(_made_block_task, tasks)
-        models = {}
-        for bid, (model, report) in zip(ids, results):
+        trained = train_surrogates(qaoa_out, cfg, self.cfg.workers)
+        for bid, (model, report) in trained.items():
             made.save_model(model, self.out / paths[bid][0])
             report.save_csv(self.out / paths[bid][1])
-            models[bid] = model
-        self._record("made", key, flat)
-        self._say(f"stage made: {len(ids)} models in {time.monotonic() - t0:.2f}s")
-        return models, key
+        self._record("made", key, [p for pair in paths.values() for p in pair])
+        self._say(f"stage made: {len(trained)} models in {time.monotonic() - t0:.2f}s")
+        return {bid: model for bid, (model, _) in trained.items()}, key
 
+    @_once
     def ensure_mcmc(self) -> tuple[dict, str]:
         """Chain-pair traces per kernel."""
         inst, inst_key = self.ensure_instance()
@@ -350,70 +356,43 @@ class PipelineRun:
         k = self.cfg.resolved_k(inst.n)
         upstreams = {"instance": inst_key}
         pp = models = None
-        if self._needs_surrogate():
+        if "block-surrogate" in cfg.kernels:
             pp, _ = self.ensure_partition()
-            models, made_key = self.ensure_made()
-            upstreams["made"] = made_key
+            models, upstreams["made"] = self.ensure_made()
         key = _hash({"cfg": asdict(cfg), "k": k, "beta": self.cfg.beta_pi, "up": upstreams})
-        paths = {}
-        for kernel in cfg.kernels:
-            for pair in range(cfg.pairs):
-                for tag in ("a", "b"):
-                    paths[(kernel, pair, tag)] = f"mcmc/trace_{kernel}_{pair}_{tag}.bin"
+        paths = {
+            (kernel, pair, tag): f"mcmc/trace_{kernel}_{pair}_{tag}.bin"
+            for kernel in cfg.kernels
+            for pair in range(cfg.pairs)
+            for tag in "ab"
+        }
         if self._cached("mcmc", key):
             self._say("stage mcmc: cached")
-            traces = {
-                kernel: [
-                    (
-                        mcmc.load_trace(self.out / paths[(kernel, pair, "a")]),
-                        mcmc.load_trace(self.out / paths[(kernel, pair, "b")]),
-                    )
-                    for pair in range(cfg.pairs)
-                ]
-                for kernel in cfg.kernels
-            }
-            return traces, key
-        t0 = time.monotonic()
-        (self.out / "mcmc").mkdir(exist_ok=True)
-        tasks = []
-        order = []
-        for k_idx, kernel in enumerate(cfg.kernels):
-            kernel_cfg = mcmc.KernelConfig(
-                kind=kernel,
-                beta_pi=self.cfg.beta_pi,
-                partition_pair=pp if kernel == "block-surrogate" else None,
-                models=models if kernel == "block-surrogate" else None,
-            )
-            for pair in range(cfg.pairs):
-                for t_idx, tag in enumerate(("a", "b")):
-                    init = random_weight_k_config(
-                        inst.n, k, stream(cfg.seed, 100, pair, t_idx)
-                    )
-                    tasks.append(
-                        (
-                            inst,
-                            k,
-                            kernel_cfg,
-                            cfg.steps,
-                            init,
-                            derive_seed(cfg.seed, k_idx, pair, t_idx),
-                            cfg.thin,
-                        )
-                    )
-                    order.append((kernel, pair, tag))
-        results = self._map(_chain_task, tasks)
-        traces = {kernel: [] for kernel in cfg.kernels}
-        by_key = {}
-        for meta, trace in zip(order, results):
-            mcmc.save_trace(trace, self.out / paths[meta])
-            by_key[meta] = trace
-        for kernel in cfg.kernels:
-            for pair in range(cfg.pairs):
-                traces[kernel].append((by_key[(kernel, pair, "a")], by_key[(kernel, pair, "b")]))
-        self._record("mcmc", key, sorted(paths.values()))
-        self._say(f"stage mcmc: {len(tasks)} chains in {time.monotonic() - t0:.2f}s")
+            by_chain = {chain: mcmc.load_trace(self.out / p) for chain, p in paths.items()}
+        else:
+            t0 = time.monotonic()
+            (self.out / "mcmc").mkdir(exist_ok=True)
+            tasks = []
+            for k_idx, kernel in enumerate(cfg.kernels):
+                kernel_cfg = mcmc.KernelConfig(kernel, self.cfg.beta_pi, pp, models)
+                for pair in range(cfg.pairs):
+                    for t_idx in range(2):
+                        init = random_weight_k_config(inst.n, k, stream(cfg.seed, 100, pair, t_idx))
+                        seed = derive_seed(cfg.seed, k_idx, pair, t_idx)
+                        tasks.append((inst, k, kernel_cfg, cfg.steps, init, seed, cfg.thin))
+            # tasks run in the order of ``paths``: kernel, then pair, then a/b
+            by_chain = dict(zip(paths, fan_out(_chain_task, tasks, self.cfg.workers)))
+            for chain, trace in by_chain.items():
+                mcmc.save_trace(trace, self.out / paths[chain])
+            self._record("mcmc", key, list(paths.values()))
+            self._say(f"stage mcmc: {len(tasks)} chains in {time.monotonic() - t0:.2f}s")
+        traces = {
+            kernel: [tuple(by_chain[kernel, pair, tag] for tag in "ab") for pair in range(cfg.pairs)]
+            for kernel in cfg.kernels
+        }
         return traces, key
 
+    @_once
     def ensure_analysis(self) -> tuple[dict, str]:
         traces, up = self.ensure_mcmc()
         cfg = self.cfg.analysis
@@ -421,8 +400,8 @@ class PipelineRun:
         kernels = sorted(traces)
         paths = [f"analysis/rho_{kernel}.csv" for kernel in kernels]
         paths += [f"analysis/best_energy_{kernel}.csv" for kernel in kernels]
-        paths.append("analysis/tau_summary.csv")
-        if self._cached("analysis", key) and (self.out / "analysis/result.json").exists():
+        paths += ["analysis/tau_summary.csv", "analysis/result.json"]
+        if self._cached("analysis", key):
             self._say("stage analysis: cached")
             with open(self.out / "analysis/result.json") as f:
                 return json.load(f), key
@@ -438,7 +417,6 @@ class PipelineRun:
         with open(self.out / "analysis/result.json", "w") as f:
             json.dump(result, f, sort_keys=True, separators=(",", ":"))
             f.write("\n")
-        paths.append("analysis/result.json")
         self._record("analysis", key, paths)
         self._say(f"stage analysis: done in {time.monotonic() - t0:.2f}s")
         return result, key
@@ -447,45 +425,64 @@ class PipelineRun:
         self.ensure_analysis()
         return self.manifest
 
-    def _map(self, fn, tasks):
-        if self.cfg.workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=self.cfg.workers) as pool:
-                return list(pool.map(fn, tasks))
-        return [fn(t) for t in tasks]
+
+def fan_out(fn, tasks: list, workers: int) -> list:
+    """``[fn(t) for t in tasks]``, on a pool of ``workers`` processes when
+    there is more than one worker and more than one task."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def optimize_blocks(inst: QuboInstance, blocks: list, cfg: QaoaConfig, workers: int) -> dict:
+    """Per block id: optimized QAOA params, their loss and the MADE training
+    samples, each block on its own seed derived from ``cfg.seed``."""
+    tasks = [(inst, b, cfg, derive_seed(cfg.seed, *b.id)) for b in blocks]
+    return {b.id: r for b, r in zip(blocks, fan_out(_qaoa_block_task, tasks, workers))}
+
+
+def train_surrogates(qaoa_out: dict, cfg: MadeConfig, workers: int) -> dict:
+    """Per block id of ``optimize_blocks``'s output, in sorted order:
+    (model, report) of a conditional MADE trained on the block's samples,
+    on a seed derived from ``cfg.seed``."""
+    ids = sorted(qaoa_out)
+    tasks = [(bid, qaoa_out[bid][2], cfg, derive_seed(cfg.seed, *bid)) for bid in ids]
+    return dict(zip(ids, fan_out(_made_block_task, tasks, workers)))
 
 
 def _qaoa_block_task(args):
-    inst, block, p, restarts, maxfev, biased_target, shots, seed = args
+    inst, block, cfg, seed = args
     bp = qaoa.build_block_problem(inst, block)
     init = qaoa.prepare_initial_state(bp.size, math.pi / 2)
     params, loss = qaoa.optimize_params(
-        bp, p=p, init=init, restarts=restarts, seed=seed, max_evals_per_restart=maxfev
+        bp, p=cfg.p, init=init, restarts=cfg.restarts, seed=seed,
+        max_evals_per_restart=cfg.max_evals_per_restart,
     )
-    biased = (
-        biased_angle_for_target_weight(bp.size, min(biased_target, bp.size))
-        if biased_target is not None
-        else None
-    )
+    target = cfg.biased_target_weight
+    biased = None
+    if target is not None:
+        biased = biased_angle_for_target_weight(bp.size, min(target, bp.size))
     angles = qaoa.default_training_angles(bp.size, biased_angle=biased)
-    samples = qaoa.generate_training_set(bp, params, angles, shots, seed=seed)
+    samples = qaoa.generate_training_set(bp, params, angles, cfg.shots_per_angle, seed=seed)
     return params, loss, samples
 
 
 def _made_block_task(args):
-    bid, samples, cfg_dict, seed = args
-    block_size = samples.block_size
-    widths = cfg_dict["widths"] or [4 * block_size, 4 * block_size]
-    cfg = made.TrainConfig(
-        hidden_widths=list(widths),
-        learning_rate=cfg_dict["learning_rate"],
-        batch_size=cfg_dict["batch_size"],
-        epochs=cfg_dict["epochs"],
+    bid, samples, cfg, seed = args
+    widths = {"hidden_widths": list(cfg.widths)} if cfg.widths else {}
+    train_cfg = made.default_train_config(
+        samples.block_size,
+        learning_rate=cfg.learning_rate,
+        batch_size=cfg.batch_size,
+        epochs=cfg.epochs,
         seed=seed,
-        validation_fraction=cfg_dict["validation_fraction"],
+        validation_fraction=cfg.validation_fraction,
+        **widths,
     )
-    model = made.build_model(block_size, cfg, seed=seed)
+    model = made.build_model(samples.block_size, train_cfg, seed=seed)
     model.block_id = bid
-    report = made.train(model, samples, cfg)
+    report = made.train(model, samples, train_cfg)
     return model, report
 
 
@@ -563,23 +560,37 @@ def run_pipeline(cfg: ExperimentConfig, out, force=False, log=None) -> RunManife
     return PipelineRun(cfg, out, force=force, log=log).run()
 
 
-def sweep_system_size(
-    cfg: ExperimentConfig, n_values: list[int], out, force=False, log=None
+_SWEEP_TAGS = {"n": "n", "block_size": "b"}
+
+
+def sweep(
+    cfg: ExperimentConfig, field: str, values: list[int], out, force=False, log=None
 ) -> list[dict]:
-    """Pipeline per system size at fixed block size; per-point tau summary."""
+    """One pipeline per value of ``field``, under ``out/<n|b><value>``, and
+    one tau row per point and kernel, also written to ``sweep_<n|b>.csv``.
+
+    ``field`` is ``"n"`` (system size at fixed block size; each size gets
+    an instance seed derived from ``instance.seed``) or ``"block_size"``
+    (at fixed system size). Both re-spread the partition's block sizes.
+    """
+    if field not in _SWEEP_TAGS:
+        raise ConfigError(f"cannot sweep {field!r}; choose from {sorted(_SWEEP_TAGS)}")
+    tag = _SWEEP_TAGS[field]
     rows = []
-    for n in n_values:
-        sub = config_from_dict(json.loads(_canonical(asdict(cfg))))
-        sub.instance.n = n
-        sub.instance.seed = derive_seed(cfg.instance.seed, n)
-        sub.partition.sizes1 = None
-        sub.partition.sizes2 = None
-        run = PipelineRun(sub, Path(out) / f"n{n}", force=force, log=log)
+    for value in values:
+        doc = asdict(cfg)
+        if field == "n":
+            doc["instance"].update(n=value, seed=derive_seed(cfg.instance.seed, value))
+        else:
+            doc["partition"]["block_size"] = value
+        doc["partition"].update(sizes1=None, sizes2=None)
+        sub = config_from_dict(doc)
+        run = PipelineRun(sub, Path(out) / f"{tag}{value}", force=force, log=log)
         result, _ = run.ensure_analysis()
         for kernel, e in sorted(result["kernels"].items()):
             rows.append(
                 {
-                    "n": n,
+                    "n": sub.instance.n,
                     "block_size": sub.partition.block_size,
                     "kernel": kernel,
                     "tau": e["tau"],
@@ -587,34 +598,7 @@ def sweep_system_size(
                     "tau_std": e["tau_std"],
                 }
             )
-    _save_sweep_csv(rows, Path(out) / "sweep_n.csv", lead="n")
-    return rows
-
-
-def sweep_block_size(
-    cfg: ExperimentConfig, block_sizes: list[int], out, force=False, log=None
-) -> list[dict]:
-    """Pipeline per block size at fixed system size."""
-    rows = []
-    for bs in block_sizes:
-        sub = config_from_dict(json.loads(_canonical(asdict(cfg))))
-        sub.partition.block_size = bs
-        sub.partition.sizes1 = None
-        sub.partition.sizes2 = None
-        run = PipelineRun(sub, Path(out) / f"b{bs}", force=force, log=log)
-        result, _ = run.ensure_analysis()
-        for kernel, e in sorted(result["kernels"].items()):
-            rows.append(
-                {
-                    "n": sub.instance.n,
-                    "block_size": bs,
-                    "kernel": kernel,
-                    "tau": e["tau"],
-                    "tau_mean": e["tau_mean"],
-                    "tau_std": e["tau_std"],
-                }
-            )
-    _save_sweep_csv(rows, Path(out) / "sweep_b.csv", lead="block_size")
+    _save_sweep_csv(rows, Path(out) / f"sweep_{tag}.csv", lead=field)
     return rows
 
 

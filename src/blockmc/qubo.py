@@ -94,25 +94,6 @@ class QuboInstance:
         return len(self._nbr_idx[i])
 
 
-@dataclass
-class IsingForm:
-    """Equivalent +/-1-spin Hamiltonian: sum J_ij s_i s_j + sum h_i s_i + c'."""
-
-    j: dict[tuple[int, int], float]
-    h: np.ndarray
-    konst: float
-
-    def evaluate(self, spins: np.ndarray) -> float:
-        e = self.konst + float(self.h @ spins)
-        for (a, b), w in self.j.items():
-            e += w * spins[a] * spins[b]
-        return e
-
-
-def hamming_weight(x: SpinConfig) -> int:
-    return int(np.sum(x))
-
-
 def random_weight_k_config(n: int, k: int, rng: np.random.Generator) -> SpinConfig:
     """Uniformly random configuration with exactly k ones."""
     x = np.zeros(n, dtype=np.uint8)
@@ -169,17 +150,6 @@ def energy_delta_block(
             else:
                 delta += wu * float(x[u]) * (new[t] - old[t])
     return delta
-
-
-def qubo_to_ising(inst: QuboInstance) -> IsingForm:
-    """Change of variables x_i = (1 - s_i)/2 into the +/-1-spin form."""
-    j = {e: w / 4.0 for e, w in inst.quad.items()}
-    h = -inst.lin / 2.0
-    for (a, b), w in inst.quad.items():
-        h[a] -= w / 4.0
-        h[b] -= w / 4.0
-    konst = inst.konst + float(np.sum(inst.lin)) / 2.0 + float(np.sum(inst.edge_w)) / 4.0
-    return IsingForm(j=j, h=h, konst=konst)
 
 
 def gen_regular_instance(n: int, degree: int, seed: int) -> QuboInstance:

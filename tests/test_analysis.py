@@ -204,7 +204,7 @@ class TestEnsembleSummary:
 
 
 class TestCsvOutputs:
-    def test_rho_and_tau_csv(self, tmp_path):
+    def test_rho_csv(self, tmp_path):
         rng = stream(11)
         results = [
             analysis.AutocorrResult(rho=0.9 ** np.arange(20) + rng.normal(0, 1e-3, 20),
@@ -216,11 +216,6 @@ class TestCsvOutputs:
         lines = rho_path.read_text().strip().split("\n")
         assert lines[0] == "lag,rho_mean,rho_std"
         assert len(lines) == 21
-        fits = {"block-surrogate": [analysis.fit_decay_rate(r) for r in results]}
-        summary = analysis.ensemble_summary(fits)
-        tau_path = tmp_path / "tau.csv"
-        analysis.save_tau_summary_csv(summary, tau_path)
-        assert "block-surrogate" in tau_path.read_text()
 
     def test_best_energy_csv(self, tmp_path):
         rng = stream(12)

@@ -60,6 +60,22 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"bogus": 1})
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_of_range_config_value_is_2(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_doc(k=40))
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_an_object_is_2(self, tmp_path):
+        cfg = write_config(tmp_path, [1, 2])
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_corrupt_partition_file_is_3(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        assert main(["partition", "--config", cfg, "--out", str(out)]) == 0
+        (out / "partition.json").write_text('{"p1": 3}')
+        assert main(["partition", "--config", cfg, "--out", str(out)]) == 3
+
     def test_corrupt_instance_file_is_3(self, tmp_path):
         bad = tmp_path / "inst.json"
         bad.write_text("{not json")

@@ -288,3 +288,27 @@ class TestPersistence:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(made.FormatError):
             made.load_model(path)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.bin"
+        made.save_model(tiny_model(4, seed=41), path)
+        return path, path.read_bytes()
+
+    def test_body_cut_by_50_bytes(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-50])
+        with pytest.raises(made.FormatError, match=f"offset {len(raw) - 50}"):
+            made.load_model(path)
+
+    def test_cut_to_10_bytes(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:10])
+        with pytest.raises(made.FormatError, match="offset 10"):
+            made.load_model(path)
+
+    def test_every_truncation_and_trailing_byte(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        for cut in [*range(len(raw)), len(raw) + 1]:
+            path.write_bytes(raw[:cut] if cut < len(raw) else raw + b"\0")
+            with pytest.raises(made.FormatError):
+                made.load_model(path)

@@ -43,7 +43,7 @@ class TestProposeBlockSurrogate:
         cfg = block_surrogate_config(inst, [4, 4])
         rng = stream(2)
         x = np.array([1, 1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=4)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for _ in range(200):
             cand = mcmc.propose_block_surrogate(state, cfg, rng)
             if cand.weight_mismatch:
@@ -59,7 +59,7 @@ class TestProposeBlockSurrogate:
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         x = np.zeros(8, dtype=np.uint8)
         x[pp.p1[0].vertices] = 1  # all ones inside p1 block 0
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=4)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         rng = stream(4)
         for _ in range(100):
             cand = mcmc.propose_block_surrogate(state, cfg, rng)
@@ -86,7 +86,7 @@ class TestProposeBlockSurrogate:
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         x = np.zeros(12, dtype=np.uint8)
         x[[0, 1, 2]] = 1  # block 0 weight 3
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=3)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         rng = stream(7)
         tries = survived = 0
         for _ in range(30_000):
@@ -128,7 +128,7 @@ class TestProposeGlobalKawasaki:
     def test_unique_swap(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=1)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         rng = stream(8)
         for _ in range(10):
             cand = mcmc.propose_global_kawasaki(state, rng)
@@ -138,7 +138,7 @@ class TestProposeGlobalKawasaki:
         inst = qubo.gen_regular_instance(8, 3, seed=2)
         rng = stream(9)
         x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=4)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for _ in range(50):
             cand = mcmc.propose_global_kawasaki(state, rng)
             y = x.copy()
@@ -149,7 +149,7 @@ class TestProposeGlobalKawasaki:
     def test_pair_frequencies_uniform(self):
         """All K(N-K) = 9 pairs drawn uniformly (chi-squared check)."""
         x = np.array([1, 1, 1, 0, 0, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=0.0, weight=3)
+        state = mcmc.ChainState(x=x, energy=0.0)
         rng = stream(10)
         counts = {}
         trials = 100_000
@@ -162,7 +162,7 @@ class TestProposeGlobalKawasaki:
         assert chi2 < 26.12  # 99.9th percentile of chi2(8)
 
     def test_degenerate_weight_rejected(self):
-        state = mcmc.ChainState(x=np.ones(4, dtype=np.uint8), energy=0.0, weight=4)
+        state = mcmc.ChainState(x=np.ones(4, dtype=np.uint8), energy=0.0)
         with pytest.raises(ConfigError):
             mcmc.propose_global_kawasaki(state, stream(0))
 
@@ -171,14 +171,14 @@ class TestProposeLocalKawasaki:
     def test_equal_bits_null_move(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 1], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=2)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         cand = mcmc.propose_local_kawasaki(state, inst, stream(1))
         assert cand.null_move
 
     def test_single_edge_deterministic_swap(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=1)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for s in range(5):
             cand = mcmc.propose_local_kawasaki(state, inst, stream(s))
             assert cand.swap == (0, 1)
@@ -188,7 +188,7 @@ class TestProposeLocalKawasaki:
         rng = stream(11)
         for _ in range(10):
             x = qubo.random_weight_k_config(8, 4, rng)
-            state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=4)
+            state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
             equal = sum(
                 1 for i, j in zip(inst.edge_i, inst.edge_j) if x[i] == x[j]
             )
@@ -204,7 +204,7 @@ class TestProposeLocalKawasaki:
     def test_edgeless_rejected(self):
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=0.0, weight=2)
+        state = mcmc.ChainState(x=x, energy=0.0)
         with pytest.raises(ConfigError):
             mcmc.propose_local_kawasaki(state, inst, stream(0))
 
@@ -213,7 +213,7 @@ class TestAccept:
     def test_zero_delta_always_accepts(self):
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=0.0, weight=2)
+        state = mcmc.ChainState(x=x, energy=0.0)
         cand = mcmc.Candidate(detail=(0, 1), swap=(0, 1))
         _, rec = mcmc.accept(inst, state, cand, beta_pi=2.0, rng=stream(1))
         assert rec.acceptance_prob == 1.0
@@ -223,7 +223,7 @@ class TestAccept:
         inst = qubo.gen_regular_instance(8, 3, seed=4)
         rng = stream(12)
         x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=4)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for _ in range(50):
             cand = mcmc.propose_global_kawasaki(state, rng)
             state, rec = mcmc.accept(inst, state, cand, beta_pi=0.0, rng=rng)
@@ -234,7 +234,7 @@ class TestAccept:
         inst = qubo.gen_regular_instance(8, 3, seed=5)
         rng = stream(13)
         x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x), weight=4)
+        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for _ in range(200):
             cand = mcmc.propose_global_kawasaki(state, rng)
             state, _ = mcmc.accept(inst, state, cand, beta_pi=0.5, rng=rng)
@@ -286,7 +286,8 @@ class TestRunChainPair:
         inst = qubo.gen_regular_instance(8, 3, seed=6)
         cfg = mcmc.KernelConfig("global-kawasaki", 0.5)
         init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
-        a, b = mcmc.run_chain_pair(inst, 4, cfg, 500, init, init, seed_a=1, seed_b=2)
+        a = mcmc.run_chain(inst, 4, cfg, 500, init, seed=1)
+        b = mcmc.run_chain(inst, 4, cfg, 500, init, seed=2)
         assert not np.array_equal(a.configs, b.configs)
         assert len(a.configs) == len(b.configs)
 
@@ -294,7 +295,8 @@ class TestRunChainPair:
         inst = qubo.gen_regular_instance(8, 3, seed=6)
         cfg = mcmc.KernelConfig("global-kawasaki", 0.5)
         init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
-        a, b = mcmc.run_chain_pair(inst, 4, cfg, 200, init, init, seed_a=5, seed_b=5)
+        a = mcmc.run_chain(inst, 4, cfg, 200, init, seed=5)
+        b = mcmc.run_chain(inst, 4, cfg, 200, init, seed=5)
         assert np.array_equal(a.configs, b.configs)
 
 
@@ -405,25 +407,3 @@ class TestPersistence:
         path.write_bytes(raw[:23] + bytes(4) + raw[27:])
         with pytest.raises(FormatError, match="offset 23"):
             mcmc.load_trace(path)
-
-    def test_csv_sidecar(self, tmp_path):
-        trace = self._trace()
-        path = tmp_path / "trace.csv"
-        mcmc.trace_csv(trace, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,energy,accepted,kernel_detail,acceptance_prob"
-        assert len(lines) == trace.steps + 1
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        rng = stream(41)
-        state = mcmc.ChainState(
-            x=np.array([1, 0, 1, 0], dtype=np.uint8), energy=-1.5, weight=2
-        )
-        rng.random(7)  # advance the stream
-        path = tmp_path / "ckpt.json"
-        mcmc.save_checkpoint(path, state, rng, step=123)
-        state2, rng2, step = mcmc.load_checkpoint(path)
-        assert step == 123
-        assert np.array_equal(state2.x, state.x)
-        assert state2.energy == state.energy
-        assert rng2.random(5).tolist() == rng.random(5).tolist()

@@ -1,9 +1,12 @@
 """Tests for greedy partition construction and the crossing repair."""
 
+import json
+
 import numpy as np
 import pytest
 
 from blockmc import partition, qubo
+from blockmc.errors import FormatError
 from blockmc.streams import stream
 
 
@@ -145,3 +148,70 @@ class TestHelpers:
         assert [b.vertices for b in back.p1] == [b.vertices for b in pp.p1]
         assert [b.vertices for b in back.p2] == [b.vertices for b in pp.p2]
         assert np.array_equal(back.crossing, pp.crossing)
+
+
+class TestLoadPartitionPair:
+    """A malformed partition.json raises FormatError, never a decode error."""
+
+    def _doc(self, tmp_path):
+        inst = qubo.gen_regular_instance(12, 3, seed=6)
+        pp = partition.build_partition_pair(inst, [4] * 3, [4] * 3, seed=9)
+        path = tmp_path / "pp.json"
+        partition.save_partition_pair(pp, path)
+        return path, json.loads(path.read_text())
+
+    def _rejects(self, path, doc, match):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=match):
+            partition.load_partition_pair(path)
+
+    def test_truncated_json(self, tmp_path):
+        path, _ = self._doc(tmp_path)
+        raw = path.read_bytes()
+        for cut in range(len(raw) - 1):  # the last byte is the newline
+            path.write_bytes(raw[:cut])
+            with pytest.raises(FormatError):
+                partition.load_partition_pair(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path, _ = self._doc(tmp_path)
+        path.write_bytes(b'{"p1": "\xff"}')
+        with pytest.raises(FormatError, match="invalid JSON"):
+            partition.load_partition_pair(path)
+
+    def test_not_an_object(self, tmp_path):
+        path, _ = self._doc(tmp_path)
+        self._rejects(path, [1, 2], "not an object")
+
+    def test_missing_keys(self, tmp_path):
+        path, _ = self._doc(tmp_path)
+        self._rejects(path, {"p1": 3}, "missing keys")
+
+    def test_blocks_not_int_lists(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        for bad in (3, {"s": 1}, {"blocks": 3}, {"blocks": []}, {"blocks": [[]]},
+                    {"blocks": [[0, 1.5]]}, {"blocks": [[0, True]]}, {"blocks": [["0"]]}):
+            self._rejects(path, {**doc, "p1": bad}, "p1.blocks")
+
+    def test_vertex_out_of_range(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        doc["p2"]["blocks"][0][0] = 12
+        self._rejects(path, doc, r"p2 does not hold every vertex of \[0, 12\)")
+        doc["p2"]["blocks"][0][0] = -1
+        self._rejects(path, doc, "p2 does not hold")
+
+    def test_vertex_repeated(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        doc["p1"]["blocks"][0][1] = doc["p1"]["blocks"][0][0]
+        self._rejects(path, doc, "p1 does not hold")
+
+    def test_crossing_shape(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        crossing = doc["crossing"]
+        for bad in (crossing[:-1], [row[:-1] for row in crossing], [[0.5] * 3] * 3, 7):
+            self._rejects(path, {**doc, "crossing": bad}, "crossing is not a 3x3 int matrix")
+
+    def test_degraded_and_notes_types(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        self._rejects(path, {**doc, "degraded": "no"}, "degraded")
+        self._rejects(path, {**doc, "notes": [1]}, "notes")

@@ -30,6 +30,9 @@ def tiny_config(**overrides):
     return pipeline.config_from_dict(doc)
 
 
+STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
+
+
 def all_artifact_bytes(out):
     """Map of relative path -> bytes for every artifact in a run dir."""
     out = Path(out)
@@ -63,6 +66,33 @@ class TestConfig:
         cfg = pipeline.config_from_dict({"instance": {"n": 20}})
         assert cfg.resolved_k(20) == 10
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"mcmc": {"steps": 0}},
+            {"mcmc": {"pairs": 0}},
+            {"mcmc": {"thin": 0}},
+            {"partition": {"block_size": 0}},
+            {"instance": {"n": 0}},
+            {"instance": {"n": 12}, "k": 40},
+            {"k": "8"},
+            {"instance": {"n": 12}, "partition": {"block_size": 40}},
+            {"mcmc": {"kernels": ["global-kawasaki", "global-kawasaki"]}},
+        ],
+        ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
+             "block-size-above-n", "kernel-twice"],
+    )
+    def test_out_of_range_value_rejected(self, doc):
+        with pytest.raises(ConfigError):
+            pipeline.config_from_dict(doc)
+
+    def test_size_limits_wait_for_a_file_instance(self):
+        """n of a file instance is known only once it is read."""
+        cfg = pipeline.config_from_dict(
+            {"instance": {"source": "file", "path": "x.json", "n": 4}, "k": 40}
+        )
+        assert cfg.k == 40
+
 
 class TestPipelineRun:
     def test_full_pipeline_artifacts(self, tmp_path):
@@ -79,6 +109,19 @@ class TestPipelineRun:
         }
         for e in result["kernels"].values():
             assert e["tau"] >= 0.0
+
+    def test_forced_run_builds_each_stage_once(self, tmp_path):
+        log = io.StringIO()
+        pipeline.PipelineRun(tiny_config(), tmp_path / "run", force=True, log=log).run()
+        lines = log.getvalue().splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"stage {s}" for s in STAGES]
+        assert not any(line.endswith(": cached") for line in lines)
+
+    def test_rerun_loads_each_stage_once(self, tmp_path):
+        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=io.StringIO())
+        log = io.StringIO()
+        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=log)
+        assert sorted(log.getvalue().splitlines()) == sorted(f"stage {s}: cached" for s in STAGES)
 
     def test_rerun_uses_cache(self, tmp_path):
         cfg = tiny_config()
@@ -136,7 +179,7 @@ class TestSweeps:
                   "pairs": 2, "seed": 5},
             analysis={"max_lag": 150},
         )
-        rows = pipeline.sweep_block_size(cfg, [2, 4], tmp_path, log=io.StringIO())
+        rows = pipeline.sweep(cfg, "block_size", [2, 4], tmp_path, log=io.StringIO())
         assert len(rows) == 4  # 2 sizes x 2 kernels
         csv = (tmp_path / "sweep_b.csv").read_text().strip().split("\n")
         assert csv[0] == "block_size,kernel,tau,tau_mean,tau_std"
@@ -147,7 +190,7 @@ class TestSweeps:
         mcmc={"kernels": ["global-kawasaki"], "steps": 800, "pairs": 2, "seed": 5},
             analysis={"max_lag": 150},
         )
-        rows = pipeline.sweep_system_size(cfg, [12, 16], tmp_path, log=io.StringIO())
+        rows = pipeline.sweep(cfg, "n", [12, 16], tmp_path, log=io.StringIO())
         assert len(rows) == 2
         assert {r["n"] for r in rows} == {12, 16}
         assert (tmp_path / "sweep_n.csv").exists()

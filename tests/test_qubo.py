@@ -100,38 +100,6 @@ class TestEnergyDeltaBlock:
             assert got == pytest.approx(expected, abs=1e-12)
 
 
-class TestQuboToIsing:
-    def test_single_linear_term(self):
-        inst = qubo.QuboInstance(n=1, quad={}, lin=np.array([2.0]), konst=0.0)
-        ising = qubo.qubo_to_ising(inst)
-        assert ising.h[0] == pytest.approx(-1.0)
-        assert ising.konst == pytest.approx(1.0)
-
-    def test_single_quadratic_term(self):
-        inst = qubo.QuboInstance(n=2, quad={(0, 1): 4.0}, lin=np.zeros(2), konst=0.0)
-        ising = qubo.qubo_to_ising(inst)
-        assert ising.j[(0, 1)] == pytest.approx(1.0)
-        assert ising.h[0] == pytest.approx(-1.0)
-        assert ising.h[1] == pytest.approx(-1.0)
-        assert ising.konst == pytest.approx(1.0)
-
-    def test_spectra_agree_exhaustively(self):
-        inst = qubo.gen_regular_instance(6, 3, seed=21)
-        ising = qubo.qubo_to_ising(inst)
-        for x in all_configs(6):
-            s = 1 - 2 * x.astype(np.int64)
-            assert ising.evaluate(s) == pytest.approx(qubo.energy(inst, x), rel=1e-12, abs=1e-12)
-
-    def test_roundtrip_n12(self):
-        inst = qubo.gen_regular_instance(12, 3, seed=30)
-        ising = qubo.qubo_to_ising(inst)
-        rng = stream(31)
-        for _ in range(200):
-            x = rng.integers(0, 2, size=12).astype(np.uint8)
-            s = 1 - 2 * x.astype(np.int64)
-            assert ising.evaluate(s) == pytest.approx(qubo.energy(inst, x), rel=1e-12, abs=1e-12)
-
-
 class TestGenRegularInstance:
     def test_edge_count_and_degrees(self):
         inst = qubo.gen_regular_instance(16, 3, seed=0)
