@@ -1,0 +1,97 @@
+"""Artifact file I/O: every loader reads through ``read_object`` or ``Reader``,
+so malformed input raises ``FormatError`` naming the file and the offset."""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError
+
+
+def write_json(doc, path) -> None:
+    """Write canonical JSON (sorted keys, no spaces, one trailing newline)
+    to a temporary file beside ``path`` that then replaces it, so a reader
+    never sees a torn file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w") as f:
+        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
+        f.write("\n")
+    os.replace(tmp, path)
+
+
+def read_object(path, keys=()) -> dict:
+    """The JSON object in ``path``; it must hold every key in ``keys``."""
+    try:
+        with open(path, "rb") as f:
+            doc = json.loads(f.read())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level is not an object")
+    missing = sorted(set(keys) - doc.keys())
+    if missing:
+        raise FormatError(f"{path}: missing keys {missing}")
+    return doc
+
+
+def is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(is_int, v))
+
+
+def is_finite(v) -> bool:
+    """A number, not a bool, that converts to a finite float."""
+    if is_int(v):
+        return abs(v) <= sys.float_info.max
+    return isinstance(v, float) and math.isfinite(v)
+
+
+class Reader:
+    """Sequential reader over a binary file that starts with ``magic``.
+
+    Each read checks its end against the file length before decoding, so a
+    header that claims more data than the file holds fails before any array
+    is allocated.
+    """
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        with open(path, "rb") as f:
+            self.raw = f.read()
+        if self.raw[: len(magic)] != magic:
+            raise FormatError(f"{path}: bad magic {self.raw[:len(magic)]!r} at offset 0")
+        self.off = len(magic)
+
+    def _take(self, size: int) -> int:
+        start, self.off = self.off, self.off + size
+        if self.off > len(self.raw):
+            raise FormatError(f"{self.path}: truncated at offset {len(self.raw)}, expected {self.off} bytes")
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt)))
+
+    def array(self, dtype, *shape) -> np.ndarray:
+        """A read-only view of the next ``shape`` items of ``dtype``."""
+        dtype, count = np.dtype(dtype), math.prod(shape)
+        return np.frombuffer(self.raw, dtype, count, self._take(count * dtype.itemsize)).reshape(shape)
+
+    def bits(self, rows: int, width: int) -> np.ndarray:
+        """``rows`` rows of ``width`` bits, each row packed into whole bytes."""
+        return np.unpackbits(self.array(np.uint8, rows, (width + 7) // 8), axis=1, count=width)
+
+    def end(self) -> None:
+        extra = len(self.raw) - self.off
+        if extra:
+            raise FormatError(f"{self.path}: {extra} trailing bytes, expected end at offset {self.off}")

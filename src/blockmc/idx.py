@@ -12,40 +12,24 @@ import struct
 import numpy as np
 
 from .errors import FormatError
+from .fileio import Reader
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
 def load_idx_images(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated header, {len(raw)} bytes at offset 0")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IMAGES_MAGIC:
-        raise FormatError(f"{path}: bad magic 0x{magic:08x} at offset 0")
-    need = 16 + count * rows * cols
-    if len(raw) != need:
-        raise FormatError(
-            f"{path}: expected {need} bytes ({count}x{rows}x{cols}), got {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return data.reshape(count, rows, cols).copy()
+    r = Reader(path, struct.pack(">I", IMAGES_MAGIC))
+    images = r.array(np.uint8, *r.unpack(">III"))
+    r.end()
+    return images.copy()
 
 
 def load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 8:
-        raise FormatError(f"{path}: truncated header, {len(raw)} bytes at offset 0")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != LABELS_MAGIC:
-        raise FormatError(f"{path}: bad magic 0x{magic:08x} at offset 0")
-    need = 8 + count
-    if len(raw) != need:
-        raise FormatError(f"{path}: expected {need} bytes ({count} labels), got {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=8).copy()
+    r = Reader(path, struct.pack(">I", LABELS_MAGIC))
+    labels = r.array(np.uint8, *r.unpack(">I"))
+    r.end()
+    return labels.copy()
 
 
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
+from .fileio import Reader
 from .qaoa import BlockSampleSet
 from .streams import stream
 
@@ -339,50 +340,27 @@ def save_model(model: ConditionalMadeModel, path) -> None:
 
 
 def load_model(path) -> ConditionalMadeModel:
-    """Read what ``save_model`` wrote; anything else raises ``FormatError``.
-
-    The header and the full length it implies are checked before any
-    tensor is decoded.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r} at offset 0")
-    if len(raw) < 16:
-        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need 16 bytes")
-    version, s, m, b, ctx_dim, n_hidden = struct.unpack(">HHHHHH", raw[4:16])
+    """Read what ``save_model`` wrote; anything else raises ``FormatError``."""
+    r = Reader(path, _MODEL_MAGIC)
+    version, s, m, b, ctx_dim, n_hidden = r.unpack(">HHHHHH")
     if version != _MODEL_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if ctx_dim != b + 1:
         raise FormatError(f"{path}: context_dim {ctx_dim} != block_size+1")
-    off = 16 + 4 * n_hidden
-    if len(raw) < off:
-        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need {off} bytes")
-    widths = list(struct.unpack(f">{n_hidden}I", raw[16:off]))
+    widths = r.unpack(f">{n_hidden}I")
     shapes = list(zip([*widths, b], [b, *widths]))  # (out, in) per weighted layer
-    need = off + 2 * b
-    need += sum(o * i for o, i in shapes)  # uint8 masks
-    need += 8 * sum(o * i + o for o, i in shapes)  # float64 weights and biases
-    need += 8 * sum(w * ctx_dim for w in widths)  # float64 context weights
-    if len(raw) < need:
-        raise FormatError(f"{path}: body truncated at offset {len(raw)}, need {need} bytes")
-    if len(raw) > need:
-        raise FormatError(f"{path}: {len(raw) - need} trailing bytes at offset {need}")
-
-    def take(dtype, *shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off).reshape(shape)
-        off += count * arr.itemsize
-        return arr
-
-    ordering = take(">u2", b).astype(np.int64)
-    masks = [take(np.uint8, o, i).astype(np.float64) for o, i in shapes]
+    ordering = r.array(">u2", b).astype(np.int64)
+    if not np.array_equal(np.sort(ordering), np.arange(b)):
+        raise FormatError(f"{path}: ordering is not a permutation of 0..{b - 1}")
+    masks = [r.array(np.uint8, o, i).astype(np.float64) for o, i in shapes]
+    if any((mask > 1).any() for mask in masks):
+        raise FormatError(f"{path}: mask byte outside {{0, 1}}")
     weights, biases = [], []
     for o, i in shapes:
-        weights.append(take(">f8", o, i).astype(np.float64))
-        biases.append(take(">f8", o).astype(np.float64))
-    ctx_weights = [take(">f8", w, ctx_dim).astype(np.float64) for w in widths]
+        weights.append(r.array(">f8", o, i).astype(np.float64))
+        biases.append(r.array(">f8", o).astype(np.float64))
+    ctx_weights = [r.array(">f8", w, ctx_dim).astype(np.float64) for w in widths]
+    r.end()
     return ConditionalMadeModel(
         block_id=(int(s), int(m)),
         block_size=int(b),

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .fileio import Reader
 from .made import ConditionalMadeModel
 from .partition import PartitionPair
 from .qubo import QuboInstance, energy, energy_delta_block, energy_delta_swap
@@ -326,43 +327,22 @@ def save_trace(trace: ChainTrace, path) -> None:
 
 
 def load_trace(path) -> ChainTrace:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _TRACE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r} at offset 0")
-    if len(raw) < 43:
-        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need 43 bytes")
-    version, code, n, k, steps, thin, beta_pi = struct.unpack(">HBIIQId", raw[4:35])
+    r = Reader(path, _TRACE_MAGIC)
+    version, code, n, k, steps, thin, beta_pi = r.unpack(">HBIIQId")
     if version != _TRACE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if not 1 <= code <= len(KERNEL_KINDS):
         raise FormatError(f"{path}: unknown kernel code {code} at offset 6")
     if thin < 1:
         raise FormatError(f"{path}: thin {thin} < 1 at offset 23")
-    (seed,) = struct.unpack(">Q", raw[35:43])
+    (seed,) = r.unpack(">Q")
     kind = KERNEL_KINDS[code - 1]
-    off = 43
-    n_rec = steps // thin + 1
-    row_bytes = (n + 7) // 8
-    need = off + n_rec * row_bytes + 8 * (steps + 1) + steps + 8 * steps + 8 * steps
-    if len(raw) < need:
-        raise FormatError(f"{path}: body truncated at offset {len(raw)}, need {need} bytes")
-    if len(raw) > need:
-        raise FormatError(f"{path}: {len(raw) - need} trailing bytes at offset {need}")
-    packed = np.frombuffer(raw, dtype=np.uint8, count=n_rec * row_bytes, offset=off)
-    configs = np.unpackbits(packed.reshape(n_rec, row_bytes), axis=1)[:, :n].astype(np.uint8)
-    off += n_rec * row_bytes
-    energies = np.frombuffer(raw, dtype=">f8", count=steps + 1, offset=off).astype(np.float64)
-    off += 8 * (steps + 1)
-    accepted = np.frombuffer(raw, dtype=np.uint8, count=steps, offset=off).astype(bool)
-    off += steps
-    probs = np.frombuffer(raw, dtype=">f8", count=steps, offset=off).astype(np.float64)
-    off += 8 * steps
-    details = (
-        np.frombuffer(raw, dtype=">i4", count=2 * steps, offset=off)
-        .reshape(steps, 2)
-        .astype(np.int32)
-    )
+    configs = r.bits(steps // thin + 1, n)
+    energies = r.array(">f8", steps + 1).astype(np.float64)
+    accepted = r.array(np.uint8, steps).astype(bool)
+    probs = r.array(">f8", steps).astype(np.float64)
+    details = r.array(">i4", steps, 2).astype(np.int32)
+    r.end()
     return ChainTrace(
         n=int(n),
         k=int(k),

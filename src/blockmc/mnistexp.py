@@ -15,7 +15,6 @@ stage code of ``pipeline`` (``optimize_blocks``, ``train_surrogates``,
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -37,6 +36,7 @@ from .features import (
     save_mask,
     top_k_linear_mask,
 )
+from .fileio import is_finite, is_int, write_json
 from .idx import load_idx
 from .partition import build_partition_pair, save_partition_pair, spread_block_sizes
 from .pipeline import (
@@ -113,6 +113,8 @@ def mnist_config_from_dict(doc: dict) -> MnistConfig:
     )
     if max(cfg.stop_steps) > cfg.steps:
         raise ConfigError("stop_steps must not exceed steps")
+    if not is_finite(cfg.beta_pi):
+        raise ConfigError(f"beta_pi must be a finite number, got {cfg.beta_pi!r}")
     return cfg
 
 
@@ -158,6 +160,12 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
     say(f"datasets: {len(train.images)} train, {len(test.images)} test, "
         f"{train.n_pixels} pixels, {train.n_classes} classes "
         f"({time.monotonic() - t0:.1f}s)")
+    # the pixel count is known only now; build_feature_qubo needs k >= 2
+    n = train.n_pixels
+    if not (is_int(cfg.k) and 2 <= cfg.k <= n):
+        raise ConfigError(f"k={cfg.k!r} is not an integer in [2, {n} pixels]")
+    if not (is_int(cfg.block_size) and 1 <= cfg.block_size <= n):
+        raise ConfigError(f"block_size={cfg.block_size!r} is not an integer in [1, {n} pixels]")
 
     t0 = time.monotonic()
     mi = build_mi_table(train)
@@ -221,9 +229,7 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
     }
     say(f"baselines: random {report['baselines']['random']['accuracy_mean']:.4f}, "
         f"linear-terms {lin_acc:.4f}")
-    with open(out / "report.json", "w") as f:
-        json.dump(report, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(report, out / "report.json")
     return report
 
 

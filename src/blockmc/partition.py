@@ -11,12 +11,12 @@ the two greedy runs happen to agree too much.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError
+from .fileio import is_int_list, read_object, write_json
 from .qubo import QuboInstance
 from .streams import derive_seed, stream
 
@@ -271,9 +271,7 @@ def save_partition_pair(pp: PartitionPair, path) -> None:
         "degraded": pp.degraded,
         "notes": pp.notes,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(doc, path)
 
 
 def load_partition_pair(path) -> PartitionPair:
@@ -283,20 +281,11 @@ def load_partition_pair(path) -> PartitionPair:
     together hold every vertex 0..n-1 once, n being the size of p1, and
     ``crossing`` must hold one row per p2 block of one int per p1 block.
     """
-    try:
-        with open(path, "rb") as f:
-            doc = json.loads(f.read())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level is not an object")
-    missing = sorted({"p1", "p2", "crossing", "degraded", "notes"} - doc.keys())
-    if missing:
-        raise FormatError(f"{path}: missing keys {missing}")
+    doc = read_object(path, ("p1", "p2", "crossing", "degraded", "notes"))
     parts = {}
     for name in ("p1", "p2"):
         blocks = doc[name].get("blocks") if isinstance(doc[name], dict) else None
-        if not (isinstance(blocks, list) and blocks and all(_is_int_list(b) and b for b in blocks)):
+        if not (isinstance(blocks, list) and blocks and all(is_int_list(b) and b for b in blocks)):
             raise FormatError(f"{path}: {name}.blocks is not a list of non-empty int lists")
         parts[name] = blocks
     n = sum(map(len, parts["p1"]))
@@ -307,7 +296,7 @@ def load_partition_pair(path) -> PartitionPair:
     if not (
         isinstance(crossing, list)
         and len(crossing) == len(parts["p2"])
-        and all(_is_int_list(row) and len(row) == len(parts["p1"]) for row in crossing)
+        and all(is_int_list(row) and len(row) == len(parts["p1"]) for row in crossing)
     ):
         raise FormatError(
             f"{path}: crossing is not a {len(parts['p2'])}x{len(parts['p1'])} int matrix"
@@ -323,7 +312,3 @@ def load_partition_pair(path) -> PartitionPair:
         degraded=doc["degraded"],
         notes=doc["notes"],
     )
-
-
-def _is_int_list(v) -> bool:
-    return isinstance(v, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in v)

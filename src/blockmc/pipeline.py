@@ -27,8 +27,9 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from . import analysis, made, mcmc, qaoa
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .features import biased_angle_for_target_weight
+from .fileio import is_finite, is_int, read_object, write_json
 from .partition import PartitionPair, build_partition_pair, load_partition_pair, save_partition_pair, spread_block_sizes
 from .qubo import (
     QuboInstance,
@@ -132,7 +133,7 @@ def fill_config(cfg, doc: dict, where: str = ""):
 def require_positive(values: dict) -> None:
     """Raise ``ConfigError`` unless every value is an int >= 1."""
     for name, v in values.items():
-        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
+        if not (is_int(v) and v >= 1):
             raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
@@ -148,6 +149,8 @@ def require_kernels(kernels: list, allowed: tuple) -> None:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
     require_kernels(cfg.mcmc.kernels, mcmc.KERNEL_KINDS)
+    if not is_finite(cfg.beta_pi):
+        raise ConfigError(f"beta_pi must be a finite number, got {cfg.beta_pi!r}")
     require_positive(
         {
             "workers": cfg.workers,
@@ -160,7 +163,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if cfg.instance.source == "generate":
         n = cfg.instance.n
         require_positive({"instance.n": n})
-        if cfg.k is not None and not (isinstance(cfg.k, int) and 0 <= cfg.k <= n):
+        if cfg.k is not None and not (is_int(cfg.k) and 0 <= cfg.k <= n):
             raise ConfigError(f"k={cfg.k!r} is not an integer in [0, instance.n={n}]")
         if cfg.partition.block_size > n:
             raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
@@ -186,26 +189,29 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return _hash(asdict(cfg))
 
 
+def _sha256(path) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
 @dataclass
 class RunManifest:
     config_hash: str
     stages: dict[str, dict]
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(
-                {"config_hash": self.config_hash, "stages": self.stages},
-                f,
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            f.write("\n")
+        write_json({"config_hash": self.config_hash, "stages": self.stages}, path)
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        with open(path) as f:
-            doc = json.load(f)
+        doc = read_object(path, ("config_hash", "stages"))
+        if not isinstance(doc["stages"], dict):
+            raise FormatError(f"{path}: stages is not an object")
         return cls(config_hash=doc["config_hash"], stages=doc["stages"])
+
+
+# every stage depends only on stages before it
+_STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
 
 
 def _once(ensure):
@@ -240,16 +246,42 @@ class PipelineRun:
     def _say(self, msg: str) -> None:
         print(msg, file=self.log)
 
+    def _recorded(self, stage: str, key: str) -> dict | None:
+        """The path -> sha256 map the manifest records for ``stage`` under
+        ``key``, if every file in it exists."""
+        entry = None if self.force else self.manifest.stages.get(stage)
+        if isinstance(entry, dict) and entry.get("key") == key:
+            artifacts = entry.get("artifacts")
+            if isinstance(artifacts, dict) and all((self.out / p).is_file() for p in artifacts):
+                return artifacts
+        return None
+
     def _cached(self, stage: str, key: str) -> bool:
-        if self.force:
-            return False
-        entry = self.manifest.stages.get(stage)
-        if entry is None or entry["key"] != key:
-            return False
-        return all((self.out / p).exists() for p in entry["artifacts"])
+        artifacts = self._recorded(stage, key)
+        return artifacts is not None and all(_sha256(self.out / p) == h for p, h in artifacts.items())
+
+    def _reuse(self, stage: str, key: str, load):
+        """``load()`` when the cache holds ``stage`` under ``key``, else None.
+
+        Recorded artifacts are parsed before their sha256 is compared: one that
+        no longer parses raises ``FormatError``, one that parses but differs
+        from its record is rebuilt, and so is every later stage.
+        """
+        value = load() if self._recorded(stage, key) is not None else None
+        if not self._cached(stage, key):
+            return None
+        self._say(f"stage {stage}: cached")
+        return value
 
     def _record(self, stage: str, key: str, artifacts: list[str]) -> None:
-        self.manifest.stages[stage] = {"key": key, "artifacts": sorted(artifacts)}
+        # a stage rebuilt under an unchanged key (say, over a corrupt artifact)
+        # leaves later keys unchanged too, so their entries go with the old one
+        for later in _STAGES[_STAGES.index(stage) + 1 :]:
+            self.manifest.stages.pop(later, None)
+        self.manifest.stages[stage] = {
+            "key": key,
+            "artifacts": {p: _sha256(self.out / p) for p in artifacts},
+        }
         self.manifest.save(self.out / "manifest.json")
 
     # ------------------------------------------------------------------ #
@@ -259,9 +291,9 @@ class PipelineRun:
         cfg = self.cfg.instance
         key = _hash(asdict(cfg))
         path = "instance.json"
-        if self._cached("instance", key):
-            self._say("stage instance: cached")
-            return load_instance(self.out / path), key
+        inst = self._reuse("instance", key, lambda: load_instance(self.out / path))
+        if inst is not None:
+            return inst, key
         t0 = time.monotonic()
         if cfg.source == "generate":
             inst = gen_regular_instance(cfg.n, cfg.degree, cfg.seed)
@@ -285,9 +317,9 @@ class PipelineRun:
         cfg = self.cfg.partition
         key = _hash({"cfg": asdict(cfg), "up": up})
         path = "partition.json"
-        if self._cached("partition", key):
-            self._say("stage partition: cached")
-            return load_partition_pair(self.out / path), key
+        pp = self._reuse("partition", key, lambda: load_partition_pair(self.out / path))
+        if pp is not None:
+            return pp, key
         t0 = time.monotonic()
         sizes1 = cfg.sizes1 or spread_block_sizes(inst.n, cfg.block_size)
         sizes2 = cfg.sizes2 or spread_block_sizes(inst.n, cfg.block_size)
@@ -309,12 +341,11 @@ class PipelineRun:
             b.id: (f"qaoa/params_{b.id[0]}_{b.id[1]}.json", f"qaoa/samples_{b.id[0]}_{b.id[1]}.bin")
             for b in blocks
         }
-        if self._cached("qaoa", key):
-            self._say("stage qaoa: cached")
-            out = {}
-            for bid, (params_path, samples_path) in paths.items():
-                params, loss, _ = qaoa.load_params(self.out / params_path)
-                out[bid] = (params, loss, qaoa.load_sample_set(self.out / samples_path))
+        out = self._reuse("qaoa", key, lambda: {
+            bid: (*qaoa.load_params(self.out / params)[:2], qaoa.load_sample_set(self.out / samples))
+            for bid, (params, samples) in paths.items()
+        })
+        if out is not None:
             return out, key
         t0 = time.monotonic()
         (self.out / "qaoa").mkdir(exist_ok=True)
@@ -335,9 +366,11 @@ class PipelineRun:
             bid: (f"made/model_{bid[0]}_{bid[1]}.bin", f"made/train_{bid[0]}_{bid[1]}.csv")
             for bid in sorted(qaoa_out)
         }
-        if self._cached("made", key):
-            self._say("stage made: cached")
-            return {bid: made.load_model(self.out / p) for bid, (p, _) in paths.items()}, key
+        models = self._reuse("made", key, lambda: {
+            bid: made.load_model(self.out / p) for bid, (p, _) in paths.items()
+        })
+        if models is not None:
+            return models, key
         t0 = time.monotonic()
         (self.out / "made").mkdir(exist_ok=True)
         trained = train_surrogates(qaoa_out, cfg, self.cfg.workers)
@@ -366,10 +399,10 @@ class PipelineRun:
             for pair in range(cfg.pairs)
             for tag in "ab"
         }
-        if self._cached("mcmc", key):
-            self._say("stage mcmc: cached")
-            by_chain = {chain: mcmc.load_trace(self.out / p) for chain, p in paths.items()}
-        else:
+        by_chain = self._reuse("mcmc", key, lambda: {
+            chain: mcmc.load_trace(self.out / p) for chain, p in paths.items()
+        })
+        if by_chain is None:
             t0 = time.monotonic()
             (self.out / "mcmc").mkdir(exist_ok=True)
             tasks = []
@@ -401,10 +434,9 @@ class PipelineRun:
         paths = [f"analysis/rho_{kernel}.csv" for kernel in kernels]
         paths += [f"analysis/best_energy_{kernel}.csv" for kernel in kernels]
         paths += ["analysis/tau_summary.csv", "analysis/result.json"]
-        if self._cached("analysis", key):
-            self._say("stage analysis: cached")
-            with open(self.out / "analysis/result.json") as f:
-                return json.load(f), key
+        result = self._reuse("analysis", key, lambda: read_object(self.out / "analysis/result.json"))
+        if result is not None:
+            return result, key
         t0 = time.monotonic()
         (self.out / "analysis").mkdir(exist_ok=True)
         result = analyze_traces(
@@ -414,9 +446,7 @@ class PipelineRun:
             burn_fraction=cfg.burn_fraction,
             out_dir=self.out / "analysis",
         )
-        with open(self.out / "analysis/result.json", "w") as f:
-            json.dump(result, f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+        write_json(result, self.out / "analysis/result.json")
         self._record("analysis", key, paths)
         self._say(f"stage analysis: done in {time.monotonic() - t0:.2f}s")
         return result, key

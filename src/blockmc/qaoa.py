@@ -15,10 +15,8 @@ at position t of the block's vertex list.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +24,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import FormatError, ResourceLimitError
+from .fileio import Reader, is_finite, is_int, read_object, write_json
 from .partition import Block
 from .qubo import QuboInstance
 from .streams import stream
@@ -420,46 +419,25 @@ def save_params(params: QaoaParams, loss: float, block_id: tuple[int, int], path
         "betas": [float(b) for b in params.betas],
         "loss": float(loss),
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(doc, path)
 
 
 def load_params(path) -> tuple[QaoaParams, float, tuple[int, int]]:
     """Read what ``save_params`` wrote; anything else raises ``FormatError``."""
-    try:
-        with open(path, "rb") as f:
-            doc = json.loads(f.read())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level is not an object")
-    missing = sorted({"block_id", "p", "gammas", "betas", "loss"} - doc.keys())
-    if missing:
-        raise FormatError(f"{path}: missing keys {missing}")
+    doc = read_object(path, ("block_id", "p", "gammas", "betas", "loss"))
     block_id, p = doc["block_id"], doc["p"]
-    if not (isinstance(block_id, list) and len(block_id) == 2 and all(map(_is_int, block_id))):
+    if not (isinstance(block_id, list) and len(block_id) == 2 and all(map(is_int, block_id))):
         raise FormatError(f"{path}: block_id {block_id!r} is not two ints")
-    if not (_is_int(p) and p >= 1):
+    if not (is_int(p) and p >= 1):
         raise FormatError(f"{path}: p {p!r} is not an int >= 1")
     for key in ("gammas", "betas"):
         v = doc[key]
-        if not (isinstance(v, list) and len(v) == p and all(map(_is_finite, v))):
+        if not (isinstance(v, list) and len(v) == p and all(map(is_finite, v))):
             raise FormatError(f"{path}: {key} is not a list of {p} finite numbers")
-    if not _is_finite(doc["loss"]):
+    if not is_finite(doc["loss"]):
         raise FormatError(f"{path}: loss {doc['loss']!r} is not a finite number")
     params = QaoaParams(gammas=np.array(doc["gammas"]), betas=np.array(doc["betas"]))
     return params, float(doc["loss"]), (block_id[0], block_id[1])
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    if _is_int(v):
-        return abs(v) <= sys.float_info.max
-    return isinstance(v, float) and math.isfinite(v)
 
 
 _SAMPLES_MAGIC = b"BMCS"
@@ -486,25 +464,16 @@ def save_sample_set(ss: BlockSampleSet, path) -> None:
 
 
 def load_sample_set(path) -> BlockSampleSet:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _SAMPLES_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r} at offset 0")
-    if len(raw) < 20:
-        raise FormatError(f"{path}: header truncated at offset {len(raw)}, need 20 bytes")
-    version, s, m, b, count = struct.unpack(">HHHHQ", raw[4:20])
+    r = Reader(path, _SAMPLES_MAGIC)
+    version, s, m, b, count = r.unpack(">HHHHQ")
     if version != _SAMPLES_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    row_bytes = (b + 7) // 8
-    need = 20 + count * row_bytes + count * 8
-    if len(raw) != need:
-        raise FormatError(f"{path}: expected {need} bytes, got {len(raw)}")
-    packed = np.frombuffer(raw, dtype=np.uint8, count=count * row_bytes, offset=20)
-    samples = np.unpackbits(packed.reshape(count, row_bytes), axis=1)[:, :b]
-    prov = np.frombuffer(raw, dtype=">i8", count=count, offset=20 + count * row_bytes)
+    samples = r.bits(count, b)
+    prov = r.array(">i8", count).astype(np.int64)
+    r.end()
     return BlockSampleSet(
         block_id=(int(s), int(m)),
-        samples=samples.astype(np.uint8),
+        samples=samples,
         weights=samples.sum(axis=1).astype(np.int64),
-        provenance=prov.astype(np.int64),
+        provenance=prov,
     )

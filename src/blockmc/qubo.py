@@ -13,13 +13,13 @@ is tested against.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FormatError, ResourceLimitError
+from .fileio import read_object, write_json
 from .streams import stream
 
 SpinConfig = np.ndarray  # uint8 vector of 0/1 bits
@@ -247,27 +247,24 @@ def save_instance(inst: QuboInstance, path) -> None:
         "linear": [float(v) for v in inst.lin],
         "constant": float(inst.konst),
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+    write_json(doc, path)
 
 
 def load_instance(path) -> QuboInstance:
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad instance file {path}: {exc}") from exc
+    doc = read_object(path, ("n", "edges", "linear", "constant"))
     try:
         quad = {(int(i), int(j)): float(w) for i, j, w in doc["edges"]}
-        return QuboInstance(
+        inst = QuboInstance(
             n=int(doc["n"]),
             quad=quad,
             lin=np.array(doc["linear"], dtype=np.float64),
             konst=float(doc["constant"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"bad instance file {path}: {exc}") from exc
+    if not np.isfinite([*quad.values(), *inst.lin, inst.konst]).all():
+        raise FormatError(f"{path}: non-finite coefficient")
+    return inst
 
 
 def load_instance_csv(path) -> QuboInstance:

@@ -76,6 +76,15 @@ class TestExitCodes:
         (out / "partition.json").write_text('{"p1": 3}')
         assert main(["partition", "--config", cfg, "--out", str(out)]) == 3
 
+    def test_truncated_manifest_is_3(self, tmp_path):
+        cfg = write_config(tmp_path, tiny_doc())
+        out = tmp_path / "o"
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        manifest = out / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:-10])
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 3
+        assert main(["generate", "--config", cfg, "--out", str(out), "--force"]) == 0
+
     def test_corrupt_instance_file_is_3(self, tmp_path):
         bad = tmp_path / "inst.json"
         bad.write_text("{not json")

@@ -312,3 +312,21 @@ class TestPersistence:
             path.write_bytes(raw[:cut] if cut < len(raw) else raw + b"\0")
             with pytest.raises(made.FormatError):
                 made.load_model(path)
+
+    def _ordering_offset(self):
+        return 16 + 4 * len(tiny_model(4, seed=41).ctx_weights)
+
+    @pytest.mark.parametrize("entries", [b"\0\1\0\1", b"\0\4"], ids=["repeated", "out-of-range"])
+    def test_ordering_not_a_permutation(self, tmp_path, entries):
+        path, raw = self._saved(tmp_path)
+        off = self._ordering_offset()
+        path.write_bytes(raw[:off] + entries + raw[off + len(entries) :])
+        with pytest.raises(made.FormatError, match="permutation"):
+            made.load_model(path)
+
+    def test_mask_byte_outside_0_1(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        off = self._ordering_offset() + 2 * 4
+        path.write_bytes(raw[:off] + bytes([2]) + raw[off + 1 :])
+        with pytest.raises(made.FormatError, match="mask"):
+            made.load_model(path)

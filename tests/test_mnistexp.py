@@ -47,9 +47,11 @@ class TestMaskConfig:
             {"kernels": ["local-kawasaki"]},
             {"kernels": ["global-kawasaki", "global-kawasaki"]},
             {"biased_target_weight": 2.0},
+            {"beta_pi": "hot"},
+            {"beta_pi": float("nan")},
         ],
         ids=["repeats", "stop-step", "no-stop-steps", "kernel", "kernel-twice",
-             "top-level-biased-target"],
+             "top-level-biased-target", "beta-not-a-number", "beta-nan"],
     )
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -57,6 +59,16 @@ class TestMaskConfig:
 
 
 class TestMaskSearch:
+    @pytest.mark.parametrize(
+        "overrides", [{"block_size": 100}, {"k": 80}, {"k": 1}],
+        ids=["block-size-above-n", "k-above-n", "k-below-2"],
+    )
+    def test_sizes_checked_against_pixel_count(self, tmp_path, idx_paths, overrides):
+        """downsample_factor 4 leaves 49 pixels."""
+        cfg = tiny_mask_config(idx_paths, **overrides)
+        with pytest.raises(ConfigError, match="49 pixels"):
+            mnistexp.run_mask_search(cfg, tmp_path / "out", log=io.StringIO())
+
     def test_workers_do_not_change_artifacts(self, tmp_path, idx_paths):
         for workers, name in ((1, "serial"), (2, "parallel")):
             cfg = tiny_mask_config(idx_paths, workers=workers)

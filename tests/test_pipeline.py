@@ -3,6 +3,7 @@
 import filecmp
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +79,13 @@ class TestConfig:
             {"k": "8"},
             {"instance": {"n": 12}, "partition": {"block_size": 40}},
             {"mcmc": {"kernels": ["global-kawasaki", "global-kawasaki"]}},
+            {"beta_pi": "hot"},
+            {"beta_pi": float("inf")},
+            {"k": True},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
-             "block-size-above-n", "kernel-twice"],
+             "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
+             "k-bool"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -92,6 +97,13 @@ class TestConfig:
             {"instance": {"source": "file", "path": "x.json", "n": 4}, "k": 40}
         )
         assert cfg.k == 40
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("clean")
+    pipeline.run_pipeline(tiny_config(), out, log=io.StringIO())
+    return out
 
 
 class TestPipelineRun:
@@ -160,6 +172,47 @@ class TestPipelineRun:
         messages = log.getvalue()
         assert "stage made: cached" in messages
         assert "stage mcmc: cached" not in messages
+
+    @pytest.mark.parametrize(
+        "artifact, offset, first_rebuilt",
+        [
+            ("instance.json", lambda raw: raw.index(b'"constant":') + 11, "instance"),
+            ("qaoa/samples_1_0.bin", lambda raw: len(raw) - 1, "qaoa"),
+            ("made/model_2_1.bin", lambda raw: len(raw) - 1, "made"),
+            # the last byte of energy 10: 43-byte header, 1501 configs of 2 bytes
+            ("mcmc/trace_block-surrogate_0_a.bin", lambda raw: 43 + 1501 * 2 + 8 * 10 + 7, "mcmc"),
+            ("analysis/result.json", lambda raw: raw.index(b'"tau":') + 6, "analysis"),
+        ],
+        ids=["instance-constant", "qaoa-provenance", "made-weight", "mcmc-energy", "analysis-tau"],
+    )
+    def test_flipped_byte_rebuilds_stage_and_downstream(
+        self, tmp_path, clean_run, artifact, offset, first_rebuilt
+    ):
+        """A flip that leaves the artifact well-formed is caught by its sha256."""
+        shutil.copytree(clean_run, tmp_path / "run")
+        path = tmp_path / "run" / artifact
+        raw = bytearray(path.read_bytes())
+        raw[offset(raw)] ^= 1
+        path.write_bytes(raw)
+        log = io.StringIO()
+        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=log)
+        rebuilt = STAGES[STAGES.index(first_rebuilt) :]
+        lines = log.getvalue().splitlines()
+        assert [line.endswith(": cached") for line in lines] == [s not in rebuilt for s in STAGES]
+        assert all_artifact_bytes(tmp_path / "run") == all_artifact_bytes(clean_run)
+
+    def test_manifest_with_artifact_lists_rebuilds_every_stage(self, tmp_path, clean_run):
+        """Run dirs written before artifacts carried a sha256 are rebuilt once."""
+        shutil.copytree(clean_run, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        doc = json.loads(path.read_text())
+        for entry in doc["stages"].values():
+            entry["artifacts"] = sorted(entry["artifacts"])
+        path.write_text(json.dumps(doc))
+        log = io.StringIO()
+        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=log)
+        assert not any(line.endswith(": cached") for line in log.getvalue().splitlines())
+        assert all_artifact_bytes(tmp_path / "run") == all_artifact_bytes(clean_run)
 
     def test_workers_do_not_change_artifacts(self, tmp_path):
         cfg = tiny_config()

@@ -1,5 +1,6 @@
 """Tests for the QUBO/Ising core: energies, deltas, conversion, oracles."""
 
+import json
 import math
 
 import mpmath
@@ -199,6 +200,22 @@ class TestInstanceIO:
         path.write_text("1.0,2.0\n3.0,1.0\n")
         with pytest.raises(FormatError):
             qubo.load_instance_csv(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("field", ["edge", "linear", "constant"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, field, bad):
+        doc = {"n": 2, "edges": [[0, 1, 1.5]], "linear": [0.25, 0.5], "constant": 0.75}
+        text = json.dumps(doc).replace({"edge": "1.5", "linear": "0.25", "constant": "0.75"}[field], bad)
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="non-finite"):
+            qubo.load_instance(path)
+
+    def test_non_utf8_instance_rejected(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_bytes(b'{"n": "\xff"}')
+        with pytest.raises(FormatError, match="invalid JSON"):
+            qubo.load_instance(path)
 
     def test_zero_quad_entry_rejected(self):
         with pytest.raises(ValueError):
