@@ -7,7 +7,7 @@ autoregressive surrogates), ``mcmc`` (the three proposal kernels and chain
 driver), ``analysis`` (overlap autocorrelation and decay-rate fits),
 ``features``/``idx``/``mnistexp`` (feature-mask selection on image data),
 ``pipeline``/``cli`` (staged, cached, reproducible runs), and ``fileio``
-(the checked reading and canonical writing of every artifact file).
+(the checked reading and atomic writing of every artifact file).
 """
 
 from .analysis import autocorrelation, fit_decay_rate, overlap_series

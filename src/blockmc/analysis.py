@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError
+from .fileio import write_lines
 from .mcmc import ChainTrace
 
 
@@ -167,17 +168,14 @@ def save_rho_csv(results: list[AutocorrResult], path, thin: int = 1) -> None:
     """(lag, rho_mean, rho_std) across runs; lags in chain steps, one recorded
     sample per ``thin`` steps."""
     rhos = np.array([r.rho for r in results if not r.degenerate])
-    with open(path, "w") as f:
-        f.write("lag,rho_mean,rho_std\n")
-        for l in range(rhos.shape[1]):
-            mean = rhos[:, l].mean()
-            std = rhos[:, l].std(ddof=1) if len(rhos) > 1 else 0.0
-            f.write(f"{l * thin},{mean!r},{std!r}\n")
+    lines = ["lag,rho_mean,rho_std"]
+    for l in range(rhos.shape[1] if len(rhos) else 0):  # every run degenerate: no rows
+        mean = rhos[:, l].mean()
+        std = rhos[:, l].std(ddof=1) if len(rhos) > 1 else 0.0
+        lines.append(f"{l * thin},{mean!r},{std!r}")
+    write_lines(path, lines)
 
 
 def save_best_energy_csv(trace: ChainTrace, path) -> None:
     best = best_energy_trace(trace)
-    with open(path, "w") as f:
-        f.write("step,best_energy\n")
-        for t, e in enumerate(best):
-            f.write(f"{t},{e!r}\n")
+    write_lines(path, ["step,best_energy", *(f"{t},{e!r}" for t, e in enumerate(best))])

@@ -64,6 +64,11 @@ def _experiment_config(raw: dict, args):
     return cfg, sweep_cfg or {}
 
 
+def _tau(tau) -> str:
+    """A fitted tau, or ``n/a`` for a kernel whose fit failed."""
+    return "n/a" if tau is None else f"{tau:.6f}"
+
+
 def _run(args) -> int:
     if args.command == "mnist":
         raw = _load_raw(args.config)
@@ -84,7 +89,7 @@ def _run(args) -> int:
         if not values:
             raise ConfigError(f"{args.command} requires config field sweep.{values_key}")
         for r in sweep(cfg, field, values, args.out, force=args.force):
-            print(f"{label}={r[field]} kernel={r['kernel']} tau={r['tau']:.6f}")
+            print(f"{label}={r[field]} kernel={r['kernel']} tau={_tau(r['tau'])}")
         return 0
 
     run = PipelineRun(cfg, args.out, force=args.force)
@@ -116,7 +121,10 @@ def _run(args) -> int:
     elif args.command == "analyze":
         result, _ = run.ensure_analysis()
         for kernel, e in sorted(result["kernels"].items()):
-            print(f"{kernel}: tau={e['tau']:.6f} (mean {e['tau_mean']:.6f} +- {e['tau_std']:.6f})")
+            if e["tau"] is None:
+                print(f"{kernel}: tau=n/a ({e['error']})")
+            else:
+                print(f"{kernel}: tau={e['tau']:.6f} (mean {e['tau_mean']:.6f} +- {e['tau_std']:.6f})")
         for pair, ratio in sorted(result["ratios"].items()):
             print(f"ratio {pair}: {ratio:.2f}")
     elif args.command == "pipeline":

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import write_lines
 from .qubo import QuboInstance
 
 
@@ -261,13 +262,4 @@ def mask_from_config(x: np.ndarray) -> FeatureMask:
 
 def save_mask(mask: FeatureMask, path) -> None:
     """Sorted selected pixel indices, one per line."""
-    with open(path, "w") as f:
-        for i in mask.indices:
-            f.write(f"{i}\n")
-
-
-def load_mask(path, n_pixels: int) -> FeatureMask:
-    idx = [int(line) for line in open(path) if line.strip()]
-    selected = np.zeros(n_pixels, dtype=np.uint8)
-    selected[idx] = 1
-    return FeatureMask(selected=selected, k=len(idx))
+    write_lines(path, mask.indices)

@@ -1,5 +1,8 @@
-"""Artifact file I/O: every loader reads through ``read_object`` or ``Reader``,
-so malformed input raises ``FormatError`` naming the file and the offset."""
+"""Artifact file I/O: every file the program writes reaches disk through
+``write_bytes`` (a temporary file beside the target that then replaces it,
+so a reader never sees a torn file), and every loader reads through
+``read_object`` or ``Reader``, so malformed input raises ``FormatError``
+naming the file and the offset."""
 
 from __future__ import annotations
 
@@ -15,16 +18,35 @@ import numpy as np
 from .errors import FormatError
 
 
-def write_json(doc, path) -> None:
-    """Write canonical JSON (sorted keys, no spaces, one trailing newline)
-    to a temporary file beside ``path`` that then replaces it, so a reader
-    never sees a torn file."""
+def write_bytes(path, *chunks) -> None:
+    """Write ``chunks`` to ``<name>.tmp`` beside ``path``, then replace
+    ``path`` with it; a missing parent directory is created."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(doc, f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(path, lines) -> None:
+    """Each of ``lines`` followed by a newline."""
+    write_bytes(path, "".join(f"{line}\n" for line in lines).encode())
+
+
+def canonical_json(doc) -> str:
+    """Sorted keys, no spaces: the same document always gives the same text."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def write_json(doc, path) -> None:
+    """Canonical JSON and one trailing newline."""
+    write_bytes(path, canonical_json(doc).encode(), b"\n")
 
 
 def read_object(path, keys=()) -> dict:

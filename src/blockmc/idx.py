@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
-from .fileio import Reader
+from .fileio import Reader, write_bytes
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -45,14 +45,9 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_idx_images(path, images: np.ndarray) -> None:
     images = np.asarray(images, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGES_MAGIC, count, rows, cols))
-        f.write(images.tobytes())
+    write_bytes(path, struct.pack(">IIII", IMAGES_MAGIC, *images.shape), images.tobytes())
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", LABELS_MAGIC, len(labels)))
-        f.write(labels.tobytes())
+    write_bytes(path, struct.pack(">II", LABELS_MAGIC, len(labels)), labels.tobytes())

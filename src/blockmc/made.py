@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
-from .fileio import Reader
+from .fileio import Reader, write_bytes, write_lines
 from .qaoa import BlockSampleSet
 from .streams import stream
 
@@ -61,10 +61,8 @@ class TrainReport:
     val_ll: list[float]
 
     def save_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("epoch,train_ll,val_ll\n")
-            for e, (t, v) in enumerate(zip(self.train_ll, self.val_ll)):
-                f.write(f"{e},{t!r},{v!r}\n")
+        rows = (f"{e},{t!r},{v!r}" for e, (t, v) in enumerate(zip(self.train_ll, self.val_ll)))
+        write_lines(path, ["epoch,train_ll,val_ll", *rows])
 
 
 @dataclass
@@ -314,29 +312,17 @@ _MODEL_VERSION = 1
 def save_model(model: ConditionalMadeModel, path) -> None:
     """Versioned binary: header, ordering, masks, then all weight tensors."""
     widths = [c.shape[0] for c in model.ctx_weights]
-    with open(path, "wb") as f:
-        f.write(_MODEL_MAGIC)
-        f.write(
-            struct.pack(
-                ">HHHHHH",
-                _MODEL_VERSION,
-                model.block_id[0],
-                model.block_id[1],
-                model.block_size,
-                model.context_dim,
-                len(widths),
-            )
-        )
-        for w in widths:
-            f.write(struct.pack(">I", w))
-        f.write(model.ordering.astype(">u2").tobytes())
-        for m in model.masks:
-            f.write(m.astype(np.uint8).tobytes())
-        for w, b in zip(model.weights, model.biases):
-            f.write(w.astype(">f8").tobytes())
-            f.write(b.astype(">f8").tobytes())
-        for c in model.ctx_weights:
-            f.write(c.astype(">f8").tobytes())
+    header = (_MODEL_VERSION, *model.block_id, model.block_size, model.context_dim, len(widths))
+    write_bytes(
+        path,
+        _MODEL_MAGIC,
+        struct.pack(">HHHHHH", *header),
+        *(struct.pack(">I", w) for w in widths),
+        model.ordering.astype(">u2").tobytes(),
+        *(m.astype(np.uint8).tobytes() for m in model.masks),
+        *(t.astype(">f8").tobytes() for wb in zip(model.weights, model.biases) for t in wb),
+        *(c.astype(">f8").tobytes() for c in model.ctx_weights),
+    )
 
 
 def load_model(path) -> ConditionalMadeModel:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .fileio import Reader
+from .fileio import Reader, write_bytes
 from .made import ConditionalMadeModel
 from .partition import PartitionPair
 from .qubo import QuboInstance, energy, energy_delta_block, energy_delta_swap
@@ -303,27 +303,19 @@ _TRACE_VERSION = 1
 
 def save_trace(trace: ChainTrace, path) -> None:
     """Binary pack of the full trace; ``load_trace`` reads it back."""
-    with open(path, "wb") as f:
-        f.write(_TRACE_MAGIC)
-        f.write(
-            struct.pack(
-                ">HBIIQId",
-                _TRACE_VERSION,
-                _KIND_CODES[trace.kind],
-                trace.n,
-                trace.k,
-                trace.steps,
-                trace.thin,
-                trace.beta_pi,
-            )
-        )
-        f.write(struct.pack(">Q", trace.seed))
-        packed = np.packbits(trace.configs, axis=1)
-        f.write(packed.tobytes())
-        f.write(trace.energies.astype(">f8").tobytes())
-        f.write(trace.accepted.astype(np.uint8).tobytes())
-        f.write(trace.acceptance_probs.astype(">f8").tobytes())
-        f.write(trace.details.astype(">i4").tobytes())
+    header = (_TRACE_VERSION, _KIND_CODES[trace.kind], trace.n, trace.k, trace.steps, trace.thin,
+              trace.beta_pi)
+    write_bytes(
+        path,
+        _TRACE_MAGIC,
+        struct.pack(">HBIIQId", *header),
+        struct.pack(">Q", trace.seed),
+        np.packbits(trace.configs, axis=1).tobytes(),
+        trace.energies.astype(">f8").tobytes(),
+        trace.accepted.astype(np.uint8).tobytes(),
+        trace.acceptance_probs.astype(">f8").tobytes(),
+        trace.details.astype(">i4").tobytes(),
+    )
 
 
 def load_trace(path) -> ChainTrace:

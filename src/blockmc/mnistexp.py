@@ -36,7 +36,7 @@ from .features import (
     save_mask,
     top_k_linear_mask,
 )
-from .fileio import is_finite, is_int, write_json
+from .fileio import is_int, write_json, write_lines
 from .idx import load_idx
 from .partition import build_partition_pair, save_partition_pair, spread_block_sizes
 from .pipeline import (
@@ -102,7 +102,7 @@ class MnistConfig:
 def mnist_config_from_dict(doc: dict) -> MnistConfig:
     cfg = fill_config(MnistConfig(), doc)
     require_kernels(cfg.kernels, ("block-surrogate", "global-kawasaki"))
-    if not (isinstance(cfg.stop_steps, list) and cfg.stop_steps):
+    if not cfg.stop_steps:
         raise ConfigError("stop_steps must be a non-empty list")
     require_positive(
         {
@@ -113,8 +113,6 @@ def mnist_config_from_dict(doc: dict) -> MnistConfig:
     )
     if max(cfg.stop_steps) > cfg.steps:
         raise ConfigError("stop_steps must not exceed steps")
-    if not is_finite(cfg.beta_pi):
-        raise ConfigError(f"beta_pi must be a finite number, got {cfg.beta_pi!r}")
     return cfg
 
 
@@ -150,7 +148,6 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
     """Full mask-selection experiment; returns the report dict."""
     log = log if log is not None else sys.stderr
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
 
     def say(msg):
         print(msg, file=log)
@@ -190,7 +187,6 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
         return evaluate_mask(train, test, mask, reg_strength=cls.reg_strength,
                              iterations=cls.iterations, learning_rate=cls.learning_rate)
 
-    (out / "masks").mkdir(exist_ok=True)
     for kernel in cfg.kernels:
         entry = {"stops": {}}
         _write_best_energy_csv(traces[kernel], out / f"best_energy_{kernel}.csv")
@@ -271,7 +267,5 @@ def _optimize_masks(cfg: MnistConfig, inst: QuboInstance, out: Path, say) -> dic
 def _write_best_energy_csv(traces, path):
     """Running minimum of every run, one column per run."""
     best = [analysis.best_energy_trace(t) for t in traces]
-    with open(path, "w") as f:
-        f.write("step," + ",".join(f"run{r}" for r in range(len(best))) + "\n")
-        for t in range(len(best[0])):
-            f.write(f"{t}," + ",".join(repr(b[t]) for b in best) + "\n")
+    rows = (f"{t}," + ",".join(repr(b[t]) for b in best) for t in range(len(best[0])))
+    write_lines(path, ["step," + ",".join(f"run{r}" for r in range(len(best))), *rows])

@@ -6,8 +6,12 @@ MADE -> MCMC ensembles -> analysis, persisting every stage under the output
 directory. Each stage is keyed by the hash of its config subsection plus
 its upstream keys; re-running with an unchanged key reuses the artifacts
 on disk (``--force`` overrides), and within one ``PipelineRun`` every stage
-is built or loaded once. All artifact files are byte-deterministic for
-fixed config and seeds; wall-clock timings go to the log only.
+is built or loaded once. Each ``ensure_<stage>`` only declares its stage;
+``PipelineRun._stage`` alone checks the cache, builds, records the sha256
+of every artifact in ``manifest.json`` and logs one line per stage. Every
+file reaches disk through ``fileio``'s atomic writer. All artifact files
+are byte-deterministic for fixed config and seeds; wall-clock timings go
+to the log only.
 
 The mask search (``mnistexp``) runs the same per-block QAOA and MADE
 helpers, chain task and fan-out, and fills its config with the same
@@ -16,20 +20,20 @@ loader, without the stage cache.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import json
 import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import analysis, made, mcmc, qaoa
 from .errors import ConfigError, FormatError
 from .features import biased_angle_for_target_weight
-from .fileio import is_finite, is_int, read_object, write_json
+from .fileio import canonical_json, is_finite, is_int, read_object, write_json, write_lines
 from .partition import PartitionPair, build_partition_pair, load_partition_pair, save_partition_pair, spread_block_sizes
 from .qubo import (
     QuboInstance,
@@ -115,19 +119,35 @@ class ExperimentConfig:
 
 def fill_config(cfg, doc: dict, where: str = ""):
     """Set the fields of dataclass ``cfg`` from ``doc``; a field that holds a
-    dataclass is a section, filled in place from a nested object."""
+    dataclass is a section, filled in place from a nested object, and every
+    other value must have its field's annotated type."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config {where.rstrip('.') or 'document'} is not an object")
-    names = {f.name for f in fields(cfg)}
+    annotations = {f.name: f.type for f in fields(cfg)}
+    types = get_type_hints(type(cfg))
     for key, value in doc.items():
-        if key not in names:
+        if key not in annotations:
             raise ConfigError(f"unknown config field {where}{key!r}")
         section = getattr(cfg, key)
         if is_dataclass(section):
             fill_config(section, value, where=f"{where}{key}.")
+        elif not _has_type(value, types[key]):
+            raise ConfigError(f"config field {where}{key} must be {annotations[key]}, got {value!r}")
         else:
             setattr(cfg, key, value)
     return cfg
+
+
+def _has_type(value, tp) -> bool:
+    """Whether a JSON value is an ``int`` (not a bool), a ``float`` (any finite
+    number), a ``str``, a ``list[...]`` of such, or one of a union's types."""
+    if get_origin(tp) is UnionType:
+        return any(_has_type(value, t) for t in get_args(tp))
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_has_type(v, get_args(tp)[0]) for v in value)
+    if tp is str:
+        return isinstance(value, str)
+    return {int: is_int, float: is_finite, type(None): lambda v: v is None}[tp](value)
 
 
 def require_positive(values: dict) -> None:
@@ -149,8 +169,6 @@ def require_kernels(kernels: list, allowed: tuple) -> None:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
     require_kernels(cfg.mcmc.kernels, mcmc.KERNEL_KINDS)
-    if not is_finite(cfg.beta_pi):
-        raise ConfigError(f"beta_pi must be a finite number, got {cfg.beta_pi!r}")
     require_positive(
         {
             "workers": cfg.workers,
@@ -163,8 +181,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if cfg.instance.source == "generate":
         n = cfg.instance.n
         require_positive({"instance.n": n})
-        if cfg.k is not None and not (is_int(cfg.k) and 0 <= cfg.k <= n):
-            raise ConfigError(f"k={cfg.k!r} is not an integer in [0, instance.n={n}]")
+        if cfg.k is not None and not 0 <= cfg.k <= n:
+            raise ConfigError(f"k={cfg.k} is not in [0, instance.n={n}]")
         if cfg.partition.block_size > n:
             raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
     return cfg
@@ -181,17 +199,11 @@ def reseed_config(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
 
 
 def _hash(obj) -> str:
-    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-def config_hash(cfg: ExperimentConfig) -> str:
-    return _hash(asdict(cfg))
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 
 def _sha256(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass
@@ -214,37 +226,24 @@ class RunManifest:
 _STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
 
 
-def _once(ensure):
-    """Build or load a stage at most once per ``PipelineRun``."""
-
-    @functools.wraps(ensure)
-    def memoized(self):
-        if ensure.__name__ not in self._done:
-            self._done[ensure.__name__] = ensure(self)
-        return self._done[ensure.__name__]
-
-    return memoized
-
-
 class PipelineRun:
-    """One experiment bound to an output directory."""
+    """One experiment bound to an output directory.
+
+    Each ``ensure_<stage>`` declares its stage (the upstream stages it needs,
+    its key, its artifact files, a ``load`` that reads them and a ``build``
+    that writes them) and hands it to ``_stage``, which alone decides
+    whether the stage is reused or rebuilt.
+    """
 
     def __init__(self, cfg: ExperimentConfig, out, force: bool = False, log=None):
         self.cfg = cfg
         self.out = Path(out)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.force = force
         self.log = log if log is not None else sys.stderr
         manifest_path = self.out / "manifest.json"
-        if manifest_path.exists() and not force:
-            self.manifest = RunManifest.load(manifest_path)
-        else:
-            self.manifest = RunManifest(config_hash="", stages={})
-        self.manifest.config_hash = config_hash(cfg)
+        stages = RunManifest.load(manifest_path).stages if manifest_path.exists() and not force else {}
+        self.manifest = RunManifest(config_hash=_hash(asdict(cfg)), stages=stages)
         self._done = {}
-
-    def _say(self, msg: str) -> None:
-        print(msg, file=self.log)
 
     def _recorded(self, stage: str, key: str) -> dict | None:
         """The path -> sha256 map the manifest records for ``stage`` under
@@ -260,76 +259,72 @@ class PipelineRun:
         artifacts = self._recorded(stage, key)
         return artifacts is not None and all(_sha256(self.out / p) == h for p, h in artifacts.items())
 
-    def _reuse(self, stage: str, key: str, load):
-        """``load()`` when the cache holds ``stage`` under ``key``, else None.
+    def _stage(self, stage: str, key: str, files: list[str], load, build):
+        """The value of ``stage``, loaded or built at most once per run.
 
         Recorded artifacts are parsed before their sha256 is compared: one that
         no longer parses raises ``FormatError``, one that parses but differs
-        from its record is rebuilt, and so is every later stage.
+        from its record is rebuilt, and so is every later stage. ``build()``
+        writes ``files``, whose hashes then go to the manifest.
         """
+        if stage in self._done:
+            return self._done[stage]
         value = load() if self._recorded(stage, key) is not None else None
-        if not self._cached(stage, key):
-            return None
-        self._say(f"stage {stage}: cached")
+        if self._cached(stage, key):
+            print(f"stage {stage}: cached", file=self.log)
+        else:
+            t0 = time.monotonic()
+            value = build()
+            # a stage rebuilt under an unchanged key (say, over a corrupt artifact)
+            # leaves later keys unchanged too, so their entries go with the old one
+            for later in _STAGES[_STAGES.index(stage) + 1 :]:
+                self.manifest.stages.pop(later, None)
+            artifacts = {p: _sha256(self.out / p) for p in files}
+            self.manifest.stages[stage] = {"key": key, "artifacts": artifacts}
+            self.manifest.save(self.out / "manifest.json")
+            print(f"stage {stage}: built in {time.monotonic() - t0:.2f}s", file=self.log)
+        self._done[stage] = value
         return value
-
-    def _record(self, stage: str, key: str, artifacts: list[str]) -> None:
-        # a stage rebuilt under an unchanged key (say, over a corrupt artifact)
-        # leaves later keys unchanged too, so their entries go with the old one
-        for later in _STAGES[_STAGES.index(stage) + 1 :]:
-            self.manifest.stages.pop(later, None)
-        self.manifest.stages[stage] = {
-            "key": key,
-            "artifacts": {p: _sha256(self.out / p) for p in artifacts},
-        }
-        self.manifest.save(self.out / "manifest.json")
 
     # ------------------------------------------------------------------ #
 
-    @_once
     def ensure_instance(self) -> tuple[QuboInstance, str]:
         cfg = self.cfg.instance
         key = _hash(asdict(cfg))
-        path = "instance.json"
-        inst = self._reuse("instance", key, lambda: load_instance(self.out / path))
-        if inst is not None:
-            return inst, key
-        t0 = time.monotonic()
-        if cfg.source == "generate":
-            inst = gen_regular_instance(cfg.n, cfg.degree, cfg.seed)
-        elif cfg.source == "file":
-            if cfg.path is None:
-                raise ConfigError("instance.source=file requires instance.path")
-            src = Path(cfg.path)
-            if not src.exists():
-                raise ConfigError(f"instance file not found: {src}")
-            inst = load_instance_csv(src) if src.suffix == ".csv" else load_instance(src)
-        else:
-            raise ConfigError(f"unknown instance source {cfg.source!r}")
-        save_instance(inst, self.out / path)
-        self._record("instance", key, [path])
-        self._say(f"stage instance: built in {time.monotonic() - t0:.2f}s")
-        return inst, key
+        path = self.out / "instance.json"
 
-    @_once
+        def build():
+            if cfg.source == "generate":
+                inst = gen_regular_instance(cfg.n, cfg.degree, cfg.seed)
+            elif cfg.source == "file":
+                if cfg.path is None:
+                    raise ConfigError("instance.source=file requires instance.path")
+                src = Path(cfg.path)
+                if not src.exists():
+                    raise ConfigError(f"instance file not found: {src}")
+                inst = load_instance_csv(src) if src.suffix == ".csv" else load_instance(src)
+            else:
+                raise ConfigError(f"unknown instance source {cfg.source!r}")
+            save_instance(inst, path)
+            return inst
+
+        return self._stage("instance", key, [path.name], lambda: load_instance(path), build), key
+
     def ensure_partition(self) -> tuple[PartitionPair, str]:
         inst, up = self.ensure_instance()
         cfg = self.cfg.partition
         key = _hash({"cfg": asdict(cfg), "up": up})
-        path = "partition.json"
-        pp = self._reuse("partition", key, lambda: load_partition_pair(self.out / path))
-        if pp is not None:
-            return pp, key
-        t0 = time.monotonic()
-        sizes1 = cfg.sizes1 or spread_block_sizes(inst.n, cfg.block_size)
-        sizes2 = cfg.sizes2 or spread_block_sizes(inst.n, cfg.block_size)
-        pp = build_partition_pair(inst, sizes1, sizes2, cfg.seed)
-        save_partition_pair(pp, self.out / path)
-        self._record("partition", key, [path])
-        self._say(f"stage partition: built in {time.monotonic() - t0:.2f}s")
-        return pp, key
+        path = self.out / "partition.json"
 
-    @_once
+        def build():
+            sizes1 = cfg.sizes1 or spread_block_sizes(inst.n, cfg.block_size)
+            sizes2 = cfg.sizes2 or spread_block_sizes(inst.n, cfg.block_size)
+            pp = build_partition_pair(inst, sizes1, sizes2, cfg.seed)
+            save_partition_pair(pp, path)
+            return pp
+
+        return self._stage("partition", key, [path.name], lambda: load_partition_pair(path), build), key
+
     def ensure_qaoa(self) -> tuple[dict, str]:
         """Optimized params, their loss and training samples per block."""
         pp, up = self.ensure_partition()
@@ -341,23 +336,23 @@ class PipelineRun:
             b.id: (f"qaoa/params_{b.id[0]}_{b.id[1]}.json", f"qaoa/samples_{b.id[0]}_{b.id[1]}.bin")
             for b in blocks
         }
-        out = self._reuse("qaoa", key, lambda: {
-            bid: (*qaoa.load_params(self.out / params)[:2], qaoa.load_sample_set(self.out / samples))
-            for bid, (params, samples) in paths.items()
-        })
-        if out is not None:
-            return out, key
-        t0 = time.monotonic()
-        (self.out / "qaoa").mkdir(exist_ok=True)
-        out = optimize_blocks(inst, blocks, cfg, self.cfg.workers)
-        for bid, (params, loss, samples) in out.items():
-            qaoa.save_params(params, loss, bid, self.out / paths[bid][0])
-            qaoa.save_sample_set(samples, self.out / paths[bid][1])
-        self._record("qaoa", key, [p for pair in paths.values() for p in pair])
-        self._say(f"stage qaoa: {len(blocks)} blocks in {time.monotonic() - t0:.2f}s")
-        return out, key
 
-    @_once
+        def load():
+            return {
+                bid: (*qaoa.load_params(self.out / params)[:2], qaoa.load_sample_set(self.out / samples))
+                for bid, (params, samples) in paths.items()
+            }
+
+        def build():
+            out = optimize_blocks(inst, blocks, cfg, self.cfg.workers)
+            for bid, (params, loss, samples) in out.items():
+                qaoa.save_params(params, loss, bid, self.out / paths[bid][0])
+                qaoa.save_sample_set(samples, self.out / paths[bid][1])
+            return out
+
+        files = [p for pair in paths.values() for p in pair]
+        return self._stage("qaoa", key, files, load, build), key
+
     def ensure_made(self) -> tuple[dict, str]:
         qaoa_out, up = self.ensure_qaoa()
         cfg = self.cfg.made
@@ -366,22 +361,20 @@ class PipelineRun:
             bid: (f"made/model_{bid[0]}_{bid[1]}.bin", f"made/train_{bid[0]}_{bid[1]}.csv")
             for bid in sorted(qaoa_out)
         }
-        models = self._reuse("made", key, lambda: {
-            bid: made.load_model(self.out / p) for bid, (p, _) in paths.items()
-        })
-        if models is not None:
-            return models, key
-        t0 = time.monotonic()
-        (self.out / "made").mkdir(exist_ok=True)
-        trained = train_surrogates(qaoa_out, cfg, self.cfg.workers)
-        for bid, (model, report) in trained.items():
-            made.save_model(model, self.out / paths[bid][0])
-            report.save_csv(self.out / paths[bid][1])
-        self._record("made", key, [p for pair in paths.values() for p in pair])
-        self._say(f"stage made: {len(trained)} models in {time.monotonic() - t0:.2f}s")
-        return {bid: model for bid, (model, _) in trained.items()}, key
 
-    @_once
+        def load():
+            return {bid: made.load_model(self.out / p) for bid, (p, _) in paths.items()}
+
+        def build():
+            trained = train_surrogates(qaoa_out, cfg, self.cfg.workers)
+            for bid, (model, report) in trained.items():
+                made.save_model(model, self.out / paths[bid][0])
+                report.save_csv(self.out / paths[bid][1])
+            return {bid: model for bid, (model, _) in trained.items()}
+
+        files = [p for pair in paths.values() for p in pair]
+        return self._stage("made", key, files, load, build), key
+
     def ensure_mcmc(self) -> tuple[dict, str]:
         """Chain-pair traces per kernel."""
         inst, inst_key = self.ensure_instance()
@@ -399,12 +392,11 @@ class PipelineRun:
             for pair in range(cfg.pairs)
             for tag in "ab"
         }
-        by_chain = self._reuse("mcmc", key, lambda: {
-            chain: mcmc.load_trace(self.out / p) for chain, p in paths.items()
-        })
-        if by_chain is None:
-            t0 = time.monotonic()
-            (self.out / "mcmc").mkdir(exist_ok=True)
+
+        def load():
+            return {chain: mcmc.load_trace(self.out / p) for chain, p in paths.items()}
+
+        def build():
             tasks = []
             for k_idx, kernel in enumerate(cfg.kernels):
                 kernel_cfg = mcmc.KernelConfig(kernel, self.cfg.beta_pi, pp, models)
@@ -417,38 +409,31 @@ class PipelineRun:
             by_chain = dict(zip(paths, fan_out(_chain_task, tasks, self.cfg.workers)))
             for chain, trace in by_chain.items():
                 mcmc.save_trace(trace, self.out / paths[chain])
-            self._record("mcmc", key, list(paths.values()))
-            self._say(f"stage mcmc: {len(tasks)} chains in {time.monotonic() - t0:.2f}s")
+            return by_chain
+
+        by_chain = self._stage("mcmc", key, list(paths.values()), load, build)
         traces = {
             kernel: [tuple(by_chain[kernel, pair, tag] for tag in "ab") for pair in range(cfg.pairs)]
             for kernel in cfg.kernels
         }
         return traces, key
 
-    @_once
     def ensure_analysis(self) -> tuple[dict, str]:
         traces, up = self.ensure_mcmc()
         cfg = self.cfg.analysis
         key = _hash({"cfg": asdict(cfg), "up": up})
+        out_dir = self.out / "analysis"
         kernels = sorted(traces)
-        paths = [f"analysis/rho_{kernel}.csv" for kernel in kernels]
-        paths += [f"analysis/best_energy_{kernel}.csv" for kernel in kernels]
-        paths += ["analysis/tau_summary.csv", "analysis/result.json"]
-        result = self._reuse("analysis", key, lambda: read_object(self.out / "analysis/result.json"))
-        if result is not None:
-            return result, key
-        t0 = time.monotonic()
-        (self.out / "analysis").mkdir(exist_ok=True)
-        result = analyze_traces(
-            traces,
-            max_lag=cfg.max_lag,
-            cutoff=cfg.cutoff,
-            burn_fraction=cfg.burn_fraction,
-            out_dir=self.out / "analysis",
-        )
-        write_json(result, self.out / "analysis/result.json")
-        self._record("analysis", key, paths)
-        self._say(f"stage analysis: done in {time.monotonic() - t0:.2f}s")
+        files = [f"analysis/rho_{kernel}.csv" for kernel in kernels]
+        files += [f"analysis/best_energy_{kernel}.csv" for kernel in kernels]
+        files += ["analysis/tau_summary.csv", "analysis/result.json"]
+
+        def build():
+            result = analyze_traces(traces, **asdict(cfg), out_dir=out_dir)
+            write_json(result, out_dir / "result.json")
+            return result
+
+        result = self._stage("analysis", key, files, lambda: read_object(out_dir / "result.json"), build)
         return result, key
 
     def run(self) -> RunManifest:
@@ -524,6 +509,8 @@ def _chain_task(args):
 def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
     """Headline tau per kernel (fit of run-averaged rho) plus per-pair stats.
 
+    A kernel whose fit fails (too few lags above the cutoff, or no overlap
+    variance) gets null fit fields and an ``error``, and no ratios.
     Returns a JSON-ready dict; optionally writes the plot-ready CSVs.
     """
     result = {"kernels": {}}
@@ -534,23 +521,30 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
         for a, b in traces[kernel]:
             lag = min(max_lag, len(a.configs) - int(burn_fraction * len(a.configs)) - 11)
             pair_acs.append(analysis.pair_autocorrelation(a, b, lag, burn_fraction))
-        mean_ac = analysis.mean_autocorrelation(pair_acs)
-        headline = _per_step(analysis.fit_decay_rate(mean_ac, cutoff=cutoff), thin)
-        per_pair = []
-        for ac in pair_acs:
-            try:
-                per_pair.append(_per_step(analysis.fit_decay_rate(ac, cutoff=cutoff), thin))
-            except analysis.InsufficientDataError:
-                continue
-        fits_per_kernel[kernel] = per_pair or [headline]
-        entry = {
-            "tau": headline.rate,
-            "amplitude": headline.amplitude,
-            "fit_window": list(headline.fit_window),
-            "residual": headline.residual,
-            "slow_mixing": headline.slow_mixing,
-            "n_pairs": len(traces[kernel]),
-        }
+        try:
+            mean_ac = analysis.mean_autocorrelation(pair_acs)
+            headline = _per_step(analysis.fit_decay_rate(mean_ac, cutoff=cutoff), thin)
+        except analysis.InsufficientDataError as exc:
+            # this kernel has no tau; the others are still fitted and compared
+            fit = ("tau", "amplitude", "fit_window", "residual", "slow_mixing", "tau_mean", "tau_std")
+            entry = dict.fromkeys(fit)
+            entry.update(n_pairs=len(traces[kernel]), error=str(exc))
+        else:
+            per_pair = []
+            for ac in pair_acs:
+                try:
+                    per_pair.append(_per_step(analysis.fit_decay_rate(ac, cutoff=cutoff), thin))
+                except analysis.InsufficientDataError:
+                    continue
+            fits_per_kernel[kernel] = per_pair or [headline]
+            entry = {
+                "tau": headline.rate,
+                "amplitude": headline.amplitude,
+                "fit_window": list(headline.fit_window),
+                "residual": headline.residual,
+                "slow_mixing": headline.slow_mixing,
+                "n_pairs": len(traces[kernel]),
+            }
         result["kernels"][kernel] = entry
         if out_dir is not None:
             analysis.save_rho_csv(pair_acs, Path(out_dir) / f"rho_{kernel}.csv", thin=thin)
@@ -575,19 +569,18 @@ def _per_step(fit: analysis.DecayFit, thin: int) -> analysis.DecayFit:
     return replace(fit, rate=fit.rate / thin, fit_window=(lo * thin, hi * thin))
 
 
+def _field(v, fmt=repr):
+    """A CSV field; a null value is left empty."""
+    return "" if v is None else fmt(v)
+
+
 def _save_tau_table(result, path):
-    with open(path, "w") as f:
-        f.write("kernel,tau,tau_mean,tau_std,n_pairs,slow_mixing\n")
-        for kernel in sorted(result["kernels"]):
-            e = result["kernels"][kernel]
-            f.write(
-                f"{kernel},{e['tau']!r},{e['tau_mean']!r},{e['tau_std']!r},"
-                f"{e['n_pairs']},{int(e['slow_mixing'])}\n"
-            )
-
-
-def run_pipeline(cfg: ExperimentConfig, out, force=False, log=None) -> RunManifest:
-    return PipelineRun(cfg, out, force=force, log=log).run()
+    rows = (
+        f"{kernel},{_field(e['tau'])},{_field(e['tau_mean'])},{_field(e['tau_std'])},"
+        f"{e['n_pairs']},{_field(e['slow_mixing'], int)}"
+        for kernel, e in sorted(result["kernels"].items())
+    )
+    write_lines(path, ["kernel,tau,tau_mean,tau_std,n_pairs,slow_mixing", *rows])
 
 
 _SWEEP_TAGS = {"n": "n", "block_size": "b"}
@@ -633,10 +626,8 @@ def sweep(
 
 
 def _save_sweep_csv(rows, path, lead):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(f"{lead},kernel,tau,tau_mean,tau_std\n")
-        for r in rows:
-            f.write(
-                f"{r[lead]},{r['kernel']},{r['tau']!r},{r['tau_mean']!r},{r['tau_std']!r}\n"
-            )
+    lines = (
+        f"{r[lead]},{r['kernel']},{_field(r['tau'])},{_field(r['tau_mean'])},{_field(r['tau_std'])}"
+        for r in rows
+    )
+    write_lines(path, [f"{lead},kernel,tau,tau_mean,tau_std", *lines])

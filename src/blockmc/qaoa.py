@@ -24,7 +24,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import FormatError, ResourceLimitError
-from .fileio import Reader, is_finite, is_int, read_object, write_json
+from .fileio import Reader, is_finite, is_int, read_object, write_bytes, write_json
 from .partition import Block
 from .qubo import QuboInstance
 from .streams import stream
@@ -446,21 +446,13 @@ _SAMPLES_VERSION = 1
 
 def save_sample_set(ss: BlockSampleSet, path) -> None:
     """Binary pack: header {magic, version, block_id, |B|, count} + rows."""
-    packed = np.packbits(ss.samples, axis=1)
-    with open(path, "wb") as f:
-        f.write(_SAMPLES_MAGIC)
-        f.write(
-            struct.pack(
-                ">HHHHQ",
-                _SAMPLES_VERSION,
-                ss.block_id[0],
-                ss.block_id[1],
-                ss.block_size,
-                ss.count,
-            )
-        )
-        f.write(packed.tobytes())
-        f.write(ss.provenance.astype(">i8").tobytes())
+    write_bytes(
+        path,
+        _SAMPLES_MAGIC,
+        struct.pack(">HHHHQ", _SAMPLES_VERSION, *ss.block_id, ss.block_size, ss.count),
+        np.packbits(ss.samples, axis=1).tobytes(),
+        ss.provenance.astype(">i8").tobytes(),
+    )
 
 
 def load_sample_set(path) -> BlockSampleSet:

@@ -90,9 +90,6 @@ class QuboInstance:
             return 0.0
         return self.quad.get((min(i, j), max(i, j)), 0.0)
 
-    def degree(self, i: int) -> int:
-        return len(self._nbr_idx[i])
-
 
 def random_weight_k_config(n: int, k: int, rng: np.random.Generator) -> SpinConfig:
     """Uniformly random configuration with exactly k ones."""

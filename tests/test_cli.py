@@ -65,6 +65,21 @@ class TestExitCodes:
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "command, doc, field",
+        [
+            ("qaoa", {"instance": {"n": 8}, "qaoa": {"p": "x"}}, "qaoa.p"),
+            ("generate", {"instance": {"n": 8, "degree": "3"}}, "instance.degree"),
+            ("made", {"instance": {"n": 8}, "made": {"epochs": "2"}}, "made.epochs"),
+            ("mcmc", {"mcmc": {"kernels": "global-kawasaki"}}, "mcmc.kernels"),
+        ],
+        ids=["p", "degree", "epochs", "kernels"],
+    )
+    def test_config_value_of_wrong_type_is_2(self, tmp_path, capsys, command, doc, field):
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: config field {field} must be" in capsys.readouterr().err
+
     def test_config_not_an_object_is_2(self, tmp_path):
         cfg = write_config(tmp_path, [1, 2])
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -106,6 +121,25 @@ class TestExitCodes:
     def test_sweep_without_values_is_2(self, tmp_path):
         cfg = write_config(tmp_path, tiny_doc())
         assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+class TestFailedFit:
+    DOC = {"instance": {"n": 6, "degree": 3}, "beta_pi": 0.0,
+           "mcmc": {"kernels": ["global-kawasaki"], "steps": 3000, "pairs": 2},
+           "analysis": {"max_lag": 200}}
+
+    def test_analyze_reports_no_tau_and_exits_0(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.DOC)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "global-kawasaki: tau=n/a (only 1 usable lags" in capsys.readouterr().out
+        result = json.loads((tmp_path / "o/analysis/result.json").read_text())
+        assert result["kernels"]["global-kawasaki"]["tau"] is None
+
+    def test_sweep_prints_no_tau(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**self.DOC, "sweep": {"n_values": [6]}})
+        assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "n=6 kernel=global-kawasaki tau=n/a" in capsys.readouterr().out
+        assert (tmp_path / "o/sweep_n.csv").read_text().splitlines()[1] == "6,global-kawasaki,,,"
 
 
 class TestSweepCommands:

@@ -49,9 +49,19 @@ class TestMaskConfig:
             {"biased_target_weight": 2.0},
             {"beta_pi": "hot"},
             {"beta_pi": float("nan")},
+            {"kernels": "global-kawasaki"},
+            {"stop_steps": 50},
+            {"stop_steps": [50, "3000"]},
+            {"limit_train": "100"},
+            {"edge_threshold": None},
+            {"train_images": 3},
+            {"qaoa": {"p": 1.5}},
+            {"classifier": {"iterations": True}},
         ],
         ids=["repeats", "stop-step", "no-stop-steps", "kernel", "kernel-twice",
-             "top-level-biased-target", "beta-not-a-number", "beta-nan"],
+             "top-level-biased-target", "beta-not-a-number", "beta-nan", "kernels-str",
+             "stop-steps-int", "stop-step-str", "limit-str", "threshold-null", "path-not-str",
+             "qaoa-p-float", "iterations-bool"],
     )
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -68,6 +78,11 @@ class TestMaskSearch:
         cfg = tiny_mask_config(idx_paths, **overrides)
         with pytest.raises(ConfigError, match="49 pixels"):
             mnistexp.run_mask_search(cfg, tmp_path / "out", log=io.StringIO())
+
+    def test_search_leaves_no_temporary_file(self, tmp_path, idx_paths):
+        mnistexp.run_mask_search(tiny_mask_config(idx_paths), tmp_path / "out", log=io.StringIO())
+        assert (tmp_path / "out/masks/linear_terms.txt").is_file()
+        assert not list((tmp_path / "out").rglob("*.tmp"))
 
     def test_workers_do_not_change_artifacts(self, tmp_path, idx_paths):
         for workers, name in ((1, "serial"), (2, "parallel")):

@@ -4,6 +4,7 @@ import filecmp
 import io
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,14 +83,37 @@ class TestConfig:
             {"beta_pi": "hot"},
             {"beta_pi": float("inf")},
             {"k": True},
+            {"instance": {"n": 8}, "qaoa": {"p": "x"}},
+            {"instance": {"n": 8, "degree": "3"}},
+            {"instance": {"n": 8}, "made": {"epochs": "2"}},
+            {"mcmc": {"kernels": "global-kawasaki"}},
+            {"mcmc": {"kernels": ["global-kawasaki", 3]}},
+            {"partition": {"sizes1": [4, 4.0]}},
+            {"made": {"learning_rate": True}},
+            {"made": {"widths": 16}},
+            {"qaoa": {"biased_target_weight": "2"}},
+            {"instance": {"path": 3}},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
-             "k-bool"],
+             "k-bool", "p-not-int", "degree-str", "epochs-str", "kernels-str", "kernel-not-str",
+             "sizes-float", "learning-rate-bool", "widths-not-list", "target-weight-str",
+             "path-not-str"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
             pipeline.config_from_dict(doc)
+
+    def test_type_error_names_the_field(self):
+        with pytest.raises(ConfigError, match=r"qaoa\.p must be int, got 'x'"):
+            pipeline.config_from_dict({"qaoa": {"p": "x"}})
+
+    def test_optional_and_float_fields_accept_their_types(self):
+        cfg = pipeline.config_from_dict(
+            {"k": None, "beta_pi": 1, "partition": {"sizes1": [4, 4]},
+             "qaoa": {"biased_target_weight": 2.5}, "made": {"widths": [8]}}
+        )
+        assert (cfg.k, cfg.beta_pi, cfg.partition.sizes1) == (None, 1, [4, 4])
 
     def test_size_limits_wait_for_a_file_instance(self):
         """n of a file instance is known only once it is read."""
@@ -102,14 +126,14 @@ class TestConfig:
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("clean")
-    pipeline.run_pipeline(tiny_config(), out, log=io.StringIO())
+    pipeline.PipelineRun(tiny_config(), out, log=io.StringIO()).run()
     return out
 
 
 class TestPipelineRun:
     def test_full_pipeline_artifacts(self, tmp_path):
         cfg = tiny_config()
-        manifest = pipeline.run_pipeline(cfg, tmp_path / "run", log=io.StringIO())
+        manifest = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
         expected_stages = {"instance", "partition", "qaoa", "made", "mcmc", "analysis"}
         assert set(manifest.stages) == expected_stages
         for entry in manifest.stages.values():
@@ -122,6 +146,9 @@ class TestPipelineRun:
         for e in result["kernels"].values():
             assert e["tau"] >= 0.0
 
+    def test_run_leaves_no_temporary_file(self, clean_run):
+        assert not list(clean_run.rglob("*.tmp"))
+
     def test_forced_run_builds_each_stage_once(self, tmp_path):
         log = io.StringIO()
         pipeline.PipelineRun(tiny_config(), tmp_path / "run", force=True, log=log).run()
@@ -130,16 +157,16 @@ class TestPipelineRun:
         assert not any(line.endswith(": cached") for line in lines)
 
     def test_rerun_loads_each_stage_once(self, tmp_path):
-        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=io.StringIO())
+        pipeline.PipelineRun(tiny_config(), tmp_path / "run", log=io.StringIO()).run()
         log = io.StringIO()
-        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=log)
+        pipeline.PipelineRun(tiny_config(), tmp_path / "run", log=log).run()
         assert sorted(log.getvalue().splitlines()) == sorted(f"stage {s}: cached" for s in STAGES)
 
     def test_rerun_uses_cache(self, tmp_path):
         cfg = tiny_config()
-        pipeline.run_pipeline(cfg, tmp_path / "run", log=io.StringIO())
+        pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
         log = io.StringIO()
-        pipeline.run_pipeline(cfg, tmp_path / "run", log=log)
+        pipeline.PipelineRun(cfg, tmp_path / "run", log=log).run()
         messages = log.getvalue()
         for stage in ("instance", "partition", "qaoa", "made", "mcmc", "analysis"):
             assert f"stage {stage}: cached" in messages
@@ -147,8 +174,8 @@ class TestPipelineRun:
     def test_bit_identical_reruns(self, tmp_path):
         """Same config + seeds into two fresh dirs: every artifact matches."""
         cfg = tiny_config()
-        pipeline.run_pipeline(cfg, tmp_path / "a", log=io.StringIO())
-        pipeline.run_pipeline(cfg, tmp_path / "b", log=io.StringIO())
+        pipeline.PipelineRun(cfg, tmp_path / "a", log=io.StringIO()).run()
+        pipeline.PipelineRun(cfg, tmp_path / "b", log=io.StringIO()).run()
         a = all_artifact_bytes(tmp_path / "a")
         b = all_artifact_bytes(tmp_path / "b")
         assert a.keys() == b.keys()
@@ -158,17 +185,17 @@ class TestPipelineRun:
     def test_kawasaki_only_skips_surrogate_stages(self, tmp_path):
         cfg = tiny_config(mcmc={"kernels": ["global-kawasaki"], "steps": 800,
                                 "pairs": 2, "seed": 5})
-        manifest = pipeline.run_pipeline(cfg, tmp_path / "run", log=io.StringIO())
+        manifest = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
         assert "qaoa" not in manifest.stages
         assert "made" not in manifest.stages
         assert not (tmp_path / "run" / "qaoa").exists()
 
     def test_config_change_invalidates_downstream(self, tmp_path):
         cfg = tiny_config()
-        pipeline.run_pipeline(cfg, tmp_path / "run", log=io.StringIO())
+        pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
         cfg.mcmc.steps = 2000
         log = io.StringIO()
-        pipeline.run_pipeline(cfg, tmp_path / "run", log=log)
+        pipeline.PipelineRun(cfg, tmp_path / "run", log=log).run()
         messages = log.getvalue()
         assert "stage made: cached" in messages
         assert "stage mcmc: cached" not in messages
@@ -195,7 +222,7 @@ class TestPipelineRun:
         raw[offset(raw)] ^= 1
         path.write_bytes(raw)
         log = io.StringIO()
-        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=log)
+        pipeline.PipelineRun(tiny_config(), tmp_path / "run", log=log).run()
         rebuilt = STAGES[STAGES.index(first_rebuilt) :]
         lines = log.getvalue().splitlines()
         assert [line.endswith(": cached") for line in lines] == [s not in rebuilt for s in STAGES]
@@ -210,19 +237,63 @@ class TestPipelineRun:
             entry["artifacts"] = sorted(entry["artifacts"])
         path.write_text(json.dumps(doc))
         log = io.StringIO()
-        pipeline.run_pipeline(tiny_config(), tmp_path / "run", log=log)
+        pipeline.PipelineRun(tiny_config(), tmp_path / "run", log=log).run()
         assert not any(line.endswith(": cached") for line in log.getvalue().splitlines())
         assert all_artifact_bytes(tmp_path / "run") == all_artifact_bytes(clean_run)
 
     def test_workers_do_not_change_artifacts(self, tmp_path):
         cfg = tiny_config()
-        pipeline.run_pipeline(cfg, tmp_path / "serial", log=io.StringIO())
+        pipeline.PipelineRun(cfg, tmp_path / "serial", log=io.StringIO()).run()
         cfg2 = tiny_config(workers=2)
-        pipeline.run_pipeline(cfg2, tmp_path / "parallel", log=io.StringIO())
+        pipeline.PipelineRun(cfg2, tmp_path / "parallel", log=io.StringIO()).run()
         a = all_artifact_bytes(tmp_path / "serial")
         b = all_artifact_bytes(tmp_path / "parallel")
         del a["manifest.json"], b["manifest.json"]  # differs via workers field hash
         assert a == b
+
+
+class TestFailedFit:
+    # beta_pi 0 on n=6: global Kawasaki decorrelates within one lag, local
+    # Kawasaki does not
+    DOC = {"instance": {"n": 6, "degree": 3}, "beta_pi": 0.0,
+           "mcmc": {"kernels": ["global-kawasaki", "local-kawasaki"], "steps": 3000, "pairs": 2},
+           "analysis": {"max_lag": 200}}
+
+    def test_one_failed_fit_leaves_the_others(self, tmp_path):
+        cfg = pipeline.config_from_dict(self.DOC)
+        run = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO())
+        result, _ = run.ensure_analysis()
+        failed, fitted = result["kernels"]["global-kawasaki"], result["kernels"]["local-kawasaki"]
+        assert "usable lags" in failed["error"]
+        for name in ("tau", "amplitude", "fit_window", "residual", "tau_mean", "tau_std"):
+            assert failed[name] is None
+        assert fitted["tau"] > 0.0 and fitted["tau_mean"] > 0.0 and "error" not in fitted
+        assert result["ratios"] == {}
+        rows = (tmp_path / "run/analysis/tau_summary.csv").read_text().splitlines()
+        assert rows[1] == "global-kawasaki,,,,2,"
+        assert rows[2].startswith(f"local-kawasaki,{fitted['tau']!r},")
+        # the fitted kernel's entry does not depend on the failed one
+        traces, _ = run.ensure_mcmc()
+        alone = pipeline.analyze_traces(
+            {"local-kawasaki": traces["local-kawasaki"]}, max_lag=200, cutoff=0.05,
+            burn_fraction=0.1,
+        )
+        assert alone["kernels"]["local-kawasaki"] == fitted
+
+    def test_all_runs_degenerate(self, tmp_path):
+        """Chains that never move have no overlap variance, hence no fit."""
+        cfg = pipeline.config_from_dict(self.DOC)
+        traces, _ = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).ensure_mcmc()
+        frozen = [
+            tuple(replace(t, configs=np.repeat(t.configs[:1], len(t.configs), axis=0)) for t in pair)
+            for pair in traces["global-kawasaki"]
+        ]
+        result = pipeline.analyze_traces(
+            {"frozen": frozen}, max_lag=200, cutoff=0.05, burn_fraction=0.1, out_dir=tmp_path
+        )
+        assert result["kernels"]["frozen"]["tau"] is None
+        assert "degenerate" in result["kernels"]["frozen"]["error"]
+        assert (tmp_path / "rho_frozen.csv").read_text() == "lag,rho_mean,rho_std\n"
 
 
 class TestSweeps:
