@@ -172,10 +172,10 @@ def save_rho_csv(results: list[AutocorrResult], path, thin: int = 1) -> None:
     for l in range(rhos.shape[1] if len(rhos) else 0):  # every run degenerate: no rows
         mean = rhos[:, l].mean()
         std = rhos[:, l].std(ddof=1) if len(rhos) > 1 else 0.0
-        lines.append(f"{l * thin},{mean!r},{std!r}")
+        lines.append(f"{l * thin},{float(mean)!r},{float(std)!r}")
     write_lines(path, lines)
 
 
 def save_best_energy_csv(trace: ChainTrace, path) -> None:
     best = best_energy_trace(trace)
-    write_lines(path, ["step,best_energy", *(f"{t},{e!r}" for t, e in enumerate(best))])
+    write_lines(path, ["step,best_energy", *(f"{t},{e!r}" for t, e in enumerate(best.tolist()))])

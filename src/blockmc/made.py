@@ -9,11 +9,15 @@ context, which is what carries k to the first conditional.
 
 Likelihoods are exact by construction, sampling is ancestral, and training
 is plain mini-batch gradient ascent with momentum, all in numpy (reverse
-mode by hand; the networks are tiny).
+mode by hand; the networks are tiny). ``sector(k)`` scores every weight-k
+bitstring once per (model, k); one uniform against its running mass draws
+with the ancestral law, because both use the same clamped conditionals, and
+the mass left above the table is the chance of a draw at another weight.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -65,6 +69,21 @@ class TrainReport:
         write_lines(path, ["epoch,train_ll,val_ll", *rows])
 
 
+@dataclass(frozen=True)
+class Sector:
+    """Every weight-k block bitstring with its exact proposal probability.
+
+    ``rows`` are in increasing code order, where bit t of a code is x_t;
+    ``cdf`` is the running sum of exp(``log_q``), so ``cdf[-1]`` is the mass
+    q gives weight k; ``row_of[code]`` is the row of a weight-k code.
+    """
+
+    rows: np.ndarray
+    log_q: np.ndarray
+    cdf: np.ndarray
+    row_of: np.ndarray
+
+
 @dataclass
 class ConditionalMadeModel:
     """Masked autoregressive network with Hamming-weight context.
@@ -82,6 +101,7 @@ class ConditionalMadeModel:
     masks: list[np.ndarray]
     ctx_weights: list[np.ndarray]
     _eff: list[np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _sectors: dict[int, Sector] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def context_dim(self) -> int:
@@ -98,6 +118,24 @@ class ConditionalMadeModel:
 
     def _invalidate(self):
         self._eff = None
+        self._sectors = {}
+
+    def sector(self, k: int) -> Sector:
+        """The weight-k proposal table, built on first use and kept until the
+        weights change (``_invalidate``)."""
+        table = self._sectors.get(k)
+        if table is None:
+            if not 0 <= k <= self.block_size:
+                raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
+            weight, rank = _code_ranks(self.block_size)
+            codes = np.flatnonzero(weight == k)
+            rows = ((codes[:, None] >> np.arange(self.block_size)) & 1).astype(np.uint8)
+            log_q = log_prob_batch(self, rows, np.full(len(rows), k))
+            table = Sector(rows, log_q, np.cumsum(np.exp(log_q)), rank)
+            for a in (rows, log_q, table.cdf):
+                a.flags.writeable = False
+            self._sectors[k] = table
+        return table
 
     def logits(self, x: np.ndarray, k: int) -> np.ndarray:
         """Per-variable Bernoulli logits given the full input vector."""
@@ -120,7 +158,9 @@ class ConditionalMadeModel:
         return float(np.sum(xf * np.log(p) + (1.0 - xf) * np.log1p(-p)))
 
     def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Ancestral draw in ``ordering``; returns (bits, log q(bits | k))."""
+        """Ancestral draw in ``ordering``; returns (bits, log q(bits | k)).
+
+        The chain kernel draws from ``sector`` instead, which has this law."""
         if not 0 <= k <= self.block_size:
             raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
         x = np.zeros(self.block_size, dtype=np.uint8)
@@ -133,6 +173,20 @@ class ConditionalMadeModel:
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+@functools.cache
+def _code_ranks(block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming weight of every code 0..2^|B|-1, and its position among the
+    codes of that weight in increasing order."""
+    codes = np.arange(1 << block_size)
+    weight = ((codes[:, None] >> np.arange(block_size)) & 1).sum(axis=1)
+    rank = np.empty_like(codes)
+    for k in range(block_size + 1):
+        sel = weight == k
+        rank[sel] = np.arange(np.count_nonzero(sel))
+    weight.flags.writeable = rank.flags.writeable = False
+    return weight, rank
 
 
 def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMadeModel:

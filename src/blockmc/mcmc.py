@@ -7,6 +7,9 @@ Three proposal kernels drive the same accept/reject machinery:
   block's bits from its conditional MADE, and correct with the proposal
   ratio q(x_B|k)/q(x'_B|k). Draws whose weight misses the required k are
   immediate rejections (the chain stays put and the step still counts).
+  The draw is one uniform against the model's cached weight-k table
+  (``ConditionalMadeModel.sector``), which has the law of the ancestral
+  sampler, mismatch rate included; both log q terms are table lookups.
 * ``global-kawasaki``: swap a uniformly chosen 1-bit with a uniformly
   chosen 0-bit; symmetric, so the ratio term vanishes.
 * ``local-kawasaki``: pick a graph edge uniformly; swap if its endpoints
@@ -61,6 +64,12 @@ class KernelConfig:
                 for b in blocks:
                     if b.id not in self.models:
                         raise ConfigError(f"no surrogate model for block {b.id}")
+            # per partition, per block: (id, vertices, bit values of x_B's code, model)
+            self._blocks = tuple(
+                [(b.id, np.array(b.vertices, dtype=np.intp), 1 << np.arange(b.size), self.models[b.id])
+                 for b in blocks]
+                for blocks in (self.partition_pair.p1, self.partition_pair.p2)
+            )
 
 
 @dataclass
@@ -120,22 +129,20 @@ def propose_block_surrogate(
     block's current weight; a draw at any other weight is flagged as an
     immediate rejection.
     """
-    pp = cfg.partition_pair
-    blocks = pp.p1 if rng.integers(2) == 0 else pp.p2
-    block = blocks[rng.integers(len(blocks))]
-    model = cfg.models[block.id]
-    verts = np.asarray(block.vertices, dtype=np.intp)
-    k_b = int(state.x[verts].sum())  # == K - complement weight
-    new_bits, log_q_fwd = model.sample(k_b, rng)
-    if int(new_bits.sum()) != k_b:
-        return Candidate(detail=block.id, weight_mismatch=True)
-    log_q_rev = model.log_prob(state.x[verts], k_b)
+    blocks = cfg._blocks[rng.integers(2)]
+    block_id, verts, bit_values, model = blocks[rng.integers(len(blocks))]
+    code = int(state.x[verts] @ bit_values)
+    table = model.sector(code.bit_count())  # k_B == K - complement weight
+    u = rng.random()
+    if u >= table.cdf[-1]:
+        return Candidate(detail=block_id, weight_mismatch=True)
+    row = int(table.cdf.searchsorted(u, side="right"))  # < len(cdf), as u < cdf[-1]
     return Candidate(
-        detail=block.id,
-        log_q_fwd=log_q_fwd,
-        log_q_rev=log_q_rev,
+        detail=block_id,
+        log_q_fwd=float(table.log_q[row]),
+        log_q_rev=float(table.log_q[table.row_of[code]]),
         block_vertices=verts,
-        block_bits=new_bits,
+        block_bits=table.rows[row],
     )
 
 

@@ -266,6 +266,6 @@ def _optimize_masks(cfg: MnistConfig, inst: QuboInstance, out: Path, say) -> dic
 
 def _write_best_energy_csv(traces, path):
     """Running minimum of every run, one column per run."""
-    best = [analysis.best_energy_trace(t) for t in traces]
+    best = [analysis.best_energy_trace(t).tolist() for t in traces]
     rows = (f"{t}," + ",".join(repr(b[t]) for b in best) for t in range(len(best[0])))
     write_lines(path, ["step," + ",".join(f"run{r}" for r in range(len(best))), *rows])

@@ -509,19 +509,25 @@ def _chain_task(args):
 def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
     """Headline tau per kernel (fit of run-averaged rho) plus per-pair stats.
 
-    A kernel whose fit fails (too few lags above the cutoff, or no overlap
-    variance) gets null fit fields and an ``error``, and no ratios.
+    A kernel whose fit fails (chains too short for one lag after burn-in,
+    too few lags above the cutoff, or no overlap variance) gets null fit
+    fields and an ``error``, and no ratios.
     Returns a JSON-ready dict; optionally writes the plot-ready CSVs.
     """
     result = {"kernels": {}}
     fits_per_kernel = {}
     for kernel in sorted(traces):
-        thin = traces[kernel][0][0].thin
+        first = traces[kernel][0][0]
+        thin = first.thin
+        recorded = len(first.configs)
+        lag = min(max_lag, recorded - int(burn_fraction * recorded) - 11)
         pair_acs = []
-        for a, b in traces[kernel]:
-            lag = min(max_lag, len(a.configs) - int(burn_fraction * len(a.configs)) - 11)
-            pair_acs.append(analysis.pair_autocorrelation(a, b, lag, burn_fraction))
         try:
+            if lag < 1:
+                raise analysis.InsufficientDataError(
+                    f"{recorded} recorded samples leave no lag after burn-in"
+                )
+            pair_acs = [analysis.pair_autocorrelation(a, b, lag, burn_fraction) for a, b in traces[kernel]]
             mean_ac = analysis.mean_autocorrelation(pair_acs)
             headline = _per_step(analysis.fit_decay_rate(mean_ac, cutoff=cutoff), thin)
         except analysis.InsufficientDataError as exc:

@@ -75,6 +75,7 @@ class QuboInstance:
             nbr[j].append((i, w))
         self._nbr_idx = [np.array([u for u, _ in sorted(a)], dtype=np.intp) for a in nbr]
         self._nbr_w = [np.array([w for _, w in sorted(a)], dtype=np.float64) for a in nbr]
+        self._block_terms: dict[bytes, tuple[np.ndarray, ...]] = {}  # see _block_terms
 
     @property
     def num_edges(self) -> int:
@@ -128,25 +129,40 @@ def energy_delta_block(
 ) -> float:
     """Energy change of overwriting ``vertices`` with ``new_bits``.
 
-    Only terms touching the block move; cost is O(|B| * degree).
+    Only terms touching the block move. With the block's linear terms l,
+    its couplings C_U to the outside vertices U next to it and S, the
+    symmetric matrix of its internal couplings,
+    dE = (new - old) . (l + C_U x_U + S (new + old) / 2).
     """
-    delta = 0.0
-    in_block = np.zeros(inst.n, dtype=bool)
-    in_block[vertices] = True
-    old = x[vertices].astype(np.float64)
-    new = np.asarray(new_bits, dtype=np.float64)
-    delta += float(inst.lin[vertices] @ (new - old))
-    local = {int(v): t for t, v in enumerate(vertices)}
-    for t, v in enumerate(vertices):
-        nbr, w = inst.neighbors(int(v))
-        for u, wu in zip(nbr, w):
-            if in_block[u]:
-                if u < v:  # internal edge, count once
-                    s = local[int(u)]
-                    delta += wu * (new[t] * new[s] - old[t] * old[s])
-            else:
-                delta += wu * float(x[u]) * (new[t] - old[t])
-    return delta
+    lin, couplings, idx = _block_terms(inst, np.asarray(vertices, dtype=np.intp))
+    v = x[idx].astype(np.float64)  # [x_U, old]
+    old = v[len(idx) - len(lin) :]
+    d = new_bits - old
+    old += new_bits  # v = [x_U, old + new]
+    return float(d @ (lin + couplings @ v))
+
+
+def _block_terms(inst: QuboInstance, verts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(l, [C_U | S/2], U followed by the block) for ``energy_delta_block``;
+    built once per instance and vertex list."""
+    key = verts.tobytes()
+    terms = inst._block_terms.get(key)
+    if terms is None:
+        inside = [int(v) for v in verts]
+        outside = sorted({int(u) for v in inside for u in inst.neighbors(v)[0]} - set(inside))
+        col = {u: c for c, u in enumerate([*outside, *inside])}
+        couplings = np.zeros((len(inside), len(col)))
+        for t, v in enumerate(inside):
+            for u, w in zip(*inst.neighbors(v)):
+                c = col[int(u)]
+                # S/2 inside the block: each internal edge is seen from both ends
+                couplings[t, c] = w if c < len(outside) else w / 2
+        idx = np.array([*outside, *inside], dtype=np.intp)
+        terms = (inst.lin[verts], couplings, idx)
+        for a in terms:
+            a.flags.writeable = False
+        inst._block_terms[key] = terms
+    return terms
 
 
 def gen_regular_instance(n: int, degree: int, seed: int) -> QuboInstance:

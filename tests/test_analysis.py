@@ -225,3 +225,16 @@ class TestCsvOutputs:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,best_energy"
         assert len(lines) == 51
+
+    def test_every_field_is_a_number(self, tmp_path):
+        """numpy scalars are written as plain numbers, not as np.float64(...)."""
+        rng = stream(13)
+        results = [analysis.AutocorrResult(rho=rng.random(5), mean_q=0.2, var_q=0.01) for _ in range(2)]
+        analysis.save_rho_csv(results, tmp_path / "rho.csv", thin=2)
+        t = fake_trace(np.zeros((6, 4), dtype=np.uint8), energies=rng.standard_normal(6))
+        analysis.save_best_energy_csv(t, tmp_path / "best.csv")
+        for name in ("rho.csv", "best.csv"):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                [float(v) for v in row.split(",")]

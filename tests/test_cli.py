@@ -135,6 +135,16 @@ class TestFailedFit:
         result = json.loads((tmp_path / "o/analysis/result.json").read_text())
         assert result["kernels"]["global-kawasaki"]["tau"] is None
 
+    def test_short_chains_report_no_tau_and_exit_0(self, tmp_path, capsys):
+        """Ten steps leave no lag after burn-in: a null tau, not a traceback."""
+        doc = {"instance": {"n": 8, "degree": 3},
+               "mcmc": {"kernels": ["global-kawasaki"], "steps": 10, "pairs": 1}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "global-kawasaki: tau=n/a (11 recorded samples leave no lag" in capsys.readouterr().out
+        entry = json.loads((tmp_path / "o/analysis/result.json").read_text())["kernels"]["global-kawasaki"]
+        assert entry["tau"] is None and entry["error"]
+
     def test_sweep_prints_no_tau(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**self.DOC, "sweep": {"n_values": [6]}})
         assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 0

@@ -152,6 +152,42 @@ class TestSample:
         assert tv < 0.05
 
 
+class TestSector:
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_table_is_the_exact_weight_k_slice(self, k):
+        model = tiny_model(6, seed=5)
+        table = model.sector(k)
+        exact = made.exhaustive_conditional_distribution(model, k)
+        codes = np.flatnonzero([bin(c).count("1") == k for c in range(64)])
+        assert np.array_equal(table.rows @ (1 << np.arange(6)), codes)
+        assert np.allclose(np.exp(table.log_q), exact[codes], rtol=0.0, atol=1e-12)
+        assert table.cdf[-1] == pytest.approx(exact[codes].sum(), abs=1e-12)
+        assert np.array_equal(table.row_of[codes], np.arange(len(codes)))
+
+    def test_tables_are_read_only(self):
+        table = tiny_model(4, seed=5).sector(2)
+        for a in (table.rows, table.log_q, table.cdf, table.row_of):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_context_out_of_range(self):
+        with pytest.raises(ValueError):
+            tiny_model(4).sector(5)
+
+    def test_train_and_invalidate_drop_the_tables(self):
+        model = tiny_model(4, seed=6)
+        before = model.sector(2)
+        assert model.sector(2) is before
+        data = synthetic_sample_set(stream(19).integers(0, 2, size=(200, 4)))
+        made.train(model, data, made.default_train_config(4, epochs=2, seed=1))
+        trained = model.sector(2)
+        assert trained is not before
+        exact = made.exhaustive_conditional_distribution(model, 2)
+        assert np.allclose(np.exp(trained.log_q), exact[trained.rows @ (1 << np.arange(4))], atol=1e-12)
+        zero_weights(model)  # calls _invalidate
+        assert np.allclose(np.exp(model.sector(2).log_q), 1 / 16, atol=1e-12)
+
+
 def _trained_qaoa_model(block_size, seed):
     """Small QAOA-data-trained model shared by several tests."""
     inst = qubo.gen_regular_instance(max(8, 2 * block_size), 3, seed=seed)

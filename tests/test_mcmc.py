@@ -323,6 +323,21 @@ class TestStationarity:
         cfg = block_surrogate_config(self.inst, [4, 4], beta_pi=0.5, partition_seed=5)
         assert self._tv(cfg, steps=100_000) < 0.05
 
+    def test_block_surrogate_nonuniform_models(self):
+        """Untrained, sharpened models: q_fwd != q_rev, so the Hastings
+        ratio has to be right for the chain to hit the target."""
+        pp = build_partition_pair(self.inst, [4, 4], [4, 4], seed=5)
+        models = {}
+        for i, b in enumerate([*pp.p1, *pp.p2]):
+            model = made.build_model(4, made.default_train_config(4), seed=40 + i)
+            for w in (*model.weights, *model.ctx_weights):
+                w *= 1.5
+            model._invalidate()
+            model.block_id = b.id
+            models[b.id] = model
+        cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
+        assert self._tv(cfg) < 0.06
+
 
 class TestDetailedBalance:
     def test_global_kawasaki_flows(self):

@@ -2,12 +2,14 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from blockmc import mnistexp, qaoa
 from blockmc.errors import ConfigError
 from blockmc.features import biased_angle_for_target_weight
 from conftest import write_synthetic_idx
+from test_analysis import fake_trace
 from test_pipeline import all_artifact_bytes
 
 
@@ -120,3 +122,12 @@ class TestMaskSearch:
             assert before == biased_angle_for_target_weight(size, 4 * 5 / n_pixels)
             assert got == biased_angle_for_target_weight(size, 1.0)
             assert got != before
+
+
+def test_best_energy_csv_fields_are_numbers(tmp_path):
+    """One column per run, every field a plain number."""
+    traces = [fake_trace(np.zeros((5, 3)), energies=np.arange(5.0)[::-1] + r) for r in range(2)]
+    mnistexp._write_best_energy_csv(traces, tmp_path / "best.csv")
+    lines = (tmp_path / "best.csv").read_text().splitlines()
+    assert lines[0] == "step,run0,run1"
+    assert lines[1:] == [f"{t},{4.0 - t!r},{5.0 - t!r}" for t in range(5)]

@@ -100,6 +100,38 @@ class TestEnergyDeltaBlock:
             got = qubo.energy_delta_block(inst, x, verts, new_bits)
             assert got == pytest.approx(expected, abs=1e-12)
 
+    def test_one_block_many_states(self):
+        """The per-block terms are built once and reused for every x."""
+        inst = qubo.gen_regular_instance(16, 3, seed=3)
+        verts = np.array([5, 0, 9, 3, 12, 7], dtype=np.intp)
+        rng = stream(6)
+        for _ in range(200):
+            x = rng.integers(0, 2, size=16).astype(np.uint8)
+            new_bits = rng.integers(0, 2, size=6).astype(np.uint8)
+            y = x.copy()
+            y[verts] = new_bits
+            expected = qubo.energy(inst, y) - qubo.energy(inst, x)
+            assert qubo.energy_delta_block(inst, x, verts, new_bits) == pytest.approx(expected, abs=1e-12)
+
+    def test_instances_sharing_a_vertex_set(self):
+        """Terms are kept per instance, not per vertex list alone."""
+        lin = stream(10).standard_normal(12)
+        insts = [
+            qubo.QuboInstance(n=12, quad=qubo.gen_regular_instance(12, 3, seed=s).quad, lin=lin)
+            for s in (8, 9)
+        ]
+        verts = np.arange(4, dtype=np.intp)
+        rng = stream(7)
+        for _ in range(20):
+            x = qubo.random_weight_k_config(12, 6, rng)
+            new_bits = rng.integers(0, 2, size=4).astype(np.uint8)
+            y = x.copy()
+            y[verts] = new_bits
+            for inst in insts:
+                expected = qubo.energy(inst, y) - qubo.energy(inst, x)
+                got = qubo.energy_delta_block(inst, x, verts, new_bits)
+                assert got == pytest.approx(expected, abs=1e-12)
+
 
 class TestGenRegularInstance:
     def test_edge_count_and_degrees(self):
