@@ -13,13 +13,21 @@ mode by hand; the networks are tiny). ``sector(k)`` scores every weight-k
 bitstring once per (model, k); one uniform against its running mass draws
 with the ancestral law, because both use the same clamped conditionals, and
 the mass left above the table is the chance of a draw at another weight.
+
+``train_group`` trains same-shape models in lockstep: each layer's tensors
+are stacked on a leading member axis, so one minibatch is one forward, one
+backward and one momentum update for every member. Matmuls take transposed
+views, not copies, so each member's slice makes a lone model's BLAS call;
+every elementwise op and reduction runs per member in the same order. A
+member thus ends bit for bit where ``train``, the one-member case, would
+leave it.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,24 +108,9 @@ class ConditionalMadeModel:
     biases: list[np.ndarray]
     masks: list[np.ndarray]
     ctx_weights: list[np.ndarray]
-    _eff: list[np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _sectors: dict[int, Sector] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def context_dim(self) -> int:
-        return self.block_size + 1
-
-    @property
-    def n_hidden(self) -> int:
-        return len(self.ctx_weights)
-
-    def _effective(self) -> list[np.ndarray]:
-        if self._eff is None:
-            self._eff = [w * m for w, m in zip(self.weights, self.masks)]
-        return self._eff
-
     def _invalidate(self):
-        self._eff = None
         self._sectors = {}
 
     def sector(self, k: int) -> Sector:
@@ -139,12 +132,7 @@ class ConditionalMadeModel:
 
     def logits(self, x: np.ndarray, k: int) -> np.ndarray:
         """Per-variable Bernoulli logits given the full input vector."""
-        eff = self._effective()
-        h = x.astype(np.float64)
-        for l in range(self.n_hidden):
-            h = eff[l] @ h + self.biases[l] + self.ctx_weights[l][:, k]
-            np.maximum(h, 0.0, out=h)
-        return eff[-1] @ h + self.biases[-1]
+        return _forward(_stack([self]), x.astype(np.float64)[None, None], np.array([[k]]))[0][0, 0]
 
     def log_prob(self, x: np.ndarray, k: int) -> float:
         """Exact log q(x | k); probabilities clamped away from {0, 1}."""
@@ -152,10 +140,7 @@ class ConditionalMadeModel:
             raise ValueError(f"x has length {len(x)}, expected {self.block_size}")
         if not 0 <= k <= self.block_size:
             raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
-        p = _sigmoid(self.logits(x, k))
-        p = np.clip(p, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-        xf = x.astype(np.float64)
-        return float(np.sum(xf * np.log(p) + (1.0 - xf) * np.log1p(-p)))
+        return float(log_prob_batch(self, x[None], np.array([k]))[0])
 
     def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Ancestral draw in ``ordering``; returns (bits, log q(bits | k)).
@@ -163,12 +148,8 @@ class ConditionalMadeModel:
         The chain kernel draws from ``sector`` instead, which has this law."""
         if not 0 <= k <= self.block_size:
             raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
-        x = np.zeros(self.block_size, dtype=np.uint8)
-        for v in self.ordering:
-            p = _sigmoid(self.logits(x, k)[v])
-            p = min(max(p, _PROB_CLAMP), 1.0 - _PROB_CLAMP)
-            x[v] = 1 if rng.random() < p else 0
-        return x, self.log_prob(x, k)
+        bits, log_q = sample_batch(self, k, 1, rng)
+        return bits[0], float(log_q[0])
 
 
 def _sigmoid(z):
@@ -238,54 +219,72 @@ def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMade
     )
 
 
-def _forward_batch(model, x, k_onehot):
-    """Returns (logits, caches) for a (batch, |B|) input."""
-    eff = [w * m for w, m in zip(model.weights, model.masks)]
-    pres, acts = [], [x]
-    h = x
-    for l in range(model.n_hidden):
-        pre = h @ eff[l].T + model.biases[l] + k_onehot @ model.ctx_weights[l].T
-        h = np.maximum(pre, 0.0)
-        pres.append(pre)
-        acts.append(h)
-    logits = h @ eff[-1].T + model.biases[-1]
-    return logits, (eff, pres, acts)
+def _stack(models) -> tuple[list[np.ndarray], ...]:
+    """Weights, biases, context weights and masks of same-shape models, each
+    layer's tensors stacked on a new leading axis."""
+    return tuple(
+        [np.stack(ts) for ts in zip(*(getattr(m, name) for m in models))]
+        for name in ("weights", "biases", "ctx_weights", "masks")
+    )
+
+
+def _forward(params, xf, ks):
+    """Logits and backprop caches of G stacked networks for (G, batch, |B|)
+    float inputs and (G, batch) contexts."""
+    weights, biases, ctx_weights, masks = params
+    k_onehot = np.zeros((*ks.shape, xf.shape[-1] + 1))
+    np.put_along_axis(k_onehot, ks[..., None], 1.0, axis=-1)
+    eff = [w * m for w, m in zip(weights, masks)]
+    acts = [xf]
+    for l in range(len(ctx_weights)):
+        h = acts[-1] @ eff[l].transpose(0, 2, 1)
+        h += biases[l][:, None]
+        h += k_onehot @ ctx_weights[l].transpose(0, 2, 1)
+        acts.append(np.maximum(h, 0.0, out=h))
+    logits = acts[-1] @ eff[-1].transpose(0, 2, 1)
+    logits += biases[-1][:, None]
+    return logits, (k_onehot, eff, acts)
+
+
+def _row_log_lik(xf, p):
+    p = np.clip(p, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+    return np.sum(xf * np.log(p) + (1.0 - xf) * np.log1p(-p), axis=-1)
+
+
+def _group_log_prob(params, x, ks):
+    xf = x.astype(np.float64)
+    return _row_log_lik(xf, _sigmoid(_forward(params, xf, ks)[0]))
 
 
 def log_prob_batch(model: ConditionalMadeModel, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Vectorized log q(x | k) for rows of x with matching contexts."""
+    return _group_log_prob(_stack([model]), x[None], np.asarray(ks)[None])[0]
+
+
+def _group_loss_and_grads(params, x, ks):
+    """Per-member mean log-likelihood of a (G, batch, |B|) stack of batches
+    and its gradient in every weight, bias and context weight."""
+    weights, _, ctx_weights, masks = params
     xf = x.astype(np.float64)
-    k_onehot = np.zeros((len(x), model.context_dim))
-    k_onehot[np.arange(len(x)), ks] = 1.0
-    logits, _ = _forward_batch(model, xf, k_onehot)
-    p = np.clip(_sigmoid(logits), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-    return np.sum(xf * np.log(p) + (1.0 - xf) * np.log1p(-p), axis=1)
+    logits, (k_onehot, eff, acts) = _forward(params, xf, ks)
+    p = _sigmoid(logits)
+    ll = np.mean(_row_log_lik(xf, p), axis=1)
+    back = (xf - p) / x.shape[1]
+    g_w, g_b, g_c = [], [], []  # output layer first
+    for l in range(len(weights) - 1, -1, -1):
+        if l < len(ctx_weights):
+            back *= acts.pop() > 0.0  # acts[l + 1], freed as the pass goes down
+            g_c.append(back.transpose(0, 2, 1) @ k_onehot)
+        g_w.append((back.transpose(0, 2, 1) @ acts[l]) * masks[l])
+        g_b.append(back.sum(axis=1))
+        back = back @ eff[l]
+    return ll, (g_w[::-1], g_b[::-1], g_c[::-1])
 
 
 def _loss_and_grads(model, x, ks):
     """Mean log-likelihood of the batch and its gradient in every parameter."""
-    n = len(x)
-    xf = x.astype(np.float64)
-    k_onehot = np.zeros((n, model.context_dim))
-    k_onehot[np.arange(n), ks] = 1.0
-    logits, (eff, pres, acts) = _forward_batch(model, xf, k_onehot)
-    p = _sigmoid(logits)
-    p_clamped = np.clip(p, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-    ll = float(np.mean(np.sum(xf * np.log(p_clamped) + (1.0 - xf) * np.log1p(-p_clamped), axis=1)))
-    delta = (xf - p) / n
-    g_w = [None] * len(model.weights)
-    g_b = [None] * len(model.biases)
-    g_c = [None] * len(model.ctx_weights)
-    g_w[-1] = (delta.T @ acts[-1]) * model.masks[-1]
-    g_b[-1] = delta.sum(axis=0)
-    back = delta @ eff[-1]
-    for l in range(model.n_hidden - 1, -1, -1):
-        back = back * (pres[l] > 0.0)
-        g_w[l] = (back.T @ acts[l]) * model.masks[l]
-        g_b[l] = back.sum(axis=0)
-        g_c[l] = back.T @ k_onehot
-        back = back @ eff[l]
-    return ll, (g_w, g_b, g_c)
+    ll, grads = _group_loss_and_grads(_stack([model]), x[None], np.asarray(ks)[None])
+    return float(ll[0]), tuple([g[0] for g in gs] for gs in grads)
 
 
 def train(model: ConditionalMadeModel, data: BlockSampleSet, cfg: TrainConfig) -> TrainReport:
@@ -295,58 +294,78 @@ def train(model: ConditionalMadeModel, data: BlockSampleSet, cfg: TrainConfig) -
     off the validation rows and reshuffles the training rows each epoch.
     Deterministic per cfg.seed.
     """
-    if data.count == 0:
-        raise ValueError("empty training data")
-    if data.block_size != model.block_size:
-        raise ValueError("sample width does not match model block size")
-    rng = stream(cfg.seed, 71)
-    perm = rng.permutation(data.count)
-    n_val = int(round(cfg.validation_fraction * data.count))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if len(train_idx) == 0:
+    return train_group([model], [data], [cfg])[0]
+
+
+def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
+    """``train`` each model on its data set and config, all in lockstep.
+
+    Members must have equal layer shapes, sample counts and configs up to
+    the seed; each keeps its own shuffle stream. Every member ends bit for
+    bit where a lone ``train`` would have left it.
+    """
+    cfg = cfgs[0]
+    for model, data in zip(models, datasets):
+        if data.count == 0:
+            raise ValueError("empty training data")
+        if data.block_size != model.block_size:
+            raise ValueError("sample width does not match model block size")
+    shapes = {(tuple(w.shape for w in m.weights), d.count) for m, d in zip(models, datasets)}
+    if len(shapes) > 1 or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("group members differ in more than their seeds")
+    rngs = [stream(c.seed, 71) for c in cfgs]
+    perm = np.stack([rng.permutation(d.count) for rng, d in zip(rngs, datasets)])
+    n_val = int(round(cfg.validation_fraction * perm.shape[1]))
+    val_idx, train_idx = perm[:, :n_val], perm[:, n_val:]
+    if train_idx.shape[1] == 0:
         raise ValueError("validation split leaves no training data")
-    x_all = data.samples.astype(np.float64)
-    k_all = data.weights.astype(np.int64)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    vel_c = [np.zeros_like(c) for c in model.ctx_weights]
-    report = TrainReport(train_ll=[], val_ll=[])
+    members = np.arange(len(models))[:, None]
+    x_all = np.stack([d.samples for d in datasets])
+    k_all = np.stack([d.weights.astype(np.uint8) for d in datasets])  # weights <= |B| < 256
+    params = _stack(models)
+    trained = [t for group in params[:3] for t in group]
+    vels = [np.zeros_like(t) for t in trained]
+    reports = [TrainReport(train_ll=[], val_ll=[]) for _ in models]
+    order = np.empty_like(train_idx)
     for _ in range(cfg.epochs):
-        order = train_idx[rng.permutation(len(train_idx))]
-        epoch_ll = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            ll, (g_w, g_b, g_c) = _loss_and_grads(model, x_all[batch], k_all[batch])
-            epoch_ll += ll * len(batch)
-            for l in range(len(model.weights)):
-                vel_w[l] = _MOMENTUM * vel_w[l] + g_w[l]
-                model.weights[l] += cfg.learning_rate * vel_w[l]
-                vel_b[l] = _MOMENTUM * vel_b[l] + g_b[l]
-                model.biases[l] += cfg.learning_rate * vel_b[l]
-            for l in range(model.n_hidden):
-                vel_c[l] = _MOMENTUM * vel_c[l] + g_c[l]
-                model.ctx_weights[l] += cfg.learning_rate * vel_c[l]
-        report.train_ll.append(epoch_ll / len(order))
-        if n_val:
-            report.val_ll.append(float(np.mean(log_prob_batch(model, x_all[val_idx], k_all[val_idx]))))
-        else:
-            report.val_ll.append(float("nan"))
-    model._invalidate()
-    return report
+        for g, (idx, rng) in enumerate(zip(train_idx, rngs)):
+            order[g] = idx[rng.permutation(len(idx))]
+        epoch_ll = np.zeros(len(models))
+        for start in range(0, order.shape[1], cfg.batch_size):
+            batch = order[:, start : start + cfg.batch_size]
+            ll, grads = _group_loss_and_grads(params, x_all[members, batch], k_all[members, batch])
+            epoch_ll += ll * batch.shape[1]
+            for theta, vel, grad in zip(trained, vels, (g for gs in grads for g in gs)):
+                vel *= _MOMENTUM
+                vel += grad
+                theta += cfg.learning_rate * vel
+        val_ll = np.full(len(models), np.nan)
+        for g in range(len(models) if n_val else 0):  # one at a time, to keep the memory peak low
+            member = tuple([t[g : g + 1] for t in group] for group in params)
+            rows = val_idx[g]
+            val_ll[g] = np.mean(_group_log_prob(member, x_all[g, rows][None], k_all[g, rows][None]))
+        for report, t, v in zip(reports, epoch_ll / order.shape[1], val_ll):
+            report.train_ll.append(float(t))
+            report.val_ll.append(float(v))
+    for g, model in enumerate(models):
+        for dst, src in zip((*model.weights, *model.biases, *model.ctx_weights), trained):
+            dst[...] = src[g]
+        model._invalidate()
+    return reports
 
 
 def sample_batch(
     model: ConditionalMadeModel, k: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ancestral sampling vectorized across draws; same law as ``sample``."""
-    x = np.zeros((count, model.block_size), dtype=np.float64)
-    k_onehot = np.zeros((count, model.context_dim))
-    k_onehot[:, k] = 1.0
+    params = _stack([model])
+    x = np.zeros((1, count, model.block_size), dtype=np.float64)
+    ks = np.full((1, count), k)
     for v in model.ordering:
-        logits, _ = _forward_batch(model, x, k_onehot)
-        p = np.clip(_sigmoid(logits[:, v]), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-        x[:, v] = (rng.random(count) < p).astype(np.float64)
-    bits = x.astype(np.uint8)
+        logits, _ = _forward(params, x, ks)
+        p = np.clip(_sigmoid(logits[0, :, v]), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+        x[0, :, v] = (rng.random(count) < p).astype(np.float64)
+    bits = x[0].astype(np.uint8)
     return bits, log_prob_batch(model, bits, np.full(count, k, dtype=np.int64))
 
 
@@ -366,7 +385,7 @@ _MODEL_VERSION = 1
 def save_model(model: ConditionalMadeModel, path) -> None:
     """Versioned binary: header, ordering, masks, then all weight tensors."""
     widths = [c.shape[0] for c in model.ctx_weights]
-    header = (_MODEL_VERSION, *model.block_id, model.block_size, model.context_dim, len(widths))
+    header = (_MODEL_VERSION, *model.block_id, model.block_size, model.block_size + 1, len(widths))
     write_bytes(
         path,
         _MODEL_MAGIC,

@@ -48,6 +48,7 @@ from .pipeline import (
     optimize_blocks,
     require_kernels,
     require_positive,
+    require_stage_ranges,
     train_surrogates,
 )
 from .qubo import QuboInstance, random_weight_k_config, save_instance
@@ -102,6 +103,7 @@ class MnistConfig:
 def mnist_config_from_dict(doc: dict) -> MnistConfig:
     cfg = fill_config(MnistConfig(), doc)
     require_kernels(cfg.kernels, ("block-surrogate", "global-kawasaki"))
+    require_stage_ranges(cfg.qaoa, cfg.made)
     if not cfg.stop_steps:
         raise ConfigError("stop_steps must be a non-empty list")
     require_positive(

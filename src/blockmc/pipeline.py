@@ -82,6 +82,14 @@ class MadeConfig:
     validation_fraction: float = 0.1
     seed: int = 4
 
+    def train_config(self, block_size: int, seed: int) -> made.TrainConfig:
+        """The trainer's settings for one block; ``ValueError`` if out of range."""
+        widths = {"hidden_widths": list(self.widths)} if self.widths is not None else {}
+        return made.default_train_config(
+            block_size, learning_rate=self.learning_rate, batch_size=self.batch_size, epochs=self.epochs,
+            seed=seed, validation_fraction=self.validation_fraction, **widths,
+        )
+
 
 @dataclass
 class McmcConfig:
@@ -166,9 +174,24 @@ def require_kernels(kernels: list, allowed: tuple) -> None:
         raise ConfigError(f"kernels {kernels} name a kernel twice")
 
 
+def require_stage_ranges(q: QaoaConfig, m: MadeConfig) -> None:
+    """Raise ``ConfigError`` unless the QAOA and MADE settings are in range."""
+    positive = {"qaoa.p": q.p, "qaoa.restarts": q.restarts, "qaoa.shots_per_angle": q.shots_per_angle}
+    if q.max_evals_per_restart is not None:
+        positive["qaoa.max_evals_per_restart"] = q.max_evals_per_restart
+    require_positive(positive)
+    if q.biased_target_weight is not None and q.biased_target_weight < 0:
+        raise ConfigError(f"qaoa.biased_target_weight must be >= 0, got {q.biased_target_weight!r}")
+    try:
+        m.train_config(1, 0)
+    except ValueError as e:
+        raise ConfigError(f"made: {e}") from None
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
     require_kernels(cfg.mcmc.kernels, mcmc.KERNEL_KINDS)
+    require_stage_ranges(cfg.qaoa, cfg.made)
     require_positive(
         {
             "workers": cfg.workers,
@@ -460,10 +483,14 @@ def optimize_blocks(inst: QuboInstance, blocks: list, cfg: QaoaConfig, workers: 
 def train_surrogates(qaoa_out: dict, cfg: MadeConfig, workers: int) -> dict:
     """Per block id of ``optimize_blocks``'s output, in sorted order:
     (model, report) of a conditional MADE trained on the block's samples,
-    on a seed derived from ``cfg.seed``."""
-    ids = sorted(qaoa_out)
-    tasks = [(bid, qaoa_out[bid][2], cfg, derive_seed(cfg.seed, *bid)) for bid in ids]
-    return dict(zip(ids, fan_out(_made_block_task, tasks, workers)))
+    on a seed derived from ``cfg.seed``. Blocks of one size and sample count
+    train in lockstep, in at most ``workers`` chunks per group."""
+    groups = {}
+    for bid in sorted(qaoa_out):
+        groups.setdefault((qaoa_out[bid][2].block_size, qaoa_out[bid][2].count), []).append(bid)
+    chunks = [g[i::workers] for g in groups.values() for i in range(min(workers, len(g)))]
+    tasks = [[(bid, qaoa_out[bid][2], cfg, derive_seed(cfg.seed, *bid)) for bid in c] for c in chunks]
+    return dict(sorted(pair for pairs in fan_out(_made_group_task, tasks, workers) for pair in pairs))
 
 
 def _qaoa_block_task(args):
@@ -483,22 +510,14 @@ def _qaoa_block_task(args):
     return params, loss, samples
 
 
-def _made_block_task(args):
-    bid, samples, cfg, seed = args
-    widths = {"hidden_widths": list(cfg.widths)} if cfg.widths else {}
-    train_cfg = made.default_train_config(
-        samples.block_size,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        seed=seed,
-        validation_fraction=cfg.validation_fraction,
-        **widths,
-    )
-    model = made.build_model(samples.block_size, train_cfg, seed=seed)
-    model.block_id = bid
-    report = made.train(model, samples, train_cfg)
-    return model, report
+def _made_group_task(members):
+    models, datasets, cfgs = [], [], []
+    for bid, samples, cfg, seed in members:
+        cfgs.append(cfg.train_config(samples.block_size, seed))
+        models.append(made.build_model(samples.block_size, cfgs[-1], seed=seed))
+        models[-1].block_id = bid
+        datasets.append(samples)
+    return [(m.block_id, (m, r)) for m, r in zip(models, made.train_group(models, datasets, cfgs))]
 
 
 def _chain_task(args):

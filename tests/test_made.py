@@ -300,6 +300,47 @@ class TestTrain:
         assert ok >= 9
 
 
+def _group_members(seeds, count=600, block_size=4, **overrides):
+    """Models, data sets and configs that differ only in their seeds."""
+    models, datasets, cfgs = [], [], []
+    for seed in seeds:
+        cfg = made.default_train_config(block_size, **{"epochs": 3, "batch_size": 64, "seed": seed, **overrides})
+        models.append(made.build_model(block_size, cfg, seed=seed))
+        datasets.append(synthetic_sample_set(stream(60 + seed).integers(0, 2, size=(count, block_size))))
+        cfgs.append(cfg)
+    return models, datasets, cfgs
+
+
+class TestTrainGroup:
+    @pytest.mark.parametrize("split", [[[0, 1, 2]], [[2, 1, 0]], [[0], [1, 2]]],
+                             ids=["group", "reversed", "one-plus-two"])
+    def test_members_equal_lone_training(self, split):
+        """Lockstep training is per-model training, bit for bit."""
+        lone = _group_members([3, 5, 8])
+        lone_reports = [made.train(*member) for member in zip(*lone)]
+        grouped = _group_members([3, 5, 8])
+        reports = {}
+        for part in split:
+            members = [[column[i] for i in part] for column in grouped]
+            reports.update(zip(part, made.train_group(*members)))
+        for i, (a, b) in enumerate(zip(lone[0], grouped[0])):
+            for name in ("weights", "biases", "ctx_weights"):
+                assert all(np.array_equal(x, y) for x, y in zip(getattr(a, name), getattr(b, name)))
+            assert reports[i].train_ll == lone_reports[i].train_ll
+            assert reports[i].val_ll == lone_reports[i].val_ll
+            assert all(type(v) is float for v in reports[i].train_ll + reports[i].val_ll)
+
+    @pytest.mark.parametrize(
+        "odd", [dict(block_size=5), dict(hidden_widths=[8, 8]), dict(epochs=4), dict(count=599)],
+        ids=["block-size", "widths", "epochs", "sample-count"],
+    )
+    def test_members_differing_beyond_the_seed_rejected(self, odd):
+        models, datasets, cfgs = _group_members([3, 5])
+        extra = _group_members([8], **odd)
+        with pytest.raises(ValueError):
+            made.train_group(models + extra[0], datasets + extra[1], cfgs + extra[2])
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         model, _ = _trained_qaoa_model(4, seed=40)

@@ -59,11 +59,23 @@ class TestMaskConfig:
             {"train_images": 3},
             {"qaoa": {"p": 1.5}},
             {"classifier": {"iterations": True}},
+            {"qaoa": {"p": 0}},
+            {"qaoa": {"restarts": 0}},
+            {"qaoa": {"max_evals_per_restart": 0}},
+            {"qaoa": {"shots_per_angle": 0}},
+            {"qaoa": {"biased_target_weight": -3.0}},
+            {"made": {"epochs": 0}},
+            {"made": {"batch_size": 0}},
+            {"made": {"learning_rate": -1.0}},
+            {"made": {"validation_fraction": 0.9}},
+            {"made": {"widths": []}},
         ],
         ids=["repeats", "stop-step", "no-stop-steps", "kernel", "kernel-twice",
              "top-level-biased-target", "beta-not-a-number", "beta-nan", "kernels-str",
              "stop-steps-int", "stop-step-str", "limit-str", "threshold-null", "path-not-str",
-             "qaoa-p-float", "iterations-bool"],
+             "qaoa-p-float", "iterations-bool", "qaoa-p-zero", "restarts-zero", "max-evals-zero",
+             "shots-zero", "target-weight-negative", "epochs-zero", "batch-size-zero",
+             "learning-rate-negative", "validation-fraction-above-half", "widths-empty"],
     )
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):

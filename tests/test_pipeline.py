@@ -93,12 +93,24 @@ class TestConfig:
             {"made": {"widths": 16}},
             {"qaoa": {"biased_target_weight": "2"}},
             {"instance": {"path": 3}},
+            {"qaoa": {"p": 0}},
+            {"qaoa": {"restarts": 0}},
+            {"qaoa": {"max_evals_per_restart": 0}},
+            {"qaoa": {"shots_per_angle": 0}},
+            {"qaoa": {"biased_target_weight": -3.0}},
+            {"made": {"epochs": 0}},
+            {"made": {"batch_size": 0}},
+            {"made": {"learning_rate": -1.0}},
+            {"made": {"validation_fraction": 0.9}},
+            {"made": {"widths": []}},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
              "k-bool", "p-not-int", "degree-str", "epochs-str", "kernels-str", "kernel-not-str",
              "sizes-float", "learning-rate-bool", "widths-not-list", "target-weight-str",
-             "path-not-str"],
+             "path-not-str", "p-zero", "restarts-zero", "max-evals-zero", "shots-zero",
+             "target-weight-negative", "epochs-zero", "batch-size-zero", "learning-rate-negative",
+             "validation-fraction-above-half", "widths-empty"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -148,6 +160,17 @@ class TestPipelineRun:
 
     def test_run_leaves_no_temporary_file(self, clean_run):
         assert not list(clean_run.rglob("*.tmp"))
+
+    def test_every_training_curve_field_is_a_number(self, clean_run):
+        """Log-likelihoods taken from stacked arrays are written as plain
+        numbers, not as np.float64(...)."""
+        paths = sorted(clean_run.glob("made/train_*.csv"))
+        assert len(paths) == 8
+        for path in paths:
+            rows = path.read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                [float(v) for v in row.split(",")]
 
     def test_forced_run_builds_each_stage_once(self, tmp_path):
         log = io.StringIO()
