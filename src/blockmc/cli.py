@@ -12,15 +12,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from .errors import ConfigError, FormatError, ResourceLimitError
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
-from .pipeline import PipelineRun, config_from_dict, reseed_config, sweep
+from .pipeline import PipelineRun, config_from_dict, fill_config, require_positive, reseed_config, sweep
 
 _STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
 # command -> (swept field, its values under the config's "sweep", printed label)
 _SWEEPS = {"sweep-n": ("n", "n_values", "n"), "sweep-b": ("block_size", "block_sizes", "|B|")}
+
+
+@dataclass
+class SweepConfig:
+    """The config's optional ``sweep`` section: the values each sweep command runs."""
+
+    n_values: list[int] | None = None
+    block_sizes: list[int] | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,13 +64,13 @@ def _load_raw(path) -> dict:
 
 def _experiment_config(raw: dict, args):
     raw = dict(raw)
-    sweep_cfg = raw.pop("sweep", None)
+    sweep_cfg = fill_config(SweepConfig(), raw.pop("sweep", {}), where="sweep.")
     cfg = config_from_dict(raw)
     if args.seed is not None:
         reseed_config(cfg, args.seed)
     if args.workers is not None:
         cfg.workers = args.workers
-    return cfg, sweep_cfg or {}
+    return cfg, sweep_cfg
 
 
 def _tau(tau) -> str:
@@ -85,9 +94,10 @@ def _run(args) -> int:
     cfg, sweep_cfg = _experiment_config(raw, args)
     if args.command in _SWEEPS:
         field, values_key, label = _SWEEPS[args.command]
-        values = sweep_cfg.get(values_key)
+        values = getattr(sweep_cfg, values_key)
         if not values:
             raise ConfigError(f"{args.command} requires config field sweep.{values_key}")
+        require_positive({f"sweep.{values_key}[{i}]": v for i, v in enumerate(values)})
         for r in sweep(cfg, field, values, args.out, force=args.force):
             print(f"{label}={r[field]} kernel={r['kernel']} tau={_tau(r['tau'])}")
         return 0

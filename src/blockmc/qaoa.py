@@ -5,7 +5,7 @@ the 2^|B| computational basis. The cost layer is a diagonal phase. Both
 layers conserve Hamming weight, so the XY mixer exponential acts on each
 fixed-weight sector separately: up to 512 dims it is exact from the ring
 mixer's eigendecomposition per sector, computed once per block; above, a
-sub-stepped Taylor series on the sparse mixer matrix computes it to
+Chebyshev expansion on the sparse mixer matrix computes it to a fixed
 tolerance. Parameter optimization is derivative free on the noiseless
 expectation; sampling inverts the cumulative basis probabilities.
 
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+import scipy.special
 
 from .errors import FormatError, ResourceLimitError
 from .fileio import Reader, is_finite, is_int, read_object, write_bytes, write_json
@@ -31,7 +32,7 @@ from .streams import stream
 
 MAX_BLOCK_QUBITS = 24
 _EIGEN_MAX_DIM = 512
-_TAYLOR_TERM_TOL = 1e-13
+_CHEBYSHEV_TAIL_TOL = 1e-13
 _NORM_DRIFT_TOL = 1e-10
 
 Statevector = np.ndarray  # complex128, length 2^|B|, unit L2 norm
@@ -66,9 +67,9 @@ class BlockProblem:
         Each edge contributes the exact swap of antiparallel bit pairs:
         matrix element 1 between z and z^mask wherever bits i and j of z
         differ, so z and z^mask share a Hamming weight. Up to 512 dims the
-        result is a ``SectorEigenbasis``; above, a CSR matrix for the Taylor
-        series, because the sector dims there (924 at |B|=12) make dense
-        eigenvector products cost more than sparse matvecs.
+        result is a ``SectorEigenbasis``; above, a CSR matrix for the
+        Chebyshev recurrence, because the sector dims there (924 at |B|=12)
+        make dense eigenvector products cost more than sparse matvecs.
         """
         if self._mixer_op is None:
             dim = self.dim
@@ -233,15 +234,19 @@ def apply_cost_layer(state: Statevector, bp: BlockProblem, gamma: float) -> Stat
 
 
 def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> Statevector:
-    """Apply e^{-i beta H_mixer}, sector-exactly up to 512 dims, by Taylor series above.
+    """Apply e^{-i beta H_mixer}, sector-exactly up to 512 dims, by Chebyshev expansion above.
 
     Up to 512 dims each weight sector w maps to V_w diag(e^{-i beta lambda_w})
-    V_w^T from the block's cached ``SectorEigenbasis``. Above, a truncated
-    Taylor series on the CSR mixer runs in ceil(|beta| * n_edges) sub-steps,
-    which keeps each sub-exponent small so the series converges in a few
-    terms; terms are appended until their norm drops below 1e-13. Either way
-    the result is rescaled to the input norm (drift beyond 1e-10 would
-    indicate a bug and raises).
+    V_w^T from the block's cached ``SectorEigenbasis``. Above, the CSR mixer
+    H enters the Chebyshev expansion (Tal-Ezer & Kosloff 1984)
+    e^{-i beta H} = sum_k (2 - delta_k0) (-i)^k J_k(beta R) T_k(H / R), with
+    T_k(H / R) applied by the three-term recurrence, one sparse product per
+    term. R is the number of mixer edges, which bounds ||H|| because every
+    row has at most one unit entry per edge, so ||T_k(H / R)|| <= 1 and the
+    first K terms are exact to 2 sum_{k>=K} |J_k(beta R)|; K is the first
+    count that puts this tail at or below 1e-13, |beta| R plus a few tens.
+    Either way the result is rescaled to the input norm (drift beyond 1e-10
+    would indicate a bug and raises).
     """
     if len(state) != bp.dim:
         raise ValueError("state dimension does not match block problem")
@@ -250,7 +255,7 @@ def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> S
     if isinstance(h, SectorEigenbasis):
         psi = _sector_exp(state, h, beta)
     else:
-        psi = _taylor_exp(state, h, beta, len(bp.mixer_edges), norm_in)
+        psi = _chebyshev_exp(state, h, beta, len(bp.mixer_edges))
     norm_out = np.linalg.norm(psi)
     if norm_in > 0.0:
         if abs(norm_out - norm_in) > _NORM_DRIFT_TOL * norm_in:
@@ -275,21 +280,20 @@ def _sector_exp(state: Statevector, eig: SectorEigenbasis, beta: float) -> State
     return out
 
 
-def _taylor_exp(state: Statevector, h, beta: float, n_edges: int, norm_in: float) -> Statevector:
-    r = max(1, math.ceil(abs(beta) * max(1, n_edges)))
-    coeff = -1j * beta / r
-    psi = state.astype(np.complex128)
-    for _ in range(r):
-        term = psi
-        acc = psi.copy()
-        for k in range(1, 400):
-            term = (coeff / k) * (h @ term)
-            acc += term
-            if np.linalg.norm(term) < _TAYLOR_TERM_TOL * max(norm_in, 1.0):
-                break
-        else:
-            raise RuntimeError("mixer Taylor series failed to converge")
-        psi = acc
+def _chebyshev_exp(state: Statevector, h, beta: float, radius: int) -> Statevector:
+    """The truncated Chebyshev expansion of ``apply_xy_mixer_layer``, R = ``radius``."""
+    r = max(1, radius)
+    # J_k(x) falls faster than geometrically once k > |x|, so the cut lies below 2|x| + 40.
+    k = np.arange(int(2 * abs(beta) * r) + 40)
+    coeffs = np.where(k > 0, 2.0, 1.0) * (-1j) ** k * scipy.special.jv(k, beta * r)
+    tail = np.cumsum(np.abs(coeffs[::-1]))[::-1]
+    n_terms = 1 + int(np.argmax(tail[1:] <= _CHEBYSHEV_TAIL_TOL))
+    t0 = np.asarray(state, dtype=np.complex128)
+    t1 = (h @ t0) / r
+    psi = coeffs[0] * t0 + coeffs[1] * t1
+    for c in coeffs[2:n_terms]:
+        t0, t1 = t1, (2.0 / r) * (h @ t1) - t0
+        psi += c * t1
     return psi
 
 

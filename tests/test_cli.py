@@ -122,6 +122,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, tiny_doc())
         assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "section",
+        ["x", 8, [8], {"n_values": 8}, {"n_values": []}, {"n_values": [8, 0]}, {"n_values": [8, 2.5]},
+         {"n_values": [True]}, {"n_values": "8"}, {"n_values": [8], "block_sizes": 4}, {"n_vals": [8]}],
+    )
+    def test_malformed_sweep_section_is_2(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path, tiny_doc(sweep=section))
+        assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestFailedFit:
     DOC = {"instance": {"n": 6, "degree": 3}, "beta_pi": 0.0,

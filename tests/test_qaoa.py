@@ -409,6 +409,74 @@ class TestSectorEigenMixer:
             assert abs(np.linalg.norm(out[sel]) - 1.0) < 1e-12
 
 
+def sector_mixer(edges, size, w):
+    """The mixer on the weight-w sector, in ascending index order, from
+    (XX + YY)/2 = |01><10| + |10><01| on each edge."""
+    sector = [z for z in range(1 << size) if bin(z).count("1") == w]
+    pos = {z: i for i, z in enumerate(sector)}
+    h = np.zeros((len(sector), len(sector)))
+    for z in sector:
+        for a, b in edges:
+            if (z >> a) & 1 != (z >> b) & 1:
+                h[pos[z], pos[z ^ (1 << a) ^ (1 << b)]] = 1.0
+    return np.array(sector), h
+
+
+class CountingOperator:
+    """Delegates ``@`` to the wrapped operator and counts the products."""
+
+    def __init__(self, op):
+        self.op = op
+        self.products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.op @ other
+
+
+class TestMixerAbove512Dims:
+    @pytest.mark.parametrize("size", [10, 11])
+    def test_matches_sector_expm(self, size):
+        bp = random_block_problem(size, seed=70 + size)
+        rng = stream(80 + size)
+        sectors = [sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1)]
+        for beta in (-1.3, 0.0, 0.4, 2.9):
+            psi = random_state(1 << size, rng)
+            oracle = np.empty_like(psi)
+            for sector, h in sectors:
+                oracle[sector] = scipy.linalg.expm(-1j * beta * h) @ psi[sector]
+            out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+            assert np.max(np.abs(out - oracle)) < 1e-9
+
+    def test_single_sector_stays_exactly_in_sector(self):
+        size = 10
+        bp = random_block_problem(size, seed=34)
+        w = qaoa.basis_weights(size)
+        rng = stream(35)
+        for k in (0, 4, 10):
+            sel = w == k
+            psi = np.zeros(1 << size, dtype=np.complex128)
+            psi[sel] = random_state(int(sel.sum()), rng)
+            out = qaoa.apply_xy_mixer_layer(psi, bp, 1.1)
+            assert np.all(out[~sel] == 0.0)
+            assert abs(np.linalg.norm(out[sel]) - 1.0) < 1e-12
+
+    def test_zero_state_stays_zero(self):
+        bp = random_block_problem(10, seed=36)
+        out = qaoa.apply_xy_mixer_layer(np.zeros(1 << 10, dtype=np.complex128), bp, 0.4)
+        assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("beta", [0.4, 1.5, -2.9])
+    def test_sparse_products_per_layer(self, beta):
+        """One layer costs about |beta| * edges sparse products, not a series per sub-step."""
+        size = 10
+        bp = random_block_problem(size, seed=37)
+        bp._mixer_op = counter = CountingOperator(bp.mixer_operator())
+        psi = random_state(1 << size, stream(38))
+        qaoa.apply_xy_mixer_layer(psi, bp, beta)
+        assert 0 < counter.products <= math.ceil(abs(beta) * len(bp.mixer_edges)) + 40
+
+
 class TestTrainingSetOneEvolution:
     @pytest.mark.parametrize("size", [6, 10])
     def test_matches_per_angle_reference_loop(self, size):
