@@ -63,13 +63,10 @@ def _load_raw(path) -> dict:
 
 
 def _experiment_config(raw: dict, args):
-    raw = dict(raw)
     sweep_cfg = fill_config(SweepConfig(), raw.pop("sweep", {}), where="sweep.")
     cfg = config_from_dict(raw)
     if args.seed is not None:
         reseed_config(cfg, args.seed)
-    if args.workers is not None:
-        cfg.workers = args.workers
     return cfg, sweep_cfg
 
 
@@ -79,18 +76,17 @@ def _tau(tau) -> str:
 
 
 def _run(args) -> int:
+    raw = _load_raw(args.config)
+    # overrides go into the document, so the config loader checks them too
+    if args.workers is not None:
+        raw["workers"] = args.workers
     if args.command == "mnist":
-        raw = _load_raw(args.config)
-        cfg = mnist_config_from_dict(raw)
         if args.seed is not None:
-            cfg.seed = args.seed
-        if args.workers is not None:
-            cfg.workers = args.workers
-        report = run_mask_search(cfg, args.out)
+            raw["seed"] = args.seed
+        report = run_mask_search(mnist_config_from_dict(raw), args.out)
         print(json.dumps(report["baselines"], sort_keys=True))
         return 0
 
-    raw = _load_raw(args.config)
     cfg, sweep_cfg = _experiment_config(raw, args)
     if args.command in _SWEEPS:
         field, values_key, label = _SWEEPS[args.command]

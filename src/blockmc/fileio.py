@@ -93,13 +93,13 @@ class Reader:
             self.raw = f.read()
         if self.raw[: len(magic)] != magic:
             raise FormatError(f"{path}: bad magic {self.raw[:len(magic)]!r} at offset 0")
-        self.off = len(magic)
+        self.start = self.off = len(magic)  # the last read's start and end
 
     def _take(self, size: int) -> int:
-        start, self.off = self.off, self.off + size
+        self.start, self.off = self.off, self.off + size
         if self.off > len(self.raw):
             raise FormatError(f"{self.path}: truncated at offset {len(self.raw)}, expected {self.off} bytes")
-        return start
+        return self.start
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt)))
@@ -112,6 +112,14 @@ class Reader:
     def bits(self, rows: int, width: int) -> np.ndarray:
         """``rows`` rows of ``width`` bits, each row packed into whole bytes."""
         return np.unpackbits(self.array(np.uint8, rows, (width + 7) // 8), axis=1, count=width)
+
+    def require(self, ok: np.ndarray, what: str) -> None:
+        """Raise ``FormatError`` at the first row of the last read, one row
+        per entry of ``ok``, whose entry is false."""
+        if not ok.all():
+            row = int(np.argmin(ok))
+            offset = self.start + row * ((self.off - self.start) // len(ok))
+            raise FormatError(f"{self.path}: {what} at offset {offset}")
 
     def end(self) -> None:
         extra = len(self.raw) - self.off

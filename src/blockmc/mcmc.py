@@ -1,22 +1,28 @@
 """Metropolis-Hastings over the fixed-Hamming-weight feasible set.
 
-Three proposal kernels drive the same accept/reject machinery:
+``KERNELS`` is the one table of proposal kernels: name -> (trace code,
+propose function, uses blocks). The trace code is the kind byte of a
+trace file and never changes once given; new kernels take 4 and up.
 
-* ``block-surrogate``: pick one of the two partitions and a block uniformly,
-  read off the only feasible block weight from the complement, draw the
-  block's bits from its conditional MADE, and correct with the proposal
-  ratio q(x_B|k)/q(x'_B|k). Draws whose weight misses the required k are
-  immediate rejections (the chain stays put and the step still counts).
-  The draw is one uniform against the model's cached weight-k table
+* ``block-surrogate`` (uses blocks): pick one of the two partitions and a
+  block uniformly, read off the only feasible block weight from the
+  complement, draw the block's bits from its conditional MADE, and correct
+  with the proposal ratio q(x_B|k)/q(x'_B|k). The draw is one uniform
+  against the model's cached weight-k table
   (``ConditionalMadeModel.sector``), which has the law of the ancestral
   sampler, mismatch rate included; both log q terms are table lookups.
 * ``global-kawasaki``: swap a uniformly chosen 1-bit with a uniformly
   chosen 0-bit; symmetric, so the ratio term vanishes.
 * ``local-kawasaki``: pick a graph edge uniformly; swap if its endpoints
-  differ, otherwise a null move recorded as an accepted self-transition.
+  differ, otherwise a null move.
 
-Every kernel preserves the weight by construction, so the chain never
-leaves the feasible set; this is re-validated periodically.
+Each ``propose_*(x, inst, cfg, rng)`` returns a move: ``None`` for a draw
+whose weight misses the block's (rejected, alpha = 0; the chain stays put
+and the step still counts), ``()`` for a null move (accepted, alpha = 1),
+or ``(vertices, new_bits, dE, log_q_rev, log_q_fwd)``. ``accept`` applies
+a move to ``x`` in place. Every kernel preserves the weight by
+construction, so the chain never leaves the feasible set; this is
+re-validated periodically.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,17 +41,7 @@ from .partition import PartitionPair
 from .qubo import QuboInstance, energy, energy_delta_block, energy_delta_swap
 from .streams import stream
 
-KERNEL_KINDS = ("block-surrogate", "global-kawasaki", "local-kawasaki")
-_KIND_CODES = {k: i + 1 for i, k in enumerate(KERNEL_KINDS)}
 _REVALIDATE_EVERY = 10_000
-
-
-@dataclass
-class ChainState:
-    """Current configuration with its cached energy."""
-
-    x: np.ndarray
-    energy: float
 
 
 @dataclass
@@ -55,44 +52,20 @@ class KernelConfig:
     models: dict[tuple[int, int], ConditionalMadeModel] | None = None
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
+        if self.kind not in KERNELS:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "block-surrogate":
+        if KERNELS[self.kind].uses_blocks:
             if self.partition_pair is None or self.models is None:
-                raise ConfigError("block-surrogate needs a partition pair and models")
+                raise ConfigError(f"{self.kind} needs a partition pair and models")
             for blocks in (self.partition_pair.p1, self.partition_pair.p2):
                 for b in blocks:
                     if b.id not in self.models:
                         raise ConfigError(f"no surrogate model for block {b.id}")
-            # per partition, per block: (id, vertices, bit values of x_B's code, model)
+            # per partition, per block: (vertices, bit values of x_B's code, model)
             self._blocks = tuple(
-                [(b.id, np.array(b.vertices, dtype=np.intp), 1 << np.arange(b.size), self.models[b.id])
-                 for b in blocks]
+                [(np.array(b.vertices, dtype=np.intp), 1 << np.arange(b.size), self.models[b.id]) for b in blocks]
                 for blocks in (self.partition_pair.p1, self.partition_pair.p2)
             )
-
-
-@dataclass
-class TransitionRecord:
-    step: int
-    proposed_energy: float
-    accepted: bool
-    kernel_detail: tuple[int, int]
-    acceptance_prob: float
-
-
-@dataclass
-class Candidate:
-    """One proposal: either new block bits, a swap pair, or a null move."""
-
-    detail: tuple[int, int]
-    log_q_fwd: float = 0.0
-    log_q_rev: float = 0.0
-    block_vertices: np.ndarray | None = None
-    block_bits: np.ndarray | None = None
-    swap: tuple[int, int] | None = None
-    null_move: bool = False
-    weight_mismatch: bool = False
 
 
 @dataclass
@@ -113,120 +86,91 @@ class ChainTrace:
     energies: np.ndarray
     accepted: np.ndarray
     acceptance_probs: np.ndarray
-    details: np.ndarray
 
     @property
     def steps(self) -> int:
         return len(self.accepted)
 
 
-def propose_block_surrogate(
-    state: ChainState, cfg: KernelConfig, rng: np.random.Generator
-) -> Candidate:
-    """Draw new bits for a uniformly chosen block at its forced weight.
+def propose_block_surrogate(x: np.ndarray, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
+    """New bits for a uniformly chosen block at its forced weight.
 
     The feasible block weight k_B = K - sum over the complement equals the
-    block's current weight; a draw at any other weight is flagged as an
-    immediate rejection.
+    block's current weight; a draw at any other weight is ``None``.
     """
     blocks = cfg._blocks[rng.integers(2)]
-    block_id, verts, bit_values, model = blocks[rng.integers(len(blocks))]
-    code = int(state.x[verts] @ bit_values)
+    verts, bit_values, model = blocks[rng.integers(len(blocks))]
+    code = int(x[verts] @ bit_values)
     table = model.sector(code.bit_count())  # k_B == K - complement weight
     u = rng.random()
     if u >= table.cdf[-1]:
-        return Candidate(detail=block_id, weight_mismatch=True)
+        return None
     row = int(table.cdf.searchsorted(u, side="right"))  # < len(cdf), as u < cdf[-1]
-    return Candidate(
-        detail=block_id,
-        log_q_fwd=float(table.log_q[row]),
-        log_q_rev=float(table.log_q[table.row_of[code]]),
-        block_vertices=verts,
-        block_bits=table.rows[row],
-    )
+    bits = table.rows[row]
+    delta = energy_delta_block(inst, x, verts, bits)
+    return verts, bits, delta, float(table.log_q[table.row_of[code]]), float(table.log_q[row])
 
 
-def propose_global_kawasaki(state: ChainState, rng: np.random.Generator) -> Candidate:
+def propose_global_kawasaki(x: np.ndarray, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
     """Uniform (one-site, zero-site) swap; symmetric with prob 1/(K(N-K))."""
-    ones = np.flatnonzero(state.x == 1)
-    zeros = np.flatnonzero(state.x == 0)
+    ones = np.flatnonzero(x == 1)
+    zeros = np.flatnonzero(x == 0)
     if len(ones) == 0 or len(zeros) == 0:
         raise ConfigError("global Kawasaki undefined for K in {0, N}")
     i = int(ones[rng.integers(len(ones))])
     j = int(zeros[rng.integers(len(zeros))])
-    return Candidate(detail=(i, j), swap=(i, j))
+    return [i, j], (0, 1), energy_delta_swap(inst, x, i, j), 0.0, 0.0
 
 
-def propose_local_kawasaki(
-    state: ChainState, inst: QuboInstance, rng: np.random.Generator
-) -> Candidate:
+def propose_local_kawasaki(x: np.ndarray, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
     """Uniform edge; swap when endpoint bits differ, else a null move."""
     if inst.num_edges == 0:
         raise ConfigError("local Kawasaki undefined on an edgeless instance")
     e = rng.integers(inst.num_edges)
     i = int(inst.edge_i[e])
     j = int(inst.edge_j[e])
-    if state.x[i] == state.x[j]:
-        return Candidate(detail=(i, j), null_move=True)
-    return Candidate(detail=(i, j), swap=(i, j))
+    if x[i] == x[j]:
+        return ()
+    return [i, j], (x[j], x[i]), energy_delta_swap(inst, x, i, j), 0.0, 0.0
 
 
-def accept(
-    inst: QuboInstance,
-    state: ChainState,
-    cand: Candidate,
-    beta_pi: float,
-    rng: np.random.Generator,
-    step: int = 0,
-) -> tuple[ChainState, TransitionRecord]:
-    """Metropolis-Hastings accept/reject with incremental energy update.
+class Kernel(NamedTuple):
+    code: int  # kind byte in trace files
+    propose: Callable  # (x, inst, cfg, rng) -> move
+    uses_blocks: bool  # needs a partition pair and a model per block
 
-    alpha = min(1, exp(-beta * dE + log_q_rev - log_q_fwd)); the log-ratio
-    terms are zero for the symmetric Kawasaki kernels.
+
+KERNELS = {
+    "block-surrogate": Kernel(1, propose_block_surrogate, True),
+    "global-kawasaki": Kernel(2, propose_global_kawasaki, False),
+    "local-kawasaki": Kernel(3, propose_local_kawasaki, False),
+}
+
+
+def accept(x: np.ndarray, e: float, move, beta_pi: float, rng: np.random.Generator) -> tuple[float, bool, float]:
+    """Metropolis-Hastings accept/reject of ``move`` at ``x``, whose energy is
+    ``e``; an accepted move is applied to ``x`` in place. Returns the new
+    energy, whether the move was accepted, and its acceptance probability
+
+    alpha = min(1, exp(-beta * dE + log_q_rev - log_q_fwd)).
     """
-    if cand.weight_mismatch:
-        rec = TransitionRecord(step, math.nan, False, cand.detail, 0.0)
-        return state, rec
-    if cand.null_move:
-        rec = TransitionRecord(step, state.energy, True, cand.detail, 1.0)
-        return state, rec
-    if cand.swap is not None:
-        delta = energy_delta_swap(inst, state.x, *cand.swap)
-    else:
-        delta = energy_delta_block(inst, state.x, cand.block_vertices, cand.block_bits)
-    log_alpha = -beta_pi * delta + cand.log_q_rev - cand.log_q_fwd
+    if move is None:
+        return e, False, 0.0
+    if not move:
+        return e, True, 1.0
+    vertices, bits, delta, log_q_rev, log_q_fwd = move
+    log_alpha = -beta_pi * delta + log_q_rev - log_q_fwd
     if not math.isfinite(log_alpha):
         raise RuntimeError(f"non-finite acceptance exponent {log_alpha}")
     alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
-    proposed_energy = state.energy + delta
     if rng.random() <= alpha:
-        x = state.x.copy()
-        if cand.swap is not None:
-            i, j = cand.swap
-            x[i], x[j] = x[j], x[i]
-        else:
-            x[cand.block_vertices] = cand.block_bits
-        nxt = ChainState(x=x, energy=proposed_energy)
-        return nxt, TransitionRecord(step, proposed_energy, True, cand.detail, alpha)
-    return state, TransitionRecord(step, proposed_energy, False, cand.detail, alpha)
-
-
-def _propose(state, inst, cfg, rng) -> Candidate:
-    if cfg.kind == "block-surrogate":
-        return propose_block_surrogate(state, cfg, rng)
-    if cfg.kind == "global-kawasaki":
-        return propose_global_kawasaki(state, rng)
-    return propose_local_kawasaki(state, inst, rng)
+        x[vertices] = bits
+        return e + delta, True, alpha
+    return e, False, alpha
 
 
 def run_chain(
-    inst: QuboInstance,
-    k: int,
-    kernel: KernelConfig,
-    steps: int,
-    init: np.ndarray,
-    seed: int,
-    thin: int = 1,
+    inst: QuboInstance, k: int, kernel: KernelConfig, steps: int, init: np.ndarray, seed: int, thin: int = 1
 ) -> ChainTrace:
     """Run one chain for ``steps`` proposals; deterministic per seed.
 
@@ -239,52 +183,38 @@ def run_chain(
     if thin < 1:
         raise ValueError("thin must be >= 1")
     rng = stream(seed)
-    state = ChainState(x=init.copy(), energy=energy(inst, init))
-    n_rec = steps // thin + 1
-    configs = np.empty((n_rec, inst.n), dtype=np.uint8)
+    propose = KERNELS[kernel.kind].propose
+    x = init.copy()
+    e = energy(inst, x)
+    configs = np.empty((steps // thin + 1, inst.n), dtype=np.uint8)
     energies = np.empty(steps + 1, dtype=np.float64)
     accepted = np.empty(steps, dtype=bool)
     probs = np.empty(steps, dtype=np.float64)
-    details = np.empty((steps, 2), dtype=np.int32)
-    configs[0] = state.x
-    energies[0] = state.energy
+    configs[0] = x
+    energies[0] = e
     rec_row = 1
     for t in range(steps):
-        cand = _propose(state, inst, kernel, rng)
-        state, rec = accept(inst, state, cand, kernel.beta_pi, rng, step=t)
-        energies[t + 1] = state.energy
-        accepted[t] = rec.accepted
-        probs[t] = rec.acceptance_prob
-        details[t] = rec.kernel_detail
+        e, accepted[t], probs[t] = accept(x, e, propose(x, inst, kernel, rng), kernel.beta_pi, rng)
+        energies[t + 1] = e
         if (t + 1) % thin == 0:
-            configs[rec_row] = state.x
+            configs[rec_row] = x
             rec_row += 1
         if (t + 1) % _REVALIDATE_EVERY == 0:
-            _revalidate(inst, state, k)
-    _revalidate(inst, state, k)
-    return ChainTrace(
-        n=inst.n,
-        k=k,
-        kind=kernel.kind,
-        seed=seed,
-        thin=thin,
-        beta_pi=kernel.beta_pi,
-        configs=configs,
-        energies=energies,
-        accepted=accepted,
-        acceptance_probs=probs,
-        details=details,
-    )
+            e = _revalidate(inst, x, e, k)
+    _revalidate(inst, x, e, k)
+    return ChainTrace(n=inst.n, k=k, kind=kernel.kind, seed=seed, thin=thin, beta_pi=kernel.beta_pi,
+                      configs=configs, energies=energies, accepted=accepted, acceptance_probs=probs)
 
 
-def _revalidate(inst, state, k):
-    w = int(state.x.sum())
+def _revalidate(inst, x, e, k) -> float:
+    """The energy of ``x`` recomputed, after checking its weight and the cached ``e``."""
+    w = int(x.sum())
     if w != k:
         raise RuntimeError(f"feasibility violated: weight {w} != {k}")
-    e = energy(inst, state.x)
-    if abs(e - state.energy) > 1e-9 * max(1.0, abs(e)):
-        raise RuntimeError(f"cached energy drifted: {state.energy} vs {e}")
-    state.energy = e
+    exact = energy(inst, x)
+    if abs(exact - e) > 1e-9 * max(1.0, abs(exact)):
+        raise RuntimeError(f"cached energy drifted: {e} vs {exact}")
+    return exact
 
 
 def empirical_distribution(trace: ChainTrace, burn_in: int = 0) -> dict[bytes, float]:
@@ -305,12 +235,18 @@ def total_variation(p: dict[bytes, float], q: dict[bytes, float]) -> float:
 
 
 _TRACE_MAGIC = b"BMCT"
-_TRACE_VERSION = 1
+_TRACE_VERSION = 2
 
 
 def save_trace(trace: ChainTrace, path) -> None:
-    """Binary pack of the full trace; ``load_trace`` reads it back."""
-    header = (_TRACE_VERSION, _KIND_CODES[trace.kind], trace.n, trace.k, trace.steps, trace.thin,
+    """Binary pack of the full trace; ``load_trace`` reads it back.
+
+    Layout (v2, big-endian): magic, u16 version, u8 kernel code, u32 n,
+    u32 k, u64 steps, u32 thin, f8 beta, u64 seed; then the configs (one
+    row of n bits per recorded step, packed into whole bytes), steps + 1 f8
+    energies, steps u8 accepted flags and steps f8 acceptance probabilities.
+    """
+    header = (_TRACE_VERSION, KERNELS[trace.kind].code, trace.n, trace.k, trace.steps, trace.thin,
               trace.beta_pi)
     write_bytes(
         path,
@@ -321,37 +257,32 @@ def save_trace(trace: ChainTrace, path) -> None:
         trace.energies.astype(">f8").tobytes(),
         trace.accepted.astype(np.uint8).tobytes(),
         trace.acceptance_probs.astype(">f8").tobytes(),
-        trace.details.astype(">i4").tobytes(),
     )
 
 
 def load_trace(path) -> ChainTrace:
+    """Read what ``save_trace`` wrote; a malformed length or value raises
+    ``FormatError`` with its offset."""
     r = Reader(path, _TRACE_MAGIC)
     version, code, n, k, steps, thin, beta_pi = r.unpack(">HBIIQId")
     if version != _TRACE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if not 1 <= code <= len(KERNEL_KINDS):
+    kind = next((name for name, kernel in KERNELS.items() if kernel.code == code), None)
+    if kind is None:
         raise FormatError(f"{path}: unknown kernel code {code} at offset 6")
+    if n < 1:  # rows of no bytes would leave the config count unbounded by the file's length
+        raise FormatError(f"{path}: n {n} < 1 at offset 7")
     if thin < 1:
         raise FormatError(f"{path}: thin {thin} < 1 at offset 23")
     (seed,) = r.unpack(">Q")
-    kind = KERNEL_KINDS[code - 1]
     configs = r.bits(steps // thin + 1, n)
+    r.require(configs.sum(axis=1) == k, f"config of weight other than k={k}")
     energies = r.array(">f8", steps + 1).astype(np.float64)
-    accepted = r.array(np.uint8, steps).astype(bool)
+    r.require(np.isfinite(energies), "non-finite energy")
+    accepted = r.array(np.uint8, steps)
+    r.require(accepted <= 1, "accepted flag other than 0 or 1")
     probs = r.array(">f8", steps).astype(np.float64)
-    details = r.array(">i4", steps, 2).astype(np.int32)
+    r.require((probs >= 0.0) & (probs <= 1.0), "acceptance probability outside [0, 1]")
     r.end()
-    return ChainTrace(
-        n=int(n),
-        k=int(k),
-        kind=kind,
-        seed=int(seed),
-        thin=int(thin),
-        beta_pi=float(beta_pi),
-        configs=configs,
-        energies=energies,
-        accepted=accepted,
-        acceptance_probs=probs,
-        details=details,
-    )
+    return ChainTrace(n=int(n), k=int(k), kind=kind, seed=int(seed), thin=int(thin), beta_pi=float(beta_pi),
+                      configs=configs, energies=energies, accepted=accepted.astype(bool), acceptance_probs=probs)

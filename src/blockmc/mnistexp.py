@@ -48,6 +48,7 @@ from .pipeline import (
     optimize_blocks,
     require_kernels,
     require_positive,
+    require_seeds,
     require_stage_ranges,
     train_surrogates,
 )
@@ -65,6 +66,11 @@ FULL_SCALE_REFERENCE_ACCURACY = {
     "linear-terms": 0.7603,
     "random": 0.7100,
 }
+
+
+# the kernels a mask search may run: local Kawasaki cannot move the bits of
+# isolated vertices (module docstring)
+SEARCH_KERNELS = ("block-surrogate", "global-kawasaki")
 
 
 @dataclass
@@ -92,7 +98,7 @@ class MnistConfig:
     stop_steps: list[int] = field(default_factory=lambda: [50, 3000])
     repeats: int = 10
     random_masks: int = 10
-    kernels: list[str] = field(default_factory=lambda: ["block-surrogate", "global-kawasaki"])
+    kernels: list[str] = field(default_factory=lambda: list(SEARCH_KERNELS))
     qaoa: QaoaConfig = field(default_factory=QaoaConfig)  # biased_target_weight None: K*|B|/N
     made: MadeConfig = field(default_factory=MadeConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
@@ -102,8 +108,9 @@ class MnistConfig:
 
 def mnist_config_from_dict(doc: dict) -> MnistConfig:
     cfg = fill_config(MnistConfig(), doc)
-    require_kernels(cfg.kernels, ("block-surrogate", "global-kawasaki"))
+    require_kernels(cfg.kernels, SEARCH_KERNELS)
     require_stage_ranges(cfg.qaoa, cfg.made)
+    require_seeds(cfg)
     if not cfg.stop_steps:
         raise ConfigError("stop_steps must be a non-empty list")
     require_positive(
@@ -234,7 +241,7 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
 def _optimize_masks(cfg: MnistConfig, inst: QuboInstance, out: Path, say) -> dict:
     """Partition + QAOA + MADE (if needed) and the per-kernel search chains."""
     pp = models = None
-    if "block-surrogate" in cfg.kernels:
+    if any(mcmc.KERNELS[kernel].uses_blocks for kernel in cfg.kernels):
         t0 = time.monotonic()
         sizes = spread_block_sizes(inst.n, cfg.block_size)
         pp = build_partition_pair(inst, sizes, sizes, derive_seed(cfg.seed, 1))

@@ -93,9 +93,7 @@ class MadeConfig:
 
 @dataclass
 class McmcConfig:
-    kernels: list[str] = field(
-        default_factory=lambda: ["block-surrogate", "global-kawasaki", "local-kawasaki"]
-    )
+    kernels: list[str] = field(default_factory=lambda: list(mcmc.KERNELS))
     steps: int = 30_000
     pairs: int = 4
     thin: int = 1
@@ -165,7 +163,18 @@ def require_positive(values: dict) -> None:
             raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
 
 
-def require_kernels(kernels: list, allowed: tuple) -> None:
+def require_seeds(cfg, where: str = "") -> None:
+    """Raise ``ConfigError`` unless every ``seed`` field of dataclass ``cfg``
+    and of its sections is >= 0."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            require_seeds(value, f"{where}{f.name}.")
+        elif f.name == "seed" and value < 0:
+            raise ConfigError(f"{where}seed must be >= 0, got {value!r}")
+
+
+def require_kernels(kernels: list, allowed) -> None:
     """Raise ``ConfigError`` unless ``kernels`` are distinct names from ``allowed``."""
     for kernel in kernels:
         if kernel not in allowed:
@@ -190,8 +199,9 @@ def require_stage_ranges(q: QaoaConfig, m: MadeConfig) -> None:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
-    require_kernels(cfg.mcmc.kernels, mcmc.KERNEL_KINDS)
+    require_kernels(cfg.mcmc.kernels, mcmc.KERNELS)
     require_stage_ranges(cfg.qaoa, cfg.made)
+    require_seeds(cfg)
     require_positive(
         {
             "workers": cfg.workers,
@@ -213,6 +223,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def reseed_config(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     """Derive all stage seeds from one master seed (CLI --seed)."""
+    if master_seed < 0:
+        raise ConfigError(f"master seed must be >= 0, got {master_seed!r}")
     cfg.instance.seed = derive_seed(master_seed, 1)
     cfg.partition.seed = derive_seed(master_seed, 2)
     cfg.qaoa.seed = derive_seed(master_seed, 3)
@@ -353,7 +365,8 @@ class PipelineRun:
         pp, up = self.ensure_partition()
         inst, _ = self.ensure_instance()
         cfg = self.cfg.qaoa
-        key = _hash({"cfg": asdict(cfg), "up": up})
+        # a sample-set format change rebuilds the stage instead of failing to load it
+        key = _hash({"cfg": asdict(cfg), "up": up, "format": qaoa._SAMPLES_VERSION})
         blocks = list(pp.p1) + list(pp.p2)
         paths = {
             b.id: (f"qaoa/params_{b.id[0]}_{b.id[1]}.json", f"qaoa/samples_{b.id[0]}_{b.id[1]}.bin")
@@ -405,10 +418,11 @@ class PipelineRun:
         k = self.cfg.resolved_k(inst.n)
         upstreams = {"instance": inst_key}
         pp = models = None
-        if "block-surrogate" in cfg.kernels:
+        if any(mcmc.KERNELS[kernel].uses_blocks for kernel in cfg.kernels):
             pp, _ = self.ensure_partition()
             models, upstreams["made"] = self.ensure_made()
-        key = _hash({"cfg": asdict(cfg), "k": k, "beta": self.cfg.beta_pi, "up": upstreams})
+        key = _hash({"cfg": asdict(cfg), "k": k, "beta": self.cfg.beta_pi, "up": upstreams,
+                     "format": mcmc._TRACE_VERSION})
         paths = {
             (kernel, pair, tag): f"mcmc/trace_{kernel}_{pair}_{tag}.bin"
             for kernel in cfg.kernels

@@ -148,12 +148,11 @@ class QaoaParams:
 
 @dataclass
 class BlockSampleSet:
-    """Measured block bitstrings with their Hamming weights and origin tag."""
+    """Measured block bitstrings with their Hamming weights."""
 
     block_id: tuple[int, int]
     samples: np.ndarray  # (count, |B|) uint8
     weights: np.ndarray  # (count,) per-sample Hamming weight
-    provenance: np.ndarray  # (count,) index of the initial-state angle
 
     def __post_init__(self):
         if not np.array_equal(self.weights, self.samples.sum(axis=1)):
@@ -386,6 +385,9 @@ def generate_training_set(
 ) -> BlockSampleSet:
     """Evolve each product initial state and measure; label samples by weight.
 
+    Rows ``a * shots_per_init : (a + 1) * shots_per_init`` are the shots
+    from ``init_angles[a]``.
+
     The circuit is simulated once per block, not once per angle. It never
     mixes Hamming-weight sectors, and ``prepare_initial_state(|B|, a)`` is
     constant on each sector (cos^{|B|-w}(a/2) sin^w(a/2) at weight w). So
@@ -399,20 +401,12 @@ def generate_training_set(
     t_arange = np.arange(b)
     evolved = qaoa_state(bp, params, np.ones(bp.dim, dtype=np.complex128))
     all_samples = []
-    all_prov = []
-    for a_idx, angle in enumerate(init_angles):
+    for angle in init_angles:
         psi = evolved * prepare_initial_state(b, angle)
         idx = sample_state(psi, shots_per_init, rng)
-        bits = ((idx[:, None] >> t_arange) & 1).astype(np.uint8)
-        all_samples.append(bits)
-        all_prov.append(np.full(shots_per_init, a_idx, dtype=np.int64))
+        all_samples.append(((idx[:, None] >> t_arange) & 1).astype(np.uint8))
     samples = np.concatenate(all_samples, axis=0)
-    return BlockSampleSet(
-        block_id=bp.block.id,
-        samples=samples,
-        weights=samples.sum(axis=1).astype(np.int64),
-        provenance=np.concatenate(all_prov),
-    )
+    return BlockSampleSet(block_id=bp.block.id, samples=samples, weights=samples.sum(axis=1).astype(np.int64))
 
 
 def save_params(params: QaoaParams, loss: float, block_id: tuple[int, int], path) -> None:
@@ -445,17 +439,18 @@ def load_params(path) -> tuple[QaoaParams, float, tuple[int, int]]:
 
 
 _SAMPLES_MAGIC = b"BMCS"
-_SAMPLES_VERSION = 1
+_SAMPLES_VERSION = 2
 
 
 def save_sample_set(ss: BlockSampleSet, path) -> None:
-    """Binary pack: header {magic, version, block_id, |B|, count} + rows."""
+    """Binary pack (v2, big-endian): magic, u16 version, u16 block id pair,
+    u16 |B|, u64 count, then ``count`` rows of |B| bits packed into whole
+    bytes. The weights are recomputed on load."""
     write_bytes(
         path,
         _SAMPLES_MAGIC,
         struct.pack(">HHHHQ", _SAMPLES_VERSION, *ss.block_id, ss.block_size, ss.count),
         np.packbits(ss.samples, axis=1).tobytes(),
-        ss.provenance.astype(">i8").tobytes(),
     )
 
 
@@ -464,12 +459,8 @@ def load_sample_set(path) -> BlockSampleSet:
     version, s, m, b, count = r.unpack(">HHHHQ")
     if version != _SAMPLES_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if b < 1:  # rows of no bytes would leave count unbounded by the file's length
+        raise FormatError(f"{path}: block size {b} < 1 at offset 10")
     samples = r.bits(count, b)
-    prov = r.array(">i8", count).astype(np.int64)
     r.end()
-    return BlockSampleSet(
-        block_id=(int(s), int(m)),
-        samples=samples,
-        weights=samples.sum(axis=1).astype(np.int64),
-        provenance=prov,
-    )
+    return BlockSampleSet(block_id=(int(s), int(m)), samples=samples, weights=samples.sum(axis=1).astype(np.int64))

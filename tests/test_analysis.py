@@ -27,7 +27,6 @@ def fake_trace(configs, kind="global-kawasaki", energies=None):
         energies=np.asarray(energies, dtype=np.float64),
         accepted=np.ones(steps, dtype=bool),
         acceptance_probs=np.ones(steps),
-        details=np.zeros((steps, 2), dtype=np.int32),
     )
 
 

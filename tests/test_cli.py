@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from blockmc import mcmc, qaoa
 from blockmc.cli import main
+from blockmc.errors import FormatError
 from conftest import write_synthetic_idx
 
 
@@ -132,6 +134,85 @@ class TestExitCodes:
         assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def mnist_doc(tmp_path, **overrides):
+    paths = write_synthetic_idx(tmp_path, n_train=50, n_test=20, seed=3)
+    return {**paths, "downsample_factor": 2, "k": 4, "block_size": 4, "steps": 50, "stop_steps": [50],
+            "repeats": 1, "random_masks": 2, "qaoa": {"p": 1, "restarts": 1, "max_evals_per_restart": 60,
+            "shots_per_angle": 200}, "made": {"epochs": 5}, **overrides}
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("command", ["pipeline", "mnist"])
+    def test_workers_below_one_is_2(self, tmp_path, capsys, command):
+        """--workers 0 is refused by the config loader, before any stage runs."""
+        if command == "pipeline":
+            doc = tiny_doc(mcmc={"kernels": ["block-surrogate"], "steps": 100, "pairs": 1, "seed": 5})
+        else:
+            doc = mnist_doc(tmp_path)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "0"]) == 2
+        assert "config error: workers must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            *(("pipeline", f"{section}.seed") for section in ("instance", "partition", "qaoa", "made", "mcmc")),
+            ("pipeline", "--seed"),
+            ("mnist", "seed"),
+            ("mnist", "qaoa.seed"),
+            ("mnist", "made.seed"),
+            ("mnist", "--seed"),
+        ],
+    )
+    def test_negative_seed_is_2(self, tmp_path, capsys, command, field):
+        doc = tiny_doc() if command == "pipeline" else mnist_doc(tmp_path)
+        flags = []
+        if field == "--seed":
+            flags = ["--seed", "-1"]
+        elif "." in field:
+            section = field.split(".")[0]
+            doc[section] = {**doc.get(section, {}), "seed": -1}
+        else:
+            doc["seed"] = -1
+        argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+        assert field == "--seed" or f"error: {field} must be" in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestFormatUpgrade:
+    @pytest.mark.parametrize(
+        "module, name, load, first_rebuilt",
+        [
+            (qaoa, "_SAMPLES_VERSION", lambda out: qaoa.load_sample_set(out / "qaoa/samples_1_0.bin"), "qaoa"),
+            (mcmc, "_TRACE_VERSION", lambda out: mcmc.load_trace(out / "mcmc/trace_block-surrogate_0_a.bin"),
+             "mcmc"),
+        ],
+        ids=["samples", "trace"],
+    )
+    def test_previous_version_rebuilds_the_stage(self, tmp_path, capsys, monkeypatch, module, name, load,
+                                                 first_rebuilt):
+        """A run dir written under the previous format version rebuilds the
+        stage whose format changed and every later one, and exits 0."""
+        doc = tiny_doc(mcmc={"kernels": ["block-surrogate", "global-kawasaki"], "steps": 600, "pairs": 1, "seed": 5})
+        out = tmp_path / "o"
+        argv = ["pipeline", "--config", write_config(tmp_path, doc), "--out", str(out)]
+        with monkeypatch.context() as m:
+            m.setattr(module, name, getattr(module, name) - 1)
+            assert main(argv) == 0
+        with pytest.raises(FormatError, match="unsupported version"):
+            load(out)
+        capsys.readouterr()
+        assert main(argv) == 0
+        stages = ["instance", "partition", "qaoa", "made", "mcmc", "analysis"]
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("stage ")]
+        assert [line.endswith(": cached") for line in lines] == [s in stages[: stages.index(first_rebuilt)] for s in stages]
+        load(out)
 
 
 class TestFailedFit:

@@ -34,7 +34,6 @@ def synthetic_sample_set(samples, block_id=(1, 0)):
         block_id=block_id,
         samples=samples,
         weights=samples.sum(axis=1).astype(np.int64),
-        provenance=np.zeros(len(samples), dtype=np.int64),
     )
 
 
@@ -270,7 +269,6 @@ class TestTrain:
             block_id=(1, 0),
             samples=np.zeros((0, 4), dtype=np.uint8),
             weights=np.zeros(0, dtype=np.int64),
-            provenance=np.zeros(0, dtype=np.int64),
         )
         with pytest.raises(ValueError):
             made.train(model, empty, cfg)

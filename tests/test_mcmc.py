@@ -1,6 +1,7 @@
 """Tests for the MH kernels: proposal laws, acceptance, stationarity."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -43,13 +44,13 @@ class TestProposeBlockSurrogate:
         cfg = block_surrogate_config(inst, [4, 4])
         rng = stream(2)
         x = np.array([1, 1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for _ in range(200):
-            cand = mcmc.propose_block_surrogate(state, cfg, rng)
-            if cand.weight_mismatch:
+            move = mcmc.propose_block_surrogate(x, inst, cfg, rng)
+            if move is None:
                 continue
-            k_b = int(x[cand.block_vertices].sum())
-            assert int(cand.block_bits.sum()) == k_b
+            vertices, bits = move[:2]
+            k_b = int(x[vertices].sum())
+            assert int(bits.sum()) == k_b
 
     def test_empty_block_weight(self):
         """If the complement holds all K ones, only all-zero bits survive."""
@@ -59,42 +60,34 @@ class TestProposeBlockSurrogate:
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         x = np.zeros(8, dtype=np.uint8)
         x[pp.p1[0].vertices] = 1  # all ones inside p1 block 0
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         rng = stream(4)
         for _ in range(100):
-            cand = mcmc.propose_block_surrogate(state, cfg, rng)
-            if cand.weight_mismatch:
+            move = mcmc.propose_block_surrogate(x, inst, cfg, rng)
+            if move is None:
                 continue
-            if int(x[cand.block_vertices].sum()) == 0:
-                assert np.all(cand.block_bits == 0)
+            vertices, bits = move[:2]
+            if int(x[vertices].sum()) == 0:
+                assert np.all(bits == 0)
 
     def test_survival_fraction_matches_slice_mass(self):
         """Weight-mismatch bookkeeping matches the exact weight-k slice mass."""
         inst = qubo.gen_regular_instance(12, 3, seed=5)
-        block = Block(id=(1, 0), vertices=list(range(6)))
         model, _ = _small_trained_model(6, seed=6)
         model.block_id = (1, 0)
-        p1 = [block, Block(id=(1, 1), vertices=list(range(6, 12)))]
-        p2 = [
-            Block(id=(2, 0), vertices=list(range(6))),
-            Block(id=(2, 1), vertices=list(range(6, 12))),
-        ]
-        models = {(1, 0): model, (1, 1): uniform_model(6, (1, 1))}
-        models[(2, 0)] = model  # reuse; ids only matter for lookup
-        models[(2, 1)] = models[(1, 1)]
+        p1 = [Block(id=(1, 0), vertices=list(range(6))), Block(id=(1, 1), vertices=list(range(6, 12)))]
+        p2 = [Block(id=(2, 0), vertices=list(range(6))), Block(id=(2, 1), vertices=list(range(6, 12)))]
+        # one model for every block; ids only matter for lookup
+        models = {b.id: model for b in p1 + p2}
         pp = PartitionPair(p1=p1, p2=p2, crossing=crossing_matrix(p1, p2, 12))
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         x = np.zeros(12, dtype=np.uint8)
-        x[[0, 1, 2]] = 1  # block 0 weight 3
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
+        x[[0, 1, 2, 6, 7, 8]] = 1  # every block at weight 3
         rng = stream(7)
         tries = survived = 0
         for _ in range(30_000):
-            cand = mcmc.propose_block_surrogate(state, cfg, rng)
-            if cand.detail not in ((1, 0), (2, 0)):
-                continue
+            move = mcmc.propose_block_surrogate(x, inst, cfg, rng)
             tries += 1
-            survived += 0 if cand.weight_mismatch else 1
+            survived += 0 if move is None else 1
         probs = made.exhaustive_conditional_distribution(model, 3)
         w = np.array([bin(z).count("1") for z in range(64)])
         mass = float(probs[w == 3].sum())
@@ -128,67 +121,60 @@ class TestProposeGlobalKawasaki:
     def test_unique_swap(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         rng = stream(8)
         for _ in range(10):
-            cand = mcmc.propose_global_kawasaki(state, rng)
-            assert cand.swap == (0, 1)
+            vertices, bits = mcmc.propose_global_kawasaki(x, inst, None, rng)[:2]
+            assert list(vertices) == [0, 1] and list(bits) == [0, 1]
 
     def test_weight_preserved(self):
         inst = qubo.gen_regular_instance(8, 3, seed=2)
         rng = stream(9)
         x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for _ in range(50):
-            cand = mcmc.propose_global_kawasaki(state, rng)
+            vertices, bits = mcmc.propose_global_kawasaki(x, inst, None, rng)[:2]
             y = x.copy()
-            i, j = cand.swap
-            y[i], y[j] = y[j], y[i]
+            y[vertices] = bits
             assert int(y.sum()) == 4
 
     def test_pair_frequencies_uniform(self):
         """All K(N-K) = 9 pairs drawn uniformly (chi-squared check)."""
         x = np.array([1, 1, 1, 0, 0, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=0.0)
+        inst = qubo.QuboInstance(n=6, quad={}, lin=np.zeros(6), konst=0.0)
         rng = stream(10)
         counts = {}
         trials = 100_000
         for _ in range(trials):
-            cand = mcmc.propose_global_kawasaki(state, rng)
-            counts[cand.swap] = counts.get(cand.swap, 0) + 1
+            swap = tuple(mcmc.propose_global_kawasaki(x, inst, None, rng)[0])
+            counts[swap] = counts.get(swap, 0) + 1
         assert len(counts) == 9
         expected = trials / 9
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 26.12  # 99.9th percentile of chi2(8)
 
     def test_degenerate_weight_rejected(self):
-        state = mcmc.ChainState(x=np.ones(4, dtype=np.uint8), energy=0.0)
+        inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         with pytest.raises(ConfigError):
-            mcmc.propose_global_kawasaki(state, stream(0))
+            mcmc.propose_global_kawasaki(np.ones(4, dtype=np.uint8), inst, None, stream(0))
 
 
 class TestProposeLocalKawasaki:
     def test_equal_bits_null_move(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 1], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
-        cand = mcmc.propose_local_kawasaki(state, inst, stream(1))
-        assert cand.null_move
+        assert mcmc.propose_local_kawasaki(x, inst, None, stream(1)) == ()
 
     def test_single_edge_deterministic_swap(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
         for s in range(5):
-            cand = mcmc.propose_local_kawasaki(state, inst, stream(s))
-            assert cand.swap == (0, 1)
+            vertices, bits = mcmc.propose_local_kawasaki(x, inst, None, stream(s))[:2]
+            assert list(vertices) == [0, 1] and list(bits) == [0, 1]
 
     def test_null_fraction_matches_edge_count(self):
         inst = qubo.gen_regular_instance(8, 3, seed=3)
         rng = stream(11)
         for _ in range(10):
             x = qubo.random_weight_k_config(8, 4, rng)
-            state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
             equal = sum(
                 1 for i, j in zip(inst.edge_i, inst.edge_j) if x[i] == x[j]
             )
@@ -196,7 +182,7 @@ class TestProposeLocalKawasaki:
             nulls = 0
             trials = 20_000
             for _ in range(trials):
-                if mcmc.propose_local_kawasaki(state, inst, rng).null_move:
+                if mcmc.propose_local_kawasaki(x, inst, None, rng) == ():
                     nulls += 1
             se = math.sqrt(max(exact * (1 - exact), 1e-6) / trials)
             assert abs(nulls / trials - exact) < 5 * se + 1e-3
@@ -204,41 +190,39 @@ class TestProposeLocalKawasaki:
     def test_edgeless_rejected(self):
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=0.0)
         with pytest.raises(ConfigError):
-            mcmc.propose_local_kawasaki(state, inst, stream(0))
+            mcmc.propose_local_kawasaki(x, inst, None, stream(0))
 
 
 class TestAccept:
     def test_zero_delta_always_accepts(self):
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(x=x, energy=0.0)
-        cand = mcmc.Candidate(detail=(0, 1), swap=(0, 1))
-        _, rec = mcmc.accept(inst, state, cand, beta_pi=2.0, rng=stream(1))
-        assert rec.acceptance_prob == 1.0
-        assert rec.accepted
+        move = ([0, 1], (0, 1), qubo.energy_delta_swap(inst, x, 0, 1), 0.0, 0.0)
+        _, accepted, alpha = mcmc.accept(x, 0.0, move, beta_pi=2.0, rng=stream(1))
+        assert alpha == 1.0
+        assert accepted
 
     def test_beta_zero_always_accepts(self):
         inst = qubo.gen_regular_instance(8, 3, seed=4)
         rng = stream(12)
         x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
+        e = qubo.energy(inst, x)
         for _ in range(50):
-            cand = mcmc.propose_global_kawasaki(state, rng)
-            state, rec = mcmc.accept(inst, state, cand, beta_pi=0.0, rng=rng)
-            assert rec.acceptance_prob == 1.0
-            assert rec.accepted
+            move = mcmc.propose_global_kawasaki(x, inst, None, rng)
+            e, accepted, alpha = mcmc.accept(x, e, move, beta_pi=0.0, rng=rng)
+            assert alpha == 1.0
+            assert accepted
 
     def test_energy_cache_consistent(self):
         inst = qubo.gen_regular_instance(8, 3, seed=5)
         rng = stream(13)
         x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(x=x, energy=qubo.energy(inst, x))
+        e = qubo.energy(inst, x)
         for _ in range(200):
-            cand = mcmc.propose_global_kawasaki(state, rng)
-            state, _ = mcmc.accept(inst, state, cand, beta_pi=0.5, rng=rng)
-            assert state.energy == pytest.approx(qubo.energy(inst, state.x), abs=1e-9)
+            move = mcmc.propose_global_kawasaki(x, inst, None, rng)
+            e, _, _ = mcmc.accept(x, e, move, beta_pi=0.5, rng=rng)
+            assert e == pytest.approx(qubo.energy(inst, x), abs=1e-9)
 
 
 class TestRunChain:
@@ -363,6 +347,29 @@ class TestDetailedBalance:
         assert checked > 10
 
 
+class TestKernelTable:
+    def test_codes_are_fixed(self):
+        """Trace files store these codes; a kernel keeps its code for good."""
+        codes = {name: kernel.code for name, kernel in mcmc.KERNELS.items()}
+        assert codes == {"block-surrogate": 1, "global-kawasaki": 2, "local-kawasaki": 3}
+
+    @pytest.mark.parametrize("kind", list(mcmc.KERNELS))
+    def test_kind_round_trips(self, tmp_path, kind):
+        inst = qubo.gen_regular_instance(8, 3, seed=6)
+        if mcmc.KERNELS[kind].uses_blocks:
+            cfg = block_surrogate_config(inst, [4, 4])
+        else:
+            cfg = mcmc.KernelConfig(kind, 0.5)
+        init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
+        trace = mcmc.run_chain(inst, 4, cfg, steps=50, init=init, seed=2)
+        path = tmp_path / "trace.bin"
+        mcmc.save_trace(trace, path)
+        assert path.read_bytes()[6] == mcmc.KERNELS[kind].code
+        back = mcmc.load_trace(path)
+        assert back.kind == kind
+        assert np.array_equal(back.configs, trace.configs)
+
+
 class TestPersistence:
     def _trace(self):
         inst = qubo.gen_regular_instance(8, 3, seed=6)
@@ -383,7 +390,6 @@ class TestPersistence:
         assert np.array_equal(back.energies, trace.energies)
         assert np.array_equal(back.accepted, trace.accepted)
         assert np.array_equal(back.acceptance_probs, trace.acceptance_probs)
-        assert np.array_equal(back.details, trace.details)
 
     def _saved(self, tmp_path):
         path = tmp_path / "trace.bin"
@@ -395,6 +401,31 @@ class TestPersistence:
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:6] + bytes([code]) + raw[7:])
         with pytest.raises(FormatError, match="offset 6"):
+            mcmc.load_trace(path)
+
+    # _trace() in the v2 layout: a 43-byte header, 41 config rows of one byte,
+    # 201 f8 energies from offset 84, 200 accepted bytes from 1692 and 200 f8
+    # acceptance probabilities from 1892
+    @pytest.mark.parametrize(
+        "offset, value, what",
+        [
+            (43 + 4, b"\xff", "config of weight other than k=4"),
+            (43 + 4, b"\x07", "config of weight other than k=4"),
+            (84 + 8 * 5, struct.pack(">d", math.inf), "non-finite energy"),
+            (84 + 8 * 5, struct.pack(">d", math.nan), "non-finite energy"),
+            (1692 + 3, b"\x07", "accepted flag other than 0 or 1"),
+            (1692 + 3, b"\x02", "accepted flag other than 0 or 1"),
+            (1892 + 8 * 2, struct.pack(">d", math.nan), r"acceptance probability outside \[0, 1\]"),
+            (1892 + 8 * 2, struct.pack(">d", 7.5), r"acceptance probability outside \[0, 1\]"),
+            (1892 + 8 * 2, struct.pack(">d", -0.25), r"acceptance probability outside \[0, 1\]"),
+        ],
+        ids=["weight-8", "weight-3", "energy-inf", "energy-nan", "accepted-7", "accepted-2",
+             "prob-nan", "prob-7.5", "prob-negative"],
+    )
+    def test_malformed_value(self, tmp_path, offset, value, what):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:offset] + value + raw[offset + len(value) :])
+        with pytest.raises(FormatError, match=f"{what} at offset {offset}$"):
             mcmc.load_trace(path)
 
     @pytest.mark.parametrize("cut", [4, 20, 42])
@@ -415,6 +446,13 @@ class TestPersistence:
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw + b"\0")
         with pytest.raises(FormatError, match=f"offset {len(raw)}"):
+            mcmc.load_trace(path)
+
+    def test_zero_n(self, tmp_path):
+        """No config bytes bound the step count, so n = 0 is refused before any read."""
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:7] + bytes(4) + raw[11:15] + (2**62).to_bytes(8, "big") + raw[23:])
+        with pytest.raises(FormatError, match="offset 7"):
             mcmc.load_trace(path)
 
     def test_zero_thin(self, tmp_path):

@@ -227,13 +227,14 @@ class TestPipelineRun:
         "artifact, offset, first_rebuilt",
         [
             ("instance.json", lambda raw: raw.index(b'"constant":') + 11, "instance"),
+            # the low bit of the last sample row is padding at |B|=4: only the sha256 sees it
             ("qaoa/samples_1_0.bin", lambda raw: len(raw) - 1, "qaoa"),
             ("made/model_2_1.bin", lambda raw: len(raw) - 1, "made"),
             # the last byte of energy 10: 43-byte header, 1501 configs of 2 bytes
             ("mcmc/trace_block-surrogate_0_a.bin", lambda raw: 43 + 1501 * 2 + 8 * 10 + 7, "mcmc"),
             ("analysis/result.json", lambda raw: raw.index(b'"tau":') + 6, "analysis"),
         ],
-        ids=["instance-constant", "qaoa-provenance", "made-weight", "mcmc-energy", "analysis-tau"],
+        ids=["instance-constant", "qaoa-row-padding", "made-weight", "mcmc-energy", "analysis-tau"],
     )
     def test_flipped_byte_rebuilds_stage_and_downstream(
         self, tmp_path, clean_run, artifact, offset, first_rebuilt
