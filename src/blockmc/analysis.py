@@ -167,12 +167,15 @@ def ensemble_summary(fits: dict[str, list[DecayFit]]) -> EnsembleSummary:
 def save_rho_csv(results: list[AutocorrResult], path, thin: int = 1) -> None:
     """(lag, rho_mean, rho_std) across runs; lags in chain steps, one recorded
     sample per ``thin`` steps."""
-    rhos = np.array([r.rho for r in results if not r.degenerate])
+    rhos = [r.rho for r in results if not r.degenerate]
     lines = ["lag,rho_mean,rho_std"]
-    for l in range(rhos.shape[1] if len(rhos) else 0):  # every run degenerate: no rows
-        mean = rhos[:, l].mean()
-        std = rhos[:, l].std(ddof=1) if len(rhos) > 1 else 0.0
-        lines.append(f"{l * thin},{float(mean)!r},{float(std)!r}")
+    if rhos:  # every run degenerate: no rows
+        # reduce along contiguous lag rows: axis=0 of the run-major array
+        # sums in another order and moves the last digit from 8 runs up
+        by_lag = np.ascontiguousarray(np.array(rhos).T)
+        mean = by_lag.mean(axis=1)
+        std = by_lag.std(axis=1, ddof=1) if len(rhos) > 1 else np.zeros(len(by_lag))
+        lines += [f"{l * thin},{mu!r},{sd!r}" for l, (mu, sd) in enumerate(zip(mean.tolist(), std.tolist()))]
     write_lines(path, lines)
 
 

@@ -8,7 +8,8 @@ penalizes redundant pairs:
 with mutual informations estimated by plug-in frequencies from the
 training split. Minimizing E over weight-K masks is exactly the
 fixed-Hamming-weight problem the samplers solve; mask quality is scored by
-a from-scratch multinomial logistic regression on the selected pixels.
+a from-scratch multinomial logistic regression on the selected pixels,
+trained on their distinct rows weighted by per-class image counts.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ class LabeledDataset:
             raise ValueError("images must be 2d (samples x pixels)")
         if len(self.images) != len(self.labels):
             raise ValueError("images/labels length mismatch")
-        if self.images.size and self.images.max() > 1:
+        # evaluate_mask groups rows by packed bits, which hold only integer 0/1
+        if self.images.dtype.kind not in "biu":
+            raise ValueError("images must be an integer array")
+        if self.images.size and (self.images.min() < 0 or self.images.max() > 1):
             raise ValueError("images must be binarized to {0, 1}")
         if len(self.labels) and self.labels.max() >= self.n_classes:
             raise ValueError("label id out of range")
@@ -83,44 +87,6 @@ def downsample(images: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"image size {rows}x{cols} not divisible by {factor}")
     pooled = images.reshape(n, rows // factor, factor, cols // factor, factor)
     return pooled.mean(axis=(2, 4)).astype(np.uint8)
-
-
-def _mi_from_joint(joint: np.ndarray) -> float:
-    """Plug-in mutual information (nats) from a joint count table."""
-    total = joint.sum()
-    if total == 0:
-        return 0.0
-    p = joint / total
-    pa = p.sum(axis=1, keepdims=True)
-    pb = p.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * np.log(p / (pa * pb))
-    return max(0.0, float(np.sum(terms[joint > 0])))
-
-
-def mutual_info_feature_label(ds: LabeledDataset, i: int) -> float:
-    """I(z_i; y) from empirical frequencies; 0 log 0 terms contribute 0."""
-    if len(ds.images) == 0:
-        raise ValueError("empty dataset")
-    joint = np.zeros((2, ds.n_classes))
-    z = ds.images[:, i]
-    for c in range(ds.n_classes):
-        sel = ds.labels == c
-        ones = int(z[sel].sum())
-        joint[1, c] = ones
-        joint[0, c] = int(sel.sum()) - ones
-    return _mi_from_joint(joint)
-
-
-def mutual_info_pairwise(ds: LabeledDataset, i: int, j: int) -> float:
-    """I(z_i; z_j); reduces to the entropy H(z_i) when i == j."""
-    if len(ds.images) == 0:
-        raise ValueError("empty dataset")
-    zi = ds.images[:, i].astype(np.int64)
-    zj = ds.images[:, j].astype(np.int64)
-    joint = np.zeros((2, 2))
-    np.add.at(joint, (zi, zj), 1.0)
-    return _mi_from_joint(joint)
 
 
 def build_mi_table(ds: LabeledDataset) -> MiTable:
@@ -205,6 +171,23 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of 0/1 integer matrix ``x`` and each row's index among them.
+
+    Rows are packed to bytes, sorted by their byte columns, and a new group
+    starts wherever a sorted row differs from the one before; the same code
+    serves every row width.
+    """
+    packed = np.packbits(x, axis=1)
+    order = np.lexsort(packed.T)
+    ranked = packed[order]
+    starts = np.ones(len(x), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    group = np.empty(len(x), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return x[order[starts]], group
+
+
 def evaluate_mask(
     ds_train: LabeledDataset,
     ds_test: LabeledDataset,
@@ -218,21 +201,30 @@ def evaluate_mask(
     Full-batch gradient descent on L2-penalized cross-entropy from a zero
     initialization with a fixed iteration budget, so identical inputs give
     bit-identical accuracies.
+
+    Training runs on the distinct masked rows: k binary pixels take at most
+    2^k values, far fewer than the images. The mean cross-entropy over the
+    m images equals sum_u sum_c counts[u, c] * (-log p_c(x_u)) / m over the
+    distinct rows u, with counts[u, c] the images of row u and class c, so
+    its gradient is (n_u * p(x_u) - counts[u])^T x_u / m with n_u the row's
+    image count: the same objective and steps as one row per image.
     """
     if mask.k < 1:
         raise ValueError("empty mask")
     idx = mask.indices
-    x_train = ds_train.images[:, idx].astype(np.float64)
+    rows, group = _distinct_rows(ds_train.images[:, idx])
+    x_train = rows.astype(np.float64)
     x_test = ds_test.images[:, idx].astype(np.float64)
-    m, d = x_train.shape
+    m = len(group)
+    u, d = x_train.shape
     c = ds_train.n_classes
-    y = np.zeros((m, c))
-    y[np.arange(m), ds_train.labels] = 1.0
+    counts = np.bincount(group * c + ds_train.labels, minlength=u * c).reshape(u, c).astype(np.float64)
+    n_u = counts.sum(axis=1, keepdims=True)
     w = np.zeros((c, d))
     b = np.zeros(c)
     for _ in range(iterations):
         probs = _softmax(x_train @ w.T + b)
-        err = probs - y
+        err = probs * n_u - counts
         grad_w = err.T @ x_train / m + reg_strength * w
         grad_b = err.sum(axis=0) / m
         w -= learning_rate * grad_w

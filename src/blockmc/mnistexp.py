@@ -117,11 +117,25 @@ def mnist_config_from_dict(doc: dict) -> MnistConfig:
         {
             "repeats": cfg.repeats,
             "workers": cfg.workers,
+            "downsample_factor": cfg.downsample_factor,
+            "random_masks": cfg.random_masks,
+            "classifier.iterations": cfg.classifier.iterations,
             **{f"stop_steps[{i}]": stop for i, stop in enumerate(cfg.stop_steps)},
+            **{
+                name: limit
+                for name, limit in (("limit_train", cfg.limit_train), ("limit_test", cfg.limit_test))
+                if limit is not None  # None: no limit
+            },
         }
     )
     if max(cfg.stop_steps) > cfg.steps:
         raise ConfigError("stop_steps must not exceed steps")
+    if not 0 <= cfg.binarize_threshold <= 255:
+        raise ConfigError(f"binarize_threshold must be in [0, 255], got {cfg.binarize_threshold!r}")
+    if not cfg.classifier.learning_rate > 0:
+        raise ConfigError(f"classifier.learning_rate must be > 0, got {cfg.classifier.learning_rate!r}")
+    if not cfg.classifier.reg_strength >= 0:
+        raise ConfigError(f"classifier.reg_strength must be >= 0, got {cfg.classifier.reg_strength!r}")
     return cfg
 
 

@@ -216,6 +216,28 @@ class TestCsvOutputs:
         assert lines[0] == "lag,rho_mean,rho_std"
         assert len(lines) == 21
 
+    @pytest.mark.parametrize("runs", [1, 2, 4, 8, 9])
+    def test_rho_csv_matches_per_lag_loop(self, tmp_path, runs):
+        """Bytes equal those of a mean/std taken lag by lag; degenerate runs
+        are dropped."""
+        rng = stream(14, runs)
+        results = [analysis.AutocorrResult(rho=rng.normal(size=301), mean_q=0.2, var_q=0.01)
+                   for _ in range(runs)]
+        results.insert(1, analysis.AutocorrResult(rho=np.full(301, np.nan), mean_q=0.2, var_q=0.0,
+                                                  degenerate=True))
+        rhos = np.array([r.rho for r in results if not r.degenerate])
+        expected = ["lag,rho_mean,rho_std"]
+        for lag in range(rhos.shape[1]):
+            std = rhos[:, lag].std(ddof=1) if len(rhos) > 1 else 0.0
+            expected.append(f"{lag * 3},{float(rhos[:, lag].mean())!r},{float(std)!r}")
+        analysis.save_rho_csv(results, tmp_path / "rho.csv", thin=3)
+        assert (tmp_path / "rho.csv").read_bytes() == "".join(f"{line}\n" for line in expected).encode()
+
+    def test_rho_csv_all_degenerate_is_header_only(self, tmp_path):
+        results = [analysis.AutocorrResult(rho=np.full(5, np.nan), mean_q=0.0, var_q=0.0, degenerate=True)]
+        analysis.save_rho_csv(results, tmp_path / "rho.csv")
+        assert (tmp_path / "rho.csv").read_text() == "lag,rho_mean,rho_std\n"
+
     def test_best_energy_csv(self, tmp_path):
         rng = stream(12)
         t = fake_trace(np.zeros((50, 4), dtype=np.uint8), energies=rng.standard_normal(50))

@@ -12,15 +12,57 @@ from blockmc.errors import FormatError
 from blockmc.streams import stream
 
 
-def synthetic_dataset(n_samples=2000, n_pixels=8, n_classes=3, seed=1, informative=3):
-    """Labeled binary data where the first pixels track the label."""
+def synthetic_dataset(n_samples=2000, n_pixels=8, n_classes=3, seed=1, informative=3, n_classes_declared=None):
+    """Labeled binary data where the first pixels track the label; labels are
+    drawn from ``n_classes`` of ``n_classes_declared`` (default all) classes."""
     rng = stream(seed)
     labels = rng.integers(0, n_classes, size=n_samples)
     images = (rng.random((n_samples, n_pixels)) < 0.3).astype(np.uint8)
     for p in range(informative):
         flip = rng.random(n_samples) < 0.85
         images[:, p] = np.where(flip, (labels + p) % 2, images[:, p])
-    return features.LabeledDataset(images=images, labels=labels, n_classes=n_classes)
+    return features.LabeledDataset(images=images, labels=labels, n_classes=n_classes_declared or n_classes)
+
+
+# Pointwise plug-in estimators: the per-pixel reference for build_mi_table.
+
+
+def _mi_from_joint(joint: np.ndarray) -> float:
+    """Plug-in mutual information (nats) from a joint count table."""
+    total = joint.sum()
+    if total == 0:
+        return 0.0
+    p = joint / total
+    pa = p.sum(axis=1, keepdims=True)
+    pb = p.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p / (pa * pb))
+    return max(0.0, float(np.sum(terms[joint > 0])))
+
+
+def mutual_info_feature_label(ds: features.LabeledDataset, i: int) -> float:
+    """I(z_i; y) from empirical frequencies; 0 log 0 terms contribute 0."""
+    if len(ds.images) == 0:
+        raise ValueError("empty dataset")
+    joint = np.zeros((2, ds.n_classes))
+    z = ds.images[:, i]
+    for c in range(ds.n_classes):
+        sel = ds.labels == c
+        ones = int(z[sel].sum())
+        joint[1, c] = ones
+        joint[0, c] = int(sel.sum()) - ones
+    return _mi_from_joint(joint)
+
+
+def mutual_info_pairwise(ds: features.LabeledDataset, i: int, j: int) -> float:
+    """I(z_i; z_j); reduces to the entropy H(z_i) when i == j."""
+    if len(ds.images) == 0:
+        raise ValueError("empty dataset")
+    zi = ds.images[:, i].astype(np.int64)
+    zj = ds.images[:, j].astype(np.int64)
+    joint = np.zeros((2, 2))
+    np.add.at(joint, (zi, zj), 1.0)
+    return _mi_from_joint(joint)
 
 
 def mi_oracle(joint_counts):
@@ -97,6 +139,14 @@ class TestBinarize:
         naive = sum(1 for v in raw.reshape(-1) if v > 127)
         assert int(ds.images.sum()) == naive
 
+    @pytest.mark.parametrize(
+        "images", [np.array([[0, -1]]), np.array([[0.0, 0.5]]), np.array([[2, 0]])],
+        ids=["negative", "float", "above-one"],
+    )
+    def test_non_binary_images_rejected(self, images):
+        with pytest.raises(ValueError):
+            features.LabeledDataset(images=images, labels=np.zeros(1, dtype=np.int64), n_classes=1)
+
     def test_downsample(self):
         raw = np.arange(16, dtype=np.uint8).reshape(1, 4, 4)
         small = features.downsample(raw, 2)
@@ -108,14 +158,14 @@ class TestMutualInfo:
     def test_constant_pixel_zero(self):
         ds = synthetic_dataset()
         ds.images[:, 5] = 1
-        assert features.mutual_info_feature_label(ds, 5) == 0.0
+        assert mutual_info_feature_label(ds, 5) == 0.0
 
     def test_pixel_equals_label(self):
         rng = stream(7)
         labels = rng.integers(0, 2, size=4000)
         images = labels[:, None].astype(np.uint8)
         ds = features.LabeledDataset(images=images, labels=labels, n_classes=2)
-        got = features.mutual_info_feature_label(ds, 0)
+        got = mutual_info_feature_label(ds, 0)
         p1 = labels.mean()
         h = -(p1 * math.log(p1) + (1 - p1) * math.log(1 - p1))
         assert got == pytest.approx(h, abs=1e-12)
@@ -128,7 +178,7 @@ class TestMutualInfo:
                 sel = ds.labels == c
                 joint[1, c] = ds.images[sel, i].sum()
                 joint[0, c] = sel.sum() - joint[1, c]
-            assert features.mutual_info_feature_label(ds, i) == pytest.approx(
+            assert mutual_info_feature_label(ds, i) == pytest.approx(
                 mi_oracle(joint), abs=1e-12
             )
 
@@ -136,25 +186,25 @@ class TestMutualInfo:
         ds = synthetic_dataset(seed=9)
         p = ds.images[:, 0].mean()
         h = -(p * math.log(p) + (1 - p) * math.log(1 - p))
-        assert features.mutual_info_pairwise(ds, 0, 0) == pytest.approx(h, abs=1e-12)
+        assert mutual_info_pairwise(ds, 0, 0) == pytest.approx(h, abs=1e-12)
 
     def test_independent_pixels_near_zero(self):
         rng = stream(10)
         images = (rng.random((100_000, 2)) < 0.5).astype(np.uint8)
         ds = features.LabeledDataset(images=images, labels=np.zeros(100_000, dtype=np.int64), n_classes=1)
-        assert features.mutual_info_pairwise(ds, 0, 1) < 5e-4
+        assert mutual_info_pairwise(ds, 0, 1) < 5e-4
 
     def test_duplicated_pixel_equals_entropy(self):
         ds = synthetic_dataset(seed=11)
         ds.images[:, 3] = ds.images[:, 0]
-        h = features.mutual_info_pairwise(ds, 0, 0)
-        assert features.mutual_info_pairwise(ds, 0, 3) == pytest.approx(h, abs=1e-12)
+        h = mutual_info_pairwise(ds, 0, 0)
+        assert mutual_info_pairwise(ds, 0, 3) == pytest.approx(h, abs=1e-12)
 
     def test_symmetry(self):
         ds = synthetic_dataset(seed=12)
         for i, j in ((0, 1), (2, 5), (3, 7)):
-            assert features.mutual_info_pairwise(ds, i, j) == pytest.approx(
-                features.mutual_info_pairwise(ds, j, i), abs=1e-14
+            assert mutual_info_pairwise(ds, i, j) == pytest.approx(
+                mutual_info_pairwise(ds, j, i), abs=1e-14
             )
 
     def test_table_matches_pointwise_ops(self):
@@ -162,10 +212,10 @@ class TestMutualInfo:
         table = features.build_mi_table(ds)
         for i in range(ds.n_pixels):
             assert table.feature_label[i] == pytest.approx(
-                features.mutual_info_feature_label(ds, i), abs=1e-10
+                mutual_info_feature_label(ds, i), abs=1e-10
             )
         for (i, j), v in table.pairwise.items():
-            assert v == pytest.approx(features.mutual_info_pairwise(ds, i, j), abs=1e-10)
+            assert v == pytest.approx(mutual_info_pairwise(ds, i, j), abs=1e-10)
 
 
 class TestBuildFeatureQubo:
@@ -217,7 +267,71 @@ class TestBuildFeatureQubo:
             features.build_feature_qubo(mi, k=1)
 
 
+def per_image_accuracy(ds_train, ds_test, mask, reg_strength=1e-4, iterations=500, learning_rate=0.5):
+    """Reference classifier: the same descent with one row per training image."""
+    idx_ = mask.indices
+    x_train = ds_train.images[:, idx_].astype(np.float64)
+    x_test = ds_test.images[:, idx_].astype(np.float64)
+    m, d = x_train.shape
+    c = ds_train.n_classes
+    y = np.zeros((m, c))
+    y[np.arange(m), ds_train.labels] = 1.0
+    w = np.zeros((c, d))
+    b = np.zeros(c)
+    for _ in range(iterations):
+        probs = features._softmax(x_train @ w.T + b)
+        err = probs - y
+        grad_w = err.T @ x_train / m + reg_strength * w
+        grad_b = err.sum(axis=0) / m
+        w -= learning_rate * grad_w
+        b -= learning_rate * grad_b
+    pred = np.argmax(x_test @ w.T + b, axis=1)
+    return float(np.mean(pred == ds_test.labels))
+
+
+def distinct_dataset(n_rows, n_pixels, n_classes, seed):
+    """Every image a different pixel pattern."""
+    rng = stream(seed)
+    codes = rng.choice(2**n_pixels, size=n_rows, replace=False)
+    images = ((codes[:, None] >> np.arange(n_pixels)) & 1).astype(np.uint8)
+    labels = rng.integers(0, n_classes, size=n_rows)
+    return features.LabeledDataset(images=images, labels=labels, n_classes=n_classes)
+
+
+def first_pixels(n_pixels, k):
+    selected = np.zeros(n_pixels, dtype=np.uint8)
+    selected[:k] = 1
+    return features.FeatureMask(selected=selected, k=k)
+
+
 class TestEvaluateMask:
+    @pytest.mark.parametrize(
+        "train, test, mask",
+        [
+            (synthetic_dataset(seed=21), None, first_pixels(8, 3)),
+            (distinct_dataset(300, 12, 3, seed=22), None, first_pixels(12, 12)),
+            (synthetic_dataset(seed=23), None, first_pixels(8, 1)),
+            (synthetic_dataset(seed=24, n_classes=3, n_classes_declared=5), None, first_pixels(8, 4)),
+            (synthetic_dataset(seed=25), synthetic_dataset(n_samples=500, seed=26), first_pixels(8, 5)),
+        ],
+        ids=["duplicated-rows", "all-distinct", "k-1", "class-absent-from-train", "separate-test"],
+    )
+    def test_matches_per_image_descent(self, train, test, mask):
+        if test is None:
+            test = train
+        for iterations in (50, 500):
+            assert features.evaluate_mask(train, test, mask, iterations=iterations) == per_image_accuracy(
+                train, test, mask, iterations=iterations
+            )
+
+    @pytest.mark.parametrize("n_pixels", [1, 8, 9, 70])
+    def test_distinct_rows_regroup_the_input(self, n_pixels):
+        rng = stream(27, n_pixels)
+        x = (rng.random((400, n_pixels)) < 0.1).astype(np.uint8)
+        rows, group = features._distinct_rows(x)
+        np.testing.assert_array_equal(rows[group], x)
+        assert len({r.tobytes() for r in rows}) == len(rows)
+
     def test_constant_pixels_majority_rate(self):
         rng = stream(17)
         labels = np.concatenate([np.zeros(700), np.ones(300)]).astype(np.int64)

@@ -69,13 +69,29 @@ class TestMaskConfig:
             {"made": {"learning_rate": -1.0}},
             {"made": {"validation_fraction": 0.9}},
             {"made": {"widths": []}},
+            {"limit_train": 0},
+            {"limit_train": -5990},
+            {"limit_test": 0},
+            {"downsample_factor": 0},
+            {"downsample_factor": -2},
+            {"binarize_threshold": -1},
+            {"binarize_threshold": 256},
+            {"random_masks": 0},
+            {"classifier": {"iterations": 0}},
+            {"classifier": {"learning_rate": 0.0}},
+            {"classifier": {"learning_rate": -0.5}},
+            {"classifier": {"reg_strength": -1e-4}},
         ],
         ids=["repeats", "stop-step", "no-stop-steps", "kernel", "kernel-twice",
              "top-level-biased-target", "beta-not-a-number", "beta-nan", "kernels-str",
              "stop-steps-int", "stop-step-str", "limit-str", "threshold-null", "path-not-str",
              "qaoa-p-float", "iterations-bool", "qaoa-p-zero", "restarts-zero", "max-evals-zero",
              "shots-zero", "target-weight-negative", "epochs-zero", "batch-size-zero",
-             "learning-rate-negative", "validation-fraction-above-half", "widths-empty"],
+             "learning-rate-negative", "validation-fraction-above-half", "widths-empty",
+             "limit-train-zero", "limit-train-negative", "limit-test-zero", "downsample-zero",
+             "downsample-negative", "threshold-below-0", "threshold-above-255", "random-masks-zero",
+             "classifier-iterations-zero", "classifier-learning-rate-zero",
+             "classifier-learning-rate-negative", "classifier-reg-negative"],
     )
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):
