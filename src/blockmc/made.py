@@ -81,15 +81,23 @@ class TrainReport:
 class Sector:
     """Every weight-k block bitstring with its exact proposal probability.
 
-    ``rows`` are in increasing code order, where bit t of a code is x_t;
-    ``cdf`` is the running sum of exp(``log_q``), so ``cdf[-1]`` is the mass
-    q gives weight k; ``row_of[code]`` is the row of a weight-k code.
+    ``rows`` are in increasing order of their ``codes``, where bit t of a
+    code is x_t; ``cdf`` is the running sum of exp(``log_q``), so ``cdf[-1]``
+    is the mass q gives weight k; ``row_of[code]`` is the row of a weight-k
+    code.
     """
 
     rows: np.ndarray
     log_q: np.ndarray
     cdf: np.ndarray
     row_of: np.ndarray
+    codes: np.ndarray
+
+    @functools.cached_property
+    def lookup(self) -> tuple[list[float], list[int], list[float], list[int]]:
+        """(cdf, codes, log_q, row_of) as Python lists, for the scalar lookups
+        of a chain step; built once per table, ``row_of`` once per block size."""
+        return self.cdf.tolist(), self.codes.tolist(), self.log_q.tolist(), _rank_list(self.rows.shape[1])
 
 
 @dataclass
@@ -124,8 +132,8 @@ class ConditionalMadeModel:
             codes = np.flatnonzero(weight == k)
             rows = ((codes[:, None] >> np.arange(self.block_size)) & 1).astype(np.uint8)
             log_q = log_prob_batch(self, rows, np.full(len(rows), k))
-            table = Sector(rows, log_q, np.cumsum(np.exp(log_q)), rank)
-            for a in (rows, log_q, table.cdf):
+            table = Sector(rows, log_q, np.cumsum(np.exp(log_q)), rank, codes)
+            for a in (rows, log_q, table.cdf, codes):
                 a.flags.writeable = False
             self._sectors[k] = table
         return table
@@ -168,6 +176,12 @@ def _code_ranks(block_size: int) -> tuple[np.ndarray, np.ndarray]:
         rank[sel] = np.arange(np.count_nonzero(sel))
     weight.flags.writeable = rank.flags.writeable = False
     return weight, rank
+
+
+@functools.cache
+def _rank_list(block_size: int) -> list[int]:
+    """``_code_ranks(block_size)[1]`` as a Python list, shared by every table of that size."""
+    return _code_ranks(block_size)[1].tolist()
 
 
 def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMadeModel:

@@ -16,19 +16,32 @@ trace file and never changes once given; new kernels take 4 and up.
 * ``local-kawasaki``: pick a graph edge uniformly; swap if its endpoints
   differ, otherwise a null move.
 
-Each ``propose_*(x, inst, cfg, rng)`` returns a move: ``None`` for a draw
-whose weight misses the block's (rejected, alpha = 0; the chain stays put
-and the step still counts), ``()`` for a null move (accepted, alpha = 1),
-or ``(vertices, new_bits, dE, log_q_rev, log_q_fwd)``. ``accept`` applies
-a move to ``x`` in place. Every kernel preserves the weight by
-construction, so the chain never leaves the feasible set; this is
-re-validated periodically.
+A chain carries a ``ChainState``: the configuration as Python ints and as
+the uint8 vector the trace records, the local field
+h_v = q_v + sum_u Q_vu x_u of every vertex, and the sorted positions of the
+1-bits and of the 0-bits. A kernel reads its energy change off the fields
+(``energy_delta_swap``, ``energy_delta_block``) and its pair-flip sites off
+the sorted lists, so a step costs O(degree) Python work, not O(N) array
+work. Because the lists are sorted, ``ones[rng.integers(K)]`` is the
+K-th 1-bit in index order, so each kernel makes the same random draws in
+the same order as a scan of the array would, and a seed gives the same
+chain. Accepting a move flips the changed bits and moves the fields of
+their neighbors, O(degree) per changed bit.
+
+Each ``propose_*(state, inst, cfg, rng)`` returns a move: ``None`` for a
+draw whose weight misses the block's (rejected, alpha = 0; the chain stays
+put and the step still counts), ``()`` for a null move (accepted,
+alpha = 1), or ``(vertices, new_bits, dE, log_q_rev, log_q_fwd)``.
+``accept`` applies a move to the state in place. Every kernel preserves
+the weight by construction, so the chain never leaves the feasible set;
+this, the cached energy and the fields are re-validated periodically.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -38,7 +51,7 @@ from .errors import ConfigError, FormatError
 from .fileio import Reader, write_bytes
 from .made import ConditionalMadeModel
 from .partition import PartitionPair
-from .qubo import QuboInstance, energy, energy_delta_block, energy_delta_swap
+from .qubo import QuboInstance, energy
 from .streams import stream
 
 _REVALIDATE_EVERY = 10_000
@@ -61,11 +74,73 @@ class KernelConfig:
                 for b in blocks:
                     if b.id not in self.models:
                         raise ConfigError(f"no surrogate model for block {b.id}")
-            # per partition, per block: (vertices, bit values of x_B's code, model)
+            # per partition, per block: (vertices, model)
             self._blocks = tuple(
-                [(np.array(b.vertices, dtype=np.intp), 1 << np.arange(b.size), self.models[b.id]) for b in blocks]
+                [([int(v) for v in b.vertices], self.models[b.id]) for b in blocks]
                 for blocks in (self.partition_pair.p1, self.partition_pair.p2)
             )
+
+
+class ChainState:
+    """One chain's configuration and the running sums its kernels read.
+
+    ``x`` is the uint8 configuration (taken as is, not copied, when it is
+    already a uint8 array) and ``bits`` the same as Python ints;
+    ``h[v] = q_v + sum_u Q_vu x_u`` is the local field of vertex v;
+    ``ones`` and ``zeros`` are the positions of the 1- and 0-bits in
+    increasing order. ``flip`` keeps all of them in step.
+    """
+
+    def __init__(self, inst: QuboInstance, x: np.ndarray):
+        self.x = np.asarray(x, dtype=np.uint8)
+        self.adj = inst.adjacency
+        self.bits = self.x.tolist()
+        h, xf = inst.lin.copy(), self.x.astype(np.float64)
+        np.add.at(h, inst.edge_i, inst.edge_w * xf[inst.edge_j])
+        np.add.at(h, inst.edge_j, inst.edge_w * xf[inst.edge_i])
+        self.h = h.tolist()
+        self.ones = np.flatnonzero(self.x).tolist()
+        self.zeros = np.flatnonzero(self.x == 0).tolist()
+
+    def flip(self, v: int) -> None:
+        """Invert bit v and move its neighbors' fields, in O(degree)."""
+        b = 1 - self.bits[v]
+        self.bits[v] = self.x[v] = b
+        leave, join = (self.zeros, self.ones) if b else (self.ones, self.zeros)
+        del leave[bisect_left(leave, v)]
+        insort(join, v)
+        d = 1.0 if b else -1.0
+        h = self.h
+        for u, w in self.adj[v].items():
+            h[u] += d * w
+
+
+def energy_delta_swap(state: ChainState, i: int, j: int) -> float:
+    """Energy change of swapping the differing bits at i and j: with a the
+    1-site and b the 0-site, dE = h_b - h_a - Q_ab."""
+    bits = state.bits
+    if bits[i] == bits[j]:
+        raise ValueError(f"swap endpoints must differ: x[{i}] == x[{j}] == {bits[i]}")
+    if bits[j]:
+        i, j = j, i
+    return state.h[j] - state.h[i] - state.adj[i].get(j, 0.0)
+
+
+def energy_delta_block(state: ChainState, flips: list[int]) -> float:
+    """Energy change of inverting the bits at ``flips`` (distinct vertices):
+    with d_v = +1 for a 0 -> 1 flip and -1 for 1 -> 0,
+    dE = sum_v d_v h_v + sum_{u<v} Q_uv d_u d_v over the flipped set."""
+    bits, h, adj = state.bits, state.h, state.adj
+    delta = 0.0
+    for a, v in enumerate(flips):
+        row = adj[v]
+        s = h[v]
+        for u in flips[:a]:
+            q = row.get(u)
+            if q is not None:
+                s += q if bits[u] == 0 else -q
+        delta += -s if bits[v] else s
+    return delta
 
 
 @dataclass
@@ -92,51 +167,53 @@ class ChainTrace:
         return len(self.accepted)
 
 
-def propose_block_surrogate(x: np.ndarray, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
+def propose_block_surrogate(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
     """New bits for a uniformly chosen block at its forced weight.
 
     The feasible block weight k_B = K - sum over the complement equals the
     block's current weight; a draw at any other weight is ``None``.
     """
     blocks = cfg._blocks[rng.integers(2)]
-    verts, bit_values, model = blocks[rng.integers(len(blocks))]
-    code = int(x[verts] @ bit_values)
+    verts, model = blocks[rng.integers(len(blocks))]
+    bits = state.bits
+    code = 0
+    for t, v in enumerate(verts):
+        code |= bits[v] << t
     table = model.sector(code.bit_count())  # k_B == K - complement weight
+    cdf, codes, log_q, row_of = table.lookup
     u = rng.random()
-    if u >= table.cdf[-1]:
+    if u >= cdf[-1]:
         return None
-    row = int(table.cdf.searchsorted(u, side="right"))  # < len(cdf), as u < cdf[-1]
-    bits = table.rows[row]
-    delta = energy_delta_block(inst, x, verts, bits)
-    return verts, bits, delta, float(table.log_q[table.row_of[code]]), float(table.log_q[row])
+    row = bisect_right(cdf, u)  # < len(cdf), as u < cdf[-1]
+    diff = code ^ codes[row]
+    flips = [v for t, v in enumerate(verts) if diff >> t & 1]
+    return verts, table.rows[row], energy_delta_block(state, flips), log_q[row_of[code]], log_q[row]
 
 
-def propose_global_kawasaki(x: np.ndarray, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
+def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
     """Uniform (one-site, zero-site) swap; symmetric with prob 1/(K(N-K))."""
-    ones = np.flatnonzero(x == 1)
-    zeros = np.flatnonzero(x == 0)
-    if len(ones) == 0 or len(zeros) == 0:
+    ones, zeros = state.ones, state.zeros
+    if not ones or not zeros:
         raise ConfigError("global Kawasaki undefined for K in {0, N}")
-    i = int(ones[rng.integers(len(ones))])
-    j = int(zeros[rng.integers(len(zeros))])
-    return [i, j], (0, 1), energy_delta_swap(inst, x, i, j), 0.0, 0.0
+    i = ones[rng.integers(len(ones))]
+    j = zeros[rng.integers(len(zeros))]
+    return [i, j], (0, 1), energy_delta_swap(state, i, j), 0.0, 0.0
 
 
-def propose_local_kawasaki(x: np.ndarray, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
+def propose_local_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
     """Uniform edge; swap when endpoint bits differ, else a null move."""
     if inst.num_edges == 0:
         raise ConfigError("local Kawasaki undefined on an edgeless instance")
-    e = rng.integers(inst.num_edges)
-    i = int(inst.edge_i[e])
-    j = int(inst.edge_j[e])
-    if x[i] == x[j]:
+    i, j = inst.edge_list[rng.integers(inst.num_edges)]
+    b_i, b_j = state.bits[i], state.bits[j]
+    if b_i == b_j:
         return ()
-    return [i, j], (x[j], x[i]), energy_delta_swap(inst, x, i, j), 0.0, 0.0
+    return [i, j], (b_j, b_i), energy_delta_swap(state, i, j), 0.0, 0.0
 
 
 class Kernel(NamedTuple):
     code: int  # kind byte in trace files
-    propose: Callable  # (x, inst, cfg, rng) -> move
+    propose: Callable  # (state, inst, cfg, rng) -> move
     uses_blocks: bool  # needs a partition pair and a model per block
 
 
@@ -147,10 +224,11 @@ KERNELS = {
 }
 
 
-def accept(x: np.ndarray, e: float, move, beta_pi: float, rng: np.random.Generator) -> tuple[float, bool, float]:
-    """Metropolis-Hastings accept/reject of ``move`` at ``x``, whose energy is
-    ``e``; an accepted move is applied to ``x`` in place. Returns the new
-    energy, whether the move was accepted, and its acceptance probability
+def accept(state: ChainState, e: float, move, beta_pi: float, rng: np.random.Generator) -> tuple[float, bool, float]:
+    """Metropolis-Hastings accept/reject of ``move`` at ``state``, whose
+    energy is ``e``; an accepted move is applied to ``state`` in place.
+    Returns the new energy, whether the move was accepted, and its
+    acceptance probability
 
     alpha = min(1, exp(-beta * dE + log_q_rev - log_q_fwd)).
     """
@@ -164,7 +242,10 @@ def accept(x: np.ndarray, e: float, move, beta_pi: float, rng: np.random.Generat
         raise RuntimeError(f"non-finite acceptance exponent {log_alpha}")
     alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
     if rng.random() <= alpha:
-        x[vertices] = bits
+        now = state.bits
+        for v, b in zip(vertices, bits):
+            if now[v] != b:
+                state.flip(v)
         return e + delta, True, alpha
     return e, False, alpha
 
@@ -174,47 +255,61 @@ def run_chain(
 ) -> ChainTrace:
     """Run one chain for ``steps`` proposals; deterministic per seed.
 
-    Feasibility (weight == K) and the cached energy are re-validated every
-    10^4 steps; any violation is a bug and raises.
+    Feasibility (weight == K), the cached energy and the state's fields and
+    position lists are re-validated every 10^4 steps; any violation is a
+    bug and raises.
     """
-    init = np.asarray(init, dtype=np.uint8)
-    if len(init) != inst.n or int(init.sum()) != k:
-        raise ValueError(f"init must have length {inst.n} and weight {k}")
+    init = np.asarray(init)
+    if init.shape != (inst.n,) or not np.isin(init, (0, 1)).all() or int(init.sum()) != k:
+        raise ValueError(f"init must be {inst.n} bits, each 0 or 1, of weight {k}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if thin < 1:
         raise ValueError("thin must be >= 1")
     rng = stream(seed)
     propose = KERNELS[kernel.kind].propose
-    x = init.copy()
-    e = energy(inst, x)
+    state = ChainState(inst, init.astype(np.uint8))
+    e = energy(inst, state.x)
     configs = np.empty((steps // thin + 1, inst.n), dtype=np.uint8)
     energies = np.empty(steps + 1, dtype=np.float64)
     accepted = np.empty(steps, dtype=bool)
     probs = np.empty(steps, dtype=np.float64)
-    configs[0] = x
+    configs[0] = state.x
     energies[0] = e
     rec_row = 1
     for t in range(steps):
-        e, accepted[t], probs[t] = accept(x, e, propose(x, inst, kernel, rng), kernel.beta_pi, rng)
+        e, accepted[t], probs[t] = accept(state, e, propose(state, inst, kernel, rng), kernel.beta_pi, rng)
         energies[t + 1] = e
         if (t + 1) % thin == 0:
-            configs[rec_row] = x
+            configs[rec_row] = state.x
             rec_row += 1
         if (t + 1) % _REVALIDATE_EVERY == 0:
-            e = _revalidate(inst, x, e, k)
-    _revalidate(inst, x, e, k)
+            state, e = _revalidate(inst, state, e, k)
+    _revalidate(inst, state, e, k)
     return ChainTrace(n=inst.n, k=k, kind=kernel.kind, seed=seed, thin=thin, beta_pi=kernel.beta_pi,
                       configs=configs, energies=energies, accepted=accepted, acceptance_probs=probs)
 
 
-def _revalidate(inst, x, e, k) -> float:
-    """The energy of ``x`` recomputed, after checking its weight and the cached ``e``."""
+def _revalidate(inst: QuboInstance, state: ChainState, e: float, k: int) -> tuple[ChainState, float]:
+    """A state rebuilt from ``state.x`` and its energy recomputed, after
+    checking the weight, the cached ``e`` and the state's bits, position
+    lists and fields against ``x``."""
+    x = state.x
     w = int(x.sum())
     if w != k:
         raise RuntimeError(f"feasibility violated: weight {w} != {k}")
     exact = energy(inst, x)
     if abs(exact - e) > 1e-9 * max(1.0, abs(exact)):
         raise RuntimeError(f"cached energy drifted: {e} vs {exact}")
-    return exact
+    fresh = ChainState(inst, x)
+    if state.bits != fresh.bits or state.ones != fresh.ones or state.zeros != fresh.zeros:
+        raise RuntimeError("chain state's bits or position lists disagree with x")
+    h, h_exact = np.array(state.h), np.array(fresh.h)
+    drift = np.abs(h - h_exact) > 1e-9 * np.maximum(1.0, np.abs(h_exact))
+    if drift.any():
+        v = int(np.argmax(drift))
+        raise RuntimeError(f"local field drifted at vertex {v}: {h[v]} vs {h_exact[v]}")
+    return fresh, exact
 
 
 def empirical_distribution(trace: ChainTrace, burn_in: int = 0) -> dict[bytes, float]:

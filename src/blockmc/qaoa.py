@@ -15,6 +15,7 @@ at position t of the block's vertex list.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -240,10 +241,17 @@ def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> S
     H enters the Chebyshev expansion (Tal-Ezer & Kosloff 1984)
     e^{-i beta H} = sum_k (2 - delta_k0) (-i)^k J_k(beta R) T_k(H / R), with
     T_k(H / R) applied by the three-term recurrence, one sparse product per
-    term. R is the number of mixer edges, which bounds ||H|| because every
-    row has at most one unit entry per edge, so ||T_k(H / R)|| <= 1 and the
-    first K terms are exact to 2 sum_{k>=K} |J_k(beta R)|; K is the first
-    count that puts this tail at or below 1e-13, |beta| R plus a few tens.
+    term. R bounds ||H||, so ||T_k(H / R)|| <= 1 and the first K terms are
+    exact to 2 sum_{k>=K} |J_k(beta R)|; K is the first count that puts this
+    tail at or below 1e-13, |beta| R plus a few tens. For the ring mixer
+    (``ring_mixer_edges``, |B| >= 3) R is exact: the Jordan-Wigner map
+    turns H into free fermions hopping on a ring whose boundary condition
+    is periodic or antiperiodic by particle parity, with mode energies
+    eps_m = 2 cos(2 pi (m + phi) / |B|), phi in {0, 1/2}; an eigenvalue is a
+    sum of distinct eps_m, so R = max over phi of max(sum eps^+, sum |eps^-|)
+    (6.47 against 10 edges at |B| = 10). Any other edge set takes R = the
+    edge count, a bound because every row has at most one unit entry per
+    edge.
     Either way the result is rescaled to the input norm (drift beyond 1e-10
     would indicate a bug and raises).
     """
@@ -254,7 +262,7 @@ def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> S
     if isinstance(h, SectorEigenbasis):
         psi = _sector_exp(state, h, beta)
     else:
-        psi = _chebyshev_exp(state, h, beta, len(bp.mixer_edges))
+        psi = _chebyshev_exp(state, h, beta, _mixer_radius(bp))
     norm_out = np.linalg.norm(psi)
     if norm_in > 0.0:
         if abs(norm_out - norm_in) > _NORM_DRIFT_TOL * norm_in:
@@ -279,9 +287,27 @@ def _sector_exp(state: Statevector, eig: SectorEigenbasis, beta: float) -> State
     return out
 
 
-def _chebyshev_exp(state: Statevector, h, beta: float, radius: int) -> Statevector:
+def _mixer_radius(bp: BlockProblem) -> float:
+    """The bound R >= ||H_mixer|| of ``apply_xy_mixer_layer``."""
+    if bp.size >= 3 and bp.mixer_edges == ring_mixer_edges(bp.size):
+        return _ring_radius(bp.size)
+    return float(len(bp.mixer_edges))
+
+
+@functools.cache
+def _ring_radius(size: int) -> float:
+    """||H|| of the ring XY mixer on ``size`` qubits, from its free-fermion modes."""
+    m = np.arange(size)
+    radius = 0.0
+    for phi in (0.0, 0.5):
+        eps = 2.0 * np.cos(2.0 * np.pi * (m + phi) / size)
+        radius = max(radius, float(eps[eps > 0].sum()), float(-eps[eps < 0].sum()))
+    return radius * (1.0 + 1e-12)  # stays a bound through the rounding of the cosines
+
+
+def _chebyshev_exp(state: Statevector, h, beta: float, radius: float) -> Statevector:
     """The truncated Chebyshev expansion of ``apply_xy_mixer_layer``, R = ``radius``."""
-    r = max(1, radius)
+    r = max(1.0, radius)
     # J_k(x) falls faster than geometrically once k > |x|, so the cut lies below 2|x| + 40.
     k = np.arange(int(2 * abs(beta) * r) + 40)
     coeffs = np.where(k > 0, 2.0, 1.0) * (-1j) ** k * scipy.special.jv(k, beta * r)

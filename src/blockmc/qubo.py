@@ -12,6 +12,7 @@ is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -75,7 +76,6 @@ class QuboInstance:
             nbr[j].append((i, w))
         self._nbr_idx = [np.array([u for u, _ in sorted(a)], dtype=np.intp) for a in nbr]
         self._nbr_w = [np.array([w for _, w in sorted(a)], dtype=np.float64) for a in nbr]
-        self._block_terms: dict[bytes, tuple[np.ndarray, ...]] = {}  # see _block_terms
 
     @property
     def num_edges(self) -> int:
@@ -85,11 +85,16 @@ class QuboInstance:
         """Neighbor indices of vertex i and the matching coupling values."""
         return self._nbr_idx[i], self._nbr_w[i]
 
-    def coupling(self, i: int, j: int) -> float:
-        """Q_ij for any index order; 0.0 when (i, j) is not an edge."""
-        if i == j:
-            return 0.0
-        return self.quad.get((min(i, j), max(i, j)), 0.0)
+    @functools.cached_property
+    def adjacency(self) -> list[dict[int, float]]:
+        """Per vertex, {neighbor: Q} as Python numbers, for the scalar
+        lookups of a chain step; built on first use."""
+        return [dict(zip(idx.tolist(), w.tolist())) for idx, w in zip(self._nbr_idx, self._nbr_w)]
+
+    @functools.cached_property
+    def edge_list(self) -> list[tuple[int, int]]:
+        """The (i, j) of every edge, as ``edge_i``/``edge_j`` order them."""
+        return list(zip(self.edge_i.tolist(), self.edge_j.tolist()))
 
 
 def random_weight_k_config(n: int, k: int, rng: np.random.Generator) -> SpinConfig:
@@ -105,64 +110,6 @@ def energy(inst: QuboInstance, x: SpinConfig) -> float:
         raise ValueError(f"configuration length {len(x)} != n={inst.n}")
     quad = float(inst.edge_w @ (x[inst.edge_i] * x[inst.edge_j])) if inst.num_edges else 0.0
     return quad + float(inst.lin @ x) + inst.konst
-
-
-def energy_delta_swap(inst: QuboInstance, x: SpinConfig, i: int, j: int) -> float:
-    """Energy change of swapping the differing bits at i and j, in O(degree).
-
-    The product x_i x_j is invariant under the swap, so only terms linear
-    in one endpoint move; each endpoint's neighborhood is scanned once.
-    """
-    if x[i] == x[j]:
-        raise ValueError(f"swap endpoints must differ: x[{i}] == x[{j}] == {x[i]}")
-    ni, wi = inst.neighbors(i)
-    nj, wj = inst.neighbors(j)
-    qij = inst.coupling(i, j)
-    s_i = float(wi @ x[ni]) - qij * float(x[j])
-    s_j = float(wj @ x[nj]) - qij * float(x[i])
-    d_i = float(x[j]) - float(x[i])
-    return d_i * (inst.lin[i] + s_i) - d_i * (inst.lin[j] + s_j)
-
-
-def energy_delta_block(
-    inst: QuboInstance, x: SpinConfig, vertices: np.ndarray, new_bits: np.ndarray
-) -> float:
-    """Energy change of overwriting ``vertices`` with ``new_bits``.
-
-    Only terms touching the block move. With the block's linear terms l,
-    its couplings C_U to the outside vertices U next to it and S, the
-    symmetric matrix of its internal couplings,
-    dE = (new - old) . (l + C_U x_U + S (new + old) / 2).
-    """
-    lin, couplings, idx = _block_terms(inst, np.asarray(vertices, dtype=np.intp))
-    v = x[idx].astype(np.float64)  # [x_U, old]
-    old = v[len(idx) - len(lin) :]
-    d = new_bits - old
-    old += new_bits  # v = [x_U, old + new]
-    return float(d @ (lin + couplings @ v))
-
-
-def _block_terms(inst: QuboInstance, verts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(l, [C_U | S/2], U followed by the block) for ``energy_delta_block``;
-    built once per instance and vertex list."""
-    key = verts.tobytes()
-    terms = inst._block_terms.get(key)
-    if terms is None:
-        inside = [int(v) for v in verts]
-        outside = sorted({int(u) for v in inside for u in inst.neighbors(v)[0]} - set(inside))
-        col = {u: c for c, u in enumerate([*outside, *inside])}
-        couplings = np.zeros((len(inside), len(col)))
-        for t, v in enumerate(inside):
-            for u, w in zip(*inst.neighbors(v)):
-                c = col[int(u)]
-                # S/2 inside the block: each internal edge is seen from both ends
-                couplings[t, c] = w if c < len(outside) else w / 2
-        idx = np.array([*outside, *inside], dtype=np.intp)
-        terms = (inst.lin[verts], couplings, idx)
-        for a in terms:
-            a.flags.writeable = False
-        inst._block_terms[key] = terms
-    return terms
 
 
 def gen_regular_instance(n: int, degree: int, seed: int) -> QuboInstance:

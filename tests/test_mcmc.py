@@ -44,8 +44,9 @@ class TestProposeBlockSurrogate:
         cfg = block_surrogate_config(inst, [4, 4])
         rng = stream(2)
         x = np.array([1, 1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
+        state = mcmc.ChainState(inst, x)
         for _ in range(200):
-            move = mcmc.propose_block_surrogate(x, inst, cfg, rng)
+            move = mcmc.propose_block_surrogate(state, inst, cfg, rng)
             if move is None:
                 continue
             vertices, bits = move[:2]
@@ -61,8 +62,9 @@ class TestProposeBlockSurrogate:
         x = np.zeros(8, dtype=np.uint8)
         x[pp.p1[0].vertices] = 1  # all ones inside p1 block 0
         rng = stream(4)
+        state = mcmc.ChainState(inst, x)
         for _ in range(100):
-            move = mcmc.propose_block_surrogate(x, inst, cfg, rng)
+            move = mcmc.propose_block_surrogate(state, inst, cfg, rng)
             if move is None:
                 continue
             vertices, bits = move[:2]
@@ -83,9 +85,10 @@ class TestProposeBlockSurrogate:
         x = np.zeros(12, dtype=np.uint8)
         x[[0, 1, 2, 6, 7, 8]] = 1  # every block at weight 3
         rng = stream(7)
+        state = mcmc.ChainState(inst, x)
         tries = survived = 0
         for _ in range(30_000):
-            move = mcmc.propose_block_surrogate(x, inst, cfg, rng)
+            move = mcmc.propose_block_surrogate(state, inst, cfg, rng)
             tries += 1
             survived += 0 if move is None else 1
         probs = made.exhaustive_conditional_distribution(model, 3)
@@ -121,17 +124,19 @@ class TestProposeGlobalKawasaki:
     def test_unique_swap(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 0], dtype=np.uint8)
+        state = mcmc.ChainState(inst, x)
         rng = stream(8)
         for _ in range(10):
-            vertices, bits = mcmc.propose_global_kawasaki(x, inst, None, rng)[:2]
+            vertices, bits = mcmc.propose_global_kawasaki(state, inst, None, rng)[:2]
             assert list(vertices) == [0, 1] and list(bits) == [0, 1]
 
     def test_weight_preserved(self):
         inst = qubo.gen_regular_instance(8, 3, seed=2)
         rng = stream(9)
         x = qubo.random_weight_k_config(8, 4, rng)
+        state = mcmc.ChainState(inst, x)
         for _ in range(50):
-            vertices, bits = mcmc.propose_global_kawasaki(x, inst, None, rng)[:2]
+            vertices, bits = mcmc.propose_global_kawasaki(state, inst, None, rng)[:2]
             y = x.copy()
             y[vertices] = bits
             assert int(y.sum()) == 4
@@ -141,10 +146,11 @@ class TestProposeGlobalKawasaki:
         x = np.array([1, 1, 1, 0, 0, 0], dtype=np.uint8)
         inst = qubo.QuboInstance(n=6, quad={}, lin=np.zeros(6), konst=0.0)
         rng = stream(10)
+        state = mcmc.ChainState(inst, x)
         counts = {}
         trials = 100_000
         for _ in range(trials):
-            swap = tuple(mcmc.propose_global_kawasaki(x, inst, None, rng)[0])
+            swap = tuple(mcmc.propose_global_kawasaki(state, inst, None, rng)[0])
             counts[swap] = counts.get(swap, 0) + 1
         assert len(counts) == 9
         expected = trials / 9
@@ -154,20 +160,21 @@ class TestProposeGlobalKawasaki:
     def test_degenerate_weight_rejected(self):
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         with pytest.raises(ConfigError):
-            mcmc.propose_global_kawasaki(np.ones(4, dtype=np.uint8), inst, None, stream(0))
+            mcmc.propose_global_kawasaki(mcmc.ChainState(inst, np.ones(4, dtype=np.uint8)), inst, None, stream(0))
 
 
 class TestProposeLocalKawasaki:
     def test_equal_bits_null_move(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 1], dtype=np.uint8)
-        assert mcmc.propose_local_kawasaki(x, inst, None, stream(1)) == ()
+        assert mcmc.propose_local_kawasaki(mcmc.ChainState(inst, x), inst, None, stream(1)) == ()
 
     def test_single_edge_deterministic_swap(self):
         inst = qubo.QuboInstance(n=2, quad={(0, 1): 1.0}, lin=np.zeros(2), konst=0.0)
         x = np.array([1, 0], dtype=np.uint8)
+        state = mcmc.ChainState(inst, x)
         for s in range(5):
-            vertices, bits = mcmc.propose_local_kawasaki(x, inst, None, stream(s))[:2]
+            vertices, bits = mcmc.propose_local_kawasaki(state, inst, None, stream(s))[:2]
             assert list(vertices) == [0, 1] and list(bits) == [0, 1]
 
     def test_null_fraction_matches_edge_count(self):
@@ -175,6 +182,7 @@ class TestProposeLocalKawasaki:
         rng = stream(11)
         for _ in range(10):
             x = qubo.random_weight_k_config(8, 4, rng)
+            state = mcmc.ChainState(inst, x)
             equal = sum(
                 1 for i, j in zip(inst.edge_i, inst.edge_j) if x[i] == x[j]
             )
@@ -182,7 +190,7 @@ class TestProposeLocalKawasaki:
             nulls = 0
             trials = 20_000
             for _ in range(trials):
-                if mcmc.propose_local_kawasaki(x, inst, None, rng) == ():
+                if mcmc.propose_local_kawasaki(state, inst, None, rng) == ():
                     nulls += 1
             se = math.sqrt(max(exact * (1 - exact), 1e-6) / trials)
             assert abs(nulls / trials - exact) < 5 * se + 1e-3
@@ -191,15 +199,16 @@ class TestProposeLocalKawasaki:
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
         with pytest.raises(ConfigError):
-            mcmc.propose_local_kawasaki(x, inst, None, stream(0))
+            mcmc.propose_local_kawasaki(mcmc.ChainState(inst, x), inst, None, stream(0))
 
 
 class TestAccept:
     def test_zero_delta_always_accepts(self):
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        move = ([0, 1], (0, 1), qubo.energy_delta_swap(inst, x, 0, 1), 0.0, 0.0)
-        _, accepted, alpha = mcmc.accept(x, 0.0, move, beta_pi=2.0, rng=stream(1))
+        state = mcmc.ChainState(inst, x)
+        move = ([0, 1], (0, 1), mcmc.energy_delta_swap(state, 0, 1), 0.0, 0.0)
+        _, accepted, alpha = mcmc.accept(state, 0.0, move, beta_pi=2.0, rng=stream(1))
         assert alpha == 1.0
         assert accepted
 
@@ -207,10 +216,11 @@ class TestAccept:
         inst = qubo.gen_regular_instance(8, 3, seed=4)
         rng = stream(12)
         x = qubo.random_weight_k_config(8, 4, rng)
+        state = mcmc.ChainState(inst, x)
         e = qubo.energy(inst, x)
         for _ in range(50):
-            move = mcmc.propose_global_kawasaki(x, inst, None, rng)
-            e, accepted, alpha = mcmc.accept(x, e, move, beta_pi=0.0, rng=rng)
+            move = mcmc.propose_global_kawasaki(state, inst, None, rng)
+            e, accepted, alpha = mcmc.accept(state, e, move, beta_pi=0.0, rng=rng)
             assert alpha == 1.0
             assert accepted
 
@@ -218,10 +228,11 @@ class TestAccept:
         inst = qubo.gen_regular_instance(8, 3, seed=5)
         rng = stream(13)
         x = qubo.random_weight_k_config(8, 4, rng)
+        state = mcmc.ChainState(inst, x)  # applies accepted moves to x in place
         e = qubo.energy(inst, x)
         for _ in range(200):
-            move = mcmc.propose_global_kawasaki(x, inst, None, rng)
-            e, _, _ = mcmc.accept(x, e, move, beta_pi=0.5, rng=rng)
+            move = mcmc.propose_global_kawasaki(state, inst, None, rng)
+            e, _, _ = mcmc.accept(state, e, move, beta_pi=0.5, rng=rng)
             assert e == pytest.approx(qubo.energy(inst, x), abs=1e-9)
 
 
@@ -263,6 +274,223 @@ class TestRunChain:
         trace = mcmc.run_chain(inst, 4, cfg, steps=100, init=init, seed=1, thin=10)
         assert trace.configs.shape == (11, 8)
         assert len(trace.energies) == 101
+
+
+    @pytest.mark.parametrize(
+        "init",
+        [[2, 1, 1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 0.5, 0, 0, 0], [1, 1, 1, 1, 1, 0, 0, -1]],
+        ids=["two-bit", "half-bit", "minus-one"],
+    )
+    def test_non_binary_init_rejected(self, init):
+        inst = qubo.gen_regular_instance(8, 3, seed=6)
+        cfg = mcmc.KernelConfig("global-kawasaki", 0.5)
+        with pytest.raises(ValueError, match="each 0 or 1"):
+            mcmc.run_chain(inst, 4, cfg, steps=10, init=np.array(init), seed=0)
+
+    def test_negative_steps_rejected(self):
+        inst = qubo.gen_regular_instance(8, 3, seed=6)
+        cfg = mcmc.KernelConfig("global-kawasaki", 0.5)
+        init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
+        with pytest.raises(ValueError, match="steps must be >= 0"):
+            mcmc.run_chain(inst, 4, cfg, steps=-1, init=init, seed=0)
+
+
+# The per-step numpy path that ``ChainState`` replaced, kept as the parity
+# oracle: each step scans x for its 1- and 0-bits and takes the energy change
+# from fancy-indexed dot products.
+def ref_energy_delta_swap(inst, x, i, j):
+    ni, wi = inst.neighbors(i)
+    nj, wj = inst.neighbors(j)
+    qij = inst.quad.get((min(i, j), max(i, j)), 0.0)
+    s_i = float(wi @ x[ni]) - qij * float(x[j])
+    s_j = float(wj @ x[nj]) - qij * float(x[i])
+    d_i = float(x[j]) - float(x[i])
+    return d_i * (inst.lin[i] + s_i) - d_i * (inst.lin[j] + s_j)
+
+
+def ref_energy_delta_block(inst, x, verts, new_bits):
+    """dE = (new - old) . (l + C_U x_U + S (new + old) / 2)."""
+    inside = [int(v) for v in verts]
+    outside = sorted({int(u) for v in inside for u in inst.neighbors(v)[0]} - set(inside))
+    col = {u: c for c, u in enumerate([*outside, *inside])}
+    couplings = np.zeros((len(inside), len(col)))
+    for t, v in enumerate(inside):
+        for u, w in zip(*inst.neighbors(v)):
+            c = col[int(u)]
+            couplings[t, c] = w if c < len(outside) else w / 2
+    idx = np.array([*outside, *inside], dtype=np.intp)
+    v = x[idx].astype(np.float64)
+    old = v[len(idx) - len(inside) :]
+    d = new_bits - old
+    old += new_bits
+    return float(d @ (inst.lin[verts] + couplings @ v))
+
+
+def ref_propose_block_surrogate(x, inst, cfg, rng):
+    pp = cfg.partition_pair
+    blocks = (pp.p1, pp.p2)[rng.integers(2)]
+    block = blocks[rng.integers(len(blocks))]
+    verts = np.array(block.vertices, dtype=np.intp)
+    code = int(x[verts] @ (1 << np.arange(block.size)))
+    table = cfg.models[block.id].sector(code.bit_count())
+    u = rng.random()
+    if u >= table.cdf[-1]:
+        return None
+    row = int(table.cdf.searchsorted(u, side="right"))
+    bits = table.rows[row]
+    delta = ref_energy_delta_block(inst, x, verts, bits)
+    return verts, bits, delta, float(table.log_q[table.row_of[code]]), float(table.log_q[row])
+
+
+def ref_propose_global_kawasaki(x, inst, cfg, rng):
+    ones = np.flatnonzero(x == 1)
+    zeros = np.flatnonzero(x == 0)
+    i = int(ones[rng.integers(len(ones))])
+    j = int(zeros[rng.integers(len(zeros))])
+    return [i, j], (0, 1), ref_energy_delta_swap(inst, x, i, j), 0.0, 0.0
+
+
+def ref_propose_local_kawasaki(x, inst, cfg, rng):
+    e = rng.integers(inst.num_edges)
+    i = int(inst.edge_i[e])
+    j = int(inst.edge_j[e])
+    if x[i] == x[j]:
+        return ()
+    return [i, j], (x[j], x[i]), ref_energy_delta_swap(inst, x, i, j), 0.0, 0.0
+
+
+REF_PROPOSE = {
+    "block-surrogate": ref_propose_block_surrogate,
+    "global-kawasaki": ref_propose_global_kawasaki,
+    "local-kawasaki": ref_propose_local_kawasaki,
+}
+
+
+def ref_accept(x, e, move, beta_pi, rng):
+    if move is None:
+        return e, False, 0.0
+    if not move:
+        return e, True, 1.0
+    vertices, bits, delta, log_q_rev, log_q_fwd = move
+    log_alpha = -beta_pi * delta + log_q_rev - log_q_fwd
+    alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
+    if rng.random() <= alpha:
+        x[vertices] = bits
+        return e + delta, True, alpha
+    return e, False, alpha
+
+
+def ref_chain(inst, cfg, steps, init, seed, thin):
+    """(configs, energies, accepted, probs) of the numpy stepper, with the
+    energy reset to the exact one every 10^4 steps as ``run_chain`` does."""
+    rng = stream(seed)
+    x = init.copy()
+    e = qubo.energy(inst, x)
+    configs, energies, accepted, probs = [x.copy()], [e], [], []
+    for t in range(steps):
+        e, acc, alpha = ref_accept(x, e, REF_PROPOSE[cfg.kind](x, inst, cfg, rng), cfg.beta_pi, rng)
+        energies.append(e)
+        accepted.append(acc)
+        probs.append(alpha)
+        if (t + 1) % thin == 0:
+            configs.append(x.copy())
+        if (t + 1) % 10_000 == 0:
+            e = qubo.energy(inst, x)
+    return np.array(configs), np.array(energies), np.array(accepted), np.array(probs)
+
+
+def sharpened_block_config(inst, sizes, seed, beta_pi=0.5):
+    """Untrained, sharpened MADEs: q_fwd != q_rev and draws that miss the block's weight."""
+    pp = build_partition_pair(inst, sizes, sizes, seed=seed)
+    models = {}
+    for i, b in enumerate([*pp.p1, *pp.p2]):
+        model = made.build_model(b.size, made.default_train_config(b.size), seed=seed + i)
+        for w in (*model.weights, *model.ctx_weights):
+            w *= 1.5
+        model._invalidate()
+        model.block_id = b.id
+        models[b.id] = model
+    return mcmc.KernelConfig("block-surrogate", beta_pi, pp, models)
+
+
+class TestParityWithNumpyStepper:
+    """The chain state draws the same random numbers in the same order as
+    the numpy stepper, so a seed gives the same chain."""
+
+    def _check(self, inst, cfg, k, steps, thin, seed):
+        init = qubo.random_weight_k_config(inst.n, k, stream(seed, 1))
+        trace = mcmc.run_chain(inst, k, cfg, steps, init, seed, thin)
+        configs, energies, accepted, probs = ref_chain(inst, cfg, steps, init, seed, thin)
+        assert np.array_equal(trace.configs, configs)
+        assert np.array_equal(trace.accepted, accepted)
+        assert np.max(np.abs(trace.energies - energies)) < 1e-10
+        assert np.max(np.abs(trace.acceptance_probs - probs)) < 1e-10
+        return trace
+
+    @pytest.mark.parametrize("kind", list(mcmc.KERNELS))
+    def test_past_a_revalidation_thinned(self, kind):
+        inst = qubo.gen_regular_instance(16, 3, seed=21)
+        if kind == "block-surrogate":
+            cfg = sharpened_block_config(inst, [4, 4, 4, 4], seed=22)
+        else:
+            cfg = mcmc.KernelConfig(kind, 0.7)
+        trace = self._check(inst, cfg, 7, steps=10_500, thin=3, seed=23)
+        assert 0 < trace.accepted.mean() < 1
+
+    def test_mask_search_block_size(self):
+        inst = qubo.gen_regular_instance(26, 3, seed=24)
+        cfg = sharpened_block_config(inst, [13, 13], seed=25)
+        trace = self._check(inst, cfg, 11, steps=3000, thin=1, seed=26)
+        assert np.any(trace.acceptance_probs == 0.0)  # weight mismatches
+        assert np.any(trace.accepted & (trace.acceptance_probs < 1.0))
+
+
+class TestRevalidation:
+    def _state(self):
+        inst = qubo.gen_regular_instance(8, 3, seed=6)
+        x = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        return inst, mcmc.ChainState(inst, x), qubo.energy(inst, x)
+
+    def test_clean_state_rebuilt(self):
+        inst, state, e = self._state()
+        fresh, exact = mcmc._revalidate(inst, state, e, 4)
+        assert fresh is not state and exact == e
+        assert fresh.h == state.h and fresh.ones == state.ones and fresh.zeros == state.zeros
+
+    def test_drifted_field_raises(self):
+        inst, state, e = self._state()
+        state.h[5] += 1e-6
+        with pytest.raises(RuntimeError, match="local field drifted at vertex 5"):
+            mcmc._revalidate(inst, state, e, 4)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s.ones.reverse(),
+        lambda s: s.zeros.pop(),
+        lambda s: s.bits.__setitem__(0, 0),
+    ], ids=["ones-unsorted", "zeros-short", "bits"])
+    def test_corrupt_lists_raise(self, corrupt):
+        inst, state, e = self._state()
+        corrupt(state)
+        with pytest.raises(RuntimeError, match="bits or position lists"):
+            mcmc._revalidate(inst, state, e, 4)
+
+    def test_chain_checks_its_lists(self, monkeypatch):
+        """Local Kawasaki never reads the position lists, so only the check sees them go wrong."""
+        inst = qubo.gen_regular_instance(8, 3, seed=6)
+        flip = mcmc.ChainState.flip
+        flips = []
+
+        def leaky_flip(state, v):
+            flip(state, v)
+            flips.append(v)
+            if len(flips) == 5:
+                state.zeros.append(inst.n)  # a position past the end keeps the list sorted
+
+        monkeypatch.setattr(mcmc.ChainState, "flip", leaky_flip)
+        cfg = mcmc.KernelConfig("local-kawasaki", 0.5)
+        init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
+        with pytest.raises(RuntimeError, match="bits or position lists"):
+            mcmc.run_chain(inst, 4, cfg, steps=10_000, init=init, seed=1)
 
 
 class TestRunChainPair:

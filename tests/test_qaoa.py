@@ -60,7 +60,7 @@ class TestBlockProblem:
                 e += inst.lin[v] * xb[t]
                 for s, u in enumerate(block.vertices):
                     if s > t:
-                        e += inst.coupling(v, u) * xb[t] * xb[s]
+                        e += inst.quad.get((min(v, u), max(v, u)), 0.0) * xb[t] * xb[s]
             assert bp.diag_energies[z] == pytest.approx(e, abs=1e-12)
 
     def test_ring_mixer_edges(self):
@@ -465,6 +465,36 @@ class TestMixerAbove512Dims:
         bp = random_block_problem(10, seed=36)
         out = qaoa.apply_xy_mixer_layer(np.zeros(1 << 10, dtype=np.complex128), bp, 0.4)
         assert np.all(out == 0.0)
+
+    @pytest.mark.parametrize("size", range(3, 12))
+    def test_ring_radius_is_the_mixer_norm(self, size):
+        """The free-fermion R bounds ||H|| (from each weight sector's spectrum) and is tight."""
+        bp = random_block_problem(size, seed=90 + size)
+        norm = max(
+            float(np.max(np.abs(np.linalg.eigvalsh(h)))) if len(h) else 0.0
+            for _, h in (sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1))
+        )
+        radius = qaoa._mixer_radius(bp)
+        assert norm <= radius <= norm * (1 + 1e-9)
+        assert radius < len(bp.mixer_edges) or size == 3
+
+    def test_other_edge_sets_keep_the_edge_count(self):
+        bp = random_block_problem(10, seed=39)
+        bp.mixer_edges = [(t, t + 1) for t in range(9)]  # an open chain
+        assert qaoa._mixer_radius(bp) == 9.0
+
+    def test_ring_layer_matches_sector_expm_to_1e_12(self):
+        size = 10
+        bp = random_block_problem(size, seed=41)
+        rng = stream(42)
+        sectors = [sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1)]
+        for beta in (-1.3, 0.4, 2.9):
+            psi = random_state(1 << size, rng)
+            oracle = np.empty_like(psi)
+            for sector, h in sectors:
+                oracle[sector] = scipy.linalg.expm(-1j * beta * h) @ psi[sector]
+            out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+            assert np.max(np.abs(out - oracle)) < 1e-12
 
     @pytest.mark.parametrize("beta", [0.4, 1.5, -2.9])
     def test_sparse_products_per_layer(self, beta):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from blockmc import qubo
+from blockmc import mcmc, qubo
 from blockmc.errors import FormatError, ResourceLimitError
 from blockmc.streams import stream
 
@@ -20,6 +20,17 @@ def slow_energy(inst, x):
         for j in range(i + 1, inst.n):
             e += inst.quad.get((i, j), 0.0) * int(x[i]) * int(x[j])
     return e
+
+
+def delta_swap(inst, x, i, j):
+    """The chain's swap delta (``mcmc.energy_delta_swap``) at configuration x."""
+    return mcmc.energy_delta_swap(mcmc.ChainState(inst, x), i, j)
+
+
+def delta_block(inst, x, verts, new_bits):
+    """The chain's block delta (``mcmc.energy_delta_block``) of writing new_bits at verts."""
+    flips = [int(v) for v, b in zip(verts, new_bits) if x[v] != b]
+    return mcmc.energy_delta_block(mcmc.ChainState(inst, x), flips)
 
 
 def all_configs(n):
@@ -51,7 +62,7 @@ class TestEnergyDeltaSwap:
     def test_linear_only(self):
         inst = qubo.QuboInstance(n=2, quad={}, lin=np.array([1.0, 0.0]), konst=0.0)
         x = np.array([1, 0], dtype=np.uint8)
-        assert qubo.energy_delta_swap(inst, x, 0, 1) == pytest.approx(-1.0)
+        assert delta_swap(inst, x, 0, 1) == pytest.approx(-1.0)
 
     def test_swap_is_involution(self):
         inst = qubo.gen_regular_instance(8, 3, seed=3)
@@ -62,10 +73,10 @@ class TestEnergyDeltaSwap:
             zeros = np.flatnonzero(x == 0)
             i = int(rng.choice(ones))
             j = int(rng.choice(zeros))
-            d1 = qubo.energy_delta_swap(inst, x, i, j)
+            d1 = delta_swap(inst, x, i, j)
             y = x.copy()
             y[i], y[j] = y[j], y[i]
-            d2 = qubo.energy_delta_swap(inst, y, i, j)
+            d2 = delta_swap(inst, y, i, j)
             assert d1 + d2 == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_full_recomputation(self):
@@ -78,12 +89,12 @@ class TestEnergyDeltaSwap:
             y = x.copy()
             y[i], y[j] = y[j], y[i]
             expected = qubo.energy(inst, y) - qubo.energy(inst, x)
-            assert qubo.energy_delta_swap(inst, x, i, j) == pytest.approx(expected, abs=1e-12)
+            assert delta_swap(inst, x, i, j) == pytest.approx(expected, abs=1e-12)
 
     def test_equal_bits_rejected(self):
         inst = qubo.QuboInstance(n=2, quad={}, lin=np.zeros(2), konst=0.0)
         with pytest.raises(ValueError):
-            qubo.energy_delta_swap(inst, np.array([1, 1], dtype=np.uint8), 0, 1)
+            delta_swap(inst, np.array([1, 1], dtype=np.uint8), 0, 1)
 
 
 class TestEnergyDeltaBlock:
@@ -97,11 +108,11 @@ class TestEnergyDeltaBlock:
             y = x.copy()
             y[verts] = new_bits
             expected = qubo.energy(inst, y) - qubo.energy(inst, x)
-            got = qubo.energy_delta_block(inst, x, verts, new_bits)
+            got = delta_block(inst, x, verts, new_bits)
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_one_block_many_states(self):
-        """The per-block terms are built once and reused for every x."""
+        """One vertex list over many configurations of any weight."""
         inst = qubo.gen_regular_instance(16, 3, seed=3)
         verts = np.array([5, 0, 9, 3, 12, 7], dtype=np.intp)
         rng = stream(6)
@@ -111,10 +122,10 @@ class TestEnergyDeltaBlock:
             y = x.copy()
             y[verts] = new_bits
             expected = qubo.energy(inst, y) - qubo.energy(inst, x)
-            assert qubo.energy_delta_block(inst, x, verts, new_bits) == pytest.approx(expected, abs=1e-12)
+            assert delta_block(inst, x, verts, new_bits) == pytest.approx(expected, abs=1e-12)
 
     def test_instances_sharing_a_vertex_set(self):
-        """Terms are kept per instance, not per vertex list alone."""
+        """Fields and couplings come from each instance, not from the vertex list alone."""
         lin = stream(10).standard_normal(12)
         insts = [
             qubo.QuboInstance(n=12, quad=qubo.gen_regular_instance(12, 3, seed=s).quad, lin=lin)
@@ -129,7 +140,7 @@ class TestEnergyDeltaBlock:
             y[verts] = new_bits
             for inst in insts:
                 expected = qubo.energy(inst, y) - qubo.energy(inst, x)
-                got = qubo.energy_delta_block(inst, x, verts, new_bits)
+                got = delta_block(inst, x, verts, new_bits)
                 assert got == pytest.approx(expected, abs=1e-12)
 
 
