@@ -9,10 +9,9 @@ context, which is what carries k to the first conditional.
 
 Likelihoods are exact by construction, sampling is ancestral, and training
 is plain mini-batch gradient ascent with momentum, all in numpy (reverse
-mode by hand; the networks are tiny). ``sector(k)`` scores every weight-k
-bitstring once per (model, k); one uniform against its running mass draws
-with the ancestral law, because both use the same clamped conditionals, and
-the mass left above the table is the chance of a draw at another weight.
+mode by hand; the networks are tiny). A model holds its weights and
+nothing derived from them; the chain kernel's per-weight proposal tables
+belong to ``mcmc`` (``sector_table``).
 
 ``train_group`` trains same-shape models in lockstep: each layer's tensors
 are stacked on a leading member axis, so one minibatch is one forward, one
@@ -25,15 +24,14 @@ leave it.
 
 from __future__ import annotations
 
-import functools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FormatError
 from .fileio import Reader, write_bytes, write_lines
-from .qaoa import BlockSampleSet
+from .qaoa import BlockSampleSet, basis
 from .streams import stream
 
 _PROB_CLAMP = 1e-12
@@ -77,29 +75,6 @@ class TrainReport:
         write_lines(path, ["epoch,train_ll,val_ll", *rows])
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Every weight-k block bitstring with its exact proposal probability.
-
-    ``rows`` are in increasing order of their ``codes``, where bit t of a
-    code is x_t; ``cdf`` is the running sum of exp(``log_q``), so ``cdf[-1]``
-    is the mass q gives weight k; ``row_of[code]`` is the row of a weight-k
-    code.
-    """
-
-    rows: np.ndarray
-    log_q: np.ndarray
-    cdf: np.ndarray
-    row_of: np.ndarray
-    codes: np.ndarray
-
-    @functools.cached_property
-    def lookup(self) -> tuple[list[float], list[int], list[float], list[int]]:
-        """(cdf, codes, log_q, row_of) as Python lists, for the scalar lookups
-        of a chain step; built once per table, ``row_of`` once per block size."""
-        return self.cdf.tolist(), self.codes.tolist(), self.log_q.tolist(), _rank_list(self.rows.shape[1])
-
-
 @dataclass
 class ConditionalMadeModel:
     """Masked autoregressive network with Hamming-weight context.
@@ -116,27 +91,6 @@ class ConditionalMadeModel:
     biases: list[np.ndarray]
     masks: list[np.ndarray]
     ctx_weights: list[np.ndarray]
-    _sectors: dict[int, Sector] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _invalidate(self):
-        self._sectors = {}
-
-    def sector(self, k: int) -> Sector:
-        """The weight-k proposal table, built on first use and kept until the
-        weights change (``_invalidate``)."""
-        table = self._sectors.get(k)
-        if table is None:
-            if not 0 <= k <= self.block_size:
-                raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
-            weight, rank = _code_ranks(self.block_size)
-            codes = np.flatnonzero(weight == k)
-            rows = ((codes[:, None] >> np.arange(self.block_size)) & 1).astype(np.uint8)
-            log_q = log_prob_batch(self, rows, np.full(len(rows), k))
-            table = Sector(rows, log_q, np.cumsum(np.exp(log_q)), rank, codes)
-            for a in (rows, log_q, table.cdf, codes):
-                a.flags.writeable = False
-            self._sectors[k] = table
-        return table
 
     def logits(self, x: np.ndarray, k: int) -> np.ndarray:
         """Per-variable Bernoulli logits given the full input vector."""
@@ -153,7 +107,7 @@ class ConditionalMadeModel:
     def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Ancestral draw in ``ordering``; returns (bits, log q(bits | k)).
 
-        The chain kernel draws from ``sector`` instead, which has this law."""
+        The chain kernel draws from ``mcmc.sector_table`` instead, which has this law."""
         if not 0 <= k <= self.block_size:
             raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
         bits, log_q = sample_batch(self, k, 1, rng)
@@ -162,26 +116,6 @@ class ConditionalMadeModel:
 
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
-
-
-@functools.cache
-def _code_ranks(block_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hamming weight of every code 0..2^|B|-1, and its position among the
-    codes of that weight in increasing order."""
-    codes = np.arange(1 << block_size)
-    weight = ((codes[:, None] >> np.arange(block_size)) & 1).sum(axis=1)
-    rank = np.empty_like(codes)
-    for k in range(block_size + 1):
-        sel = weight == k
-        rank[sel] = np.arange(np.count_nonzero(sel))
-    weight.flags.writeable = rank.flags.writeable = False
-    return weight, rank
-
-
-@functools.cache
-def _rank_list(block_size: int) -> list[int]:
-    """``_code_ranks(block_size)[1]`` as a Python list, shared by every table of that size."""
-    return _code_ranks(block_size)[1].tolist()
 
 
 def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMadeModel:
@@ -364,7 +298,6 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
     for g, model in enumerate(models):
         for dst, src in zip((*model.weights, *model.biases, *model.ctx_weights), trained):
             dst[...] = src[g]
-        model._invalidate()
     return reports
 
 
@@ -385,11 +318,8 @@ def sample_batch(
 
 def exhaustive_conditional_distribution(model: ConditionalMadeModel, k: int) -> np.ndarray:
     """Exact q(. | k) over all 2^|B| bitstrings (bit t of the index is x_t)."""
-    b = model.block_size
-    idx = np.arange(1 << b, dtype=np.int64)
-    bits = ((idx[:, None] >> np.arange(b)) & 1).astype(np.uint8)
-    ks = np.full(1 << b, k, dtype=np.int64)
-    return np.exp(log_prob_batch(model, bits, ks))
+    bits = basis(model.block_size).bits
+    return np.exp(log_prob_batch(model, bits, np.full(len(bits), k, dtype=np.int64)))
 
 
 _MODEL_MAGIC = b"BMCM"

@@ -8,9 +8,12 @@ trace file and never changes once given; new kernels take 4 and up.
   block uniformly, read off the only feasible block weight from the
   complement, draw the block's bits from its conditional MADE, and correct
   with the proposal ratio q(x_B|k)/q(x'_B|k). The draw is one uniform
-  against the model's cached weight-k table
-  (``ConditionalMadeModel.sector``), which has the law of the ancestral
-  sampler, mismatch rate included; both log q terms are table lookups.
+  against the block's weight-k table (``sector_table``), which has the law
+  of the ancestral sampler, mismatch rate included; both log q terms are
+  table lookups. The ``KernelConfig`` builds each (block, k) table on its
+  first use and keeps it for every chain it runs, so a table lives exactly
+  as long as the config and a config built after training reads the
+  trained weights.
 * ``global-kawasaki``: swap a uniformly chosen 1-bit with a uniformly
   chosen 0-bit; symmetric, so the ratio term vanishes.
 * ``local-kawasaki``: pick a graph edge uniformly; swap if its endpoints
@@ -31,10 +34,12 @@ their neighbors, O(degree) per changed bit.
 Each ``propose_*(state, inst, cfg, rng)`` returns a move: ``None`` for a
 draw whose weight misses the block's (rejected, alpha = 0; the chain stays
 put and the step still counts), ``()`` for a null move (accepted,
-alpha = 1), or ``(vertices, new_bits, dE, log_q_rev, log_q_fwd)``.
-``accept`` applies a move to the state in place. Every kernel preserves
-the weight by construction, so the chain never leaves the feasible set;
-this, the cached energy and the fields are re-validated periodically.
+alpha = 1), or ``(flips, dE, log_q_rev, log_q_fwd)``, where ``flips``
+lists the vertices whose bits the move inverts (none when a block draw
+repeats the block's bits). ``accept`` flips them in the state in place.
+Every kernel preserves the weight by construction, so the chain never
+leaves the feasible set; this, the cached energy and the fields are
+re-validated periodically.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .fileio import Reader, write_bytes
-from .made import ConditionalMadeModel
+from .made import ConditionalMadeModel, log_prob_batch
 from .partition import PartitionPair
+from .qaoa import basis
 from .qubo import QuboInstance, energy
 from .streams import stream
 
@@ -74,9 +80,9 @@ class KernelConfig:
                 for b in blocks:
                     if b.id not in self.models:
                         raise ConfigError(f"no surrogate model for block {b.id}")
-            # per partition, per block: (vertices, model)
+            # per partition, per block: (vertices, model, weight k -> sector_table(model, k))
             self._blocks = tuple(
-                [([int(v) for v in b.vertices], self.models[b.id]) for b in blocks]
+                [([int(v) for v in b.vertices], self.models[b.id], {}) for b in blocks]
                 for blocks in (self.partition_pair.p1, self.partition_pair.p2)
             )
 
@@ -167,6 +173,24 @@ class ChainTrace:
         return len(self.accepted)
 
 
+def sector_table(model: ConditionalMadeModel, k: int) -> tuple[tuple, tuple, dict]:
+    """Every weight-k block code with its exact proposal probability, as
+    ``(cdf, codes, log_q)``.
+
+    ``codes`` ascend (bit t of a code is x_t); ``cdf`` is the running sum of
+    q(code | k) over them, so ``cdf[-1]`` is the mass q gives weight k and
+    one uniform below it picks a code with the ancestral sampler's law;
+    ``log_q`` maps each code to log q(code | k).
+    """
+    if not 0 <= k <= model.block_size:
+        raise ValueError(f"context weight {k} outside [0, {model.block_size}]")
+    b = basis(model.block_size)
+    codes = b.order[b.bounds[k] : b.bounds[k + 1]]
+    log_q = log_prob_batch(model, b.bits[codes], np.full(len(codes), k))
+    cdf, codes = tuple(np.cumsum(np.exp(log_q)).tolist()), tuple(codes.tolist())
+    return cdf, codes, dict(zip(codes, log_q.tolist()))
+
+
 def propose_block_surrogate(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
     """New bits for a uniformly chosen block at its forced weight.
 
@@ -174,20 +198,23 @@ def propose_block_surrogate(state: ChainState, inst: QuboInstance, cfg: KernelCo
     block's current weight; a draw at any other weight is ``None``.
     """
     blocks = cfg._blocks[rng.integers(2)]
-    verts, model = blocks[rng.integers(len(blocks))]
+    verts, model, tables = blocks[rng.integers(len(blocks))]
     bits = state.bits
     code = 0
     for t, v in enumerate(verts):
         code |= bits[v] << t
-    table = model.sector(code.bit_count())  # k_B == K - complement weight
-    cdf, codes, log_q, row_of = table.lookup
+    k = code.bit_count()  # k_B == K - complement weight
+    table = tables.get(k)
+    if table is None:
+        table = tables[k] = sector_table(model, k)
+    cdf, codes, log_q = table
     u = rng.random()
     if u >= cdf[-1]:
         return None
-    row = bisect_right(cdf, u)  # < len(cdf), as u < cdf[-1]
-    diff = code ^ codes[row]
+    new = codes[bisect_right(cdf, u)]  # a valid index, as u < cdf[-1]
+    diff = code ^ new
     flips = [v for t, v in enumerate(verts) if diff >> t & 1]
-    return verts, table.rows[row], energy_delta_block(state, flips), log_q[row_of[code]], log_q[row]
+    return flips, energy_delta_block(state, flips), log_q[code], log_q[new]
 
 
 def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
@@ -197,7 +224,7 @@ def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelCo
         raise ConfigError("global Kawasaki undefined for K in {0, N}")
     i = ones[rng.integers(len(ones))]
     j = zeros[rng.integers(len(zeros))]
-    return [i, j], (0, 1), energy_delta_swap(state, i, j), 0.0, 0.0
+    return (i, j), energy_delta_swap(state, i, j), 0.0, 0.0
 
 
 def propose_local_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
@@ -205,10 +232,9 @@ def propose_local_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelCon
     if inst.num_edges == 0:
         raise ConfigError("local Kawasaki undefined on an edgeless instance")
     i, j = inst.edge_list[rng.integers(inst.num_edges)]
-    b_i, b_j = state.bits[i], state.bits[j]
-    if b_i == b_j:
+    if state.bits[i] == state.bits[j]:
         return ()
-    return [i, j], (b_j, b_i), energy_delta_swap(state, i, j), 0.0, 0.0
+    return (i, j), energy_delta_swap(state, i, j), 0.0, 0.0
 
 
 class Kernel(NamedTuple):
@@ -236,16 +262,14 @@ def accept(state: ChainState, e: float, move, beta_pi: float, rng: np.random.Gen
         return e, False, 0.0
     if not move:
         return e, True, 1.0
-    vertices, bits, delta, log_q_rev, log_q_fwd = move
+    flips, delta, log_q_rev, log_q_fwd = move
     log_alpha = -beta_pi * delta + log_q_rev - log_q_fwd
     if not math.isfinite(log_alpha):
         raise RuntimeError(f"non-finite acceptance exponent {log_alpha}")
     alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
     if rng.random() <= alpha:
-        now = state.bits
-        for v, b in zip(vertices, bits):
-            if now[v] != b:
-                state.flip(v)
+        for v in flips:
+            state.flip(v)
         return e + delta, True, alpha
     return e, False, alpha
 

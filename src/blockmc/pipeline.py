@@ -209,15 +209,26 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             "mcmc.pairs": cfg.mcmc.pairs,
             "mcmc.thin": cfg.mcmc.thin,
             "partition.block_size": cfg.partition.block_size,
+            "analysis.max_lag": cfg.analysis.max_lag,
         }
     )
+    if not 0.0 <= cfg.analysis.burn_fraction < 1.0:
+        raise ConfigError(f"analysis.burn_fraction={cfg.analysis.burn_fraction!r} is not in [0, 1)")
+    if not 0.0 < cfg.analysis.cutoff < 1.0:
+        raise ConfigError(f"analysis.cutoff={cfg.analysis.cutoff!r} is not in (0, 1)")
     if cfg.instance.source == "generate":
-        n = cfg.instance.n
+        n, degree = cfg.instance.n, cfg.instance.degree
         require_positive({"instance.n": n})
+        if not 0 <= degree < n or n * degree % 2:
+            raise ConfigError(f"no simple {degree}-regular graph on n={n}: need 0 <= degree < n and n*degree even")
         if cfg.k is not None and not 0 <= cfg.k <= n:
             raise ConfigError(f"k={cfg.k} is not in [0, instance.n={n}]")
         if cfg.partition.block_size > n:
             raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
+        for name in ("sizes1", "sizes2"):
+            sizes = getattr(cfg.partition, name)
+            if sizes is not None and (min(sizes, default=0) < 1 or sum(sizes) != n):
+                raise ConfigError(f"partition.{name}={sizes} must be sizes >= 1 that sum to n={n}")
     return cfg
 
 

@@ -10,7 +10,9 @@ tolerance. Parameter optimization is derivative free on the noiseless
 expectation; sampling inverts the cumulative basis probabilities.
 
 Index convention used package-wide: bit t of a basis index is the variable
-at position t of the block's vertex list.
+at position t of the block's vertex list. ``basis(size)`` enumerates the
+indices once per block size (their bits, weights and weight sectors), and
+every module that needs them reads them there.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -74,11 +77,11 @@ class BlockProblem:
         """
         if self._mixer_op is None:
             dim = self.dim
-            idx = np.arange(dim, dtype=np.int64)
+            bits = basis(self.size).bits
             rows, cols = [], []
             for a, b in self.mixer_edges:
                 mask = (1 << a) | (1 << b)
-                sel = idx[((idx >> a) & 1) != ((idx >> b) & 1)]
+                sel = np.flatnonzero(bits[:, a] != bits[:, b])
                 rows.append(sel)
                 cols.append(sel ^ mask)
             r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
@@ -95,36 +98,32 @@ class BlockProblem:
 class SectorEigenbasis:
     """Eigendecomposition of the mixer restricted to each Hamming-weight sector.
 
-    ``order`` lists the basis indices by weight, ascending within a weight,
-    so sector w is ``order[bounds[w]:bounds[w + 1]]``. The sector's
+    ``order`` and ``bounds`` are the block's ``basis``: sector w is
+    ``order[bounds[w]:bounds[w + 1]]``, ascending within the sector. The sector's
     eigenvalues are ``values[bounds[w]:bounds[w + 1]]`` and its eigenvectors
     the columns of ``vectors[w]``, in the same position order. The sector
     Hamiltonians are real symmetric, so the eigenvectors are real.
     """
 
     order: np.ndarray
-    bounds: list[int]
+    bounds: tuple[int, ...]
     values: np.ndarray
     vectors: list[np.ndarray]
 
 
 def _sector_eigenbasis(size: int, rows: np.ndarray, cols: np.ndarray) -> SectorEigenbasis:
     """Diagonalize the mixer with nonzero entries (rows, cols) sector by sector."""
-    w = basis_weights(size)
-    order = np.argsort(w, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(w, minlength=size + 1))))
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order)) - bounds[w[order]]
-    values = np.empty(len(order))
+    b = basis(size)
+    values = np.empty(len(b.order))
     vectors = []
     for k in range(size + 1):
-        lo, hi = bounds[k], bounds[k + 1]
-        sel = w[rows] == k
+        lo, hi = b.bounds[k], b.bounds[k + 1]
+        sel = b.weight[rows] == k
         h = np.zeros((hi - lo, hi - lo))
-        h[pos[rows[sel]], pos[cols[sel]]] = 1.0
+        h[b.rank[rows[sel]], b.rank[cols[sel]]] = 1.0
         values[lo:hi], v = np.linalg.eigh(h)
         vectors.append(v)
-    return SectorEigenbasis(order=order, bounds=bounds.tolist(), values=values, vectors=vectors)
+    return SectorEigenbasis(order=b.order, bounds=b.bounds, values=values, vectors=vectors)
 
 
 @dataclass
@@ -184,7 +183,7 @@ def build_block_problem(inst: QuboInstance, block: Block) -> BlockProblem:
         raise ResourceLimitError(f"block of {b} qubits exceeds limit {MAX_BLOCK_QUBITS}")
     verts = np.asarray(block.vertices, dtype=np.intp)
     local = {int(v): t for t, v in enumerate(verts)}
-    bits = _basis_bits(b)
+    bits = basis(b).bits
     diag = bits @ inst.lin[verts]
     for t, v in enumerate(block.vertices):
         nbr, w = inst.neighbors(v)
@@ -195,18 +194,30 @@ def build_block_problem(inst: QuboInstance, block: Block) -> BlockProblem:
     return BlockProblem(block=block, diag_energies=diag, mixer_edges=ring_mixer_edges(b))
 
 
-def _basis_bits(size: int) -> np.ndarray:
-    idx = np.arange(1 << size, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(size)) & 1).astype(np.float64)
+class Basis(NamedTuple):
+    """The 2^|B| basis indices of a block, under the package-wide convention
+    that bit t of an index is x_t. Every array is read-only."""
+
+    bits: np.ndarray  # (2^|B|, |B|) uint8; row z holds the bits of index z
+    weight: np.ndarray  # Hamming weight of every index
+    order: np.ndarray  # indices by weight, ascending within a weight
+    bounds: tuple[int, ...]  # the weight-w indices are order[bounds[w]:bounds[w + 1]]
+    rank: np.ndarray  # position of every index within its weight's slice of order
 
 
-def basis_weights(size: int) -> np.ndarray:
-    """Hamming weight of every basis index."""
+@functools.cache
+def basis(size: int) -> Basis:
+    """The ``Basis`` of a ``size``-qubit block, built once per size."""
     idx = np.arange(1 << size, dtype=np.int64)
-    w = np.zeros(1 << size, dtype=np.int64)
-    for t in range(size):
-        w += (idx >> t) & 1
-    return w
+    bits = ((idx[:, None] >> np.arange(size)) & 1).astype(np.uint8)
+    weight = bits.sum(axis=1, dtype=np.int64)
+    order = np.argsort(weight, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(weight, minlength=size + 1))))
+    rank = np.empty_like(order)
+    rank[order] = idx - bounds[weight[order]]
+    for a in (bits, weight, order, rank):
+        a.flags.writeable = False
+    return Basis(bits, weight, order, tuple(bounds.tolist()), rank)
 
 
 def prepare_initial_state(size: int, angle: float) -> Statevector:
@@ -223,7 +234,7 @@ def prepare_initial_state(size: int, angle: float) -> Statevector:
         raise ValueError(f"angle {angle} outside [0, pi]")
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
-    w = basis_weights(size)
+    w = basis(size).weight
     amps = (c ** (size - w)) * (s**w)
     return amps.astype(np.complex128)
 
@@ -424,13 +435,11 @@ def generate_training_set(
         raise ValueError("shots_per_init must be >= 1")
     rng = stream(seed, 91)
     b = bp.size
-    t_arange = np.arange(b)
     evolved = qaoa_state(bp, params, np.ones(bp.dim, dtype=np.complex128))
     all_samples = []
     for angle in init_angles:
         psi = evolved * prepare_initial_state(b, angle)
-        idx = sample_state(psi, shots_per_init, rng)
-        all_samples.append(((idx[:, None] >> t_arange) & 1).astype(np.uint8))
+        all_samples.append(basis(b).bits[sample_state(psi, shots_per_init, rng)])
     samples = np.concatenate(all_samples, axis=0)
     return BlockSampleSet(block_id=bp.block.id, samples=samples, weights=samples.sum(axis=1).astype(np.int64))
 

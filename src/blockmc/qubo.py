@@ -232,9 +232,15 @@ def load_instance_csv(path) -> QuboInstance:
 
     The strict upper triangle holds quadratic coefficients and the diagonal
     holds linear ones (x_i^2 = x_i for binary x). Nonzero entries below the
-    diagonal are rejected rather than silently folded.
+    diagonal are rejected rather than silently folded. Text that is not a
+    table of numbers, or a non-finite entry, raises ``FormatError``.
     """
-    mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    try:
+        mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"bad coefficient CSV {path}: {exc}") from exc
+    if not np.isfinite(mat).all():
+        raise FormatError(f"{path}: non-finite coefficient")
     if mat.shape[0] != mat.shape[1]:
         raise FormatError(f"coefficient matrix must be square, got {mat.shape}")
     n = mat.shape[0]

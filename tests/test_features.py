@@ -383,7 +383,7 @@ class TestBiasedAngle:
         psi = qaoa.prepare_initial_state(16, angle)
         rng = stream(21)
         drawn = qaoa.sample_state(psi, 10_000, rng)
-        w = qaoa.basis_weights(16)[drawn]
+        w = qaoa.basis(16).weight[drawn]
         assert abs(w.mean() - 2.0) < 0.1
 
     def test_out_of_range(self):

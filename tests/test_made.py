@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from blockmc import made, qaoa, qubo
+from blockmc import made, mcmc, qaoa, qubo
 from blockmc.partition import Block
 from blockmc.streams import stream
 
@@ -24,7 +24,6 @@ def zero_weights(model):
         b[:] = 0.0
     for c in model.ctx_weights:
         c[:] = 0.0
-    model._invalidate()
     return model
 
 
@@ -155,36 +154,17 @@ class TestSector:
     @pytest.mark.parametrize("k", [0, 3, 6])
     def test_table_is_the_exact_weight_k_slice(self, k):
         model = tiny_model(6, seed=5)
-        table = model.sector(k)
+        cdf, codes, log_q = mcmc.sector_table(model, k)
         exact = made.exhaustive_conditional_distribution(model, k)
-        codes = np.flatnonzero([bin(c).count("1") == k for c in range(64)])
-        assert np.array_equal(table.rows @ (1 << np.arange(6)), codes)
-        assert np.allclose(np.exp(table.log_q), exact[codes], rtol=0.0, atol=1e-12)
-        assert table.cdf[-1] == pytest.approx(exact[codes].sum(), abs=1e-12)
-        assert np.array_equal(table.row_of[codes], np.arange(len(codes)))
-
-    def test_tables_are_read_only(self):
-        table = tiny_model(4, seed=5).sector(2)
-        for a in (table.rows, table.log_q, table.cdf, table.row_of):
-            with pytest.raises(ValueError):
-                a[0] = 0
+        want = np.flatnonzero([bin(c).count("1") == k for c in range(64)])
+        assert np.array_equal(codes, want)
+        assert np.allclose(np.exp([log_q[c] for c in codes]), exact[want], rtol=0.0, atol=1e-12)
+        assert cdf[-1] == pytest.approx(exact[want].sum(), abs=1e-12)
+        assert sorted(log_q) == list(codes)
 
     def test_context_out_of_range(self):
         with pytest.raises(ValueError):
-            tiny_model(4).sector(5)
-
-    def test_train_and_invalidate_drop_the_tables(self):
-        model = tiny_model(4, seed=6)
-        before = model.sector(2)
-        assert model.sector(2) is before
-        data = synthetic_sample_set(stream(19).integers(0, 2, size=(200, 4)))
-        made.train(model, data, made.default_train_config(4, epochs=2, seed=1))
-        trained = model.sector(2)
-        assert trained is not before
-        exact = made.exhaustive_conditional_distribution(model, 2)
-        assert np.allclose(np.exp(trained.log_q), exact[trained.rows @ (1 << np.arange(4))], atol=1e-12)
-        zero_weights(model)  # calls _invalidate
-        assert np.allclose(np.exp(model.sector(2).log_q), 1 / 16, atol=1e-12)
+            mcmc.sector_table(tiny_model(4), 5)
 
 
 def _trained_qaoa_model(block_size, seed):
@@ -234,13 +214,10 @@ class TestTrain:
             for i in range(len(flat_t)):
                 orig = flat_t[i]
                 flat_t[i] = orig + step
-                model._invalidate()
                 up = loss()
                 flat_t[i] = orig - step
-                model._invalidate()
                 down = loss()
                 flat_t[i] = orig
-                model._invalidate()
                 fd = (up - down) / (2 * step)
                 assert flat_g[i] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from blockmc import made, mcmc, qubo
+from blockmc import made, mcmc, qaoa, qubo
 from blockmc.errors import ConfigError, FormatError
 from blockmc.partition import Block, PartitionPair, build_partition_pair, crossing_matrix
 from blockmc.streams import stream
@@ -22,7 +22,6 @@ def uniform_model(block_size, block_id):
         b[:] = 0.0
     for c in model.ctx_weights:
         c[:] = 0.0
-    model._invalidate()
     model.block_id = block_id
     return model
 
@@ -49,9 +48,10 @@ class TestProposeBlockSurrogate:
             move = mcmc.propose_block_surrogate(state, inst, cfg, rng)
             if move is None:
                 continue
-            vertices, bits = move[:2]
-            k_b = int(x[vertices].sum())
-            assert int(bits.sum()) == k_b
+            flips = move[0]  # all inside one block, so its weight holds iff x's does
+            y = x.copy()
+            y[flips] ^= 1
+            assert int(y.sum()) == int(x.sum())
 
     def test_empty_block_weight(self):
         """If the complement holds all K ones, only all-zero bits survive."""
@@ -67,9 +67,8 @@ class TestProposeBlockSurrogate:
             move = mcmc.propose_block_surrogate(state, inst, cfg, rng)
             if move is None:
                 continue
-            vertices, bits = move[:2]
-            if int(x[vertices].sum()) == 0:
-                assert np.all(bits == 0)
+            flips = move[0]  # a block of weight 0 redraws its zeros: no flips
+            assert not flips or x[flips].any()
 
     def test_survival_fraction_matches_slice_mass(self):
         """Weight-mismatch bookkeeping matches the exact weight-k slice mass."""
@@ -127,8 +126,7 @@ class TestProposeGlobalKawasaki:
         state = mcmc.ChainState(inst, x)
         rng = stream(8)
         for _ in range(10):
-            vertices, bits = mcmc.propose_global_kawasaki(state, inst, None, rng)[:2]
-            assert list(vertices) == [0, 1] and list(bits) == [0, 1]
+            assert mcmc.propose_global_kawasaki(state, inst, None, rng)[0] == (0, 1)
 
     def test_weight_preserved(self):
         inst = qubo.gen_regular_instance(8, 3, seed=2)
@@ -136,9 +134,9 @@ class TestProposeGlobalKawasaki:
         x = qubo.random_weight_k_config(8, 4, rng)
         state = mcmc.ChainState(inst, x)
         for _ in range(50):
-            vertices, bits = mcmc.propose_global_kawasaki(state, inst, None, rng)[:2]
+            flips = mcmc.propose_global_kawasaki(state, inst, None, rng)[0]
             y = x.copy()
-            y[vertices] = bits
+            y[list(flips)] ^= 1
             assert int(y.sum()) == 4
 
     def test_pair_frequencies_uniform(self):
@@ -174,8 +172,7 @@ class TestProposeLocalKawasaki:
         x = np.array([1, 0], dtype=np.uint8)
         state = mcmc.ChainState(inst, x)
         for s in range(5):
-            vertices, bits = mcmc.propose_local_kawasaki(state, inst, None, stream(s))[:2]
-            assert list(vertices) == [0, 1] and list(bits) == [0, 1]
+            assert mcmc.propose_local_kawasaki(state, inst, None, stream(s))[0] == (0, 1)
 
     def test_null_fraction_matches_edge_count(self):
         inst = qubo.gen_regular_instance(8, 3, seed=3)
@@ -207,7 +204,7 @@ class TestAccept:
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
         state = mcmc.ChainState(inst, x)
-        move = ([0, 1], (0, 1), mcmc.energy_delta_swap(state, 0, 1), 0.0, 0.0)
+        move = ((0, 1), mcmc.energy_delta_swap(state, 0, 1), 0.0, 0.0)
         _, accepted, alpha = mcmc.accept(state, 0.0, move, beta_pi=2.0, rng=stream(1))
         assert alpha == 1.0
         assert accepted
@@ -326,20 +323,26 @@ def ref_energy_delta_block(inst, x, verts, new_bits):
     return float(d @ (inst.lin[verts] + couplings @ v))
 
 
+_REF_TABLES = {}  # (block id, k) -> mcmc.sector_table; each ref_chain starts it empty
+
+
 def ref_propose_block_surrogate(x, inst, cfg, rng):
     pp = cfg.partition_pair
     blocks = (pp.p1, pp.p2)[rng.integers(2)]
     block = blocks[rng.integers(len(blocks))]
     verts = np.array(block.vertices, dtype=np.intp)
     code = int(x[verts] @ (1 << np.arange(block.size)))
-    table = cfg.models[block.id].sector(code.bit_count())
+    key = (block.id, code.bit_count())
+    if key not in _REF_TABLES:
+        _REF_TABLES[key] = mcmc.sector_table(cfg.models[block.id], key[1])
+    cdf, codes, log_q = _REF_TABLES[key]
     u = rng.random()
-    if u >= table.cdf[-1]:
+    if u >= cdf[-1]:
         return None
-    row = int(table.cdf.searchsorted(u, side="right"))
-    bits = table.rows[row]
+    new = codes[int(np.searchsorted(cdf, u, side="right"))]
+    bits = (new >> np.arange(block.size)) & 1
     delta = ref_energy_delta_block(inst, x, verts, bits)
-    return verts, bits, delta, float(table.log_q[table.row_of[code]]), float(table.log_q[row])
+    return verts, bits, delta, log_q[code], log_q[new]
 
 
 def ref_propose_global_kawasaki(x, inst, cfg, rng):
@@ -383,6 +386,7 @@ def ref_accept(x, e, move, beta_pi, rng):
 def ref_chain(inst, cfg, steps, init, seed, thin):
     """(configs, energies, accepted, probs) of the numpy stepper, with the
     energy reset to the exact one every 10^4 steps as ``run_chain`` does."""
+    _REF_TABLES.clear()
     rng = stream(seed)
     x = init.copy()
     e = qubo.energy(inst, x)
@@ -407,7 +411,6 @@ def sharpened_block_config(inst, sizes, seed, beta_pi=0.5):
         model = made.build_model(b.size, made.default_train_config(b.size), seed=seed + i)
         for w in (*model.weights, *model.ctx_weights):
             w *= 1.5
-        model._invalidate()
         model.block_id = b.id
         models[b.id] = model
     return mcmc.KernelConfig("block-surrogate", beta_pi, pp, models)
@@ -544,7 +547,6 @@ class TestStationarity:
             model = made.build_model(4, made.default_train_config(4), seed=40 + i)
             for w in (*model.weights, *model.ctx_weights):
                 w *= 1.5
-            model._invalidate()
             model.block_id = b.id
             models[b.id] = model
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
@@ -596,6 +598,52 @@ class TestKernelTable:
         back = mcmc.load_trace(path)
         assert back.kind == kind
         assert np.array_equal(back.configs, trace.configs)
+
+
+class TestTableOwnership:
+    def test_each_table_built_once_per_config(self, monkeypatch):
+        """Every chain of a config shares its (block, k) tables; a new config builds its own."""
+        build, calls = mcmc.sector_table, []
+
+        def counting(model, k):
+            calls.append((id(model), k))
+            return build(model, k)
+
+        monkeypatch.setattr(mcmc, "sector_table", counting)
+        inst = qubo.gen_regular_instance(8, 3, seed=6)
+        cfg = sharpened_block_config(inst, [4, 4], seed=3)  # one model per block
+        init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
+        for seed in range(3):
+            mcmc.run_chain(inst, 4, cfg, steps=300, init=init, seed=seed)
+        assert len(calls) > 4 and len(set(calls)) == len(calls)
+        built = len(calls)
+        fresh = mcmc.KernelConfig("block-surrogate", cfg.beta_pi, cfg.partition_pair, cfg.models)
+        mcmc.run_chain(inst, 4, fresh, steps=300, init=init, seed=0)
+        assert len(calls) > built
+
+    def test_config_built_after_train_reads_trained_weights(self):
+        inst = qubo.gen_regular_instance(8, 3, seed=6)
+        pp = build_partition_pair(inst, [4, 4], [4, 4], seed=3)
+        model = made.build_model(4, made.default_train_config(4), seed=6)
+        models = {b.id: model for part in (pp.p1, pp.p2) for b in part}
+        init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
+        before = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
+        mcmc.run_chain(inst, 4, before, steps=200, init=init, seed=1)
+        rows = stream(19).integers(0, 2, size=(200, 4)).astype(np.uint8)
+        data = qaoa.BlockSampleSet(block_id=(1, 0), samples=rows, weights=rows.sum(axis=1))
+        made.train(model, data, made.default_train_config(4, epochs=2, seed=1))
+        after = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
+        mcmc.run_chain(inst, 4, after, steps=200, init=init, seed=1)
+        checked = 0
+        for old_blocks, new_blocks in zip(before._blocks, after._blocks):
+            for (_, _, old), (_, _, new) in zip(old_blocks, new_blocks):
+                for k, (cdf, codes, log_q) in new.items():
+                    exact = made.exhaustive_conditional_distribution(model, k)
+                    assert np.allclose(np.exp([log_q[c] for c in codes]), exact[list(codes)], atol=1e-12)
+                    if k in old and 0 < k < 4:
+                        assert old[k][2] != log_q  # the first config keeps its untrained tables
+                    checked += 1
+        assert checked > 0
 
 
 class TestPersistence:

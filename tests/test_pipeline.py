@@ -103,6 +103,16 @@ class TestConfig:
             {"made": {"learning_rate": -1.0}},
             {"made": {"validation_fraction": 0.9}},
             {"made": {"widths": []}},
+            {"instance": {"n": 9, "degree": 3}},
+            {"instance": {"n": 8, "degree": 8}},
+            {"instance": {"n": 8, "degree": -2}},
+            {"partition": {"sizes1": [4, 4]}},
+            {"instance": {"n": 8}, "partition": {"sizes2": [8, 0]}},
+            {"analysis": {"max_lag": 0}},
+            {"analysis": {"burn_fraction": 1.5}},
+            {"analysis": {"burn_fraction": -0.1}},
+            {"analysis": {"cutoff": -1}},
+            {"analysis": {"cutoff": 1.0}},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
@@ -110,7 +120,9 @@ class TestConfig:
              "sizes-float", "learning-rate-bool", "widths-not-list", "target-weight-str",
              "path-not-str", "p-zero", "restarts-zero", "max-evals-zero", "shots-zero",
              "target-weight-negative", "epochs-zero", "batch-size-zero", "learning-rate-negative",
-             "validation-fraction-above-half", "widths-empty"],
+             "validation-fraction-above-half", "widths-empty", "degree-odd-stubs", "degree-n",
+             "degree-negative", "sizes-sum-not-n", "size-zero", "max-lag-zero", "burn-above-one",
+             "burn-negative", "cutoff-negative", "cutoff-one"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -122,10 +134,10 @@ class TestConfig:
 
     def test_optional_and_float_fields_accept_their_types(self):
         cfg = pipeline.config_from_dict(
-            {"k": None, "beta_pi": 1, "partition": {"sizes1": [4, 4]},
+            {"k": None, "beta_pi": 1, "partition": {"sizes1": [8, 8]},
              "qaoa": {"biased_target_weight": 2.5}, "made": {"widths": [8]}}
         )
-        assert (cfg.k, cfg.beta_pi, cfg.partition.sizes1) == (None, 1, [4, 4])
+        assert (cfg.k, cfg.beta_pi, cfg.partition.sizes1) == (None, 1, [8, 8])
 
     def test_size_limits_wait_for_a_file_instance(self):
         """n of a file instance is known only once it is read."""

@@ -47,6 +47,23 @@ def random_state(dim, rng):
     return psi / np.linalg.norm(psi)
 
 
+class TestBasis:
+    def test_tables_agree_and_are_read_only(self):
+        """Shared by every caller of a block size, so nobody may write to it."""
+        b = qaoa.basis(5)
+        assert qaoa.basis(5) is b
+        idx = np.arange(32)
+        assert np.array_equal(b.bits @ (1 << np.arange(5)), idx)
+        assert np.array_equal(b.weight, b.bits.sum(axis=1))
+        for w in range(6):
+            sector = b.order[b.bounds[w] : b.bounds[w + 1]]
+            assert np.array_equal(sector, idx[b.weight == w])
+            assert np.array_equal(b.rank[sector], np.arange(len(sector)))
+        for a in (b.bits, b.weight, b.order, b.rank):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
 class TestBlockProblem:
     def test_diag_energies_exhaustive(self):
         """Block-restricted energies must agree with direct evaluation."""
@@ -85,7 +102,7 @@ class TestPrepareInitialState:
         psi = qaoa.prepare_initial_state(16, angle)
         rng = stream(123)
         idx = qaoa.sample_state(psi, 10_000, rng)
-        w = qaoa.basis_weights(16)[idx]
+        w = qaoa.basis(16).weight[idx]
         assert abs(w.mean() - 2.0) < 0.1
 
     def test_limits(self):
@@ -187,7 +204,7 @@ class TestQaoaState:
     def test_weight_subspace_confinement(self):
         """Support stays in the initial Hamming-weight subspace."""
         bp = random_block_problem(6, seed=13)
-        w = qaoa.basis_weights(6)
+        w = qaoa.basis(6).weight
         rng = stream(14)
         for k in (1, 3, 5):
             psi = np.zeros(64, dtype=np.complex128)
@@ -221,7 +238,7 @@ class TestExpectedEnergy:
 
     def test_uniform_weight_subspace(self):
         bp = random_block_problem(6, seed=18)
-        w = qaoa.basis_weights(6)
+        w = qaoa.basis(6).weight
         sel = w == 2
         psi = np.zeros(64, dtype=np.complex128)
         psi[sel] = 1.0 / math.sqrt(sel.sum())
@@ -317,7 +334,7 @@ class TestTrainingSet:
         angles = qaoa.default_training_angles(6)
         shots = 10_000
         ss = qaoa.generate_training_set(bp, params, angles, shots, seed=3)
-        w = qaoa.basis_weights(6)
+        w = qaoa.basis(6).weight
         for a_idx, angle in enumerate(angles):
             psi = qaoa.qaoa_state(bp, params, qaoa.prepare_initial_state(6, angle))
             probs = np.abs(psi) ** 2
@@ -398,7 +415,7 @@ class TestSectorEigenMixer:
     def test_single_sector_stays_exactly_in_sector(self):
         size = 8
         bp = random_block_problem(size, seed=32)
-        w = qaoa.basis_weights(size)
+        w = qaoa.basis(size).weight
         rng = stream(33)
         for k in (0, 3, 8):
             sel = w == k
@@ -451,7 +468,7 @@ class TestMixerAbove512Dims:
     def test_single_sector_stays_exactly_in_sector(self):
         size = 10
         bp = random_block_problem(size, seed=34)
-        w = qaoa.basis_weights(size)
+        w = qaoa.basis(size).weight
         rng = stream(35)
         for k in (0, 4, 10):
             sel = w == k

@@ -244,6 +244,19 @@ class TestInstanceIO:
         with pytest.raises(FormatError):
             qubo.load_instance_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [("1.0,abc\n0.0,1.0\n", "bad coefficient CSV"), ("1.0,2.0,0.0\n0.0,1.0\n", "bad coefficient CSV"),
+         ("1.0,nan\n0.0,1.0\n", "non-finite")],
+        ids=["non-numeric", "ragged", "nan"],
+    )
+    def test_csv_malformed_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=match) as exc:
+            qubo.load_instance_csv(path)
+        assert str(path) in str(exc.value)
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e999"])
     @pytest.mark.parametrize("field", ["edge", "linear", "constant"])
     def test_non_finite_coefficient_rejected(self, tmp_path, field, bad):
