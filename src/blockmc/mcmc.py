@@ -31,6 +31,12 @@ the same order as a scan of the array would, and a seed gives the same
 chain. Accepting a move flips the changed bits and moves the fields of
 their neighbors, O(degree) per changed bit.
 
+``run_chain`` draws from ``streams.Draws(stream(seed))``, the exact replay
+of the numpy generator's ``integers(n)`` and ``random()`` from its raw
+words, which costs a fraction of numpy's per-call overhead and returns the
+same numbers; a kernel handed a plain ``numpy.random.Generator`` makes the
+same moves.
+
 Each ``propose_*(state, inst, cfg, rng)`` returns a move: ``None`` for a
 draw whose weight misses the block's (rejected, alpha = 0; the chain stays
 put and the step still counts), ``()`` for a null move (accepted,
@@ -58,9 +64,12 @@ from .made import ConditionalMadeModel, log_prob_batch
 from .partition import PartitionPair
 from .qaoa import basis
 from .qubo import QuboInstance, energy
-from .streams import stream
+from .streams import Draws, stream
 
 _REVALIDATE_EVERY = 10_000
+
+# what a kernel draws from: a chain's replay, or the generator it replays
+Rng = Draws | np.random.Generator
 
 
 @dataclass
@@ -191,7 +200,7 @@ def sector_table(model: ConditionalMadeModel, k: int) -> tuple[tuple, tuple, dic
     return cdf, codes, dict(zip(codes, log_q.tolist()))
 
 
-def propose_block_surrogate(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
+def propose_block_surrogate(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: Rng):
     """New bits for a uniformly chosen block at its forced weight.
 
     The feasible block weight k_B = K - sum over the complement equals the
@@ -217,7 +226,7 @@ def propose_block_surrogate(state: ChainState, inst: QuboInstance, cfg: KernelCo
     return flips, energy_delta_block(state, flips), log_q[code], log_q[new]
 
 
-def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
+def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: Rng):
     """Uniform (one-site, zero-site) swap; symmetric with prob 1/(K(N-K))."""
     ones, zeros = state.ones, state.zeros
     if not ones or not zeros:
@@ -227,7 +236,7 @@ def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelCo
     return (i, j), energy_delta_swap(state, i, j), 0.0, 0.0
 
 
-def propose_local_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: np.random.Generator):
+def propose_local_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: Rng):
     """Uniform edge; swap when endpoint bits differ, else a null move."""
     if inst.num_edges == 0:
         raise ConfigError("local Kawasaki undefined on an edgeless instance")
@@ -250,7 +259,7 @@ KERNELS = {
 }
 
 
-def accept(state: ChainState, e: float, move, beta_pi: float, rng: np.random.Generator) -> tuple[float, bool, float]:
+def accept(state: ChainState, e: float, move, beta_pi: float, rng: Rng) -> tuple[float, bool, float]:
     """Metropolis-Hastings accept/reject of ``move`` at ``state``, whose
     energy is ``e``; an accepted move is applied to ``state`` in place.
     Returns the new energy, whether the move was accepted, and its
@@ -290,7 +299,7 @@ def run_chain(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if thin < 1:
         raise ValueError("thin must be >= 1")
-    rng = stream(seed)
+    rng = Draws(stream(seed))
     propose = KERNELS[kernel.kind].propose
     state = ChainState(inst, init.astype(np.uint8))
     e = energy(inst, state.x)

@@ -72,19 +72,6 @@ def spread_block_sizes(n: int, target: int) -> list[int]:
     return [base + 1] * rem + [base] * (m - rem)
 
 
-def intra_block_coupling(inst: QuboInstance, blocks: list[Block]) -> float:
-    """Total |Q_ij| over edges with both endpoints in the same block."""
-    total = 0.0
-    for b in blocks:
-        members = set(b.vertices)
-        for v in b.vertices:
-            nbr, w = inst.neighbors(v)
-            for u, wu in zip(nbr, w):
-                if u > v and int(u) in members:
-                    total += abs(wu)
-    return total
-
-
 def build_partition(
     inst: QuboInstance, block_sizes: list[int], seed: int, partition_index: int = 1
 ) -> list[Block]:

@@ -221,15 +221,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         require_positive({"instance.n": n})
         if not 0 <= degree < n or n * degree % 2:
             raise ConfigError(f"no simple {degree}-regular graph on n={n}: need 0 <= degree < n and n*degree even")
-        if cfg.k is not None and not 0 <= cfg.k <= n:
-            raise ConfigError(f"k={cfg.k} is not in [0, instance.n={n}]")
-        if cfg.partition.block_size > n:
-            raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
-        for name in ("sizes1", "sizes2"):
-            sizes = getattr(cfg.partition, name)
-            if sizes is not None and (min(sizes, default=0) < 1 or sum(sizes) != n):
-                raise ConfigError(f"partition.{name}={sizes} must be sizes >= 1 that sum to n={n}")
+        require_fits(cfg, n)
     return cfg
+
+
+def require_fits(cfg: ExperimentConfig, n: int) -> None:
+    """Raise ``ConfigError`` unless ``k``, the block size and the explicit
+    block sizes fit an instance of ``n`` variables."""
+    if cfg.k is not None and not 0 <= cfg.k <= n:
+        raise ConfigError(f"k={cfg.k} is not in [0, n={n}]")
+    if cfg.partition.block_size > n:
+        raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
+    for name in ("sizes1", "sizes2"):
+        sizes = getattr(cfg.partition, name)
+        if sizes is not None and (min(sizes, default=0) < 1 or sum(sizes) != n):
+            raise ConfigError(f"partition.{name}={sizes} must be sizes >= 1 that sum to n={n}")
 
 
 def reseed_config(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
@@ -354,7 +360,9 @@ class PipelineRun:
             save_instance(inst, path)
             return inst
 
-        return self._stage("instance", key, [path.name], lambda: load_instance(path), build), key
+        inst = self._stage("instance", key, [path.name], lambda: load_instance(path), build)
+        require_fits(self.cfg, inst.n)  # a file instance's n is known only here
+        return inst, key
 
     def ensure_partition(self) -> tuple[PartitionPair, str]:
         inst, up = self.ensure_instance()

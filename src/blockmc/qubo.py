@@ -181,24 +181,6 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + float(np.log(np.sum(np.exp(a - m))))
 
 
-def exhaustive_minimum(inst: QuboInstance, k: int, cap: int = 2_000_000) -> tuple[SpinConfig, float]:
-    """Exact weight-k minimizer by direct enumeration (small instances)."""
-    total = math.comb(inst.n, k)
-    if total > cap:
-        raise ResourceLimitError(f"C({inst.n}, {k}) = {total} exceeds cap {cap}")
-    best_x = None
-    best_e = np.inf
-    x = np.zeros(inst.n, dtype=np.uint8)
-    for combo in itertools.combinations(range(inst.n), k):
-        x[:] = 0
-        x[list(combo)] = 1
-        e = energy(inst, x)
-        if e < best_e:
-            best_e = e
-            best_x = x.copy()
-    return best_x, float(best_e)
-
-
 def save_instance(inst: QuboInstance, path) -> None:
     """Write the structured-text instance file {n, edges, linear, constant}."""
     doc = {

@@ -110,6 +110,24 @@ class TestExitCodes:
         )
         assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            ("partition", {"k": 2, "partition": {"sizes1": [3, 3]}}, "partition.sizes1=[3, 3] must be sizes >= 1"),
+            ("partition", {"k": 2, "partition": {"block_size": 8}}, "partition.block_size=8 exceeds n=4"),
+            ("mcmc", {"k": 40}, "k=40 is not in [0, n=4]"),
+        ],
+        ids=["sizes1", "block_size", "k"],
+    )
+    def test_config_that_misfits_a_file_instance_is_2(self, tmp_path, capsys, command, overrides, message):
+        """The n-dependent checks run once the instance stage knows n."""
+        src = tmp_path / "inst.csv"
+        src.write_text("0,1,0,0\n0,0,1,0\n0,0,0,1\n0,0,0,0\n")
+        doc = tiny_doc(instance={"source": "file", "path": str(src)}, **overrides)
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
     def test_resource_limit_is_4(self, tmp_path):
         doc = tiny_doc(
             instance={"n": 60, "degree": 3, "seed": 1},

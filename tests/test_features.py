@@ -1,6 +1,7 @@
 """Tests for IDX parsing, mutual information, the selection QUBO, and the
 mask classifier."""
 
+import itertools
 import math
 
 import mpmath
@@ -22,6 +23,19 @@ def synthetic_dataset(n_samples=2000, n_pixels=8, n_classes=3, seed=1, informati
         flip = rng.random(n_samples) < 0.85
         images[:, p] = np.where(flip, (labels + p) % 2, images[:, p])
     return features.LabeledDataset(images=images, labels=labels, n_classes=n_classes_declared or n_classes)
+
+
+def exhaustive_minimum(inst, k):
+    """Exact weight-k minimizer of ``inst`` and its energy, by direct enumeration."""
+    best_x, best_e = None, np.inf
+    x = np.zeros(inst.n, dtype=np.uint8)
+    for combo in itertools.combinations(range(inst.n), k):
+        x[:] = 0
+        x[list(combo)] = 1
+        e = qubo.energy(inst, x)
+        if e < best_e:
+            best_e, best_x = e, x.copy()
+    return best_x, float(best_e)
 
 
 # Pointwise plug-in estimators: the per-pixel reference for build_mi_table.
@@ -224,7 +238,7 @@ class TestBuildFeatureQubo:
             feature_label=np.array([0.5, 0.1, 0.9, 0.3, 0.7]), pairwise={}
         )
         inst = features.build_feature_qubo(mi, k=2, edge_threshold=1e-3)
-        best, _ = qubo.exhaustive_minimum(inst, 2)
+        best, _ = exhaustive_minimum(inst, 2)
         assert set(np.flatnonzero(best)) == {2, 4}
 
     def test_infinite_threshold_edgeless(self):
@@ -246,10 +260,8 @@ class TestBuildFeatureQubo:
         ds = synthetic_dataset(n_samples=3000, n_pixels=12, seed=16, informative=5)
         mi = features.build_mi_table(ds)
         inst = features.build_feature_qubo(mi, k=4, edge_threshold=1e-4)
-        best_bits, best_e = qubo.exhaustive_minimum(inst, 4)
+        best_bits, best_e = exhaustive_minimum(inst, 4)
         # independent recomputation straight from the MI table
-        import itertools
-
         oracle_best, oracle_e = None, np.inf
         for combo in itertools.combinations(range(12), 4):
             e = -sum(mi.feature_label[i] for i in combo)
