@@ -15,11 +15,16 @@ belong to ``mcmc`` (``sector_table``).
 
 ``train_group`` trains same-shape models in lockstep: each layer's tensors
 are stacked on a leading member axis, so one minibatch is one forward, one
-backward and one momentum update for every member. Matmuls take transposed
-views, not copies, so each member's slice makes a lone model's BLAS call;
-every elementwise op and reduction runs per member in the same order. A
-member thus ends bit for bit where ``train``, the one-member case, would
-leave it.
+backward and one momentum update for every member. QAOA shots repeat a
+lot, so a step runs over each minibatch's distinct rows weighted by their
+counts, which has the batch's objective and gradient at a fraction of the
+rows; a step costs in proportion to its rows. Members are padded to the
+group's largest distinct count with zero-count rows, in whole chunks of
+``_CHUNK`` rows, and every matmul sees one chunk: a gemm's rounding depends
+on its shape, so a member's call then has the same shape alone and in any
+group. Chunk partials are summed in order, every elementwise op and
+reduction runs per member, and padding adds exact zeros. A member thus
+ends bit for bit where ``train``, the one-member case, would leave it.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ import numpy as np
 
 from .errors import FormatError
 from .fileio import Reader, write_bytes, write_lines
-from .qaoa import BlockSampleSet, basis
+from .qaoa import BlockSampleSet
 from .streams import stream
 
 _PROB_CLAMP = 1e-12
 _MOMENTUM = 0.9
+_CHUNK = 16
 
 
 @dataclass
@@ -91,10 +97,6 @@ class ConditionalMadeModel:
     biases: list[np.ndarray]
     masks: list[np.ndarray]
     ctx_weights: list[np.ndarray]
-
-    def logits(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Per-variable Bernoulli logits given the full input vector."""
-        return _forward(_stack([self]), x.astype(np.float64)[None, None], np.array([[k]]))[0][0, 0]
 
     def log_prob(self, x: np.ndarray, k: int) -> float:
         """Exact log q(x | k); probabilities clamped away from {0, 1}."""
@@ -176,22 +178,28 @@ def _stack(models) -> tuple[list[np.ndarray], ...]:
     )
 
 
+def _per_member(t, ndim):
+    """A (G, a, b) stack viewed as (G, 1, ..., 1, a, b) with ``ndim`` axes."""
+    return t.reshape(t.shape[:1] + (1,) * (ndim - 3) + t.shape[1:])
+
+
 def _forward(params, xf, ks):
-    """Logits and backprop caches of G stacked networks for (G, batch, |B|)
-    float inputs and (G, batch) contexts."""
+    """Logits and backprop caches of G stacked networks for (G, ..., rows, |B|)
+    float inputs and (G, ..., rows) contexts; each matmul runs per member and
+    per index of the axes between the member and row axes."""
     weights, biases, ctx_weights, masks = params
-    k_onehot = np.zeros((*ks.shape, xf.shape[-1] + 1))
-    np.put_along_axis(k_onehot, ks[..., None], 1.0, axis=-1)
+    members = np.arange(len(xf)).reshape((-1,) + (1,) * (ks.ndim - 1))
     eff = [w * m for w, m in zip(weights, masks)]
     acts = [xf]
     for l in range(len(ctx_weights)):
-        h = acts[-1] @ eff[l].transpose(0, 2, 1)
-        h += biases[l][:, None]
-        h += k_onehot @ ctx_weights[l].transpose(0, 2, 1)
+        # weights as contiguous transposed copies: the plain product is the faster BLAS path
+        h = acts[-1] @ _per_member(np.ascontiguousarray(eff[l].transpose(0, 2, 1)), xf.ndim)
+        # the context's one-hot product is its weight column: gathered, bias added
+        h += (ctx_weights[l] + biases[l][..., None]).transpose(0, 2, 1)[members, ks]
         acts.append(np.maximum(h, 0.0, out=h))
-    logits = acts[-1] @ eff[-1].transpose(0, 2, 1)
-    logits += biases[-1][:, None]
-    return logits, (k_onehot, eff, acts)
+    logits = acts[-1] @ _per_member(np.ascontiguousarray(eff[-1].transpose(0, 2, 1)), xf.ndim)
+    logits += _per_member(biases[-1][:, None], xf.ndim)
+    return logits, (eff, acts)
 
 
 def _row_log_lik(xf, p):
@@ -209,30 +217,68 @@ def log_prob_batch(model: ConditionalMadeModel, x: np.ndarray, ks: np.ndarray) -
     return _group_log_prob(_stack([model]), x[None], np.asarray(ks)[None])[0]
 
 
-def _group_loss_and_grads(params, x, ks):
-    """Per-member mean log-likelihood of a (G, batch, |B|) stack of batches
-    and its gradient in every weight, bias and context weight."""
+def _group_loss_and_grads(params, x, ks, counts, size):
+    """Log-likelihood of each distinct row of a (G, chunks, _CHUNK, |B|)
+    stack, and the gradient of sum_u counts_u * ll_u / size, the mean
+    log-likelihood of a batch of ``size`` rows holding row u counts_u times,
+    in every weight, bias and context weight.
+
+    Every matmul sees one chunk, and the chunks' partial gradients are summed
+    in order, so a member's results do not depend on how many chunks of
+    zero-count rows pad it: those add exact zeros.
+    """
     weights, _, ctx_weights, masks = params
     xf = x.astype(np.float64)
-    logits, (k_onehot, eff, acts) = _forward(params, xf, ks)
+    logits, (eff, acts) = _forward(params, xf, ks)
+    k_onehot = np.eye(x.shape[-1] + 1)[ks]
     p = _sigmoid(logits)
-    ll = np.mean(_row_log_lik(xf, p), axis=1)
-    back = (xf - p) / x.shape[1]
+    ll = _row_log_lik(xf, p)
+    back = (xf - p) * counts[..., None] / size
     g_w, g_b, g_c = [], [], []  # output layer first
     for l in range(len(weights) - 1, -1, -1):
         if l < len(ctx_weights):
             back *= acts.pop() > 0.0  # acts[l + 1], freed as the pass goes down
-            g_c.append(back.transpose(0, 2, 1) @ k_onehot)
-        g_w.append((back.transpose(0, 2, 1) @ acts[l]) * masks[l])
-        g_b.append(back.sum(axis=1))
-        back = back @ eff[l]
+            g_c.append((back.swapaxes(2, 3) @ k_onehot).sum(axis=1))
+        g_w.append((back.swapaxes(2, 3) @ acts[l]).sum(axis=1) * masks[l])
+        g_b.append(back.sum(axis=(1, 2)))
+        if l:
+            back = back @ eff[l][:, None]
     return ll, (g_w[::-1], g_b[::-1], g_c[::-1])
 
 
-def _loss_and_grads(model, x, ks):
-    """Mean log-likelihood of the batch and its gradient in every parameter."""
-    ll, grads = _group_loss_and_grads(_stack([model]), x[None], np.asarray(ks)[None])
-    return float(ll[0]), tuple([g[0] for g in gs] for gs in grads)
+def _first_copies(samples: np.ndarray) -> np.ndarray:
+    """For each row of 0/1 matrix ``samples``, the index of the first row
+    equal to it: rows packed to bytes, stably sorted by their byte columns,
+    and a new group started wherever a sorted row differs from the last."""
+    packed = np.packbits(samples, axis=1)
+    order = np.lexsort(packed.T)
+    ranked = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.empty(len(order), dtype=np.int32)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
+
+
+def _distinct(keys: np.ndarray):
+    """Group each member's row of ``keys`` (G, size) into its distinct values.
+
+    Returns the distinct keys (G, chunks, _CHUNK) ascending, padded to the
+    group's whole chunks with copies of each member's smallest key; their
+    counts, zero on the padding; and, for the member's keys in ascending
+    order, each one's position among its distinct keys.
+    """
+    ranked = np.sort(keys, axis=1)
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    slot = np.cumsum(starts, axis=1) - 1
+    width = -(-(int(slot[:, -1].max()) + 1) // _CHUNK) * _CHUNK
+    members = np.arange(len(keys))[:, None]
+    distinct = np.repeat(ranked[:, :1], width, axis=1)
+    distinct[members, slot] = ranked  # equal keys write the same value
+    counts = np.bincount((slot + width * members).reshape(-1), minlength=distinct.size).astype(np.float64)
+    chunked = (len(keys), -1, _CHUNK)
+    return distinct.reshape(chunked), counts.reshape(chunked), slot
 
 
 def train(model: ConditionalMadeModel, data: BlockSampleSet, cfg: TrainConfig) -> TrainReport:
@@ -249,8 +295,11 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
     """``train`` each model on its data set and config, all in lockstep.
 
     Members must have equal layer shapes, sample counts and configs up to
-    the seed; each keeps its own shuffle stream. Every member ends bit for
-    bit where a lone ``train`` would have left it.
+    the seed; each keeps its own shuffle stream. Each minibatch is trained
+    on its distinct rows, each weighted by its count in the batch: the
+    objective and gradient are the batch mean's, summed over fewer rows.
+    The validation rows are grouped the same way once. Every member ends
+    bit for bit where a lone ``train`` would have left it.
     """
     cfg = cfgs[0]
     for model, data in zip(models, datasets):
@@ -270,6 +319,9 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
     members = np.arange(len(models))[:, None]
     x_all = np.stack([d.samples for d in datasets])
     k_all = np.stack([d.weights.astype(np.uint8) for d in datasets])  # weights <= |B| < 256
+    first = np.stack([_first_copies(d.samples) for d in datasets])
+    # return_index makes np.unique sort stably; its default sort would page in 128 kB more of numpy
+    val_rows = [np.unique(first[g, rows], return_index=True, return_inverse=True) for g, rows in enumerate(val_idx)]
     params = _stack(models)
     trained = [t for group in params[:3] for t in group]
     vels = [np.zeros_like(t) for t in trained]
@@ -280,9 +332,11 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
             order[g] = idx[rng.permutation(len(idx))]
         epoch_ll = np.zeros(len(models))
         for start in range(0, order.shape[1], cfg.batch_size):
-            batch = order[:, start : start + cfg.batch_size]
-            ll, grads = _group_loss_and_grads(params, x_all[members, batch], k_all[members, batch])
-            epoch_ll += ll * batch.shape[1]
+            rows, counts, slot = _distinct(first[members, order[:, start : start + cfg.batch_size]])
+            ll, grads = _group_loss_and_grads(
+                params, x_all[members[..., None], rows], k_all[members[..., None], rows], counts, slot.shape[1]
+            )
+            epoch_ll += np.mean(ll.reshape(len(models), -1)[members, slot], axis=1) * slot.shape[1]
             for theta, vel, grad in zip(trained, vels, (g for gs in grads for g in gs)):
                 vel *= _MOMENTUM
                 vel += grad
@@ -290,8 +344,8 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
         val_ll = np.full(len(models), np.nan)
         for g in range(len(models) if n_val else 0):  # one at a time, to keep the memory peak low
             member = tuple([t[g : g + 1] for t in group] for group in params)
-            rows = val_idx[g]
-            val_ll[g] = np.mean(_group_log_prob(member, x_all[g, rows][None], k_all[g, rows][None]))
+            rows, _, slot = val_rows[g]
+            val_ll[g] = np.mean(_group_log_prob(member, x_all[g, rows][None], k_all[g, rows][None])[0][slot])
         for report, t, v in zip(reports, epoch_ll / order.shape[1], val_ll):
             report.train_ll.append(float(t))
             report.val_ll.append(float(v))
@@ -314,12 +368,6 @@ def sample_batch(
         x[0, :, v] = (rng.random(count) < p).astype(np.float64)
     bits = x[0].astype(np.uint8)
     return bits, log_prob_batch(model, bits, np.full(count, k, dtype=np.int64))
-
-
-def exhaustive_conditional_distribution(model: ConditionalMadeModel, k: int) -> np.ndarray:
-    """Exact q(. | k) over all 2^|B| bitstrings (bit t of the index is x_t)."""
-    bits = basis(model.block_size).bits
-    return np.exp(log_prob_batch(model, bits, np.full(len(bits), k, dtype=np.int64)))
 
 
 _MODEL_MAGIC = b"BMCM"

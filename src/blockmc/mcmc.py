@@ -345,23 +345,6 @@ def _revalidate(inst: QuboInstance, state: ChainState, e: float, k: int) -> tupl
     return fresh, exact
 
 
-def empirical_distribution(trace: ChainTrace, burn_in: int = 0) -> dict[bytes, float]:
-    """Visit frequencies over recorded configurations (keys as in the
-    exact enumeration oracle)."""
-    rows = trace.configs[burn_in:]
-    counts: dict[bytes, int] = {}
-    for r in range(len(rows)):
-        key = rows[r].tobytes()
-        counts[key] = counts.get(key, 0) + 1
-    total = len(rows)
-    return {key: c / total for key, c in counts.items()}
-
-
-def total_variation(p: dict[bytes, float], q: dict[bytes, float]) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(x, 0.0) - q.get(x, 0.0)) for x in keys)
-
-
 _TRACE_MAGIC = b"BMCT"
 _TRACE_VERSION = 2
 

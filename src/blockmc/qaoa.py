@@ -362,7 +362,8 @@ def optimize_params(
     Starts are drawn uniformly from (0, pi/2)^{2p}; each simplex run is
     capped at 400*p evaluations (overridable) and terminates at a 1e-6 loss
     spread. Returns the best parameters with their loss; never worse than
-    any tried start. Deterministic per seed.
+    any tried start, because a start is the first vertex of its simplex and
+    Nelder-Mead returns the best vertex it holds. Deterministic per seed.
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
@@ -377,9 +378,6 @@ def optimize_params(
     best_loss = np.inf
     for _ in range(max(1, restarts)):
         x0 = rng.uniform(0.0, math.pi / 2.0, size=2 * p)
-        f0 = loss(x0)
-        if f0 < best_loss:
-            best_loss, best_theta = f0, x0
         res = scipy.optimize.minimize(
             loss,
             x0,

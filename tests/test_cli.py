@@ -82,6 +82,16 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: config field {field} must be" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"k": "\xff"}')
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_config_path_is_a_directory_is_2(self, tmp_path, capsys):
+        assert main(["pipeline", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        assert "cannot be read" in capsys.readouterr().err
+
     def test_config_not_an_object_is_2(self, tmp_path):
         cfg = write_config(tmp_path, [1, 2])
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -36,15 +36,43 @@ def synthetic_sample_set(samples, block_id=(1, 0)):
     )
 
 
+def logits(model, x, k):
+    """Per-variable Bernoulli logits of ``model`` given the full input vector."""
+    return made._forward(made._stack([model]), x.astype(np.float64)[None, None], np.array([[k]]))[0][0, 0]
+
+
+def exhaustive_conditional_distribution(model, k):
+    """Exact q(. | k) over all 2^|B| bitstrings (bit t of the index is x_t)."""
+    bits = qaoa.basis(model.block_size).bits
+    return np.exp(made.log_prob_batch(model, bits, np.full(len(bits), k, dtype=np.int64)))
+
+
+def count_weighted_step(params, x, ks):
+    """Mean log-likelihood of each member's batch of a (G, batch, |B|) stack and
+    its gradients, from the batch's distinct rows weighted by their counts."""
+    members = np.arange(len(x))[:, None]
+    keys = np.stack([made._first_copies(rows) for rows in x])
+    rows, counts, slot = made._distinct(keys)
+    ll, grads = made._group_loss_and_grads(params, x[members[..., None], rows], ks[members[..., None], rows],
+                                           counts, x.shape[1])
+    return np.mean(ll.reshape(len(x), -1)[members, slot], axis=1), grads
+
+
+def loss_and_grads(model, x, ks):
+    """Mean log-likelihood of the batch and its gradient in every parameter."""
+    ll, grads = count_weighted_step(made._stack([model]), x[None], np.asarray(ks)[None])
+    return float(ll[0]), tuple([g[0] for g in gs] for gs in grads)
+
+
 class TestBuildModel:
     def test_single_variable_depends_on_context_only(self):
         model = tiny_model(1, seed=3)
         x0 = np.array([0], dtype=np.uint8)
         x1 = np.array([1], dtype=np.uint8)
         # no dependence on the input bit itself
-        assert model.logits(x0, 0)[0] == model.logits(x1, 0)[0]
+        assert logits(model, x0, 0)[0] == logits(model, x1, 0)[0]
         # but the context must reach the single output
-        assert model.logits(x0, 0)[0] != model.logits(x0, 1)[0]
+        assert logits(model, x0, 0)[0] != logits(model, x0, 1)[0]
 
     def test_jacobian_sparsity(self):
         """Output t must ignore inputs at ordering positions >= t."""
@@ -52,11 +80,11 @@ class TestBuildModel:
         rng = stream(6)
         for _ in range(20):
             x = rng.integers(0, 2, size=3).astype(np.uint8)
-            base = model.logits(x, 1)
+            base = logits(model, x, 1)
             for t_pos in range(3):
                 y = x.copy()
                 y[model.ordering[t_pos]] ^= 1
-                out = model.logits(y, 1)
+                out = logits(model, y, 1)
                 for s_pos in range(t_pos + 1):
                     v = model.ordering[s_pos]
                     assert out[v] == base[v]
@@ -64,7 +92,7 @@ class TestBuildModel:
     def test_normalized_before_training(self):
         model = tiny_model(8, seed=7)
         for k in range(9):
-            probs = made.exhaustive_conditional_distribution(model, k)
+            probs = exhaustive_conditional_distribution(model, k)
             assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_every_hidden_layer_has_context_carrier(self):
@@ -85,7 +113,7 @@ class TestLogProb:
     def test_exhaustive_normalization(self):
         model = tiny_model(6, seed=2)
         for k in (0, 3, 6):
-            probs = made.exhaustive_conditional_distribution(model, k)
+            probs = exhaustive_conditional_distribution(model, k)
             assert abs(np.log(probs.sum())) < 1e-6
 
     def test_context_out_of_range(self):
@@ -135,7 +163,7 @@ class TestSample:
         bits, _ = made.sample_batch(model, 3, 100_000, rng)
         idx = bits @ (1 << np.arange(6))
         counts = np.bincount(idx, minlength=64) / len(bits)
-        exact = made.exhaustive_conditional_distribution(model, 3)
+        exact = exhaustive_conditional_distribution(model, 3)
         tv = 0.5 * float(np.abs(counts - exact).sum())
         assert tv < 0.01
 
@@ -144,7 +172,7 @@ class TestSample:
         rng = stream(15)
         singles = np.array([model.sample(2, rng)[0] for _ in range(4000)])
         idx_s = singles @ (1 << np.arange(4))
-        exact = made.exhaustive_conditional_distribution(model, 2)
+        exact = exhaustive_conditional_distribution(model, 2)
         counts = np.bincount(idx_s, minlength=16) / len(singles)
         tv = 0.5 * float(np.abs(counts - exact).sum())
         assert tv < 0.05
@@ -155,7 +183,7 @@ class TestSector:
     def test_table_is_the_exact_weight_k_slice(self, k):
         model = tiny_model(6, seed=5)
         cdf, codes, log_q = mcmc.sector_table(model, k)
-        exact = made.exhaustive_conditional_distribution(model, k)
+        exact = exhaustive_conditional_distribution(model, k)
         want = np.flatnonzero([bin(c).count("1") == k for c in range(64)])
         assert np.array_equal(codes, want)
         assert np.allclose(np.exp([log_q[c] for c in codes]), exact[want], rtol=0.0, atol=1e-12)
@@ -196,8 +224,9 @@ class TestTrain:
         model = tiny_model(4, seed=8, widths=[8, 8])
         rng = stream(16)
         x = rng.integers(0, 2, size=(6, 4)).astype(np.uint8)
+        x = np.repeat(x, [3, 1, 2, 1, 1, 4], axis=0)  # repeated rows: the gradient is count-weighted
         ks = x.sum(axis=1).astype(np.int64)
-        _, (g_w, g_b, g_c) = made._loss_and_grads(model, x, ks)
+        _, (g_w, g_b, g_c) = loss_and_grads(model, x, ks)
 
         def loss():
             return float(np.mean(made.log_prob_batch(model, x, ks)))
@@ -314,6 +343,139 @@ class TestTrainGroup:
         extra = _group_members([8], **odd)
         with pytest.raises(ValueError):
             made.train_group(models + extra[0], datasets + extra[1], cfgs + extra[2])
+
+
+def _per_row_forward(params, xf, ks):
+    """Logits and caches of the per-row trainer: one-hot context product, bias added first."""
+    weights, biases, ctx_weights, masks = params
+    k_onehot = np.zeros((*ks.shape, xf.shape[-1] + 1))
+    np.put_along_axis(k_onehot, ks[..., None], 1.0, axis=-1)
+    eff = [w * m for w, m in zip(weights, masks)]
+    acts = [xf]
+    for l in range(len(ctx_weights)):
+        h = acts[-1] @ eff[l].transpose(0, 2, 1)
+        h += biases[l][:, None]
+        h += k_onehot @ ctx_weights[l].transpose(0, 2, 1)
+        acts.append(np.maximum(h, 0.0, out=h))
+    logits = acts[-1] @ eff[-1].transpose(0, 2, 1)
+    logits += biases[-1][:, None]
+    return logits, (k_onehot, eff, acts)
+
+
+def per_row_step(params, x, ks):
+    """Oracle step: every row of a (G, batch, |B|) stack runs the forward and
+    backward pass; returns each member's mean log-likelihood and gradients."""
+    weights, _, ctx_weights, masks = params
+    xf = x.astype(np.float64)
+    logits, (k_onehot, eff, acts) = _per_row_forward(params, xf, ks)
+    p = made._sigmoid(logits)
+    ll = np.mean(made._row_log_lik(xf, p), axis=1)
+    back = (xf - p) / x.shape[1]
+    g_w, g_b, g_c = [], [], []
+    for l in range(len(weights) - 1, -1, -1):
+        if l < len(ctx_weights):
+            back *= acts.pop() > 0.0
+            g_c.append(back.transpose(0, 2, 1) @ k_onehot)
+        g_w.append((back.transpose(0, 2, 1) @ acts[l]) * masks[l])
+        g_b.append(back.sum(axis=1))
+        back = back @ eff[l]
+    return ll, (g_w[::-1], g_b[::-1], g_c[::-1])
+
+
+def per_row_train(model, data, cfg):
+    """Oracle trainer: ``made.train``'s shuffles and updates on every row of each batch."""
+    rng = stream(cfg.seed, 71)
+    perm = rng.permutation(data.count)
+    n_val = int(round(cfg.validation_fraction * data.count))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+    x, ks = data.samples[None], data.weights[None]
+    params = made._stack([model])
+    trained = [t for group in params[:3] for t in group]
+    vels = [np.zeros_like(t) for t in trained]
+    report = made.TrainReport(train_ll=[], val_ll=[])
+    for _ in range(cfg.epochs):
+        order = train_idx[rng.permutation(len(train_idx))]
+        total = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            ll, grads = per_row_step(params, x[:, batch], ks[:, batch])
+            total += ll[0] * len(batch)
+            for theta, vel, grad in zip(trained, vels, (g for gs in grads for g in gs)):
+                vel *= made._MOMENTUM
+                vel += grad
+                theta += cfg.learning_rate * vel
+        xf = x[:, val_idx].astype(np.float64)
+        p = made._sigmoid(_per_row_forward(params, xf, ks[:, val_idx])[0])
+        report.train_ll.append(float(total / len(order)))
+        report.val_ll.append(float(np.mean(made._row_log_lik(xf, p))) if n_val else float("nan"))
+    for dst, src in zip((*model.weights, *model.biases, *model.ctx_weights), trained):
+        dst[...] = src[0]
+    return report
+
+
+def _skewed_members(seeds, block_size, count=700, batch_size=128, epochs=3):
+    """Group members whose shots repeat to different degrees, so that their
+    minibatches hold different numbers of distinct rows."""
+    models, datasets, cfgs = [], [], []
+    for i, seed in enumerate(seeds):
+        rng = stream(90 + seed)
+        pool = rng.integers(0, 2, size=([2**block_size, max(1, 2**block_size // 8), 1][i % 3], block_size))
+        datasets.append(synthetic_sample_set(pool[rng.integers(0, len(pool), size=count)]))
+        cfgs.append(made.default_train_config(block_size, epochs=epochs, batch_size=batch_size, seed=seed))
+        models.append(made.build_model(block_size, cfgs[-1], seed=seed))
+    return models, datasets, cfgs
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("case", ["repeated", "all-distinct", "short-batch"])
+    def test_step_matches_per_row_step(self, case):
+        """Count-weighted distinct rows give the per-row step's loss and gradients."""
+        block_size, size = {"repeated": (8, 128), "all-distinct": (8, 128), "short-batch": (6, 37)}[case]
+        models = [tiny_model(block_size, seed=s) for s in (1, 2, 3)]
+        params = made._stack(models)
+        rng = stream(44)
+        if case == "all-distinct":
+            x = np.stack([qaoa.basis(block_size).bits[rng.permutation(2**block_size)[:size]] for _ in models])
+        else:
+            pool = rng.integers(0, 2, size=(5, block_size))
+            x = np.stack([pool[rng.integers(0, len(pool), size=size)] for _ in models]).astype(np.uint8)
+        ks = x.sum(axis=2).astype(np.int64)
+        ll, grads = count_weighted_step(params, x, ks)
+        want_ll, want_grads = per_row_step(params, x, ks)
+        assert np.allclose(ll, want_ll, rtol=0.0, atol=1e-12)
+        for gs, want in zip(grads, want_grads):
+            for g, w in zip(gs, want):
+                assert g.shape == w.shape
+                assert np.allclose(g, w, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_size", [4, 8])
+    def test_training_matches_per_row_training(self, block_size):
+        models, datasets, cfgs = _skewed_members([3, 4, 5], block_size, epochs=4)
+        oracle = _skewed_members([3, 4, 5], block_size, epochs=4)
+        reports = made.train_group(models, datasets, cfgs)
+        for model, report, member in zip(models, reports, zip(*oracle)):
+            want = per_row_train(*member)
+            for name in ("weights", "biases", "ctx_weights"):
+                for a, b in zip(getattr(model, name), getattr(member[0], name)):
+                    assert np.allclose(a, b, rtol=0.0, atol=1e-10)
+            assert np.allclose(report.train_ll, want.train_ll, rtol=0.0, atol=1e-12)
+            assert np.allclose(report.val_ll, want.val_ll, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("block_size, batch_size", [(3, 17), (4, 64), (8, 128), (12, 128)])
+    def test_members_with_different_distinct_counts_equal_lone_training(self, block_size, batch_size):
+        """Padding a member to a larger group's distinct count changes none of its bits."""
+        lone = _skewed_members([6, 7, 8], block_size, batch_size=batch_size)
+        lone_reports = [made.train(*member) for member in zip(*lone)]
+        grouped = _skewed_members([6, 7, 8], block_size, batch_size=batch_size)
+        reports = made.train_group(*grouped)
+        for a, b, r, want in zip(grouped[0], lone[0], reports, lone_reports):
+            for name in ("weights", "biases", "ctx_weights"):
+                assert all(np.array_equal(x, y) for x, y in zip(getattr(a, name), getattr(b, name)))
+            assert r.train_ll == want.train_ll and r.val_ll == want.val_ll
+
+    def test_first_copies(self):
+        rows = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=np.uint8)
+        assert made._first_copies(rows).tolist() == [0, 1, 0, 1, 4]
 
 
 class TestPersistence:

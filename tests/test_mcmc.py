@@ -10,6 +10,7 @@ from blockmc import made, mcmc, qaoa, qubo
 from blockmc.errors import ConfigError, FormatError
 from blockmc.partition import Block, PartitionPair, build_partition_pair, crossing_matrix
 from blockmc.streams import stream
+from test_made import exhaustive_conditional_distribution
 
 
 def uniform_model(block_size, block_id):
@@ -90,7 +91,7 @@ class TestProposeBlockSurrogate:
             move = mcmc.propose_block_surrogate(state, inst, cfg, rng)
             tries += 1
             survived += 0 if move is None else 1
-        probs = made.exhaustive_conditional_distribution(model, 3)
+        probs = exhaustive_conditional_distribution(model, 3)
         w = np.array([bin(z).count("1") for z in range(64)])
         mass = float(probs[w == 3].sum())
         se = math.sqrt(mass * (1 - mass) / tries)
@@ -515,6 +516,23 @@ class TestRunChainPair:
         assert np.array_equal(a.configs, b.configs)
 
 
+def empirical_distribution(trace, burn_in=0):
+    """Visit frequencies over recorded configurations (keys as in the
+    exact enumeration oracle)."""
+    rows = trace.configs[burn_in:]
+    counts = {}
+    for r in range(len(rows)):
+        key = rows[r].tobytes()
+        counts[key] = counts.get(key, 0) + 1
+    total = len(rows)
+    return {key: c / total for key, c in counts.items()}
+
+
+def total_variation(p, q):
+    keys = set(p) | set(q)
+    return 0.5 * sum(abs(p.get(x, 0.0) - q.get(x, 0.0)) for x in keys)
+
+
 class TestStationarity:
     """Quick TV checks; the acceptance suite runs the full 10^6-step gate."""
 
@@ -525,8 +543,8 @@ class TestStationarity:
 
     def _tv(self, cfg, steps=200_000):
         trace = mcmc.run_chain(self.inst, 4, cfg, steps, self.init, seed=23)
-        emp = mcmc.empirical_distribution(trace, burn_in=steps // 100)
-        return mcmc.total_variation(emp, self.exact)
+        emp = empirical_distribution(trace, burn_in=steps // 100)
+        return total_variation(emp, self.exact)
 
     def test_global_kawasaki(self):
         assert self._tv(mcmc.KernelConfig("global-kawasaki", 0.5)) < 0.05
@@ -638,7 +656,7 @@ class TestTableOwnership:
         for old_blocks, new_blocks in zip(before._blocks, after._blocks):
             for (_, _, old), (_, _, new) in zip(old_blocks, new_blocks):
                 for k, (cdf, codes, log_q) in new.items():
-                    exact = made.exhaustive_conditional_distribution(model, k)
+                    exact = exhaustive_conditional_distribution(model, k)
                     assert np.allclose(np.exp([log_q[c] for c in codes]), exact[list(codes)], atol=1e-12)
                     if k in old and 0 < k < 4:
                         assert old[k][2] != log_q  # the first config keeps its untrained tables

@@ -301,6 +301,20 @@ class TestOptimizeParams:
         assert np.array_equal(p1.gammas, p2.gammas)
         assert l1 == l2
 
+    def test_each_restart_spends_exactly_its_evaluation_cap(self, monkeypatch):
+        """The start is the simplex's first vertex: no evaluation outside Nelder-Mead."""
+        calls = []
+        state = qaoa.qaoa_state
+        monkeypatch.setattr(qaoa, "qaoa_state", lambda *a: calls.append(1) or state(*a))
+        bp = random_block_problem(4, seed=23)
+        init = qaoa.prepare_initial_state(4, math.pi / 2)
+        _, loss = qaoa.optimize_params(bp, p=2, init=init, restarts=3, seed=4, max_evals_per_restart=40)
+        assert len(calls) == 3 * 40
+        starts = stream(4, 90).uniform(0.0, math.pi / 2.0, size=(3, 4))
+        for x0 in starts:
+            params = qaoa.QaoaParams(gammas=x0[:2], betas=x0[2:])
+            assert loss <= qaoa.expected_energy(state(bp, params, init), bp)
+
     def test_more_restarts_never_worse(self):
         bp = random_block_problem(4, seed=22)
         init = qaoa.prepare_initial_state(4, math.pi / 2)
