@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, FormatError, ResourceLimitError
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
-from .pipeline import PipelineRun, config_from_dict, fill_config, require_positive, reseed_config, sweep
+from .pipeline import COUNT, PipelineRun, config_from_dict, fill_config, reseed_config, sweep
 
 _STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
 # command -> (swept field, its values under the config's "sweep", printed label)
@@ -28,8 +28,8 @@ _SWEEPS = {"sweep-n": ("n", "n_values", "n"), "sweep-b": ("block_size", "block_s
 class SweepConfig:
     """The config's optional ``sweep`` section: the values each sweep command runs."""
 
-    n_values: list[int] | None = None
-    block_sizes: list[int] | None = None
+    n_values: list[int] | None = field(default=None, metadata=COUNT)
+    block_sizes: list[int] | None = field(default=None, metadata=COUNT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,13 +91,12 @@ def _run(args) -> int:
 
     cfg, sweep_cfg = _experiment_config(raw, args)
     if args.command in _SWEEPS:
-        field, values_key, label = _SWEEPS[args.command]
+        swept, values_key, label = _SWEEPS[args.command]
         values = getattr(sweep_cfg, values_key)
         if not values:
             raise ConfigError(f"{args.command} requires config field sweep.{values_key}")
-        require_positive({f"sweep.{values_key}[{i}]": v for i, v in enumerate(values)})
-        for r in sweep(cfg, field, values, args.out, force=args.force):
-            print(f"{label}={r[field]} kernel={r['kernel']} tau={_tau(r['tau'])}")
+        for r in sweep(cfg, swept, values, args.out, force=args.force):
+            print(f"{label}={r[swept]} kernel={r['kernel']} tau={_tau(r['tau'])}")
         return 0
 
     run = PipelineRun(cfg, args.out, force=args.force)

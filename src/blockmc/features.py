@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_lines
-from .qubo import QuboInstance
+from .qubo import QuboInstance, random_weight_k_config
 
 
 @dataclass
@@ -171,12 +171,14 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of 0/1 integer matrix ``x`` and each row's index among them.
+def row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal rows of 0/1 integer matrix ``x``: the index of each
+    group's first row, the groups in their rows' sort order, and each row's
+    group.
 
-    Rows are packed to bytes, sorted by their byte columns, and a new group
-    starts wherever a sorted row differs from the one before; the same code
-    serves every row width.
+    Rows are packed to bytes, stably sorted by their byte columns, and a new
+    group starts wherever a sorted row differs from the one before; the same
+    code serves every row width.
     """
     packed = np.packbits(x, axis=1)
     order = np.lexsort(packed.T)
@@ -185,7 +187,13 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     group = np.empty(len(x), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
-    return x[order[starts]], group
+    return order[starts], group
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of 0/1 integer matrix ``x`` and each row's index among them."""
+    firsts, group = row_groups(x)
+    return x[firsts], group
 
 
 def evaluate_mask(
@@ -234,9 +242,7 @@ def evaluate_mask(
 
 
 def random_mask(n_pixels: int, k: int, rng: np.random.Generator) -> FeatureMask:
-    selected = np.zeros(n_pixels, dtype=np.uint8)
-    selected[rng.choice(n_pixels, size=k, replace=False)] = 1
-    return FeatureMask(selected=selected, k=k)
+    return mask_from_config(random_weight_k_config(n_pixels, k, rng))
 
 
 def top_k_linear_mask(inst: QuboInstance, k: int) -> FeatureMask:

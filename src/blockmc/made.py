@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError
+from .features import row_groups
 from .fileio import Reader, write_bytes, write_lines
 from .qaoa import BlockSampleSet
 from .streams import stream
@@ -248,16 +249,10 @@ def _group_loss_and_grads(params, x, ks, counts, size):
 
 def _first_copies(samples: np.ndarray) -> np.ndarray:
     """For each row of 0/1 matrix ``samples``, the index of the first row
-    equal to it: rows packed to bytes, stably sorted by their byte columns,
-    and a new group started wherever a sorted row differs from the last."""
-    packed = np.packbits(samples, axis=1)
-    order = np.lexsort(packed.T)
-    ranked = packed[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    first = np.empty(len(order), dtype=np.int32)
-    first[order] = order[starts][np.cumsum(starts) - 1]
-    return first
+    equal to it, as int32: ``_distinct`` sorts these keys, and numpy's sort
+    on a wider dtype maps more of its code into the process."""
+    firsts, group = row_groups(samples)
+    return firsts[group].astype(np.int32)
 
 
 def _distinct(keys: np.ndarray):

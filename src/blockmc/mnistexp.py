@@ -40,6 +40,8 @@ from .fileio import is_int, write_json, write_lines
 from .idx import load_idx
 from .partition import build_partition_pair, save_partition_pair, spread_block_sizes
 from .pipeline import (
+    COUNT,
+    SEED,
     MadeConfig,
     QaoaConfig,
     _chain_task,
@@ -47,9 +49,6 @@ from .pipeline import (
     fill_config,
     optimize_blocks,
     require_kernels,
-    require_positive,
-    require_seeds,
-    require_stage_ranges,
     train_surrogates,
 )
 from .qubo import QuboInstance, random_weight_k_config, save_instance
@@ -75,9 +74,9 @@ SEARCH_KERNELS = ("block-surrogate", "global-kawasaki")
 
 @dataclass
 class ClassifierConfig:
-    iterations: int = 500
-    learning_rate: float = 0.5
-    reg_strength: float = 1e-4
+    iterations: int = field(default=500, metadata=COUNT)
+    learning_rate: float = field(default=0.5, metadata={">": 0})
+    reg_strength: float = field(default=1e-4, metadata={">=": 0})
 
 
 @dataclass
@@ -86,56 +85,34 @@ class MnistConfig:
     train_labels: str = ""
     test_images: str = ""
     test_labels: str = ""
-    downsample_factor: int = 1
-    binarize_threshold: int = 127
-    limit_train: int | None = None
-    limit_test: int | None = None
+    downsample_factor: int = field(default=1, metadata=COUNT)
+    binarize_threshold: int = field(default=127, metadata={">=": 0, "<=": 255})
+    limit_train: int | None = field(default=None, metadata=COUNT)  # None: no limit
+    limit_test: int | None = field(default=None, metadata=COUNT)
     k: int = 50
     beta_pi: float = 100.0
     block_size: int = 14
     edge_threshold: float = 1e-3
     steps: int = 3000
-    stop_steps: list[int] = field(default_factory=lambda: [50, 3000])
-    repeats: int = 10
-    random_masks: int = 10
+    stop_steps: list[int] = field(default_factory=lambda: [50, 3000], metadata=COUNT)
+    repeats: int = field(default=10, metadata=COUNT)
+    random_masks: int = field(default=10, metadata=COUNT)
     kernels: list[str] = field(default_factory=lambda: list(SEARCH_KERNELS))
     qaoa: QaoaConfig = field(default_factory=QaoaConfig)  # biased_target_weight None: K*|B|/N
     made: MadeConfig = field(default_factory=MadeConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-    seed: int = 11
-    workers: int = 1
+    seed: int = field(default=11, metadata=SEED)
+    workers: int = field(default=1, metadata=COUNT)
 
 
 def mnist_config_from_dict(doc: dict) -> MnistConfig:
     cfg = fill_config(MnistConfig(), doc)
     require_kernels(cfg.kernels, SEARCH_KERNELS)
-    require_stage_ranges(cfg.qaoa, cfg.made)
-    require_seeds(cfg)
+    cfg.made.train_config(1, 0)  # made.TrainConfig states MADE's ranges
     if not cfg.stop_steps:
         raise ConfigError("stop_steps must be a non-empty list")
-    require_positive(
-        {
-            "repeats": cfg.repeats,
-            "workers": cfg.workers,
-            "downsample_factor": cfg.downsample_factor,
-            "random_masks": cfg.random_masks,
-            "classifier.iterations": cfg.classifier.iterations,
-            **{f"stop_steps[{i}]": stop for i, stop in enumerate(cfg.stop_steps)},
-            **{
-                name: limit
-                for name, limit in (("limit_train", cfg.limit_train), ("limit_test", cfg.limit_test))
-                if limit is not None  # None: no limit
-            },
-        }
-    )
     if max(cfg.stop_steps) > cfg.steps:
         raise ConfigError("stop_steps must not exceed steps")
-    if not 0 <= cfg.binarize_threshold <= 255:
-        raise ConfigError(f"binarize_threshold must be in [0, 255], got {cfg.binarize_threshold!r}")
-    if not cfg.classifier.learning_rate > 0:
-        raise ConfigError(f"classifier.learning_rate must be > 0, got {cfg.classifier.learning_rate!r}")
-    if not cfg.classifier.reg_strength >= 0:
-        raise ConfigError(f"classifier.reg_strength must be >= 0, got {cfg.classifier.reg_strength!r}")
     return cfg
 
 

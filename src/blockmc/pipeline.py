@@ -16,12 +16,17 @@ to the log only.
 The mask search (``mnistexp``) runs the same per-block QAOA and MADE
 helpers, chain task and fan-out, and fills its config with the same
 loader, without the stage cache.
+
+Each config field declares its range or choices in its field metadata;
+``fill_config`` checks type and range in one pass for both experiments and
+the CLI's sweep section, and a loader adds only the rules that span fields.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -46,31 +51,51 @@ from .qubo import (
 from .streams import derive_seed, stream
 
 
+# A field's metadata declares the values it, or each item of a list field,
+# may take: bounds such as {">=": 0, "<": 1}, stated so in messages unless
+# "text" says otherwise, or {"choices": (...)}.
+_BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
+COUNT = {">=": 1, "text": "an integer >= 1"}
+SEED = {">=": 0}
+
+
+def _allows(rule: dict, v) -> bool:
+    if "choices" in rule:
+        return v in rule["choices"]
+    return all(_BOUNDS[op](v, bound) for op, bound in rule.items() if op in _BOUNDS)
+
+
+def _describe(rule: dict) -> str:
+    if "choices" in rule:
+        return f"one of {', '.join(rule['choices'])}"
+    return rule.get("text") or " and ".join(f"{op} {bound}" for op, bound in rule.items() if op in _BOUNDS)
+
+
 @dataclass
 class InstanceConfig:
-    source: str = "generate"  # generate | file
-    n: int = 16
-    degree: int = 3
-    seed: int = 1
+    source: str = field(default="generate", metadata={"choices": ("generate", "file")})
+    n: int = field(default=16, metadata=COUNT)
+    degree: int = field(default=3, metadata={">=": 0})
+    seed: int = field(default=1, metadata=SEED)
     path: str | None = None
 
 
 @dataclass
 class PartitionConfig:
-    block_size: int = 4
-    sizes1: list[int] | None = None
-    sizes2: list[int] | None = None
-    seed: int = 2
+    block_size: int = field(default=4, metadata=COUNT)
+    sizes1: list[int] | None = field(default=None, metadata=COUNT)
+    sizes2: list[int] | None = field(default=None, metadata=COUNT)
+    seed: int = field(default=2, metadata=SEED)
 
 
 @dataclass
 class QaoaConfig:
-    p: int = 5
-    restarts: int = 4
-    max_evals_per_restart: int | None = None
-    shots_per_angle: int = 2048
-    biased_target_weight: float | None = None
-    seed: int = 3
+    p: int = field(default=5, metadata=COUNT)
+    restarts: int = field(default=4, metadata=COUNT)
+    max_evals_per_restart: int | None = field(default=None, metadata=COUNT)
+    shots_per_angle: int = field(default=2048, metadata=COUNT)
+    biased_target_weight: float | None = field(default=None, metadata={">=": 0})
+    seed: int = field(default=3, metadata=SEED)
 
 
 @dataclass
@@ -80,31 +105,34 @@ class MadeConfig:
     batch_size: int = 128
     epochs: int = 30
     validation_fraction: float = 0.1
-    seed: int = 4
+    seed: int = field(default=4, metadata=SEED)
 
     def train_config(self, block_size: int, seed: int) -> made.TrainConfig:
-        """The trainer's settings for one block; ``ValueError`` if out of range."""
+        """The trainer's settings for one block; ``ConfigError`` if out of range."""
         widths = {"hidden_widths": list(self.widths)} if self.widths is not None else {}
-        return made.default_train_config(
-            block_size, learning_rate=self.learning_rate, batch_size=self.batch_size, epochs=self.epochs,
-            seed=seed, validation_fraction=self.validation_fraction, **widths,
-        )
+        try:
+            return made.default_train_config(
+                block_size, learning_rate=self.learning_rate, batch_size=self.batch_size, epochs=self.epochs,
+                seed=seed, validation_fraction=self.validation_fraction, **widths,
+            )
+        except ValueError as e:
+            raise ConfigError(f"made: {e}") from None
 
 
 @dataclass
 class McmcConfig:
     kernels: list[str] = field(default_factory=lambda: list(mcmc.KERNELS))
-    steps: int = 30_000
-    pairs: int = 4
-    thin: int = 1
-    seed: int = 5
+    steps: int = field(default=30_000, metadata=COUNT)
+    pairs: int = field(default=4, metadata=COUNT)
+    thin: int = field(default=1, metadata=COUNT)
+    seed: int = field(default=5, metadata=SEED)
 
 
 @dataclass
 class AnalysisConfig:
-    max_lag: int = 2000
-    cutoff: float = 0.05
-    burn_fraction: float = 0.1
+    max_lag: int = field(default=2000, metadata=COUNT)
+    cutoff: float = field(default=0.05, metadata={">": 0, "<": 1})
+    burn_fraction: float = field(default=0.1, metadata={">=": 0, "<": 1})
 
 
 @dataclass
@@ -117,7 +145,7 @@ class ExperimentConfig:
     made: MadeConfig = field(default_factory=MadeConfig)
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    workers: int = 1
+    workers: int = field(default=1, metadata=COUNT)
 
     def resolved_k(self, n: int) -> int:
         return self.k if self.k is not None else n // 2
@@ -126,21 +154,27 @@ class ExperimentConfig:
 def fill_config(cfg, doc: dict, where: str = ""):
     """Set the fields of dataclass ``cfg`` from ``doc``; a field that holds a
     dataclass is a section, filled in place from a nested object, and every
-    other value must have its field's annotated type."""
+    other value must have its field's annotated type and, if not null, be
+    one of the values its metadata declares (each item of a list, too)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config {where.rstrip('.') or 'document'} is not an object")
-    annotations = {f.name: f.type for f in fields(cfg)}
+    declared = {f.name: f for f in fields(cfg)}
     types = get_type_hints(type(cfg))
     for key, value in doc.items():
-        if key not in annotations:
+        if key not in declared:
             raise ConfigError(f"unknown config field {where}{key!r}")
         section = getattr(cfg, key)
         if is_dataclass(section):
             fill_config(section, value, where=f"{where}{key}.")
-        elif not _has_type(value, types[key]):
-            raise ConfigError(f"config field {where}{key} must be {annotations[key]}, got {value!r}")
-        else:
-            setattr(cfg, key, value)
+            continue
+        if not _has_type(value, types[key]):
+            raise ConfigError(f"config field {where}{key} must be {declared[key].type}, got {value!r}")
+        rule = declared[key].metadata
+        for i, v in enumerate(value if isinstance(value, list) else [value]):
+            if rule and v is not None and not _allows(rule, v):
+                index = f"[{i}]" if isinstance(value, list) else ""
+                raise ConfigError(f"{where}{key}{index} must be {_describe(rule)}, got {v!r}")
+        setattr(cfg, key, value)
     return cfg
 
 
@@ -156,24 +190,6 @@ def _has_type(value, tp) -> bool:
     return {int: is_int, float: is_finite, type(None): lambda v: v is None}[tp](value)
 
 
-def require_positive(values: dict) -> None:
-    """Raise ``ConfigError`` unless every value is an int >= 1."""
-    for name, v in values.items():
-        if not (is_int(v) and v >= 1):
-            raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
-
-
-def require_seeds(cfg, where: str = "") -> None:
-    """Raise ``ConfigError`` unless every ``seed`` field of dataclass ``cfg``
-    and of its sections is >= 0."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            require_seeds(value, f"{where}{f.name}.")
-        elif f.name == "seed" and value < 0:
-            raise ConfigError(f"{where}seed must be >= 0, got {value!r}")
-
-
 def require_kernels(kernels: list, allowed) -> None:
     """Raise ``ConfigError`` unless ``kernels`` are distinct names from ``allowed``."""
     for kernel in kernels:
@@ -183,43 +199,13 @@ def require_kernels(kernels: list, allowed) -> None:
         raise ConfigError(f"kernels {kernels} name a kernel twice")
 
 
-def require_stage_ranges(q: QaoaConfig, m: MadeConfig) -> None:
-    """Raise ``ConfigError`` unless the QAOA and MADE settings are in range."""
-    positive = {"qaoa.p": q.p, "qaoa.restarts": q.restarts, "qaoa.shots_per_angle": q.shots_per_angle}
-    if q.max_evals_per_restart is not None:
-        positive["qaoa.max_evals_per_restart"] = q.max_evals_per_restart
-    require_positive(positive)
-    if q.biased_target_weight is not None and q.biased_target_weight < 0:
-        raise ConfigError(f"qaoa.biased_target_weight must be >= 0, got {q.biased_target_weight!r}")
-    try:
-        m.train_config(1, 0)
-    except ValueError as e:
-        raise ConfigError(f"made: {e}") from None
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
     require_kernels(cfg.mcmc.kernels, mcmc.KERNELS)
-    require_stage_ranges(cfg.qaoa, cfg.made)
-    require_seeds(cfg)
-    require_positive(
-        {
-            "workers": cfg.workers,
-            "mcmc.steps": cfg.mcmc.steps,
-            "mcmc.pairs": cfg.mcmc.pairs,
-            "mcmc.thin": cfg.mcmc.thin,
-            "partition.block_size": cfg.partition.block_size,
-            "analysis.max_lag": cfg.analysis.max_lag,
-        }
-    )
-    if not 0.0 <= cfg.analysis.burn_fraction < 1.0:
-        raise ConfigError(f"analysis.burn_fraction={cfg.analysis.burn_fraction!r} is not in [0, 1)")
-    if not 0.0 < cfg.analysis.cutoff < 1.0:
-        raise ConfigError(f"analysis.cutoff={cfg.analysis.cutoff!r} is not in (0, 1)")
+    cfg.made.train_config(1, 0)  # made.TrainConfig states MADE's ranges
     if cfg.instance.source == "generate":
         n, degree = cfg.instance.n, cfg.instance.degree
-        require_positive({"instance.n": n})
-        if not 0 <= degree < n or n * degree % 2:
+        if degree >= n or n * degree % 2:
             raise ConfigError(f"no simple {degree}-regular graph on n={n}: need 0 <= degree < n and n*degree even")
         require_fits(cfg, n)
     return cfg
@@ -234,7 +220,7 @@ def require_fits(cfg: ExperimentConfig, n: int) -> None:
         raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
     for name in ("sizes1", "sizes2"):
         sizes = getattr(cfg.partition, name)
-        if sizes is not None and (min(sizes, default=0) < 1 or sum(sizes) != n):
+        if sizes is not None and sum(sizes) != n:
             raise ConfigError(f"partition.{name}={sizes} must be sizes >= 1 that sum to n={n}")
 
 
@@ -348,15 +334,13 @@ class PipelineRun:
         def build():
             if cfg.source == "generate":
                 inst = gen_regular_instance(cfg.n, cfg.degree, cfg.seed)
-            elif cfg.source == "file":
-                if cfg.path is None:
-                    raise ConfigError("instance.source=file requires instance.path")
-                src = Path(cfg.path)
-                if not src.exists():
-                    raise ConfigError(f"instance file not found: {src}")
-                inst = load_instance_csv(src) if src.suffix == ".csv" else load_instance(src)
+            elif cfg.path is None:
+                raise ConfigError("instance.source=file requires instance.path")
+            elif not Path(cfg.path).exists():
+                raise ConfigError(f"instance file not found: {cfg.path}")
             else:
-                raise ConfigError(f"unknown instance source {cfg.source!r}")
+                src = Path(cfg.path)
+                inst = load_instance_csv(src) if src.suffix == ".csv" else load_instance(src)
             save_instance(inst, path)
             return inst
 
@@ -501,7 +485,7 @@ def fan_out(fn, tasks: list, workers: int) -> list:
     """``[fn(t) for t in tasks]``, on a pool of ``workers`` processes when
     there is more than one worker and more than one task."""
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 

@@ -1,13 +1,15 @@
 """Tests for the CLI: subcommands, exit codes, end-to-end mask search."""
 
+import argparse
 import json
 
 import pytest
 
-from blockmc import mcmc, qaoa
+from blockmc import cli, mcmc, qaoa
 from blockmc.cli import main
 from blockmc.errors import FormatError
 from conftest import write_synthetic_idx
+from test_pipeline import check_range_ends, range_cases
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -155,13 +157,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "section",
         ["x", 8, [8], {"n_values": 8}, {"n_values": []}, {"n_values": [8, 0]}, {"n_values": [8, 2.5]},
-         {"n_values": [True]}, {"n_values": "8"}, {"n_values": [8], "block_sizes": 4}, {"n_vals": [8]}],
+         {"n_values": [True]}, {"n_values": "8"}, {"n_values": [8], "block_sizes": 4}, {"n_vals": [8]},
+         {"n_values": [8], "block_sizes": [0]}],
     )
     def test_malformed_sweep_section_is_2(self, tmp_path, capsys, section):
         cfg = write_config(tmp_path, tiny_doc(sweep=section))
         assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, outside, boundary", range_cases(cli.SweepConfig))
+    def test_sweep_range_is_checked_at_its_ends(self, path, outside, boundary):
+        def loader(section):
+            return cli._experiment_config({"sweep": section}, argparse.Namespace(seed=None))
+
+        check_range_ends(loader, cli.SweepConfig, path, outside, boundary, where="sweep.")
 
 
 def mnist_doc(tmp_path, **overrides):

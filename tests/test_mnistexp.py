@@ -10,7 +10,7 @@ from blockmc.errors import ConfigError
 from blockmc.features import biased_angle_for_target_weight
 from conftest import write_synthetic_idx
 from test_analysis import fake_trace
-from test_pipeline import all_artifact_bytes
+from test_pipeline import all_artifact_bytes, check_range_ends, range_cases
 
 
 def tiny_mask_config(paths, **overrides):
@@ -96,6 +96,10 @@ class TestMaskConfig:
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):
             mnistexp.mnist_config_from_dict(doc)
+
+    @pytest.mark.parametrize("path, outside, boundary", range_cases(mnistexp.MnistConfig))
+    def test_declared_range_is_checked_at_its_ends(self, path, outside, boundary):
+        check_range_ends(mnistexp.mnist_config_from_dict, mnistexp.MnistConfig, path, outside, boundary)
 
 
 class TestMaskSearch:

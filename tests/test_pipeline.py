@@ -1,11 +1,15 @@
 """Tests for the staged pipeline: caching, determinism, stage pruning."""
 
+import dataclasses
 import filecmp
 import io
 import json
+import math
+import re
 import shutil
 from dataclasses import replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -33,6 +37,71 @@ def tiny_config(**overrides):
 
 
 STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
+
+
+def _scalar_type(tp):
+    """The item type of an annotation: ``int`` for ``list[int] | None``."""
+    args = [a for a in get_args(tp) if a is not type(None)]
+    return _scalar_type(args[0]) if args else tp
+
+
+def _ends(rule, scalar):
+    """(just outside, accepted boundary) at each bound of a declared rule,
+    or for each of its choices."""
+    if "choices" in rule:
+        return [("?" + rule["choices"][0], choice) for choice in rule["choices"]]
+    cases = []
+    for op, bound in rule.items():
+        if op not in pipeline._BOUNDS:
+            continue
+        outward = -1 if op[0] == ">" else 1
+        if scalar is float:
+            bound = float(bound)
+            nearby = math.nextafter(bound, outward * math.inf), math.nextafter(bound, -outward * math.inf)
+        else:
+            nearby = bound + outward, bound - outward
+        cases.append((nearby[0], bound) if op.endswith("=") else (bound, nearby[1]))
+    return cases
+
+
+def range_cases(cls, path=()):
+    """``pytest.param(path, outside, boundary)`` for each end of every range
+    that a field of config dataclass ``cls``, or of one of its sections,
+    declares; a list field's values are one-item lists."""
+    types = get_type_hints(cls)
+    cases = []
+    for f in dataclasses.fields(cls):
+        tp = types[f.name]
+        if dataclasses.is_dataclass(tp):
+            cases += range_cases(tp, (*path, f.name))
+        elif f.metadata:
+            is_list = any(get_origin(t) is list for t in (tp, *get_args(tp)))
+            for outside, boundary in _ends(f.metadata, _scalar_type(tp)):
+                name = f"{'.'.join((*path, f.name))}={boundary}"
+                if is_list:
+                    outside, boundary = [outside], [boundary]
+                cases.append(pytest.param((*path, f.name), outside, boundary, id=name))
+    return cases
+
+
+def nested(path, value) -> dict:
+    """The config document that sets only the field at ``path``."""
+    doc = value
+    for key in reversed(path):
+        doc = {key: doc}
+    return doc
+
+
+def check_range_ends(loader, cls, path, outside, boundary, where=""):
+    """A value just outside a field's declared range fails ``loader``
+    naming the field's path, and the boundary value fills the field."""
+    dotted = where + ".".join(path)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(dotted)}(\[0\])? must be "):
+        loader(nested(path, outside))
+    cfg = pipeline.fill_config(cls(), nested(path, boundary))
+    for key in path:
+        cfg = getattr(cfg, key)
+    assert cfg == boundary
 
 
 def all_artifact_bytes(out):
@@ -113,6 +182,7 @@ class TestConfig:
             {"analysis": {"burn_fraction": -0.1}},
             {"analysis": {"cutoff": -1}},
             {"analysis": {"cutoff": 1.0}},
+            {"instance": {"source": "gen"}},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
@@ -122,11 +192,15 @@ class TestConfig:
              "target-weight-negative", "epochs-zero", "batch-size-zero", "learning-rate-negative",
              "validation-fraction-above-half", "widths-empty", "degree-odd-stubs", "degree-n",
              "degree-negative", "sizes-sum-not-n", "size-zero", "max-lag-zero", "burn-above-one",
-             "burn-negative", "cutoff-negative", "cutoff-one"],
+             "burn-negative", "cutoff-negative", "cutoff-one", "source-unknown"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
             pipeline.config_from_dict(doc)
+
+    @pytest.mark.parametrize("path, outside, boundary", range_cases(pipeline.ExperimentConfig))
+    def test_declared_range_is_checked_at_its_ends(self, path, outside, boundary):
+        check_range_ends(pipeline.config_from_dict, pipeline.ExperimentConfig, path, outside, boundary)
 
     def test_type_error_names_the_field(self):
         with pytest.raises(ConfigError, match=r"qaoa\.p must be int, got 'x'"):
@@ -330,6 +404,28 @@ class TestFailedFit:
         assert result["kernels"]["frozen"]["tau"] is None
         assert "degenerate" in result["kernels"]["frozen"]["error"]
         assert (tmp_path / "rho_frozen.csv").read_text() == "lag,rho_mean,rho_std\n"
+
+
+class TestFanOut:
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+        assert pipeline.fan_out(str, [3, 1, 2], workers=8) == ["3", "1", "2"]
+        assert asked == [3]
 
 
 class TestSweeps:
