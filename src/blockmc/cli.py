@@ -15,9 +15,10 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, FormatError, ResourceLimitError
+from .fileio import COUNT
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
-from .pipeline import COUNT, PipelineRun, config_from_dict, fill_config, reseed_config, sweep
+from .pipeline import PipelineRun, config_from_dict, fill_config, reseed_config, sweep
 
 _STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
 # command -> (swept field, its values under the config's "sweep", printed label)

@@ -64,6 +64,13 @@ def read_object(path, keys=()) -> dict:
     return doc
 
 
+# Config field metadata that ``pipeline.fill_config`` checks: a count, a
+# non-empty list of counts, and a seed.
+COUNT = {">=": 1, "text": "an integer >= 1"}
+COUNTS = {**COUNT, "nonempty": True}
+SEED = {">=": 0}
+
+
 def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 

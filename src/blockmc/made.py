@@ -9,9 +9,10 @@ context, which is what carries k to the first conditional.
 
 Likelihoods are exact by construction, sampling is ancestral, and training
 is plain mini-batch gradient ascent with momentum, all in numpy (reverse
-mode by hand; the networks are tiny). A model holds its weights and
-nothing derived from them; the chain kernel's per-weight proposal tables
-belong to ``mcmc`` (``sector_table``).
+mode by hand; the networks are tiny). ``TrainConfig`` holds the widths and
+training settings, and is also the ``made`` section of both experiments'
+configs. A model holds its weights and nothing derived from them; the chain
+kernel's per-weight proposal tables belong to ``mcmc`` (``sector_table``).
 
 ``train_group`` trains same-shape models in lockstep: each layer's tensors
 are stacked on a leading member axis, so one minibatch is one forward, one
@@ -30,13 +31,13 @@ ends bit for bit where ``train``, the one-member case, would leave it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import FormatError
 from .features import row_groups
-from .fileio import Reader, write_bytes, write_lines
+from .fileio import COUNT, COUNTS, SEED, Reader, write_bytes, write_lines
 from .qaoa import BlockSampleSet
 from .streams import stream
 
@@ -47,29 +48,16 @@ _CHUNK = 16
 
 @dataclass
 class TrainConfig:
-    """Optimization hyperparameters for maximum-likelihood training."""
+    """Optimization hyperparameters for maximum-likelihood training, and the
+    ``made`` section of both experiments' configs: each field declares its
+    range in its metadata, which ``pipeline.fill_config`` checks."""
 
-    hidden_widths: list[int]
-    learning_rate: float = 0.05
-    batch_size: int = 128
-    epochs: int = 30
-    seed: int = 0
-    validation_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not self.hidden_widths or any(w < 1 for w in self.hidden_widths):
-            raise ValueError("hidden_widths must be positive")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("learning_rate, batch_size, epochs must be positive")
-        if not 0.0 <= self.validation_fraction <= 0.5:
-            raise ValueError("validation_fraction must be in [0, 0.5]")
-
-
-def default_train_config(block_size: int, **overrides) -> TrainConfig:
-    """Two hidden layers of width 4*|B|; small blocks need little capacity."""
-    cfg = {"hidden_widths": [4 * block_size, 4 * block_size]}
-    cfg.update(overrides)
-    return TrainConfig(**cfg)
+    widths: list[int] | None = field(default=None, metadata=COUNTS)  # None: two hidden layers of 4*|B|
+    learning_rate: float = field(default=0.05, metadata={">": 0})
+    batch_size: int = field(default=128, metadata=COUNT)
+    epochs: int = field(default=30, metadata=COUNT)
+    validation_fraction: float = field(default=0.1, metadata={">=": 0, "<=": 0.5})
+    seed: int = field(default=0, metadata=SEED)
 
 
 @dataclass
@@ -124,20 +112,23 @@ def _sigmoid(z):
 def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMadeModel:
     """Construct masks and initial weights.
 
-    Input degrees are the 1-based positions in the ordering; hidden degrees
-    are sampled uniformly from [0, |B|-1], with at least one degree-0 unit
-    forced per hidden layer so the context always reaches the first
-    conditional. Mask rule: >= between inputs/hiddens, strict > into the
-    outputs. Weights start Glorot-uniform, biases at zero.
+    Hidden layers have ``cfg.widths``, or two of width 4*|B| if it is None:
+    small blocks need little capacity. Input degrees are the 1-based
+    positions in the ordering; hidden degrees are sampled uniformly from
+    [0, |B|-1], with at least one degree-0 unit forced per hidden layer so
+    the context always reaches the first conditional. Mask rule: >= between
+    inputs/hiddens, strict > into the outputs. Weights start Glorot-uniform,
+    biases at zero.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
+    widths = cfg.widths if cfg.widths is not None else [4 * block_size] * 2
     rng = stream(seed, 70)
     ordering = np.arange(block_size)
     pos = np.empty(block_size, dtype=np.int64)
     pos[ordering] = np.arange(1, block_size + 1)
     degrees = [pos]
-    for width in cfg.hidden_widths:
+    for width in widths:
         d = rng.integers(0, max(block_size - 1, 0) + 1, size=width)
         if not np.any(d == 0):
             d[0] = 0
@@ -147,7 +138,7 @@ def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMade
         masks.append((degrees[l][:, None] >= degrees[l - 1][None, :]).astype(np.float64))
     out_mask = (pos[:, None] > degrees[-1][None, :]).astype(np.float64)
     masks.append(out_mask)
-    dims = [block_size, *cfg.hidden_widths, block_size]
+    dims = [block_size, *widths, block_size]
     weights, biases = [], []
     for l in range(len(dims) - 1):
         fan_in, fan_out = dims[l], dims[l + 1]
@@ -156,7 +147,7 @@ def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMade
         biases.append(np.zeros(fan_out))
     ctx_dim = block_size + 1
     ctx_weights = []
-    for width in cfg.hidden_widths:
+    for width in widths:
         bound = np.sqrt(6.0 / (ctx_dim + width))
         ctx_weights.append(rng.uniform(-bound, bound, size=(width, ctx_dim)))
     return ConditionalMadeModel(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, mcmc
+from . import analysis, made, mcmc
 from .errors import ConfigError
 from .features import (
     LabeledDataset,
@@ -36,13 +36,10 @@ from .features import (
     save_mask,
     top_k_linear_mask,
 )
-from .fileio import is_int, write_json, write_lines
+from .fileio import COUNT, COUNTS, SEED, write_json, write_lines
 from .idx import load_idx
 from .partition import build_partition_pair, save_partition_pair, spread_block_sizes
 from .pipeline import (
-    COUNT,
-    SEED,
-    MadeConfig,
     QaoaConfig,
     _chain_task,
     fan_out,
@@ -94,12 +91,12 @@ class MnistConfig:
     block_size: int = 14
     edge_threshold: float = 1e-3
     steps: int = 3000
-    stop_steps: list[int] = field(default_factory=lambda: [50, 3000], metadata=COUNT)
+    stop_steps: list[int] = field(default_factory=lambda: [50, 3000], metadata=COUNTS)
     repeats: int = field(default=10, metadata=COUNT)
     random_masks: int = field(default=10, metadata=COUNT)
     kernels: list[str] = field(default_factory=lambda: list(SEARCH_KERNELS))
     qaoa: QaoaConfig = field(default_factory=QaoaConfig)  # biased_target_weight None: K*|B|/N
-    made: MadeConfig = field(default_factory=MadeConfig)
+    made: made.TrainConfig = field(default_factory=lambda: made.TrainConfig(seed=4))
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     seed: int = field(default=11, metadata=SEED)
     workers: int = field(default=1, metadata=COUNT)
@@ -108,9 +105,6 @@ class MnistConfig:
 def mnist_config_from_dict(doc: dict) -> MnistConfig:
     cfg = fill_config(MnistConfig(), doc)
     require_kernels(cfg.kernels, SEARCH_KERNELS)
-    cfg.made.train_config(1, 0)  # made.TrainConfig states MADE's ranges
-    if not cfg.stop_steps:
-        raise ConfigError("stop_steps must be a non-empty list")
     if max(cfg.stop_steps) > cfg.steps:
         raise ConfigError("stop_steps must not exceed steps")
     return cfg
@@ -157,12 +151,13 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
     say(f"datasets: {len(train.images)} train, {len(test.images)} test, "
         f"{train.n_pixels} pixels, {train.n_classes} classes "
         f"({time.monotonic() - t0:.1f}s)")
-    # the pixel count is known only now; build_feature_qubo needs k >= 2
+    # the pixel count is known only now; build_feature_qubo needs k >= 2, and
+    # k = n leaves one mask, on which global Kawasaki has no pair to swap
     n = train.n_pixels
-    if not (is_int(cfg.k) and 2 <= cfg.k <= n):
-        raise ConfigError(f"k={cfg.k!r} is not an integer in [2, {n} pixels]")
-    if not (is_int(cfg.block_size) and 1 <= cfg.block_size <= n):
-        raise ConfigError(f"block_size={cfg.block_size!r} is not an integer in [1, {n} pixels]")
+    if not 2 <= cfg.k < n:
+        raise ConfigError(f"k={cfg.k} is not in [2, {n - 1}] for {n} pixels")
+    if not 1 <= cfg.block_size <= n:
+        raise ConfigError(f"block_size={cfg.block_size} is not in [1, {n}] for {n} pixels")
 
     t0 = time.monotonic()
     mi = build_mi_table(train)

@@ -20,6 +20,8 @@ loader, without the stage cache.
 Each config field declares its range or choices in its field metadata;
 ``fill_config`` checks type and range in one pass for both experiments and
 the CLI's sweep section, and a loader adds only the rules that span fields.
+The ``made`` section of both experiments is the trainer's own
+``made.TrainConfig``, so its ranges are declared once, on its fields.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import get_args, get_origin, get_type_hints
 from . import analysis, made, mcmc, qaoa
 from .errors import ConfigError, FormatError
 from .features import biased_angle_for_target_weight
-from .fileio import canonical_json, is_finite, is_int, read_object, write_json, write_lines
+from .fileio import COUNT, SEED, canonical_json, is_finite, is_int, read_object, write_json, write_lines
 from .partition import PartitionPair, build_partition_pair, load_partition_pair, save_partition_pair, spread_block_sizes
 from .qubo import (
     QuboInstance,
@@ -53,10 +55,8 @@ from .streams import derive_seed, stream
 
 # A field's metadata declares the values it, or each item of a list field,
 # may take: bounds such as {">=": 0, "<": 1}, stated so in messages unless
-# "text" says otherwise, or {"choices": (...)}.
+# "text" says otherwise, or {"choices": (...)}; "nonempty" forbids an empty list.
 _BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
-COUNT = {">=": 1, "text": "an integer >= 1"}
-SEED = {">=": 0}
 
 
 def _allows(rule: dict, v) -> bool:
@@ -99,27 +99,6 @@ class QaoaConfig:
 
 
 @dataclass
-class MadeConfig:
-    widths: list[int] | None = None  # None: made.default_train_config's widths
-    learning_rate: float = 0.05
-    batch_size: int = 128
-    epochs: int = 30
-    validation_fraction: float = 0.1
-    seed: int = field(default=4, metadata=SEED)
-
-    def train_config(self, block_size: int, seed: int) -> made.TrainConfig:
-        """The trainer's settings for one block; ``ConfigError`` if out of range."""
-        widths = {"hidden_widths": list(self.widths)} if self.widths is not None else {}
-        try:
-            return made.default_train_config(
-                block_size, learning_rate=self.learning_rate, batch_size=self.batch_size, epochs=self.epochs,
-                seed=seed, validation_fraction=self.validation_fraction, **widths,
-            )
-        except ValueError as e:
-            raise ConfigError(f"made: {e}") from None
-
-
-@dataclass
 class McmcConfig:
     kernels: list[str] = field(default_factory=lambda: list(mcmc.KERNELS))
     steps: int = field(default=30_000, metadata=COUNT)
@@ -142,7 +121,7 @@ class ExperimentConfig:
     beta_pi: float = 0.5
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     qaoa: QaoaConfig = field(default_factory=QaoaConfig)
-    made: MadeConfig = field(default_factory=MadeConfig)
+    made: made.TrainConfig = field(default_factory=lambda: made.TrainConfig(seed=4))
     mcmc: McmcConfig = field(default_factory=McmcConfig)
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     workers: int = field(default=1, metadata=COUNT)
@@ -170,6 +149,8 @@ def fill_config(cfg, doc: dict, where: str = ""):
         if not _has_type(value, types[key]):
             raise ConfigError(f"config field {where}{key} must be {declared[key].type}, got {value!r}")
         rule = declared[key].metadata
+        if rule.get("nonempty") and value == []:
+            raise ConfigError(f"{where}{key} must be a non-empty list, got []")
         for i, v in enumerate(value if isinstance(value, list) else [value]):
             if rule and v is not None and not _allows(rule, v):
                 index = f"[{i}]" if isinstance(value, list) else ""
@@ -202,7 +183,6 @@ def require_kernels(kernels: list, allowed) -> None:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
     require_kernels(cfg.mcmc.kernels, mcmc.KERNELS)
-    cfg.made.train_config(1, 0)  # made.TrainConfig states MADE's ranges
     if cfg.instance.source == "generate":
         n, degree = cfg.instance.n, cfg.instance.degree
         if degree >= n or n * degree % 2:
@@ -213,9 +193,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def require_fits(cfg: ExperimentConfig, n: int) -> None:
     """Raise ``ConfigError`` unless ``k``, the block size and the explicit
-    block sizes fit an instance of ``n`` variables."""
+    block sizes fit an instance of ``n`` variables, and unless global
+    Kawasaki, if it runs, has a pair of unequal bits to swap."""
     if cfg.k is not None and not 0 <= cfg.k <= n:
         raise ConfigError(f"k={cfg.k} is not in [0, n={n}]")
+    k = cfg.resolved_k(n)
+    if "global-kawasaki" in cfg.mcmc.kernels and k in (0, n):
+        raise ConfigError(f"global-kawasaki needs 0 < k < n, got k={k} and n={n}")
     if cfg.partition.block_size > n:
         raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
     for name in ("sizes1", "sizes2"):
@@ -497,16 +481,17 @@ def optimize_blocks(inst: QuboInstance, blocks: list, cfg: QaoaConfig, workers: 
     return {b.id: r for b, r in zip(blocks, fan_out(_qaoa_block_task, tasks, workers))}
 
 
-def train_surrogates(qaoa_out: dict, cfg: MadeConfig, workers: int) -> dict:
+def train_surrogates(qaoa_out: dict, cfg: made.TrainConfig, workers: int) -> dict:
     """Per block id of ``optimize_blocks``'s output, in sorted order:
-    (model, report) of a conditional MADE trained on the block's samples,
-    on a seed derived from ``cfg.seed``. Blocks of one size and sample count
-    train in lockstep, in at most ``workers`` chunks per group."""
+    (model, report) of a conditional MADE trained on the block's samples
+    with ``cfg``, its seed replaced by one derived from ``cfg.seed`` and the
+    block id. Blocks of one size and sample count train in lockstep, in at
+    most ``workers`` chunks per group."""
     groups = {}
     for bid in sorted(qaoa_out):
         groups.setdefault((qaoa_out[bid][2].block_size, qaoa_out[bid][2].count), []).append(bid)
     chunks = [g[i::workers] for g in groups.values() for i in range(min(workers, len(g)))]
-    tasks = [[(bid, qaoa_out[bid][2], cfg, derive_seed(cfg.seed, *bid)) for bid in c] for c in chunks]
+    tasks = [[(bid, qaoa_out[bid][2], replace(cfg, seed=derive_seed(cfg.seed, *bid))) for bid in c] for c in chunks]
     return dict(sorted(pair for pairs in fan_out(_made_group_task, tasks, workers) for pair in pairs))
 
 
@@ -528,13 +513,11 @@ def _qaoa_block_task(args):
 
 
 def _made_group_task(members):
-    models, datasets, cfgs = [], [], []
-    for bid, samples, cfg, seed in members:
-        cfgs.append(cfg.train_config(samples.block_size, seed))
-        models.append(made.build_model(samples.block_size, cfgs[-1], seed=seed))
-        models[-1].block_id = bid
-        datasets.append(samples)
-    return [(m.block_id, (m, r)) for m, r in zip(models, made.train_group(models, datasets, cfgs))]
+    bids, datasets, cfgs = zip(*members)
+    models = [made.build_model(d.block_size, c, seed=c.seed) for d, c in zip(datasets, cfgs)]
+    for model, bid in zip(models, bids):
+        model.block_id = bid
+    return list(zip(bids, zip(models, made.train_group(models, datasets, cfgs))))
 
 
 def _chain_task(args):
@@ -641,7 +624,7 @@ def sweep(
     if field not in _SWEEP_TAGS:
         raise ConfigError(f"cannot sweep {field!r}; choose from {sorted(_SWEEP_TAGS)}")
     tag = _SWEEP_TAGS[field]
-    rows = []
+    subs = []  # every point's config is checked before the first point runs
     for value in values:
         doc = asdict(cfg)
         if field == "n":
@@ -649,7 +632,9 @@ def sweep(
         else:
             doc["partition"]["block_size"] = value
         doc["partition"].update(sizes1=None, sizes2=None)
-        sub = config_from_dict(doc)
+        subs.append(config_from_dict(doc))
+    rows = []
+    for value, sub in zip(values, subs):
         run = PipelineRun(sub, Path(out) / f"{tag}{value}", force=force, log=log)
         result, _ = run.ensure_analysis()
         for kernel, e in sorted(result["kernels"].items()):

@@ -11,9 +11,9 @@ from blockmc.streams import stream
 
 
 def tiny_model(block_size, seed=0, widths=None):
-    cfg = made.default_train_config(block_size)
+    cfg = made.TrainConfig()
     if widths is not None:
-        cfg = made.TrainConfig(hidden_widths=widths)
+        cfg = made.TrainConfig(widths=widths)
     return made.build_model(block_size, cfg, seed=seed)
 
 
@@ -131,7 +131,7 @@ class TestLogProb:
         data = synthetic_sample_set(rows[:3000])
         held = rows[3000:]
         ks = held.sum(axis=1).astype(np.int64)
-        cfg = made.default_train_config(6, epochs=30, seed=4)
+        cfg = made.TrainConfig(epochs=30, seed=4)
         untrained = made.build_model(6, cfg, seed=9)
         before = float(np.mean(made.log_prob_batch(untrained, held, ks)))
         model = made.build_model(6, cfg, seed=9)
@@ -204,7 +204,7 @@ def _trained_qaoa_model(block_size, seed):
     data = qaoa.generate_training_set(
         bp, params, qaoa.default_training_angles(block_size), 2000, seed=seed
     )
-    cfg = made.default_train_config(block_size, epochs=40, seed=seed)
+    cfg = made.TrainConfig(epochs=40, seed=seed)
     model = made.build_model(block_size, cfg, seed=seed)
     report = made.train(model, data, cfg)
     return model, report
@@ -215,7 +215,7 @@ class TestTrain:
         """A single repeated bitstring gets probability >= 0.9."""
         x_star = np.array([1, 0, 1, 0], dtype=np.uint8)
         data = synthetic_sample_set(np.tile(x_star, (500, 1)))
-        cfg = made.default_train_config(4, epochs=200, seed=5, validation_fraction=0.0)
+        cfg = made.TrainConfig(epochs=200, seed=5, validation_fraction=0.0)
         model = made.build_model(4, cfg, seed=6)
         made.train(model, data, cfg)
         assert math.exp(model.log_prob(x_star, 2)) >= 0.9
@@ -261,7 +261,7 @@ class TestTrain:
         rng = stream(17)
         rows = rng.integers(0, 2, size=(20_000, 4)).astype(np.uint8)
         data = synthetic_sample_set(rows)
-        cfg = made.default_train_config(4, epochs=30, seed=7, validation_fraction=0.2)
+        cfg = made.TrainConfig(epochs=30, seed=7, validation_fraction=0.2)
         model = made.build_model(4, cfg, seed=8)
         report = made.train(model, data, cfg)
         target = -sum(math.comb(4, k) * math.log(math.comb(4, k)) for k in range(5)) / 16
@@ -269,7 +269,7 @@ class TestTrain:
         assert report.val_ll[-1] <= 0.0
 
     def test_empty_data_rejected(self):
-        cfg = made.default_train_config(4)
+        cfg = made.TrainConfig()
         model = made.build_model(4, cfg, seed=0)
         empty = qaoa.BlockSampleSet(
             block_id=(1, 0),
@@ -283,7 +283,7 @@ class TestTrain:
         rng = stream(18)
         rows = rng.integers(0, 2, size=(1000, 4)).astype(np.uint8)
         data = synthetic_sample_set(rows)
-        cfg = made.default_train_config(4, epochs=5, seed=9)
+        cfg = made.TrainConfig(epochs=5, seed=9)
         m1 = made.build_model(4, cfg, seed=10)
         made.train(m1, data, cfg)
         m2 = made.build_model(4, cfg, seed=10)
@@ -308,7 +308,7 @@ def _group_members(seeds, count=600, block_size=4, **overrides):
     """Models, data sets and configs that differ only in their seeds."""
     models, datasets, cfgs = [], [], []
     for seed in seeds:
-        cfg = made.default_train_config(block_size, **{"epochs": 3, "batch_size": 64, "seed": seed, **overrides})
+        cfg = made.TrainConfig(**{"epochs": 3, "batch_size": 64, "seed": seed, **overrides})
         models.append(made.build_model(block_size, cfg, seed=seed))
         datasets.append(synthetic_sample_set(stream(60 + seed).integers(0, 2, size=(count, block_size))))
         cfgs.append(cfg)
@@ -335,7 +335,7 @@ class TestTrainGroup:
             assert all(type(v) is float for v in reports[i].train_ll + reports[i].val_ll)
 
     @pytest.mark.parametrize(
-        "odd", [dict(block_size=5), dict(hidden_widths=[8, 8]), dict(epochs=4), dict(count=599)],
+        "odd", [dict(block_size=5), dict(widths=[8, 8]), dict(epochs=4), dict(count=599)],
         ids=["block-size", "widths", "epochs", "sample-count"],
     )
     def test_members_differing_beyond_the_seed_rejected(self, odd):
@@ -421,7 +421,7 @@ def _skewed_members(seeds, block_size, count=700, batch_size=128, epochs=3):
         rng = stream(90 + seed)
         pool = rng.integers(0, 2, size=([2**block_size, max(1, 2**block_size // 8), 1][i % 3], block_size))
         datasets.append(synthetic_sample_set(pool[rng.integers(0, len(pool), size=count)]))
-        cfgs.append(made.default_train_config(block_size, epochs=epochs, batch_size=batch_size, seed=seed))
+        cfgs.append(made.TrainConfig(epochs=epochs, batch_size=batch_size, seed=seed))
         models.append(made.build_model(block_size, cfgs[-1], seed=seed))
     return models, datasets, cfgs
 

@@ -15,7 +15,7 @@ from test_made import exhaustive_conditional_distribution
 
 def uniform_model(block_size, block_id):
     """Zero-weight MADE: q(.|k) uniform over all block bitstrings."""
-    cfg = made.default_train_config(block_size)
+    cfg = made.TrainConfig()
     model = made.build_model(block_size, cfg, seed=0)
     for w in model.weights:
         w[:] = 0.0
@@ -114,7 +114,7 @@ def _small_trained_model(block_size, seed):
     data = qaoa.generate_training_set(
         bp, params, qaoa.default_training_angles(block_size), 2000, seed=seed
     )
-    cfg = made.default_train_config(block_size, epochs=30, seed=seed)
+    cfg = made.TrainConfig(epochs=30, seed=seed)
     model = made.build_model(block_size, cfg, seed=seed)
     report = made.train(model, data, cfg)
     return model, report
@@ -409,7 +409,7 @@ def sharpened_block_config(inst, sizes, seed, beta_pi=0.5):
     pp = build_partition_pair(inst, sizes, sizes, seed=seed)
     models = {}
     for i, b in enumerate([*pp.p1, *pp.p2]):
-        model = made.build_model(b.size, made.default_train_config(b.size), seed=seed + i)
+        model = made.build_model(b.size, made.TrainConfig(), seed=seed + i)
         for w in (*model.weights, *model.ctx_weights):
             w *= 1.5
         model.block_id = b.id
@@ -562,7 +562,7 @@ class TestStationarity:
         pp = build_partition_pair(self.inst, [4, 4], [4, 4], seed=5)
         models = {}
         for i, b in enumerate([*pp.p1, *pp.p2]):
-            model = made.build_model(4, made.default_train_config(4), seed=40 + i)
+            model = made.build_model(4, made.TrainConfig(), seed=40 + i)
             for w in (*model.weights, *model.ctx_weights):
                 w *= 1.5
             model.block_id = b.id
@@ -642,14 +642,14 @@ class TestTableOwnership:
     def test_config_built_after_train_reads_trained_weights(self):
         inst = qubo.gen_regular_instance(8, 3, seed=6)
         pp = build_partition_pair(inst, [4, 4], [4, 4], seed=3)
-        model = made.build_model(4, made.default_train_config(4), seed=6)
+        model = made.build_model(4, made.TrainConfig(), seed=6)
         models = {b.id: model for part in (pp.p1, pp.p2) for b in part}
         init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
         before = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         mcmc.run_chain(inst, 4, before, steps=200, init=init, seed=1)
         rows = stream(19).integers(0, 2, size=(200, 4)).astype(np.uint8)
         data = qaoa.BlockSampleSet(block_id=(1, 0), samples=rows, weights=rows.sum(axis=1))
-        made.train(model, data, made.default_train_config(4, epochs=2, seed=1))
+        made.train(model, data, made.TrainConfig(epochs=2, seed=1))
         after = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         mcmc.run_chain(inst, 4, after, steps=200, init=init, seed=1)
         checked = 0

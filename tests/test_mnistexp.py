@@ -1,5 +1,6 @@
 """Tests for the mask search: config checks, workers, the biased QAOA target."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -97,6 +98,11 @@ class TestMaskConfig:
         with pytest.raises(ConfigError):
             mnistexp.mnist_config_from_dict(doc)
 
+    def test_default_config_round_trips_through_the_loader(self):
+        """The bench sends ``asdict`` of a config back through the loader."""
+        cfg = mnistexp.MnistConfig()
+        assert mnistexp.mnist_config_from_dict(dataclasses.asdict(cfg)) == cfg
+
     @pytest.mark.parametrize("path, outside, boundary", range_cases(mnistexp.MnistConfig))
     def test_declared_range_is_checked_at_its_ends(self, path, outside, boundary):
         check_range_ends(mnistexp.mnist_config_from_dict, mnistexp.MnistConfig, path, outside, boundary)
@@ -104,8 +110,8 @@ class TestMaskConfig:
 
 class TestMaskSearch:
     @pytest.mark.parametrize(
-        "overrides", [{"block_size": 100}, {"k": 80}, {"k": 1}],
-        ids=["block-size-above-n", "k-above-n", "k-below-2"],
+        "overrides", [{"block_size": 100}, {"k": 80}, {"k": 1}, {"k": 49}],
+        ids=["block-size-above-n", "k-above-n", "k-below-2", "k-equals-n"],
     )
     def test_sizes_checked_against_pixel_count(self, tmp_path, idx_paths, overrides):
         """downsample_factor 4 leaves 49 pixels."""

@@ -183,6 +183,7 @@ class TestConfig:
             {"analysis": {"cutoff": -1}},
             {"analysis": {"cutoff": 1.0}},
             {"instance": {"source": "gen"}},
+            {"instance": {"n": 8}, "k": 0},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
@@ -192,7 +193,8 @@ class TestConfig:
              "target-weight-negative", "epochs-zero", "batch-size-zero", "learning-rate-negative",
              "validation-fraction-above-half", "widths-empty", "degree-odd-stubs", "degree-n",
              "degree-negative", "sizes-sum-not-n", "size-zero", "max-lag-zero", "burn-above-one",
-             "burn-negative", "cutoff-negative", "cutoff-one", "source-unknown"],
+             "burn-negative", "cutoff-negative", "cutoff-one", "source-unknown",
+             "k-zero-with-global-kawasaki"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -201,6 +203,16 @@ class TestConfig:
     @pytest.mark.parametrize("path, outside, boundary", range_cases(pipeline.ExperimentConfig))
     def test_declared_range_is_checked_at_its_ends(self, path, outside, boundary):
         check_range_ends(pipeline.config_from_dict, pipeline.ExperimentConfig, path, outside, boundary)
+
+    def test_default_config_round_trips_through_the_loader(self):
+        """The bench sends ``asdict`` of a config back through the loader."""
+        cfg = pipeline.ExperimentConfig()
+        assert pipeline.config_from_dict(dataclasses.asdict(cfg)) == cfg
+
+    def test_default_config_hash_is_pinned(self):
+        """A renamed field or a changed default changes every stage key, and
+        so leaves every cached run unused."""
+        assert pipeline._hash(dataclasses.asdict(pipeline.ExperimentConfig())) == "ec8d4a185206a056"
 
     def test_type_error_names_the_field(self):
         with pytest.raises(ConfigError, match=r"qaoa\.p must be int, got 'x'"):
