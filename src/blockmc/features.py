@@ -14,7 +14,6 @@ trained on their distinct rows weighted by per-class image counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,13 +155,6 @@ def build_feature_qubo(mi: MiTable, k: int, edge_threshold: float = 1e-3) -> Qub
         if w >= edge_threshold and w > 0.0:
             quad[(i, j)] = w
     return QuboInstance(n=n, quad=quad, lin=-mi.feature_label.copy(), konst=0.0)
-
-
-def biased_angle_for_target_weight(block_size: int, target_weight: float) -> float:
-    """Rotation angle whose product state has the given expected weight."""
-    if not 0.0 <= target_weight <= block_size:
-        raise ValueError(f"target weight {target_weight} outside [0, {block_size}]")
-    return 2.0 * math.asin(math.sqrt(target_weight / block_size))
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

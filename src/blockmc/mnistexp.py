@@ -45,7 +45,6 @@ from .pipeline import (
     fan_out,
     fill_config,
     optimize_blocks,
-    require_kernels,
     train_surrogates,
 )
 from .qubo import QuboInstance, random_weight_k_config, save_instance
@@ -94,7 +93,9 @@ class MnistConfig:
     stop_steps: list[int] = field(default_factory=lambda: [50, 3000], metadata=COUNTS)
     repeats: int = field(default=10, metadata=COUNT)
     random_masks: int = field(default=10, metadata=COUNT)
-    kernels: list[str] = field(default_factory=lambda: list(SEARCH_KERNELS))
+    kernels: list[str] = field(
+        default_factory=lambda: list(SEARCH_KERNELS), metadata={"choices": SEARCH_KERNELS, "distinct": True}
+    )
     qaoa: QaoaConfig = field(default_factory=QaoaConfig)  # biased_target_weight None: K*|B|/N
     made: made.TrainConfig = field(default_factory=lambda: made.TrainConfig(seed=4))
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
@@ -104,7 +105,6 @@ class MnistConfig:
 
 def mnist_config_from_dict(doc: dict) -> MnistConfig:
     cfg = fill_config(MnistConfig(), doc)
-    require_kernels(cfg.kernels, SEARCH_KERNELS)
     if max(cfg.stop_steps) > cfg.steps:
         raise ConfigError("stop_steps must not exceed steps")
     return cfg

@@ -115,10 +115,9 @@ def build_partition(
 
 
 def _absorb_neighbors(inst, v, unassigned, score):
-    nbr, w = inst.neighbors(v)
-    for u, wu in zip(nbr, w):
+    for u, wu in inst.adjacency[v].items():
         if unassigned[u]:
-            score[int(u)] = score.get(int(u), 0.0) + abs(wu)
+            score[u] = score.get(u, 0.0) + abs(wu)
 
 
 def build_partition_pair(
@@ -128,63 +127,54 @@ def build_partition_pair(
 
     Repair swaps a boundary vertex of a non-crossing p2 block with a vertex
     of an adjacent p2 block drawn from a different p1 block, choosing the
-    swap that loses the least intra-block |coupling|. The budget is n swaps;
-    exhaustion marks the pair degraded instead of failing.
+    swap that loses the least intra-block |coupling|. The pair's
+    ``crossing`` matrix is recomputed after every swap, and the blocks that
+    still violate the rule are read from it by ``crossing_report``, the
+    same check the CLI reports. The budget is n swaps; exhaustion marks the
+    pair degraded instead of failing.
     """
     p1 = build_partition(inst, sizes1, derive_seed(seed, 1), partition_index=1)
     p2 = build_partition(inst, sizes2, derive_seed(seed, 2), partition_index=2)
-    owner1 = np.empty(inst.n, dtype=np.intp)
-    for b in p1:
-        owner1[b.vertices] = b.id[1]
-    notes: list[str] = []
-    degraded = False
-    if len(p1) == 1 or len(p2) == 1:
-        notes.append("single-block partition: crossing requirement vacuous")
-    else:
-        swaps = 0
-        while swaps < inst.n:
-            violating = _violating_blocks(p2, owner1, len(p1))
-            if not violating:
-                break
-            m2 = violating[0]
-            pair = _best_repair_swap(inst, p2, m2, owner1)
-            if pair is None:
-                break
-            (bv, vi), (bu, ui) = pair
-            p2[bv].vertices[vi], p2[bu].vertices[ui] = (
-                p2[bu].vertices[ui],
-                p2[bv].vertices[vi],
-            )
-            swaps += 1
-        remaining = _violating_blocks(p2, owner1, len(p1))
-        if remaining:
-            degraded = True
-            notes.append(
-                f"crossing repair exhausted after {swaps} swaps; "
-                f"p2 blocks {remaining} still inside a single p1 block"
-            )
-    crossing = crossing_matrix(p1, p2, inst.n)
-    return PartitionPair(p1=p1, p2=p2, crossing=crossing, degraded=degraded, notes=notes)
+    owner1 = _owners(p1, inst.n)
+    pp = PartitionPair(p1=p1, p2=p2, crossing=crossing_matrix(p1, p2, inst.n))
+    report = crossing_report(pp)
+    if report.vacuous:
+        pp.notes.append("single-block partition: crossing requirement vacuous")
+        return pp
+    swaps = 0
+    while report.violating_blocks and swaps < inst.n:
+        pair = _best_repair_swap(inst, p2, report.violating_blocks[0], owner1)
+        if pair is None:
+            break
+        (bv, vi), (bu, ui) = pair
+        p2[bv].vertices[vi], p2[bu].vertices[ui] = p2[bu].vertices[ui], p2[bv].vertices[vi]
+        swaps += 1
+        pp.crossing = crossing_matrix(p1, p2, inst.n)
+        report = crossing_report(pp)
+    if report.violating_blocks:
+        pp.degraded = True
+        pp.notes.append(
+            f"crossing repair exhausted after {swaps} swaps; "
+            f"p2 blocks {report.violating_blocks} still inside a single p1 block"
+        )
+    return pp
+
+
+def _owners(blocks: list[Block], n: int) -> np.ndarray:
+    """The index of the block that holds each of the n vertices."""
+    owner = np.empty(n, dtype=np.intp)
+    for b in blocks:
+        owner[b.vertices] = b.id[1]
+    return owner
 
 
 def crossing_matrix(p1: list[Block], p2: list[Block], n: int) -> np.ndarray:
-    owner1 = np.empty(n, dtype=np.intp)
-    for b in p1:
-        owner1[b.vertices] = b.id[1]
+    owner1 = _owners(p1, n)
     mat = np.zeros((len(p2), len(p1)), dtype=np.intp)
     for r, b in enumerate(p2):
         for v in b.vertices:
             mat[r, owner1[v]] += 1
     return mat
-
-
-def _violating_blocks(p2, owner1, m1):
-    out = []
-    for r, b in enumerate(p2):
-        met = {int(owner1[v]) for v in b.vertices}
-        if len(met) < 2 and m1 > 1:
-            out.append(r)
-    return out
 
 
 def _best_repair_swap(inst, p2, m2, owner1):
@@ -196,7 +186,7 @@ def _best_repair_swap(inst, p2, m2, owner1):
     boundary = [
         (vi, v)
         for vi, v in enumerate(block.vertices)
-        if any(int(u) not in members for u in inst.neighbors(v)[0])
+        if any(u not in members for u in inst.adjacency[v])
     ] or list(enumerate(block.vertices))
     adjacent = set()
     loc2 = {}
@@ -204,8 +194,8 @@ def _best_repair_swap(inst, p2, m2, owner1):
         for ui, u in enumerate(b.vertices):
             loc2[u] = (r, ui)
     for v in block.vertices:
-        for u in inst.neighbors(v)[0]:
-            r = loc2[int(u)][0]
+        for u in inst.adjacency[v]:
+            r = loc2[u][0]
             if r != m2:
                 adjacent.add(r)
     candidates_blocks = sorted(adjacent) or [r for r in range(len(p2)) if r != m2]
@@ -232,9 +222,8 @@ def _best_repair_swap(inst, p2, m2, owner1):
 
 
 def _coupling_to(inst, v, others):
-    nbr, w = inst.neighbors(v)
     wanted = set(others)
-    return sum(abs(wu) for u, wu in zip(nbr, w) if int(u) in wanted)
+    return sum(abs(wu) for u, wu in inst.adjacency[v].items() if u in wanted)
 
 
 def crossing_report(pp: PartitionPair) -> CrossingReport:

@@ -39,7 +39,6 @@ from typing import get_args, get_origin, get_type_hints
 
 from . import analysis, made, mcmc, qaoa
 from .errors import ConfigError, FormatError
-from .features import biased_angle_for_target_weight
 from .fileio import COUNT, SEED, canonical_json, is_finite, is_int, read_object, write_json, write_lines
 from .partition import PartitionPair, build_partition_pair, load_partition_pair, save_partition_pair, spread_block_sizes
 from .qubo import (
@@ -55,7 +54,8 @@ from .streams import derive_seed, stream
 
 # A field's metadata declares the values it, or each item of a list field,
 # may take: bounds such as {">=": 0, "<": 1}, stated so in messages unless
-# "text" says otherwise, or {"choices": (...)}; "nonempty" forbids an empty list.
+# "text" says otherwise, or {"choices": (...)}; "nonempty" forbids an empty list,
+# "distinct" a list that holds a value twice.
 _BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le, "<": operator.lt}
 
 
@@ -100,7 +100,9 @@ class QaoaConfig:
 
 @dataclass
 class McmcConfig:
-    kernels: list[str] = field(default_factory=lambda: list(mcmc.KERNELS))
+    kernels: list[str] = field(
+        default_factory=lambda: list(mcmc.KERNELS), metadata={"choices": tuple(mcmc.KERNELS), "distinct": True}
+    )
     steps: int = field(default=30_000, metadata=COUNT)
     pairs: int = field(default=4, metadata=COUNT)
     thin: int = field(default=1, metadata=COUNT)
@@ -151,6 +153,8 @@ def fill_config(cfg, doc: dict, where: str = ""):
         rule = declared[key].metadata
         if rule.get("nonempty") and value == []:
             raise ConfigError(f"{where}{key} must be a non-empty list, got []")
+        if rule.get("distinct") and len(set(value)) != len(value):
+            raise ConfigError(f"{where}{key} must not hold a value twice, got {value!r}")
         for i, v in enumerate(value if isinstance(value, list) else [value]):
             if rule and v is not None and not _allows(rule, v):
                 index = f"[{i}]" if isinstance(value, list) else ""
@@ -171,18 +175,8 @@ def _has_type(value, tp) -> bool:
     return {int: is_int, float: is_finite, type(None): lambda v: v is None}[tp](value)
 
 
-def require_kernels(kernels: list, allowed) -> None:
-    """Raise ``ConfigError`` unless ``kernels`` are distinct names from ``allowed``."""
-    for kernel in kernels:
-        if kernel not in allowed:
-            raise ConfigError(f"unknown kernel {kernel!r}; choose from {', '.join(allowed)}")
-    if len(set(kernels)) != len(kernels):
-        raise ConfigError(f"kernels {kernels} name a kernel twice")
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
-    require_kernels(cfg.mcmc.kernels, mcmc.KERNELS)
     if cfg.instance.source == "generate":
         n, degree = cfg.instance.n, cfg.instance.degree
         if degree >= n or n * degree % 2:
@@ -506,7 +500,7 @@ def _qaoa_block_task(args):
     target = cfg.biased_target_weight
     biased = None
     if target is not None:
-        biased = biased_angle_for_target_weight(bp.size, min(target, bp.size))
+        biased = qaoa.angle_for_weight(bp.size, min(target, bp.size))
     angles = qaoa.default_training_angles(bp.size, biased_angle=biased)
     samples = qaoa.generate_training_set(bp, params, angles, cfg.shots_per_angle, seed=seed)
     return params, loss, samples
@@ -618,13 +612,18 @@ def sweep(
     one tau row per point and kernel, also written to ``sweep_<n|b>.csv``.
 
     ``field`` is ``"n"`` (system size at fixed block size; each size gets
-    an instance seed derived from ``instance.seed``) or ``"block_size"``
-    (at fixed system size). Both re-spread the partition's block sizes.
+    an instance seed derived from ``instance.seed``, so the instance must
+    be generated) or ``"block_size"`` (at fixed system size). Both re-spread
+    the partition's block sizes. Every point's config is checked, and every
+    point's instance built or loaded and checked against its config, before
+    any point's later stages run.
     """
     if field not in _SWEEP_TAGS:
         raise ConfigError(f"cannot sweep {field!r}; choose from {sorted(_SWEEP_TAGS)}")
+    if field == "n" and cfg.instance.source == "file":
+        raise ConfigError("cannot sweep n over a file instance, whose n is fixed by the file")
     tag = _SWEEP_TAGS[field]
-    subs = []  # every point's config is checked before the first point runs
+    subs = []
     for value in values:
         doc = asdict(cfg)
         if field == "n":
@@ -633,15 +632,17 @@ def sweep(
             doc["partition"]["block_size"] = value
         doc["partition"].update(sizes1=None, sizes2=None)
         subs.append(config_from_dict(doc))
+    runs = [PipelineRun(sub, Path(out) / f"{tag}{value}", force=force, log=log) for value, sub in zip(values, subs)]
+    for run in runs:  # a file instance's fit is known only once it is read
+        run.ensure_instance()
     rows = []
-    for value, sub in zip(values, subs):
-        run = PipelineRun(sub, Path(out) / f"{tag}{value}", force=force, log=log)
+    for run in runs:
         result, _ = run.ensure_analysis()
         for kernel, e in sorted(result["kernels"].items()):
             rows.append(
                 {
-                    "n": sub.instance.n,
-                    "block_size": sub.partition.block_size,
+                    "n": run.cfg.instance.n,
+                    "block_size": run.cfg.partition.block_size,
                     "kernel": kernel,
                     "tau": e["tau"],
                     "tau_mean": e["tau_mean"],

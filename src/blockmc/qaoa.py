@@ -186,9 +186,8 @@ def build_block_problem(inst: QuboInstance, block: Block) -> BlockProblem:
     bits = basis(b).bits
     diag = bits @ inst.lin[verts]
     for t, v in enumerate(block.vertices):
-        nbr, w = inst.neighbors(v)
-        for u, wu in zip(nbr, w):
-            s = local.get(int(u))
+        for u, wu in inst.adjacency[v].items():
+            s = local.get(u)
             if s is not None and s > t:
                 diag = diag + wu * (bits[:, t] * bits[:, s])
     return BlockProblem(block=block, diag_energies=diag, mixer_edges=ring_mixer_edges(b))
@@ -398,14 +397,20 @@ def sample_state(state: Statevector, shots: int, rng: np.random.Generator) -> np
     return np.searchsorted(cum, rng.random(shots), side="right")
 
 
+def angle_for_weight(block_size: int, weight: float) -> float:
+    """Rotation angle whose product state has expected Hamming weight ``weight``."""
+    if not 0.0 <= weight <= block_size:
+        raise ValueError(f"target weight {weight} outside [0, {block_size}]")
+    return 2.0 * math.asin(math.sqrt(weight / block_size))
+
+
 def default_training_angles(block_size: int, biased_angle: float | None = None) -> list[float]:
     """Nine angles whose expected weights cover 0..|B| evenly, plus a bias.
 
     Running the optimized circuit from each of these product states gives
     the surrogate training data coverage over every conditioning weight.
     """
-    targets = np.linspace(0.0, block_size, 9)
-    angles = [2.0 * math.asin(math.sqrt(t / block_size)) for t in targets]
+    angles = [angle_for_weight(block_size, t) for t in np.linspace(0.0, block_size, 9)]
     if biased_angle is not None:
         angles.append(float(biased_angle))
     return angles

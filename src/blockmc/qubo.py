@@ -12,7 +12,6 @@ is tested against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,9 +41,15 @@ class QuboInstance:
     konst : float
         Constant offset; equals the energy of the all-zero configuration.
 
-    The adjacency structure is built once at construction and the instance
-    is treated as immutable afterwards, so it can be shared freely across
-    workers.
+    The interaction graph is built once at construction, from the edges in
+    sorted (i, j) order, and the instance is treated as immutable afterwards,
+    so it can be shared freely across workers:
+
+    * ``edge_i``, ``edge_j``, ``edge_w``: numpy arrays of every edge's ends
+      and coupling, and ``edge_list``, the same (i, j) pairs as Python ints;
+    * ``adjacency[v]``: {neighbor: Q} as Python numbers, neighbors in
+      ascending order. Partition tie-breaks and the float sums over a
+      vertex's neighbors follow that order.
     """
 
     n: int
@@ -56,6 +61,8 @@ class QuboInstance:
     edge_i: np.ndarray = field(init=False, repr=False)
     edge_j: np.ndarray = field(init=False, repr=False)
     edge_w: np.ndarray = field(init=False, repr=False)
+    edge_list: list[tuple[int, int]] = field(init=False, repr=False)
+    adjacency: list[dict[int, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lin = np.asarray(self.lin, dtype=np.float64)
@@ -70,31 +77,17 @@ class QuboInstance:
         self.edge_i = np.array([e[0] for e in edges], dtype=np.intp)
         self.edge_j = np.array([e[1] for e in edges], dtype=np.intp)
         self.edge_w = np.array([self.quad[e] for e in edges], dtype=np.float64)
-        nbr: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for (i, j), w in self.quad.items():
-            nbr[i].append((j, w))
-            nbr[j].append((i, w))
-        self._nbr_idx = [np.array([u for u, _ in sorted(a)], dtype=np.intp) for a in nbr]
-        self._nbr_w = [np.array([w for _, w in sorted(a)], dtype=np.float64) for a in nbr]
+        self.edge_list = list(zip(self.edge_i.tolist(), self.edge_j.tolist()))
+        # in sorted edge order, v's smaller neighbors i (edges (i, v)) arrive
+        # in ascending i before its larger ones, so each dict is in ascending order
+        self.adjacency = [{} for _ in range(self.n)]
+        for (i, j), w in zip(self.edge_list, self.edge_w.tolist()):
+            self.adjacency[i][j] = w
+            self.adjacency[j][i] = w
 
     @property
     def num_edges(self) -> int:
         return len(self.edge_w)
-
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor indices of vertex i and the matching coupling values."""
-        return self._nbr_idx[i], self._nbr_w[i]
-
-    @functools.cached_property
-    def adjacency(self) -> list[dict[int, float]]:
-        """Per vertex, {neighbor: Q} as Python numbers, for the scalar
-        lookups of a chain step; built on first use."""
-        return [dict(zip(idx.tolist(), w.tolist())) for idx, w in zip(self._nbr_idx, self._nbr_w)]
-
-    @functools.cached_property
-    def edge_list(self) -> list[tuple[int, int]]:
-        """The (i, j) of every edge, as ``edge_i``/``edge_j`` order them."""
-        return list(zip(self.edge_i.tolist(), self.edge_j.tolist()))
 
 
 def random_weight_k_config(n: int, k: int, rng: np.random.Generator) -> SpinConfig:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from blockmc import cli, mcmc, qaoa
+from blockmc import cli, mcmc, qaoa, qubo
 from blockmc.cli import main
 from blockmc.errors import FormatError
 from conftest import write_synthetic_idx
@@ -292,6 +292,29 @@ class TestSweepCommands:
         assert main(["sweep-b", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "sweep_b.csv").exists()
         assert "|B|=4" in capsys.readouterr().out
+
+    @staticmethod
+    def file_instance_doc(tmp_path, sweep):
+        """A tiny config that reads a 16-variable instance from a file."""
+        src = tmp_path / "inst.json"
+        qubo.save_instance(qubo.gen_regular_instance(16, 3, seed=1), src)
+        return tiny_doc(instance={"source": "file", "path": str(src)}, sweep=sweep)
+
+    def test_sweep_n_over_a_file_instance_is_2(self, tmp_path, capsys):
+        """The file fixes n, so no point is run and no directory made."""
+        cfg = write_config(tmp_path, self.file_instance_doc(tmp_path, {"n_values": [8, 12]}))
+        assert main(["sweep-n", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: cannot sweep n over a file instance" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_b_checks_every_point_against_a_file_instance_first(self, tmp_path, capsys):
+        """A block size the file's n cannot hold fails before any point's QAOA runs."""
+        doc = self.file_instance_doc(tmp_path, {"block_sizes": [4, 40]})
+        doc["mcmc"].update(kernels=["block-surrogate"], steps=200, pairs=1)
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep-b", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: partition.block_size=40 exceeds n=16" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*/qaoa"))
 
 
 class TestMnistCommand:

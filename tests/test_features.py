@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from blockmc import features, idx, qubo
+from blockmc import features, idx, qaoa, qubo
 from blockmc.errors import FormatError
 from blockmc.streams import stream
 
@@ -383,15 +383,13 @@ class TestEvaluateMask:
 
 class TestBiasedAngle:
     def test_zero_target(self):
-        assert features.biased_angle_for_target_weight(16, 0.0) == 0.0
+        assert qaoa.angle_for_weight(16, 0.0) == 0.0
 
     def test_half_target_uniform(self):
-        assert features.biased_angle_for_target_weight(16, 8.0) == pytest.approx(math.pi / 2)
+        assert qaoa.angle_for_weight(16, 8.0) == pytest.approx(math.pi / 2)
 
     def test_sampled_mean_weight(self):
-        from blockmc import qaoa
-
-        angle = features.biased_angle_for_target_weight(16, 2.0)
+        angle = qaoa.angle_for_weight(16, 2.0)
         psi = qaoa.prepare_initial_state(16, angle)
         rng = stream(21)
         drawn = qaoa.sample_state(psi, 10_000, rng)
@@ -400,7 +398,7 @@ class TestBiasedAngle:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            features.biased_angle_for_target_weight(8, 9.0)
+            qaoa.angle_for_weight(8, 9.0)
 
 
 class TestMaskHelpers:

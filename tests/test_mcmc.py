@@ -297,8 +297,8 @@ class TestRunChain:
 # oracle: each step scans x for its 1- and 0-bits and takes the energy change
 # from fancy-indexed dot products.
 def ref_energy_delta_swap(inst, x, i, j):
-    ni, wi = inst.neighbors(i)
-    nj, wj = inst.neighbors(j)
+    ni, wi = np.fromiter(inst.adjacency[i], np.intp), np.fromiter(inst.adjacency[i].values(), np.float64)
+    nj, wj = np.fromiter(inst.adjacency[j], np.intp), np.fromiter(inst.adjacency[j].values(), np.float64)
     qij = inst.quad.get((min(i, j), max(i, j)), 0.0)
     s_i = float(wi @ x[ni]) - qij * float(x[j])
     s_j = float(wj @ x[nj]) - qij * float(x[i])
@@ -309,11 +309,11 @@ def ref_energy_delta_swap(inst, x, i, j):
 def ref_energy_delta_block(inst, x, verts, new_bits):
     """dE = (new - old) . (l + C_U x_U + S (new + old) / 2)."""
     inside = [int(v) for v in verts]
-    outside = sorted({int(u) for v in inside for u in inst.neighbors(v)[0]} - set(inside))
+    outside = sorted({int(u) for v in inside for u in inst.adjacency[v]} - set(inside))
     col = {u: c for c, u in enumerate([*outside, *inside])}
     couplings = np.zeros((len(inside), len(col)))
     for t, v in enumerate(inside):
-        for u, w in zip(*inst.neighbors(v)):
+        for u, w in inst.adjacency[v].items():
             c = col[int(u)]
             couplings[t, c] = w if c < len(outside) else w / 2
     idx = np.array([*outside, *inside], dtype=np.intp)

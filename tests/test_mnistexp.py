@@ -8,7 +8,6 @@ import pytest
 
 from blockmc import mnistexp, qaoa
 from blockmc.errors import ConfigError
-from blockmc.features import biased_angle_for_target_weight
 from conftest import write_synthetic_idx
 from test_analysis import fake_trace
 from test_pipeline import all_artifact_bytes, check_range_ends, range_cases
@@ -157,8 +156,8 @@ class TestMaskSearch:
         mnistexp.run_mask_search(cfg, tmp_path / "set", log=io.StringIO())
         assert default and [size for size, _ in seen] == [size for size, _ in default]
         for (size, got), (_, before) in zip(seen, default):
-            assert before == biased_angle_for_target_weight(size, 4 * 5 / n_pixels)
-            assert got == biased_angle_for_target_weight(size, 1.0)
+            assert before == qaoa.angle_for_weight(size, 4 * 5 / n_pixels)
+            assert got == qaoa.angle_for_weight(size, 1.0)
             assert got != before
 
 

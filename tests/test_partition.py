@@ -23,8 +23,7 @@ def intra_block_coupling(inst, blocks):
     for b in blocks:
         members = set(b.vertices)
         for v in b.vertices:
-            nbr, w = inst.neighbors(v)
-            for u, wu in zip(nbr, w):
+            for u, wu in inst.adjacency[v].items():
                 if u > v and int(u) in members:
                     total += abs(wu)
     return total

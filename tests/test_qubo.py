@@ -144,11 +144,22 @@ class TestEnergyDeltaBlock:
                 assert got == pytest.approx(expected, abs=1e-12)
 
 
+class TestInteractionGraph:
+    def test_tables_list_edges_and_neighbors_in_ascending_order(self):
+        quad = {(2, 5): 0.5, (3, 4): 1.5, (0, 2): -1.0, (2, 3): -0.25, (0, 5): 3.0, (1, 2): 2.0}
+        inst = qubo.QuboInstance(n=6, quad=quad, lin=np.zeros(6))
+        assert inst.edge_list == list(zip(inst.edge_i, inst.edge_j)) == sorted(quad)
+        assert list(inst.adjacency[2].items()) == [(0, -1.0), (1, 2.0), (3, -0.25), (5, 0.5)]
+        for v in range(6):
+            expected = sorted((i + j - v, w) for (i, j), w in quad.items() if v in (i, j))
+            assert list(inst.adjacency[v].items()) == expected
+
+
 class TestGenRegularInstance:
     def test_edge_count_and_degrees(self):
         inst = qubo.gen_regular_instance(16, 3, seed=0)
         assert inst.num_edges == 24
-        assert all(len(inst.neighbors(i)[0]) == 3 for i in range(16))
+        assert all(len(inst.adjacency[i]) == 3 for i in range(16))
 
     def test_simple_graph(self):
         inst = qubo.gen_regular_instance(32, 3, seed=5)
