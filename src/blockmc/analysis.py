@@ -5,7 +5,8 @@ q(t) = (1/N) sum_i x_i(t) x'_i(t); how fast q decorrelates measures how
 fast the pair explores the feasible set. The autocorrelation rho(l) uses
 the biased (1/T) covariance estimator, and the decay rate tau comes from a
 weighted log-domain straight-line fit of rho(l) ~ A exp(-tau l) over the
-lags above a cutoff.
+lags above a cutoff. An overlap series is a plain float array; an
+``AutocorrResult`` is rho and a flag for a series with no variance.
 """
 
 from __future__ import annotations
@@ -19,17 +20,9 @@ from .fileio import write_lines
 from .mcmc import ChainTrace
 
 
-@dataclass
-class OverlapSeries:
-    values: np.ndarray
-    n_sites: int
-
-
-@dataclass
+@dataclass(eq=False)
 class AutocorrResult:
     rho: np.ndarray  # indexed by lag, rho[0] == 1 unless degenerate
-    mean_q: float
-    var_q: float
     degenerate: bool = False
 
 
@@ -42,7 +35,7 @@ class DecayFit:
     slow_mixing: bool = False
 
 
-def overlap_series(a: ChainTrace, b: ChainTrace, burn_fraction: float = 0.0) -> OverlapSeries:
+def overlap_series(a: ChainTrace, b: ChainTrace, burn_fraction: float = 0.0) -> np.ndarray:
     """Elementwise bit agreement popcount(x AND x')/N per recorded step."""
     if a.n != b.n:
         raise ValueError(f"traces disagree on N: {a.n} vs {b.n}")
@@ -50,25 +43,23 @@ def overlap_series(a: ChainTrace, b: ChainTrace, burn_fraction: float = 0.0) -> 
         raise ValueError("traces have different recorded lengths")
     start = int(burn_fraction * len(a.configs))
     common = a.configs[start:] & b.configs[start:]
-    return OverlapSeries(values=common.sum(axis=1) / a.n, n_sites=a.n)
+    return common.sum(axis=1) / a.n
 
 
-def autocorrelation(s: OverlapSeries, max_lag: int) -> AutocorrResult:
-    """Biased-estimator autocorrelation of the overlap series via FFT."""
-    q = np.asarray(s.values, dtype=np.float64)
+def autocorrelation(q: np.ndarray, max_lag: int) -> AutocorrResult:
+    """Biased-estimator autocorrelation via FFT of ``q``, a 1-D series such as
+    the overlap series, at lags 0..max_lag."""
+    q = np.asarray(q, dtype=np.float64)
     t = len(q)
     if t <= max_lag + 10:
         raise ValueError(f"series length {t} too short for max_lag {max_lag}")
-    mean_q = float(q.mean())
-    qc = q - mean_q
+    qc = q - q.mean()
     spec = np.fft.rfft(qc, 2 * t)
     cov = np.fft.irfft(spec * np.conj(spec))[: max_lag + 1] / t
     var_q = float(cov[0])
     if var_q <= 1e-300:
-        return AutocorrResult(
-            rho=np.full(max_lag + 1, np.nan), mean_q=mean_q, var_q=0.0, degenerate=True
-        )
-    return AutocorrResult(rho=cov / var_q, mean_q=mean_q, var_q=var_q)
+        return AutocorrResult(rho=np.full(max_lag + 1, np.nan), degenerate=True)
+    return AutocorrResult(rho=cov / var_q)
 
 
 def fit_decay_rate(ac: AutocorrResult, cutoff: float = 0.05) -> DecayFit:
@@ -125,43 +116,7 @@ def mean_autocorrelation(results: list[AutocorrResult]) -> AutocorrResult:
     usable = [r for r in results if not r.degenerate]
     if not usable:
         raise InsufficientDataError("all autocorrelation results degenerate")
-    rho = np.mean([r.rho for r in usable], axis=0)
-    return AutocorrResult(
-        rho=rho,
-        mean_q=float(np.mean([r.mean_q for r in usable])),
-        var_q=float(np.mean([r.var_q for r in usable])),
-    )
-
-
-@dataclass
-class KernelTauStats:
-    kernel: str
-    tau_mean: float
-    tau_std: float
-    n: int
-
-
-@dataclass
-class EnsembleSummary:
-    stats: dict[str, KernelTauStats]
-    ratios: dict[tuple[str, str], float]
-
-
-def ensemble_summary(fits: dict[str, list[DecayFit]]) -> EnsembleSummary:
-    """Mean/std of tau per kernel plus all pairwise mean-tau ratios."""
-    stats = {}
-    for kernel, fs in fits.items():
-        if not fs:
-            raise ValueError(f"no fits for kernel {kernel}")
-        taus = np.array([f.rate for f in fs])
-        std = float(taus.std(ddof=1)) if len(taus) > 1 else 0.0
-        stats[kernel] = KernelTauStats(kernel, float(taus.mean()), std, len(taus))
-    ratios = {}
-    for ka in fits:
-        for kb in fits:
-            if ka != kb and stats[kb].tau_mean > 0.0:
-                ratios[(ka, kb)] = stats[ka].tau_mean / stats[kb].tau_mean
-    return EnsembleSummary(stats=stats, ratios=ratios)
+    return AutocorrResult(rho=np.mean([r.rho for r in usable], axis=0))
 
 
 def save_rho_csv(results: list[AutocorrResult], path, thin: int = 1) -> None:

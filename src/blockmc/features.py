@@ -22,7 +22,7 @@ from .fileio import write_lines
 from .qubo import QuboInstance, random_weight_k_config
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
     """Binary pixel matrix (n_samples x n_pixels) with integer class labels."""
 
@@ -48,7 +48,7 @@ class LabeledDataset:
         return self.images.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class MiTable:
     """I(z_i; y) per pixel and sparse symmetric I(z_i; z_j), stored i < j."""
 
@@ -56,7 +56,7 @@ class MiTable:
     pairwise: dict[tuple[int, int], float]
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMask:
     selected: np.ndarray
     k: int

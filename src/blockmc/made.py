@@ -70,7 +70,7 @@ class TrainReport:
         write_lines(path, ["epoch,train_ll,val_ll", *rows])
 
 
-@dataclass
+@dataclass(eq=False)
 class ConditionalMadeModel:
     """Masked autoregressive network with Hamming-weight context.
 

@@ -158,7 +158,7 @@ def energy_delta_block(state: ChainState, flips: list[int]) -> float:
     return delta
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainTrace:
     """Recorded history of one chain.
 

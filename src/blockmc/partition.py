@@ -39,7 +39,7 @@ class Block:
         return len(self.vertices)
 
 
-@dataclass
+@dataclass(eq=False)
 class PartitionPair:
     """Two partitions plus the matrix of pairwise block intersections.
 
@@ -188,16 +188,8 @@ def _best_repair_swap(inst, p2, m2, owner1):
         for vi, v in enumerate(block.vertices)
         if any(u not in members for u in inst.adjacency[v])
     ] or list(enumerate(block.vertices))
-    adjacent = set()
-    loc2 = {}
-    for r, b in enumerate(p2):
-        for ui, u in enumerate(b.vertices):
-            loc2[u] = (r, ui)
-    for v in block.vertices:
-        for u in inst.adjacency[v]:
-            r = loc2[u][0]
-            if r != m2:
-                adjacent.add(r)
+    owner2 = _owners(p2, inst.n).tolist()
+    adjacent = {owner2[u] for v in block.vertices for u in inst.adjacency[v]} - {m2}
     candidates_blocks = sorted(adjacent) or [r for r in range(len(p2)) if r != m2]
     best = None
     best_loss = np.inf

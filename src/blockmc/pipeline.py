@@ -37,6 +37,8 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import analysis, made, mcmc, qaoa
 from .errors import ConfigError, FormatError
 from .fileio import COUNT, SEED, canonical_json, is_finite, is_int, read_object, write_json, write_lines
@@ -178,6 +180,8 @@ def _has_type(value, tp) -> bool:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     cfg = fill_config(ExperimentConfig(), doc)
     if cfg.instance.source == "generate":
+        if cfg.instance.path is not None:
+            raise ConfigError(f"instance.path={cfg.instance.path!r} is read only with instance.source=file")
         n, degree = cfg.instance.n, cfg.instance.degree
         if degree >= n or n * degree % 2:
             raise ConfigError(f"no simple {degree}-regular graph on n={n}: need 0 <= degree < n and n*degree even")
@@ -186,15 +190,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def require_fits(cfg: ExperimentConfig, n: int) -> None:
-    """Raise ``ConfigError`` unless ``k``, the block size and the explicit
-    block sizes fit an instance of ``n`` variables, and unless global
-    Kawasaki, if it runs, has a pair of unequal bits to swap."""
+    """Raise ``ConfigError`` unless ``k``, the explicit block sizes and, where
+    a partition's sizes are spread from it, the block size fit an instance of
+    ``n`` variables, and unless global Kawasaki, if it runs, has a pair of
+    unequal bits to swap."""
     if cfg.k is not None and not 0 <= cfg.k <= n:
         raise ConfigError(f"k={cfg.k} is not in [0, n={n}]")
     k = cfg.resolved_k(n)
     if "global-kawasaki" in cfg.mcmc.kernels and k in (0, n):
         raise ConfigError(f"global-kawasaki needs 0 < k < n, got k={k} and n={n}")
-    if cfg.partition.block_size > n:
+    if None in (cfg.partition.sizes1, cfg.partition.sizes2) and cfg.partition.block_size > n:
         raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
     for name in ("sizes1", "sizes2"):
         sizes = getattr(cfg.partition, name)
@@ -522,13 +527,16 @@ def _chain_task(args):
 def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
     """Headline tau per kernel (fit of run-averaged rho) plus per-pair stats.
 
-    A kernel whose fit fails (chains too short for one lag after burn-in,
-    too few lags above the cutoff, or no overlap variance) gets null fit
-    fields and an ``error``, and no ratios.
+    A kernel's ``tau_mean`` and ``tau_std`` (ddof=1; 0 for one rate) are over
+    the rates of the pairs whose own rho could be fitted, or over the headline
+    rate alone when none could. ``ratios["a/b"]`` is tau_mean[a] / tau_mean[b]
+    for every ordered pair of fitted kernels with tau_mean[b] > 0.
+    A kernel whose headline fit fails (chains too short for one lag after
+    burn-in, too few lags above the cutoff, or no overlap variance) gets null
+    fit fields and an ``error``, and no ratios.
     Returns a JSON-ready dict; optionally writes the plot-ready CSVs.
     """
     result = {"kernels": {}}
-    fits_per_kernel = {}
     for kernel in sorted(traces):
         first = traces[kernel][0][0]
         thin = first.thin
@@ -549,13 +557,13 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
             entry = dict.fromkeys(fit)
             entry.update(n_pairs=len(traces[kernel]), error=str(exc))
         else:
-            per_pair = []
+            rates = []
             for ac in pair_acs:
                 try:
-                    per_pair.append(_per_step(analysis.fit_decay_rate(ac, cutoff=cutoff), thin))
+                    rates.append(_per_step(analysis.fit_decay_rate(ac, cutoff=cutoff), thin).rate)
                 except analysis.InsufficientDataError:
                     continue
-            fits_per_kernel[kernel] = per_pair or [headline]
+            rates = np.array(rates or [headline.rate])
             entry = {
                 "tau": headline.rate,
                 "amplitude": headline.amplitude,
@@ -563,6 +571,8 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
                 "residual": headline.residual,
                 "slow_mixing": headline.slow_mixing,
                 "n_pairs": len(traces[kernel]),
+                "tau_mean": float(rates.mean()),
+                "tau_std": float(rates.std(ddof=1)) if len(rates) > 1 else 0.0,
             }
         result["kernels"][kernel] = entry
         if out_dir is not None:
@@ -570,12 +580,9 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
             analysis.save_best_energy_csv(
                 traces[kernel][0][0], Path(out_dir) / f"best_energy_{kernel}.csv"
             )
-    summary = analysis.ensemble_summary(fits_per_kernel)
-    for kernel, stats in summary.stats.items():
-        result["kernels"][kernel]["tau_mean"] = stats.tau_mean
-        result["kernels"][kernel]["tau_std"] = stats.tau_std
+    means = {k: e["tau_mean"] for k, e in result["kernels"].items() if e["tau_mean"] is not None}
     result["ratios"] = {
-        f"{ka}/{kb}": v for (ka, kb), v in sorted(summary.ratios.items())
+        f"{a}/{b}": means[a] / means[b] for a in means for b in means if a != b and means[b] > 0.0
     }
     if out_dir is not None:
         _save_tau_table(result, Path(out_dir) / "tau_summary.csv")

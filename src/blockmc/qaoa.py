@@ -42,7 +42,7 @@ _NORM_DRIFT_TOL = 1e-10
 Statevector = np.ndarray  # complex128, length 2^|B|, unit L2 norm
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockProblem:
     """Block-restricted diagonal energies plus the mixer edge set.
 
@@ -55,7 +55,7 @@ class BlockProblem:
     block: Block
     diag_energies: np.ndarray
     mixer_edges: list[tuple[int, int]]
-    _mixer_op: object = field(default=None, init=False, repr=False, compare=False)
+    _mixer_op: object = field(default=None, init=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -94,7 +94,7 @@ class BlockProblem:
         return self._mixer_op
 
 
-@dataclass
+@dataclass(eq=False)
 class SectorEigenbasis:
     """Eigendecomposition of the mixer restricted to each Hamming-weight sector.
 
@@ -126,7 +126,7 @@ def _sector_eigenbasis(size: int, rows: np.ndarray, cols: np.ndarray) -> SectorE
     return SectorEigenbasis(order=b.order, bounds=b.bounds, values=values, vectors=vectors)
 
 
-@dataclass
+@dataclass(eq=False)
 class QaoaParams:
     """Layer angles: gammas for the cost phases, betas for the mixer."""
 
@@ -146,7 +146,7 @@ class QaoaParams:
         return len(self.gammas)
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockSampleSet:
     """Measured block bitstrings with their Hamming weights."""
 

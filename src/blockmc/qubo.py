@@ -25,7 +25,7 @@ from .streams import stream
 SpinConfig = np.ndarray  # uint8 vector of 0/1 bits
 
 
-@dataclass
+@dataclass(eq=False)
 class QuboInstance:
     """Sparse quadratic binary objective and its interaction graph.
 

@@ -36,7 +36,7 @@ class TestOverlapSeries:
         configs = np.array([qubo.random_weight_k_config(16, 4, rng) for _ in range(50)])
         t = fake_trace(configs)
         s = analysis.overlap_series(t, t)
-        assert np.allclose(s.values, 4 / 16)
+        assert np.allclose(s, 4 / 16)
 
     def test_disjoint_supports(self):
         a = np.zeros((20, 8), dtype=np.uint8)
@@ -44,7 +44,7 @@ class TestOverlapSeries:
         b = np.zeros((20, 8), dtype=np.uint8)
         b[:, 4:] = 1
         s = analysis.overlap_series(fake_trace(a), fake_trace(b))
-        assert np.all(s.values == 0.0)
+        assert np.all(s == 0.0)
 
     def test_matches_naive_loop(self):
         rng = stream(2)
@@ -53,7 +53,7 @@ class TestOverlapSeries:
         s = analysis.overlap_series(fake_trace(a), fake_trace(b))
         for t in range(100):
             naive = sum(int(a[t, i]) * int(b[t, i]) for i in range(16)) / 16
-            assert s.values[t] == pytest.approx(naive)
+            assert s[t] == pytest.approx(naive)
 
     def test_mismatched_lengths(self):
         a = np.zeros((10, 8), dtype=np.uint8)
@@ -65,13 +65,13 @@ class TestOverlapSeries:
 class TestAutocorrelation:
     def test_lag_zero_is_one(self):
         rng = stream(3)
-        s = analysis.OverlapSeries(values=rng.random(1000), n_sites=8)
+        s = rng.random(1000)
         ac = analysis.autocorrelation(s, max_lag=50)
         assert ac.rho[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_white_noise(self):
         rng = stream(4)
-        s = analysis.OverlapSeries(values=rng.random(100_000), n_sites=8)
+        s = rng.random(100_000)
         ac = analysis.autocorrelation(s, max_lag=100)
         assert np.all(np.abs(ac.rho[1:]) < 0.02)
 
@@ -81,20 +81,17 @@ class TestAutocorrelation:
         rng = stream(5)
         noise = rng.standard_normal(1_000_000)
         series = scipy.signal.lfilter([1.0], [1.0, -phi], noise)
-        ac = analysis.autocorrelation(
-            analysis.OverlapSeries(values=series, n_sites=1), max_lag=30
-        )
+        ac = analysis.autocorrelation(series, max_lag=30)
         for l in range(31):
             assert abs(ac.rho[l] - phi**l) < 0.02
 
     def test_constant_series_degenerate(self):
-        s = analysis.OverlapSeries(values=np.full(1000, 0.25), n_sites=8)
+        s = np.full(1000, 0.25)
         ac = analysis.autocorrelation(s, max_lag=20)
         assert ac.degenerate
-        assert ac.var_q == 0.0
 
     def test_too_short_series(self):
-        s = analysis.OverlapSeries(values=np.zeros(50), n_sites=8)
+        s = np.zeros(50)
         with pytest.raises(ValueError):
             analysis.autocorrelation(s, max_lag=45)
 
@@ -102,7 +99,7 @@ class TestAutocorrelation:
         """FFT path equals the direct biased covariance sum."""
         rng = stream(6)
         q = rng.random(500)
-        ac = analysis.autocorrelation(analysis.OverlapSeries(values=q, n_sites=4), 20)
+        ac = analysis.autocorrelation(q, 20)
         qc = q - q.mean()
         for l in range(21):
             direct = float(np.sum(qc[: 500 - l] * qc[l:])) / 500
@@ -112,7 +109,7 @@ class TestAutocorrelation:
 class TestFitDecayRate:
     def test_exact_geometric(self):
         rho = 0.8 ** np.arange(40)
-        ac = analysis.AutocorrResult(rho=rho, mean_q=0.0, var_q=1.0)
+        ac = analysis.AutocorrResult(rho=rho)
         fit = analysis.fit_decay_rate(ac)
         assert fit.rate == pytest.approx(-math.log(0.8), abs=1e-6)
         assert fit.amplitude == pytest.approx(1.0, abs=1e-9)
@@ -125,21 +122,21 @@ class TestFitDecayRate:
         lags = np.arange(200)
         rho = np.exp(-tau_star * lags) + rng.normal(0.0, 0.01, size=200)
         rho[0] = 1.0
-        ac = analysis.AutocorrResult(rho=rho, mean_q=0.0, var_q=1.0)
+        ac = analysis.AutocorrResult(rho=rho)
         fit = analysis.fit_decay_rate(ac)
         assert abs(fit.rate - tau_star) < 0.1 * tau_star
 
     def test_flat_series_flagged_slow(self):
         rho = np.full(50, 0.98)
         rho[0] = 1.0
-        ac = analysis.AutocorrResult(rho=rho, mean_q=0.0, var_q=1.0)
+        ac = analysis.AutocorrResult(rho=rho)
         fit = analysis.fit_decay_rate(ac)
         assert fit.slow_mixing
         assert fit.rate == pytest.approx(0.0, abs=1e-2)
 
     def test_too_few_usable_lags(self):
         rho = np.array([1.0, 0.5, 0.01, 0.001, 0.0001])
-        ac = analysis.AutocorrResult(rho=rho, mean_q=0.0, var_q=1.0)
+        ac = analysis.AutocorrResult(rho=rho)
         with pytest.raises(InsufficientDataError):
             analysis.fit_decay_rate(ac)
 
@@ -147,7 +144,7 @@ class TestFitDecayRate:
         rng = stream(8)
         rho = np.clip(0.3 + rng.normal(0, 0.05, 30), 0.06, 1.0)
         rho[0] = 1.0
-        ac = analysis.AutocorrResult(rho=rho, mean_q=0.0, var_q=1.0)
+        ac = analysis.AutocorrResult(rho=rho)
         fit = analysis.fit_decay_rate(ac)
         assert fit.rate >= 0.0
 
@@ -175,39 +172,11 @@ class TestBestEnergyTrace:
             assert best[i] == pytest.approx(min(energies[: i + 1]))
 
 
-class TestEnsembleSummary:
-    def _fit(self, rate):
-        return analysis.DecayFit(
-            amplitude=1.0, rate=rate, fit_window=(1, 10), residual=0.0
-        )
-
-    def test_single_fit_ratio(self):
-        summary = analysis.ensemble_summary(
-            {"a": [self._fit(0.4)], "b": [self._fit(0.1)]}
-        )
-        assert summary.ratios[("a", "b")] == pytest.approx(4.0)
-
-    def test_mean_std_recompute(self):
-        rates = [0.1, 0.2, 0.15, 0.3, 0.25, 0.18, 0.22, 0.12, 0.28, 0.2, 0.17, 0.23]
-        summary = analysis.ensemble_summary({"a": [self._fit(r) for r in rates]})
-        assert summary.stats["a"].tau_mean == pytest.approx(sum(rates) / len(rates))
-        m = sum(rates) / len(rates)
-        var = sum((r - m) ** 2 for r in rates) / (len(rates) - 1)
-        assert summary.stats["a"].tau_std == pytest.approx(math.sqrt(var))
-
-    def test_identical_kernels_unit_ratio(self):
-        summary = analysis.ensemble_summary(
-            {"a": [self._fit(0.2)], "b": [self._fit(0.2)]}
-        )
-        assert summary.ratios[("a", "b")] == pytest.approx(1.0)
-
-
 class TestCsvOutputs:
     def test_rho_csv(self, tmp_path):
         rng = stream(11)
         results = [
-            analysis.AutocorrResult(rho=0.9 ** np.arange(20) + rng.normal(0, 1e-3, 20),
-                                    mean_q=0.2, var_q=0.01)
+            analysis.AutocorrResult(rho=0.9 ** np.arange(20) + rng.normal(0, 1e-3, 20))
             for _ in range(3)
         ]
         rho_path = tmp_path / "rho.csv"
@@ -221,10 +190,8 @@ class TestCsvOutputs:
         """Bytes equal those of a mean/std taken lag by lag; degenerate runs
         are dropped."""
         rng = stream(14, runs)
-        results = [analysis.AutocorrResult(rho=rng.normal(size=301), mean_q=0.2, var_q=0.01)
-                   for _ in range(runs)]
-        results.insert(1, analysis.AutocorrResult(rho=np.full(301, np.nan), mean_q=0.2, var_q=0.0,
-                                                  degenerate=True))
+        results = [analysis.AutocorrResult(rho=rng.normal(size=301)) for _ in range(runs)]
+        results.insert(1, analysis.AutocorrResult(rho=np.full(301, np.nan), degenerate=True))
         rhos = np.array([r.rho for r in results if not r.degenerate])
         expected = ["lag,rho_mean,rho_std"]
         for lag in range(rhos.shape[1]):
@@ -234,7 +201,7 @@ class TestCsvOutputs:
         assert (tmp_path / "rho.csv").read_bytes() == "".join(f"{line}\n" for line in expected).encode()
 
     def test_rho_csv_all_degenerate_is_header_only(self, tmp_path):
-        results = [analysis.AutocorrResult(rho=np.full(5, np.nan), mean_q=0.0, var_q=0.0, degenerate=True)]
+        results = [analysis.AutocorrResult(rho=np.full(5, np.nan), degenerate=True)]
         analysis.save_rho_csv(results, tmp_path / "rho.csv")
         assert (tmp_path / "rho.csv").read_text() == "lag,rho_mean,rho_std\n"
 
@@ -250,7 +217,7 @@ class TestCsvOutputs:
     def test_every_field_is_a_number(self, tmp_path):
         """numpy scalars are written as plain numbers, not as np.float64(...)."""
         rng = stream(13)
-        results = [analysis.AutocorrResult(rho=rng.random(5), mean_q=0.2, var_q=0.01) for _ in range(2)]
+        results = [analysis.AutocorrResult(rho=rng.random(5)) for _ in range(2)]
         analysis.save_rho_csv(results, tmp_path / "rho.csv", thin=2)
         t = fake_trace(np.zeros((6, 4), dtype=np.uint8), energies=rng.standard_normal(6))
         analysis.save_best_energy_csv(t, tmp_path / "best.csv")

@@ -106,7 +106,7 @@ def loaded(run_dir):
     }
 
 
-_AC = analysis.AutocorrResult(rho=np.array([1.0, 0.5, 0.25]), mean_q=0.5, var_q=0.1)
+_AC = analysis.AutocorrResult(rho=np.array([1.0, 0.5, 0.25]))
 _ENTRY = {"tau": 0.5, "tau_mean": 0.5, "tau_std": 0.0, "n_pairs": 1, "slow_mixing": False}
 _ROW = {"n": 8, "kernel": "global-kawasaki", "tau": 0.5, "tau_mean": 0.5, "tau_std": 0.0}
 _MASK = features.FeatureMask(selected=np.array([0, 1, 1], dtype=np.uint8), k=2)

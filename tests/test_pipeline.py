@@ -184,6 +184,8 @@ class TestConfig:
             {"analysis": {"cutoff": 1.0}},
             {"instance": {"source": "gen"}},
             {"instance": {"n": 8}, "k": 0},
+            {"instance": {"path": "inst.json"}},
+            {"instance": {"n": 3, "degree": 2}, "partition": {"sizes1": [3]}},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
@@ -194,11 +196,16 @@ class TestConfig:
              "validation-fraction-above-half", "widths-empty", "degree-odd-stubs", "degree-n",
              "degree-negative", "sizes-sum-not-n", "size-zero", "max-lag-zero", "burn-above-one",
              "burn-negative", "cutoff-negative", "cutoff-one", "source-unknown",
-             "k-zero-with-global-kawasaki"],
+             "k-zero-with-global-kawasaki", "path-with-generated-instance",
+             "block-size-above-n-with-sizes2-spread"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
             pipeline.config_from_dict(doc)
+
+    def test_block_size_is_unchecked_when_both_partitions_have_explicit_sizes(self):
+        doc = {"instance": {"n": 3, "degree": 2}, "partition": {"sizes1": [3], "sizes2": [3]}}
+        assert pipeline.config_from_dict(doc).partition.block_size == 4
 
     @pytest.mark.parametrize("path, outside, boundary", range_cases(pipeline.ExperimentConfig))
     def test_declared_range_is_checked_at_its_ends(self, path, outside, boundary):
@@ -495,3 +502,27 @@ class TestAnalyzeTracesUnits:
         assert e["tau_std"] == pytest.approx(np.std(pair_rates, ddof=1) / 2, rel=1e-12)
         lags = (tmp_path / "rho_local-kawasaki.csv").read_text().split("\n")[1:4]
         assert [row.split(",")[0] for row in lags] == ["0", "2", "4"]
+
+    def test_ratios_are_tau_mean_quotients_of_fitted_kernels(self):
+        """Every ordered pair of fitted kernels, sorted, gets tau_mean[a] /
+        tau_mean[b]; a kernel whose fit fails gets no ratio."""
+        inst = qubo.gen_regular_instance(16, 3, seed=7)
+        init = np.zeros(16, dtype=np.uint8)
+        init[:8] = 1
+
+        def pairs(kind, steps):
+            cfg = mcmc.KernelConfig(kind, 0.5)
+            return [tuple(mcmc.run_chain(inst, 8, cfg, steps, init, seed=10 * p + t) for t in range(2))
+                    for p in range(2)]
+
+        result = pipeline.analyze_traces(
+            {"local-kawasaki": pairs("local-kawasaki", 3000), "global-kawasaki": pairs("global-kawasaki", 3000),
+             "short": pairs("local-kawasaki", 10)},
+            max_lag=300, cutoff=0.05, burn_fraction=0.1,
+        )
+        g, l = (result["kernels"][k]["tau_mean"] for k in ("global-kawasaki", "local-kawasaki"))
+        assert g > 0.0 and l > 0.0
+        assert result["kernels"]["short"]["tau_mean"] is None
+        assert list(result["ratios"].items()) == [
+            ("global-kawasaki/local-kawasaki", g / l), ("local-kawasaki/global-kawasaki", l / g)
+        ]
