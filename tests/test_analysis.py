@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from blockmc import analysis, mcmc, qubo
+from blockmc import analysis, mcmc, pipeline, qubo
 from blockmc.errors import InsufficientDataError
 from blockmc.streams import stream
 
@@ -170,6 +170,38 @@ class TestBestEnergyTrace:
         best = analysis.best_energy_trace(t)
         for i in range(200):
             assert best[i] == pytest.approx(min(energies[: i + 1]))
+
+
+class TestEnsembleSummary:
+    """The kernel ratios that ``pipeline.analyze_traces`` reports."""
+
+    def _pairs(self, kind, n_pairs):
+        inst = qubo.gen_regular_instance(16, 3, seed=7)
+        init = np.zeros(16, dtype=np.uint8)
+        init[:8] = 1
+        cfg = mcmc.KernelConfig(kind, 0.5)
+        return [tuple(mcmc.run_chain(inst, 8, cfg, 3000, init, seed=10 * p + t) for t in range(2))
+                for p in range(n_pairs)]
+
+    def test_single_fit_ratio(self):
+        """With one pair per kernel, tau_mean is that pair's rate and the ratio
+        is the quotient of the two rates."""
+        traces = {kind: self._pairs(kind, 1) for kind in ("global-kawasaki", "local-kawasaki")}
+        result = pipeline.analyze_traces(traces, max_lag=300, cutoff=0.05, burn_fraction=0.1)
+        rate = {kind: analysis.fit_decay_rate(analysis.pair_autocorrelation(a, b, 300, 0.1), cutoff=0.05).rate
+                for kind, [(a, b)] in traces.items()}
+        for kind, r in rate.items():
+            assert result["kernels"][kind]["tau_mean"] == pytest.approx(r, rel=1e-12)
+            assert result["kernels"][kind]["tau_std"] == 0.0
+        g, l = rate["global-kawasaki"], rate["local-kawasaki"]
+        assert result["ratios"]["global-kawasaki/local-kawasaki"] == pytest.approx(g / l)
+        assert result["ratios"]["local-kawasaki/global-kawasaki"] == pytest.approx(l / g)
+
+    def test_identical_kernels_unit_ratio(self):
+        pairs = self._pairs("local-kawasaki", 2)
+        result = pipeline.analyze_traces({"a": pairs, "b": pairs}, max_lag=300, cutoff=0.05, burn_fraction=0.1)
+        assert result["kernels"]["a"]["tau_mean"] > 0.0
+        assert result["ratios"] == {"a/b": 1.0, "b/a": 1.0}
 
 
 class TestCsvOutputs:
