@@ -3,8 +3,8 @@
 Subcommands run individual pipeline stages (upstream stages are ensured
 first, cached stages are reused), the full pipeline, a tau sweep over
 system size (``sweep-n``) or block size (``sweep-b``), and the
-feature-selection experiment. Exit codes: 0 success, 2 config
-error, 3 data/format error, 4 resource limit.
+feature-selection experiment, itself one cached stage. Exit codes:
+0 success, 2 config error, 3 data/format error, 4 resource limit.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _run(args) -> int:
     if args.command == "mnist":
         if args.seed is not None:
             raw["seed"] = args.seed
-        report = run_mask_search(mnist_config_from_dict(raw), args.out)
+        report = run_mask_search(mnist_config_from_dict(raw), args.out, force=args.force)
         print(json.dumps(report["baselines"], sort_keys=True))
         return 0
 

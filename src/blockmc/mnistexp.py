@@ -10,14 +10,17 @@ isolated vertices, which leave that kernel unable to move their bits.
 
 The partition, per-block QAOA and MADE and the search chains run on the
 stage code of ``pipeline`` (``optimize_blocks``, ``train_surrogates``,
-``fan_out``), without its stage cache: every run builds them afresh.
+``fan_out``). The whole search is one stage, ``mask-search``, of
+``pipeline.StageCache``: keyed by the config (less ``workers``) and the
+contents of the four IDX files, it is reused from ``manifest.json`` while
+every file it wrote is unchanged (``force`` rebuilds it). Its QAOA, MADE
+and chain results are not kept as artifacts, so any miss rebuilds them all.
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +39,15 @@ from .features import (
     save_mask,
     top_k_linear_mask,
 )
-from .fileio import COUNT, COUNTS, SEED, write_json, write_lines
+from .fileio import COUNT, COUNTS, SEED, read_object, write_json, write_lines
 from .idx import load_idx
 from .partition import build_partition_pair, save_partition_pair, spread_block_sizes
 from .pipeline import (
     QaoaConfig,
+    StageCache,
     _chain_task,
+    _hash,
+    _sha256,
     fan_out,
     fill_config,
     optimize_blocks,
@@ -111,9 +117,6 @@ def mnist_config_from_dict(doc: dict) -> MnistConfig:
 
 
 def load_datasets(cfg: MnistConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    for path in (cfg.train_images, cfg.train_labels, cfg.test_images, cfg.test_labels):
-        if not Path(path).exists():
-            raise ConfigError(f"dataset file not found: {path}")
     tr_img, tr_lab = load_idx(cfg.train_images, cfg.train_labels)
     te_img, te_lab = load_idx(cfg.test_images, cfg.test_labels)
     if cfg.limit_train:
@@ -138,10 +141,42 @@ def best_config_at(trace: mcmc.ChainTrace, stop: int) -> np.ndarray:
     return trace.configs[best]  # thin == 1 for mask searches
 
 
-def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
-    """Full mask-selection experiment; returns the report dict."""
-    log = log if log is not None else sys.stderr
-    out = Path(out)
+def run_mask_search(cfg: MnistConfig, out, log=None, force=False) -> dict:
+    """Full mask-selection experiment, or its report read back when ``out``
+    holds a finished run of the same config and data; returns the report dict."""
+    doc = asdict(cfg)
+    del doc["workers"]  # the artifacts do not depend on it
+    data = [cfg.train_images, cfg.train_labels, cfg.test_images, cfg.test_labels]
+    for path in data:
+        if not Path(path).is_file():
+            raise ConfigError(f"dataset file not found: {path}")
+    run = StageCache(out, _hash(doc), ("mask-search",), force=force, log=log)
+    return run._stage(
+        "mask-search",
+        _hash({"cfg": doc, "data": [_sha256(path) for path in data]}),
+        _artifacts(cfg),
+        lambda: read_object(run.out / "report.json"),
+        lambda: _search(cfg, run.out, run.log),
+    )
+
+
+def _artifacts(cfg: MnistConfig) -> list[str]:
+    """The files a mask search with ``cfg`` writes, relative to its output."""
+    files = ["report.json", "qubo.json", "masks/linear_terms.txt"]
+    if any(mcmc.KERNELS[kernel].uses_blocks for kernel in cfg.kernels):
+        files.append("partition.json")
+    for kernel in cfg.kernels:
+        files.append(f"best_energy_{kernel}.csv")
+        files += [_mask_file(kernel, stop, r) for stop in cfg.stop_steps for r in range(cfg.repeats)]
+    return files
+
+
+def _mask_file(kernel: str, stop: int, run: int) -> str:
+    return f"masks/{kernel}_stop{stop}_run{run}.txt"
+
+
+def _search(cfg: MnistConfig, out: Path, log) -> dict:
+    """The search itself: writes every file of ``_artifacts(cfg)``; returns the report."""
 
     def say(msg):
         print(msg, file=log)
@@ -177,10 +212,15 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
         "reference_full_scale": FULL_SCALE_REFERENCE_ACCURACY,
     }
     cls = cfg.classifier
+    scores = {}
 
     def accuracy(mask):
-        return evaluate_mask(train, test, mask, reg_strength=cls.reg_strength,
-                             iterations=cls.iterations, learning_rate=cls.learning_rate)
+        # evaluate_mask is deterministic, so each distinct mask is scored once
+        key = mask.selected.tobytes()
+        if key not in scores:
+            scores[key] = evaluate_mask(train, test, mask, reg_strength=cls.reg_strength,
+                                        iterations=cls.iterations, learning_rate=cls.learning_rate)
+        return scores[key]
 
     for kernel in cfg.kernels:
         entry = {"stops": {}}
@@ -190,7 +230,7 @@ def run_mask_search(cfg: MnistConfig, out, log=None) -> dict:
             for r, trace in enumerate(traces[kernel]):
                 bits = best_config_at(trace, stop)
                 mask = mask_from_config(bits)
-                save_mask(mask, out / "masks" / f"{kernel}_stop{stop}_run{r}.txt")
+                save_mask(mask, out / _mask_file(kernel, stop, r))
                 energies.append(float(np.min(trace.energies[: stop + 1])))
                 accs.append(accuracy(mask))
             entry["stops"][str(stop)] = {

@@ -4,18 +4,20 @@ both experiments share.
 A tau run executes: instance -> partition -> per-block QAOA -> per-block
 MADE -> MCMC ensembles -> analysis, persisting every stage under the output
 directory. Each stage is keyed by the hash of its config subsection plus
-its upstream keys; re-running with an unchanged key reuses the artifacts
-on disk (``--force`` overrides), and within one ``PipelineRun`` every stage
-is built or loaded once. Each ``ensure_<stage>`` only declares its stage;
-``PipelineRun._stage`` alone checks the cache, builds, records the sha256
+its upstream keys, and a file instance also by the file's sha256;
+re-running with an unchanged key reuses the artifacts on disk
+(``--force`` overrides), and within one ``PipelineRun`` every stage is
+built or loaded once. Each ``ensure_<stage>`` only declares its stage;
+``StageCache._stage`` alone checks the cache, builds, records the sha256
 of every artifact in ``manifest.json`` and logs one line per stage. Every
 file reaches disk through ``fileio``'s atomic writer. All artifact files
 are byte-deterministic for fixed config and seeds; wall-clock timings go
 to the log only.
 
-The mask search (``mnistexp``) runs the same per-block QAOA and MADE
-helpers, chain task and fan-out, and fills its config with the same
-loader, without the stage cache.
+The cache half lives in ``StageCache``, which both experiments use. The
+mask search (``mnistexp``) runs as one stage of it, ``mask-search``, on
+the same per-block QAOA and MADE helpers, chain task and fan-out, and
+fills its config with the same loader.
 
 Each config field declares its range or choices in its field metadata;
 ``fill_config`` checks type and range in one pass for both experiments and
@@ -243,27 +245,22 @@ class RunManifest:
         return cls(config_hash=doc["config_hash"], stages=doc["stages"])
 
 
-# every stage depends only on stages before it
-_STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
+class StageCache:
+    """An output directory whose stages are reused while their keys and
+    recorded artifacts are unchanged.
 
-
-class PipelineRun:
-    """One experiment bound to an output directory.
-
-    Each ``ensure_<stage>`` declares its stage (the upstream stages it needs,
-    its key, its artifact files, a ``load`` that reads them and a ``build``
-    that writes them) and hands it to ``_stage``, which alone decides
-    whether the stage is reused or rebuilt.
+    ``order`` lists the stages so that each depends only on those before it;
+    ``config_hash`` is stored in ``manifest.json`` beside the stage entries.
     """
 
-    def __init__(self, cfg: ExperimentConfig, out, force: bool = False, log=None):
-        self.cfg = cfg
+    def __init__(self, out, config_hash: str, order: tuple[str, ...], force: bool = False, log=None):
         self.out = Path(out)
+        self.order = order
         self.force = force
         self.log = log if log is not None else sys.stderr
         manifest_path = self.out / "manifest.json"
         stages = RunManifest.load(manifest_path).stages if manifest_path.exists() and not force else {}
-        self.manifest = RunManifest(config_hash=_hash(asdict(cfg)), stages=stages)
+        self.manifest = RunManifest(config_hash=config_hash, stages=stages)
         self._done = {}
 
     def _recorded(self, stage: str, key: str) -> dict | None:
@@ -298,7 +295,7 @@ class PipelineRun:
             value = build()
             # a stage rebuilt under an unchanged key (say, over a corrupt artifact)
             # leaves later keys unchanged too, so their entries go with the old one
-            for later in _STAGES[_STAGES.index(stage) + 1 :]:
+            for later in self.order[self.order.index(stage) + 1 :]:
                 self.manifest.stages.pop(later, None)
             artifacts = {p: _sha256(self.out / p) for p in files}
             self.manifest.stages[stage] = {"key": key, "artifacts": artifacts}
@@ -307,20 +304,41 @@ class PipelineRun:
         self._done[stage] = value
         return value
 
+
+# every stage depends only on stages before it
+_STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
+
+
+class PipelineRun(StageCache):
+    """One experiment bound to an output directory.
+
+    Each ``ensure_<stage>`` declares its stage (the upstream stages it needs,
+    its key, its artifact files, a ``load`` that reads them and a ``build``
+    that writes them) and hands it to ``_stage``, which alone decides
+    whether the stage is reused or rebuilt.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, out, force: bool = False, log=None):
+        self.cfg = cfg
+        super().__init__(out, _hash(asdict(cfg)), _STAGES, force=force, log=log)
+
     # ------------------------------------------------------------------ #
 
     def ensure_instance(self) -> tuple[QuboInstance, str]:
         cfg = self.cfg.instance
         key = _hash(asdict(cfg))
         path = self.out / "instance.json"
+        if cfg.source == "file":
+            if cfg.path is None:
+                raise ConfigError("instance.source=file requires instance.path")
+            if not Path(cfg.path).is_file():
+                raise ConfigError(f"instance file not found: {cfg.path}")
+            # a file edited under the same path is another instance
+            key = _hash({"cfg": asdict(cfg), "sha256": _sha256(cfg.path)})
 
         def build():
             if cfg.source == "generate":
                 inst = gen_regular_instance(cfg.n, cfg.degree, cfg.seed)
-            elif cfg.path is None:
-                raise ConfigError("instance.source=file requires instance.path")
-            elif not Path(cfg.path).exists():
-                raise ConfigError(f"instance file not found: {cfg.path}")
             else:
                 src = Path(cfg.path)
                 inst = load_instance_csv(src) if src.suffix == ".csv" else load_instance(src)

@@ -347,6 +347,25 @@ class TestMnistCommand:
         printed = capsys.readouterr().out
         assert "accuracy_mean" in printed
 
+    def test_rerun_is_cached_and_force_rebuilds(self, tmp_path, capsys):
+        """The second run reads the finished one; --force builds it again."""
+        argv = ["mnist", "--config", write_config(tmp_path, mnist_doc(tmp_path)), "--out", str(tmp_path / "o")]
+        printed = []
+        for flags, stage in (([], "built in"), ([], "cached"), (["--force"], "built in")):
+            assert main(argv + flags) == 0
+            out, err = capsys.readouterr()
+            assert f"stage mask-search: {stage}" in err
+            printed.append(out)
+        assert printed[0] == printed[1] == printed[2]
+
+    def test_truncated_manifest_is_3(self, tmp_path):
+        argv = ["mnist", "--config", write_config(tmp_path, mnist_doc(tmp_path)), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        manifest = tmp_path / "o/manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:-10])
+        assert main(argv) == 3
+        assert main(argv + ["--force"]) == 0
+
     def test_truncated_idx_is_3(self, tmp_path):
         paths = write_synthetic_idx(tmp_path, n_train=50, n_test=20, seed=3)
         with open(paths["train_images"], "r+b") as f:

@@ -1,4 +1,5 @@
-"""Tests for the mask search: config checks, workers, the biased QAOA target."""
+"""Tests for the mask search: config checks, workers, the biased QAOA target,
+the stage cache."""
 
 import dataclasses
 import io
@@ -6,8 +7,8 @@ import io
 import numpy as np
 import pytest
 
-from blockmc import mnistexp, qaoa
-from blockmc.errors import ConfigError
+from blockmc import idx, mnistexp, qaoa
+from blockmc.errors import ConfigError, FormatError
 from conftest import write_synthetic_idx
 from test_analysis import fake_trace
 from test_pipeline import all_artifact_bytes, check_range_ends, range_cases
@@ -159,6 +160,105 @@ class TestMaskSearch:
             assert before == qaoa.angle_for_weight(size, 4 * 5 / n_pixels)
             assert got == qaoa.angle_for_weight(size, 1.0)
             assert got != before
+
+    def test_each_distinct_mask_is_scored_once(self, tmp_path, idx_paths, monkeypatch):
+        """Eleven masks are scored here (two kernels x two stops x two runs,
+        two random, linear terms); two of them coincide."""
+        scored = []
+        evaluate = mnistexp.evaluate_mask
+
+        def counting(train, test, mask, **options):
+            scored.append(mask.selected.tobytes())
+            return evaluate(train, test, mask, **options)
+
+        monkeypatch.setattr(mnistexp, "evaluate_mask", counting)
+        report = mnistexp.run_mask_search(tiny_mask_config(idx_paths), tmp_path / "out", log=io.StringIO())
+        assert len(set(scored)) == len(scored) == 10
+        stops = [stop for entry in report["kernels"].values() for stop in entry["stops"].values()]
+        baselines = report["baselines"]
+        assert sum(len(stop["accuracy"]) for stop in stops) + len(baselines["random"]["accuracy"]) + 1 == 11
+
+
+def file_states(out):
+    """Map of relative path -> (bytes, mtime) for every file in a run dir."""
+    return {
+        str(p.relative_to(out)): (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+
+
+def search(cfg, out, **options):
+    """Run the mask search; returns its report and its log lines."""
+    log = io.StringIO()
+    report = mnistexp.run_mask_search(cfg, out, log=log, **options)
+    return report, log.getvalue().splitlines()
+
+
+class TestMaskSearchCache:
+    def test_rerun_reads_the_report_and_writes_nothing(self, tmp_path, idx_paths, monkeypatch):
+        cfg = tiny_mask_config(idx_paths)
+        first, _ = search(cfg, tmp_path / "out")
+        before = file_states(tmp_path / "out")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a cached search computes nothing")
+
+        for name in ("optimize_blocks", "train_surrogates", "evaluate_mask"):
+            monkeypatch.setattr(mnistexp, name, fail)
+        report, log = search(cfg, tmp_path / "out")
+        assert report == first
+        assert log == ["stage mask-search: cached"]
+        assert file_states(tmp_path / "out") == before
+
+    def test_new_contents_of_one_idx_file_rebuild_the_stage(self, tmp_path, idx_paths):
+        cfg = tiny_mask_config(idx_paths)
+        first, _ = search(cfg, tmp_path / "out")
+        labels = idx.load_idx_labels(idx_paths["train_labels"])
+        idx.write_idx_labels(idx_paths["train_labels"], (labels + 1) % 10)
+        report, log = search(cfg, tmp_path / "out")
+        assert log[-1].startswith("stage mask-search: built")
+        assert report != first
+        search(cfg, tmp_path / "fresh")
+        assert all_artifact_bytes(tmp_path / "out") == all_artifact_bytes(tmp_path / "fresh")
+
+    def test_edited_mask_file_rebuilds_the_stage_and_is_restored(self, tmp_path, idx_paths):
+        cfg = tiny_mask_config(idx_paths)
+        search(cfg, tmp_path / "out")
+        before = all_artifact_bytes(tmp_path / "out")
+        mask = tmp_path / "out/masks/global-kawasaki_stop30_run1.txt"
+        mask.write_bytes(mask.read_bytes() + b"\n")
+        _, log = search(cfg, tmp_path / "out")
+        assert log[-1].startswith("stage mask-search: built")
+        assert all_artifact_bytes(tmp_path / "out") == before
+
+    def test_force_rebuilds_the_same_bytes(self, tmp_path, idx_paths):
+        cfg = tiny_mask_config(idx_paths)
+        search(cfg, tmp_path / "out")
+        before = all_artifact_bytes(tmp_path / "out")
+        _, log = search(cfg, tmp_path / "out", force=True)
+        assert log[-1].startswith("stage mask-search: built")
+        assert all_artifact_bytes(tmp_path / "out") == before
+
+    def test_search_without_a_block_kernel_is_cached(self, tmp_path, idx_paths):
+        cfg = tiny_mask_config(idx_paths, kernels=["global-kawasaki"])
+        first, _ = search(cfg, tmp_path / "out")
+        assert not (tmp_path / "out/partition.json").exists()
+        report, log = search(cfg, tmp_path / "out")
+        assert (report, log) == (first, ["stage mask-search: cached"])
+
+    def test_other_workers_read_the_cache(self, tmp_path, idx_paths):
+        search(tiny_mask_config(idx_paths), tmp_path / "out")
+        _, log = search(tiny_mask_config(idx_paths, workers=2), tmp_path / "out")
+        assert log == ["stage mask-search: cached"]
+
+    def test_corrupt_manifest_is_a_format_error(self, tmp_path, idx_paths):
+        cfg = tiny_mask_config(idx_paths)
+        search(cfg, tmp_path / "out")
+        manifest = tmp_path / "out/manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:-10])
+        with pytest.raises(FormatError, match="manifest.json"):
+            search(cfg, tmp_path / "out")
 
 
 def test_best_energy_csv_fields_are_numbers(tmp_path):

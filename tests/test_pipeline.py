@@ -370,6 +370,19 @@ class TestPipelineRun:
         assert not any(line.endswith(": cached") for line in log.getvalue().splitlines())
         assert all_artifact_bytes(tmp_path / "run") == all_artifact_bytes(clean_run)
 
+    def test_edited_instance_file_rebuilds_the_instance(self, tmp_path):
+        """The key of a file instance holds the file's contents, not only its path."""
+        src = tmp_path / "inst.json"
+        cfg = tiny_config(instance={"source": "file", "path": str(src)})
+        qubo.save_instance(qubo.gen_regular_instance(16, 3, seed=1), src)
+        pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).ensure_instance()
+        edited = qubo.gen_regular_instance(16, 3, seed=2)
+        qubo.save_instance(edited, src)
+        log = io.StringIO()
+        inst, _ = pipeline.PipelineRun(cfg, tmp_path / "run", log=log).ensure_instance()
+        assert log.getvalue().startswith("stage instance: built")
+        assert inst.edge_list == edited.edge_list != qubo.gen_regular_instance(16, 3, seed=1).edge_list
+
     def test_workers_do_not_change_artifacts(self, tmp_path):
         cfg = tiny_config()
         pipeline.PipelineRun(cfg, tmp_path / "serial", log=io.StringIO()).run()
