@@ -3,11 +3,14 @@
 Blocks are small (<= 24 qubits), so states are dense complex vectors over
 the 2^|B| computational basis. The cost layer is a diagonal phase. Both
 layers conserve Hamming weight, so the XY mixer exponential acts on each
-fixed-weight sector separately: up to 512 dims it is exact from the ring
-mixer's eigendecomposition per sector, computed once per block; above, a
-Chebyshev expansion on the sparse mixer matrix computes it to a fixed
-tolerance. Parameter optimization is derivative free on the noiseless
-expectation; sampling inverts the cumulative basis probabilities.
+fixed-weight sector separately. Up to 512 dims it is exact from the
+mixer's eigendecomposition per sector, computed once per (block size,
+mixer edge set) and shared by every block with that pair. There the
+circuit runs in a padded sector layout, one zero-padded row per weight, so
+a mixer layer is two batched products with the stacked real eigenvectors.
+Above 512 dims a Chebyshev expansion on the sparse mixer matrix computes
+it to a fixed tolerance. Parameter optimization is derivative free on the
+noiseless expectation; sampling inverts the cumulative basis probabilities.
 
 Index convention used package-wide: bit t of a basis index is the variable
 at position t of the block's vertex list. ``basis(size)`` enumerates the
@@ -56,6 +59,7 @@ class BlockProblem:
     diag_energies: np.ndarray
     mixer_edges: list[tuple[int, int]]
     _mixer_op: object = field(default=None, init=False, repr=False)
+    _padded_energies: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -66,64 +70,127 @@ class BlockProblem:
         return len(self.diag_energies)
 
     def mixer_operator(self):
-        """The mixer (1/2) sum over edges of (X_i X_j + Y_i Y_j), built once and cached.
+        """The mixer (1/2) sum over edges of (X_i X_j + Y_i Y_j), found once and cached.
 
-        Each edge contributes the exact swap of antiparallel bit pairs:
-        matrix element 1 between z and z^mask wherever bits i and j of z
-        differ, so z and z^mask share a Hamming weight. Up to 512 dims the
-        result is a ``SectorEigenbasis``; above, a CSR matrix for the
+        Up to 512 dims the result is the ``SectorEigenbasis`` shared by every
+        block of this size and edge set; above, a CSR matrix for the
         Chebyshev recurrence, because the sector dims there (924 at |B|=12)
         make dense eigenvector products cost more than sparse matvecs.
         """
         if self._mixer_op is None:
-            dim = self.dim
-            bits = basis(self.size).bits
-            rows, cols = [], []
-            for a, b in self.mixer_edges:
-                mask = (1 << a) | (1 << b)
-                sel = np.flatnonzero(bits[:, a] != bits[:, b])
-                rows.append(sel)
-                cols.append(sel ^ mask)
-            r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-            c = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-            if dim <= _EIGEN_MAX_DIM:
-                self._mixer_op = _sector_eigenbasis(self.size, r, c)
+            edges = tuple((a, b) for a, b in self.mixer_edges)
+            if self.dim <= _EIGEN_MAX_DIM:
+                self._mixer_op = _sector_eigenbasis(self.size, edges)
             else:
+                r, c = _mixer_entries(self.size, edges)
                 data = np.ones(len(r), dtype=np.complex128)
-                self._mixer_op = scipy.sparse.csr_matrix((data, (r, c)), shape=(dim, dim))
+                self._mixer_op = scipy.sparse.csr_matrix((data, (r, c)), shape=(self.dim, self.dim))
         return self._mixer_op
 
+    def padded_energies(self) -> np.ndarray:
+        """``diag_energies`` in the padded sector layout of ``mixer_operator()``
+        (dim <= 512 only), zero in the padding; built once."""
+        if self._padded_energies is None:
+            self._padded_energies = self.mixer_operator().to_padded(self.diag_energies, np.float64)
+        return self._padded_energies
 
-@dataclass(eq=False)
+
+def _mixer_entries(size: int, edges: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) of the mixer's unit entries over ``edges``.
+
+    Each edge contributes the exact swap of antiparallel bit pairs: matrix
+    element 1 between z and z^mask wherever bits i and j of z differ, so z
+    and z^mask share a Hamming weight.
+    """
+    bits = basis(size).bits
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for a, b in edges:
+        mask = (1 << a) | (1 << b)
+        sel = np.flatnonzero(bits[:, a] != bits[:, b])
+        rows.append(sel)
+        cols.append(sel ^ mask)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+@dataclass(frozen=True, eq=False)
 class SectorEigenbasis:
     """Eigendecomposition of the mixer restricted to each Hamming-weight sector.
 
-    ``order`` and ``bounds`` are the block's ``basis``: sector w is
+    ``order`` and ``bounds`` are the block size's ``basis``: sector w is
     ``order[bounds[w]:bounds[w + 1]]``, ascending within the sector. The sector's
     eigenvalues are ``values[bounds[w]:bounds[w + 1]]`` and its eigenvectors
     the columns of ``vectors[w]``, in the same position order. The sector
     Hamiltonians are real symmetric, so the eigenvectors are real.
+
+    The padded sector layout is a (|B| + 1, d) array, d the largest sector
+    dim: row w holds sector w in position order and zeros after it, and
+    basis index z sits at flat slot ``slot[z]``. ``stack[w]`` is
+    ``vectors[w]`` zero-padded to (d, d), and ``vectors[w]`` a view of it;
+    ``padded_values[w]`` is sector w's eigenvalues zero-padded to d. One
+    instance serves every block of a size and edge set, so every array is
+    read-only.
     """
 
     order: np.ndarray
     bounds: tuple[int, ...]
     values: np.ndarray
-    vectors: list[np.ndarray]
+    vectors: tuple[np.ndarray, ...]
+    stack: np.ndarray  # (|B| + 1, d, d)
+    padded_values: np.ndarray  # (|B| + 1, d)
+    slot: np.ndarray  # (2^|B|,)
+
+    def to_padded(self, values: np.ndarray, dtype=np.complex128) -> np.ndarray:
+        """Basis-ordered ``values`` scattered into a new padded layout of ``dtype``."""
+        x = np.zeros(self.padded_values.size, dtype=dtype)
+        x[self.slot] = values
+        return x.reshape(self.padded_values.shape)
+
+    def evolve(self, state: Statevector, mixer_phases, cost_phases=None) -> Statevector:
+        """Layers of padded-layout phases applied to ``state``, cost first.
+
+        ``state`` is scattered into the padded layout once. Layer l then
+        multiplies it by ``cost_phases[l]`` (when given) and maps every
+        sector w to V_w diag(``mixer_phases[l][w]``) V_w^T, as two batched
+        products of the real stack with the (|B| + 1, d, 2) float view of
+        the complex state, so V is never upcast to complex. The result is
+        gathered back to basis order once.
+        """
+        x = self.to_padded(state)
+        xf = x.view(np.float64).reshape(*x.shape, 2)
+        y = np.empty_like(xf)
+        yc = y.view(np.complex128)[..., 0]
+        vt = self.stack.transpose(0, 2, 1)
+        for layer, m in enumerate(mixer_phases):
+            if cost_phases is not None:
+                x *= cost_phases[layer]
+            np.matmul(vt, xf, out=y)
+            yc *= m
+            np.matmul(self.stack, y, out=xf)
+        return x.reshape(-1)[self.slot]
 
 
-def _sector_eigenbasis(size: int, rows: np.ndarray, cols: np.ndarray) -> SectorEigenbasis:
-    """Diagonalize the mixer with nonzero entries (rows, cols) sector by sector."""
+@functools.cache
+def _sector_eigenbasis(size: int, edges: tuple[tuple[int, int], ...]) -> SectorEigenbasis:
+    """Diagonalize the mixer over ``edges`` sector by sector, once per (size, edges)."""
     b = basis(size)
+    rows, cols = _mixer_entries(size, edges)
+    dims = np.diff(b.bounds)
+    d = int(dims.max())
     values = np.empty(len(b.order))
-    vectors = []
-    for k in range(size + 1):
+    stack = np.zeros((size + 1, d, d))
+    padded_values = np.zeros((size + 1, d))
+    for k, dk in enumerate(dims):
         lo, hi = b.bounds[k], b.bounds[k + 1]
         sel = b.weight[rows] == k
-        h = np.zeros((hi - lo, hi - lo))
+        h = np.zeros((dk, dk))
         h[b.rank[rows[sel]], b.rank[cols[sel]]] = 1.0
-        values[lo:hi], v = np.linalg.eigh(h)
-        vectors.append(v)
-    return SectorEigenbasis(order=b.order, bounds=b.bounds, values=values, vectors=vectors)
+        values[lo:hi], stack[k, :dk, :dk] = np.linalg.eigh(h)
+        padded_values[k, :dk] = values[lo:hi]
+    slot = b.weight * d + b.rank
+    for a in (values, stack, padded_values, slot):
+        a.flags.writeable = False
+    vectors = tuple(stack[k, :dk, :dk] for k, dk in enumerate(dims))
+    return SectorEigenbasis(b.order, b.bounds, values, vectors, stack, padded_values, slot)
 
 
 @dataclass(eq=False)
@@ -140,6 +207,8 @@ class QaoaParams:
             raise ValueError("gammas and betas must be 1d vectors of equal length")
         if len(self.gammas) < 1:
             raise ValueError("depth p must be >= 1")
+        if not all(map(math.isfinite, self.gammas.tolist() + self.betas.tolist())):
+            raise ValueError("gammas and betas must be finite")
 
     @property
     def p(self) -> int:
@@ -239,16 +308,23 @@ def prepare_initial_state(size: int, angle: float) -> Statevector:
 
 
 def apply_cost_layer(state: Statevector, bp: BlockProblem, gamma: float) -> Statevector:
-    """Diagonal phase e^{-i gamma E(z)} per basis state; exactly norm preserving."""
+    """Diagonal phase e^{-i gamma E(z)} per basis state; exactly norm preserving.
+    A non-finite ``gamma`` raises ``ValueError``."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma {gamma} is not finite")
     return state * np.exp(-1j * gamma * bp.diag_energies)
 
 
 def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> Statevector:
     """Apply e^{-i beta H_mixer}, sector-exactly up to 512 dims, by Chebyshev expansion above.
 
-    Up to 512 dims each weight sector w maps to V_w diag(e^{-i beta lambda_w})
-    V_w^T from the block's cached ``SectorEigenbasis``. Above, the CSR mixer
-    H enters the Chebyshev expansion (Tal-Ezer & Kosloff 1984)
+    Up to 512 dims ``state`` is scattered into the padded sector layout of
+    the block's ``SectorEigenbasis``, each weight sector w maps to V_w
+    diag(e^{-i beta lambda_w}) V_w^T as two batched products over the
+    zero-padded eigenvector stack, and the result is gathered back: one
+    layer of ``SectorEigenbasis.evolve``, the product ``qaoa_state`` runs
+    per layer. Above, the CSR mixer H enters the Chebyshev expansion
+    (Tal-Ezer & Kosloff 1984)
     e^{-i beta H} = sum_k (2 - delta_k0) (-i)^k J_k(beta R) T_k(H / R), with
     T_k(H / R) applied by the three-term recurrence, one sparse product per
     term. R bounds ||H||, so ||T_k(H / R)|| <= 1 and the first K terms are
@@ -262,39 +338,31 @@ def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> S
     (6.47 against 10 edges at |B| = 10). Any other edge set takes R = the
     edge count, a bound because every row has at most one unit entry per
     edge.
-    Either way the result is rescaled to the input norm (drift beyond 1e-10
-    would indicate a bug and raises).
+    Either way the result is rescaled to the input norm (``_rescaled``). A
+    non-finite ``beta`` raises ``ValueError``.
     """
     if len(state) != bp.dim:
         raise ValueError("state dimension does not match block problem")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta {beta} is not finite")
     h = bp.mixer_operator()
-    norm_in = np.linalg.norm(state)
     if isinstance(h, SectorEigenbasis):
-        psi = _sector_exp(state, h, beta)
+        psi = h.evolve(state, [np.exp(-1j * beta * h.padded_values)])
     else:
         psi = _chebyshev_exp(state, h, beta, _mixer_radius(bp))
+    return _rescaled(psi, np.linalg.norm(state))
+
+
+def _rescaled(psi: Statevector, norm_in: float) -> Statevector:
+    """``psi`` rescaled in place to ``norm_in``, the norm of the state it was
+    evolved from. A drift beyond 1e-10 relative, or a non-finite norm, would
+    indicate a bug and raises."""
     norm_out = np.linalg.norm(psi)
+    if not abs(norm_out - norm_in) <= _NORM_DRIFT_TOL * norm_in:
+        raise RuntimeError(f"norm drift from {norm_in:.17g} to {norm_out:.17g}")
     if norm_in > 0.0:
-        if abs(norm_out - norm_in) > _NORM_DRIFT_TOL * norm_in:
-            raise RuntimeError(f"mixer norm drift {abs(norm_out - norm_in):.3e}")
         psi *= norm_in / norm_out
     return psi
-
-
-def _sector_exp(state: Statevector, eig: SectorEigenbasis, beta: float) -> Statevector:
-    """Exact exponential per sector; the real eigenvectors multiply the
-    (d, 2) float view of each complex sector slice, never upcast to complex."""
-    psi = np.asarray(state, dtype=np.complex128)[eig.order]
-    phases = np.exp(-1j * beta * eig.values)
-    flat = psi.view(np.float64).reshape(-1, 2)
-    for k, v in enumerate(eig.vectors):
-        lo, hi = eig.bounds[k], eig.bounds[k + 1]
-        y = (v.T @ flat[lo:hi]).view(np.complex128).ravel()
-        y *= phases[lo:hi]
-        flat[lo:hi] = v @ y.view(np.float64).reshape(-1, 2)
-    out = np.empty_like(psi)
-    out[eig.order] = psi
-    return out
 
 
 def _mixer_radius(bp: BlockProblem) -> float:
@@ -333,14 +401,28 @@ def _chebyshev_exp(state: Statevector, h, beta: float, radius: float) -> Stateve
 
 
 def qaoa_state(bp: BlockProblem, params: QaoaParams, init: Statevector) -> Statevector:
-    """Alternate cost and mixer layers, cost first within each layer."""
+    """Alternate cost and mixer layers, cost first within each layer.
+
+    Up to 512 dims the whole circuit runs in the padded sector layout of the
+    block's ``SectorEigenbasis``: every layer's cost phases and mixer phases
+    come from one ``exp`` each, ``SectorEigenbasis.evolve`` scatters
+    ``init`` into the layout once, runs the layers there and gathers the
+    result back once, and its norm drift is checked and rescaled once.
+    Above, each layer is ``apply_cost_layer`` then
+    ``apply_xy_mixer_layer``.
+    """
     if len(init) != bp.dim:
         raise ValueError("initial state dimension does not match block problem")
-    psi = init
-    for gamma, beta in zip(params.gammas, params.betas):
-        psi = apply_cost_layer(psi, bp, gamma)
-        psi = apply_xy_mixer_layer(psi, bp, beta)
-    return psi
+    eig = bp.mixer_operator()
+    if not isinstance(eig, SectorEigenbasis):
+        psi = init
+        for gamma, beta in zip(params.gammas, params.betas):
+            psi = apply_cost_layer(psi, bp, gamma)
+            psi = apply_xy_mixer_layer(psi, bp, beta)
+        return psi
+    cost = np.exp(-1j * params.gammas[:, None, None] * bp.padded_energies())
+    mix = np.exp(-1j * params.betas[:, None, None] * eig.padded_values)
+    return _rescaled(eig.evolve(init, mix, cost), np.linalg.norm(init))
 
 
 def expected_energy(state: Statevector, bp: BlockProblem) -> float:
@@ -366,6 +448,10 @@ def optimize_params(
     """
     if p < 1:
         raise ValueError("depth p must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if max_evals_per_restart is not None and max_evals_per_restart < 1:
+        raise ValueError("max_evals_per_restart must be >= 1")
     rng = stream(seed, 90)
     maxfev = max_evals_per_restart if max_evals_per_restart is not None else 400 * p
 
@@ -375,7 +461,7 @@ def optimize_params(
 
     best_theta = None
     best_loss = np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         x0 = rng.uniform(0.0, math.pi / 2.0, size=2 * p)
         res = scipy.optimize.minimize(
             loss,
@@ -389,12 +475,28 @@ def optimize_params(
 
 
 def sample_state(state: Statevector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw basis indices by inverting the cumulative measurement probabilities."""
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
-    cum = np.cumsum(probs)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(shots), side="right")
+    """Draw basis indices by inverting the cumulative measurement probabilities.
+
+    A state whose total probability is not finite and positive (a zero
+    state, say) raises ``ValueError``."""
+    return _sample_rows(np.abs(state[None, :]) ** 2, shots, rng)[0]
+
+
+def _sample_rows(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``shots`` basis indices per row of the unnormalized (rows, dim)
+    probabilities ``probs``, which are overwritten by their normalized
+    cumulative sums. The draws come from one ``rng.random((rows, shots))``:
+    the same draws in the same order as one ``sample_state`` call per row.
+    A row whose total probability is not finite and positive raises
+    ``ValueError``."""
+    total = probs.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(total) & (total > 0.0)):
+        raise ValueError("state has no finite positive probability to sample")
+    probs /= total
+    cum = np.cumsum(probs, axis=1, out=probs)
+    cum[:, -1] = 1.0
+    draws = rng.random((len(probs), shots))
+    return np.stack([np.searchsorted(c, u, side="right") for c, u in zip(cum, draws)])
 
 
 def angle_for_weight(block_size: int, weight: float) -> float:
@@ -426,7 +528,7 @@ def generate_training_set(
     """Evolve each product initial state and measure; label samples by weight.
 
     Rows ``a * shots_per_init : (a + 1) * shots_per_init`` are the shots
-    from ``init_angles[a]``.
+    from ``init_angles[a]``; all angles are sampled in one pass.
 
     The circuit is simulated once per block, not once per angle. It never
     mixes Hamming-weight sectors, and ``prepare_initial_state(|B|, a)`` is
@@ -439,11 +541,10 @@ def generate_training_set(
     rng = stream(seed, 91)
     b = bp.size
     evolved = qaoa_state(bp, params, np.ones(bp.dim, dtype=np.complex128))
-    all_samples = []
-    for angle in init_angles:
-        psi = evolved * prepare_initial_state(b, angle)
-        all_samples.append(basis(b).bits[sample_state(psi, shots_per_init, rng)])
-    samples = np.concatenate(all_samples, axis=0)
+    probs = np.empty((len(init_angles), bp.dim))
+    for row, angle in zip(probs, init_angles):  # row by row: no (angles, dim) complex copy
+        row[:] = np.abs(evolved * prepare_initial_state(b, angle)) ** 2
+    samples = basis(b).bits[_sample_rows(probs, shots_per_init, rng).ravel()]
     return BlockSampleSet(block_id=bp.block.id, samples=samples, weights=samples.sum(axis=1).astype(np.int64))
 
 

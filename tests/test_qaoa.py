@@ -567,6 +567,122 @@ class TestTrainingSetOneEvolution:
         assert len(calls) == 1
 
 
+class TestPaddedSectorCircuit:
+    @pytest.mark.parametrize("size", range(2, 10))
+    def test_matches_layerwise_dense_oracle(self, size):
+        bp = random_block_problem(size, seed=110 + size)
+        rng = stream(120 + size)
+        psi = random_state(1 << size, rng)
+        params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 3), betas=rng.uniform(-1.5, 0, 3))
+        h = dense_mixer(bp.mixer_edges, size)
+        oracle = psi
+        for g, b in zip(params.gammas, params.betas):
+            oracle = np.exp(-1j * g * bp.diag_energies) * oracle  # expm of the diagonal cost
+            oracle = scipy.linalg.expm(-1j * b * h) @ oracle
+        out = qaoa.qaoa_state(bp, params, psi)
+        assert np.max(np.abs(out - oracle)) < 1e-12
+
+    def test_blocks_of_one_size_and_edge_set_share_one_read_only_eigenbasis(self):
+        first = random_block_problem(5, seed=130)
+        second = random_block_problem(5, seed=131)
+        eig = first.mixer_operator()
+        assert second.mixer_operator() is eig
+        for a in (eig.values, eig.stack, eig.padded_values, eig.slot, *eig.vectors):
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+        one_edge = random_block_problem(5, seed=132)
+        one_edge.mixer_edges = [(0, 1)]
+        own = one_edge.mixer_operator()
+        assert own is not eig
+        rng = stream(133)
+        psi = random_state(32, rng)
+        oracle = scipy.linalg.expm(-0.8j * dense_mixer([(0, 1)], 5)) @ psi
+        assert np.max(np.abs(qaoa.apply_xy_mixer_layer(psi, one_edge, 0.8) - oracle)) < 1e-12
+
+    def test_weight_k_state_leaks_nothing_into_other_sectors(self):
+        size = 7
+        bp = random_block_problem(size, seed=134)
+        w = qaoa.basis(size).weight
+        rng = stream(135)
+        for k in (0, 2, 5, 7):
+            sel = w == k
+            psi = np.zeros(1 << size, dtype=np.complex128)
+            psi[sel] = random_state(int(sel.sum()), rng)
+            params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 4), betas=rng.uniform(-1.5, 1.5, 4))
+            out = qaoa.qaoa_state(bp, params, psi)
+            assert np.all(out[~sel] == 0.0)
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite_angles(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            qaoa.QaoaParams(gammas=np.array([0.3, bad]), betas=np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match="finite"):
+            qaoa.QaoaParams(gammas=np.array([0.3, 0.4]), betas=np.array([bad, 0.2]))
+
+    @pytest.mark.parametrize("size", [4, 10])
+    def test_mixer_layer_rejects_non_finite_beta(self, size):
+        bp = random_block_problem(size, seed=140)
+        init = qaoa.prepare_initial_state(size, math.pi / 2)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                qaoa.apply_xy_mixer_layer(init, bp, bad)
+
+    def test_cost_layer_rejects_non_finite_gamma(self):
+        bp = random_block_problem(4, seed=145)
+        init = qaoa.prepare_initial_state(4, math.pi / 2)
+        for bad in (math.nan, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                qaoa.apply_cost_layer(init, bp, bad)
+
+    @pytest.mark.parametrize(("size", "error", "match"), [(4, RuntimeError, "drift"), (10, ValueError, "finite")])
+    def test_nan_gamma_past_the_params_check_raises(self, size, error, match):
+        """The padded path's norm check catches it; above 512 dims the cost layer does."""
+        bp = random_block_problem(size, seed=141)
+        init = qaoa.prepare_initial_state(size, math.pi / 2)
+        params = qaoa.QaoaParams(gammas=np.array([0.3, 0.4]), betas=np.array([0.1, 0.2]))
+        params.gammas = np.array([0.3, math.nan])
+        with pytest.raises(error, match=match):
+            qaoa.qaoa_state(bp, params, init)
+
+    @pytest.mark.parametrize("size", [4, 10])
+    def test_non_finite_state_fails_the_drift_check(self, size):
+        bp = random_block_problem(size, seed=142)
+        psi = qaoa.prepare_initial_state(size, math.pi / 2)
+        psi[3] = math.nan
+        with pytest.raises(RuntimeError, match="drift"):
+            qaoa.apply_xy_mixer_layer(psi, bp, 0.4)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("size", [4, 10])
+    def test_sample_state_rejects_a_zero_state(self, size):
+        with pytest.raises(ValueError, match="probability"):
+            qaoa.sample_state(np.zeros(1 << size, dtype=np.complex128), 3, stream(1))
+
+    def test_sample_state_rejects_a_non_finite_state(self):
+        psi = qaoa.prepare_initial_state(4, math.pi / 2)
+        psi[0] = math.inf
+        with pytest.raises(ValueError, match="probability"):
+            qaoa.sample_state(psi, 3, stream(1))
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_optimize_rejects_restarts_below_one(self, restarts):
+        bp = random_block_problem(4, seed=143)
+        init = qaoa.prepare_initial_state(4, math.pi / 2)
+        with pytest.raises(ValueError, match="restarts"):
+            qaoa.optimize_params(bp, p=1, init=init, restarts=restarts)
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_optimize_rejects_an_evaluation_cap_below_one(self, cap):
+        bp = random_block_problem(4, seed=144)
+        init = qaoa.prepare_initial_state(4, math.pi / 2)
+        with pytest.raises(ValueError, match="max_evals_per_restart"):
+            qaoa.optimize_params(bp, p=1, init=init, restarts=1, max_evals_per_restart=cap)
+
+
 GOOD_PARAMS = {"block_id": [1, 3], "p": 2, "gammas": [0.1, 0.2], "betas": [0.3, 0.4], "loss": -1.0}
 BAD_PARAMS = [
     "{not json",
