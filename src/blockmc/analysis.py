@@ -5,8 +5,9 @@ q(t) = (1/N) sum_i x_i(t) x'_i(t); how fast q decorrelates measures how
 fast the pair explores the feasible set. The autocorrelation rho(l) uses
 the biased (1/T) covariance estimator, and the decay rate tau comes from a
 weighted log-domain straight-line fit of rho(l) ~ A exp(-tau l) over the
-lags above a cutoff. An overlap series is a plain float array; an
-``AutocorrResult`` is rho and a flag for a series with no variance.
+lags above a cutoff. An overlap series and its autocorrelation are plain
+float arrays; a series with no variance has rho NaN at every lag, so
+``np.isnan(rho[0])`` marks it (otherwise rho[0] is 1).
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ import numpy as np
 from .errors import InsufficientDataError
 from .fileio import write_lines
 from .mcmc import ChainTrace
-
-
-@dataclass(eq=False)
-class AutocorrResult:
-    rho: np.ndarray  # indexed by lag, rho[0] == 1 unless degenerate
-    degenerate: bool = False
 
 
 @dataclass
@@ -46,9 +41,9 @@ def overlap_series(a: ChainTrace, b: ChainTrace, burn_fraction: float = 0.0) -> 
     return common.sum(axis=1) / a.n
 
 
-def autocorrelation(q: np.ndarray, max_lag: int) -> AutocorrResult:
-    """Biased-estimator autocorrelation via FFT of ``q``, a 1-D series such as
-    the overlap series, at lags 0..max_lag."""
+def autocorrelation(q: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased-estimator autocorrelation rho via FFT of ``q``, a 1-D series such
+    as the overlap series, at lags 0..max_lag; all NaN if ``q`` has no variance."""
     q = np.asarray(q, dtype=np.float64)
     t = len(q)
     if t <= max_lag + 10:
@@ -58,20 +53,19 @@ def autocorrelation(q: np.ndarray, max_lag: int) -> AutocorrResult:
     cov = np.fft.irfft(spec * np.conj(spec))[: max_lag + 1] / t
     var_q = float(cov[0])
     if var_q <= 1e-300:
-        return AutocorrResult(rho=np.full(max_lag + 1, np.nan), degenerate=True)
-    return AutocorrResult(rho=cov / var_q)
+        return np.full(max_lag + 1, np.nan)
+    return cov / var_q
 
 
-def fit_decay_rate(ac: AutocorrResult, cutoff: float = 0.05) -> DecayFit:
+def fit_decay_rate(rho: np.ndarray, cutoff: float = 0.05) -> DecayFit:
     """Weighted least squares of log rho(l) against l, lags 1..first crossing.
 
     Weights are proportional to rho^2 (delta-method variance of log rho);
     tau is the negated slope, clamped at zero. A window that never crosses
     the cutoff flags slow mixing.
     """
-    if ac.degenerate:
+    if np.isnan(rho[0]):
         raise InsufficientDataError("degenerate autocorrelation (zero variance)")
-    rho = ac.rho
     last = len(rho) - 1
     slow = True
     for l in range(1, len(rho)):
@@ -106,23 +100,23 @@ def best_energy_trace(t: ChainTrace) -> np.ndarray:
 
 def pair_autocorrelation(
     a: ChainTrace, b: ChainTrace, max_lag: int, burn_fraction: float = 0.1
-) -> AutocorrResult:
+) -> np.ndarray:
     """Overlap autocorrelation of one chain pair after burn-in discard."""
     return autocorrelation(overlap_series(a, b, burn_fraction=burn_fraction), max_lag)
 
 
-def mean_autocorrelation(results: list[AutocorrResult]) -> AutocorrResult:
-    """Average rho over runs (the default object the decay fit acts on)."""
-    usable = [r for r in results if not r.degenerate]
+def mean_autocorrelation(rhos: list[np.ndarray]) -> np.ndarray:
+    """Average rho over the non-degenerate runs (the default object the decay fit acts on)."""
+    usable = [rho for rho in rhos if not np.isnan(rho[0])]
     if not usable:
         raise InsufficientDataError("all autocorrelation results degenerate")
-    return AutocorrResult(rho=np.mean([r.rho for r in usable], axis=0))
+    return np.mean(usable, axis=0)
 
 
-def save_rho_csv(results: list[AutocorrResult], path, thin: int = 1) -> None:
-    """(lag, rho_mean, rho_std) across runs; lags in chain steps, one recorded
-    sample per ``thin`` steps."""
-    rhos = [r.rho for r in results if not r.degenerate]
+def save_rho_csv(rhos: list[np.ndarray], path, thin: int = 1) -> None:
+    """(lag, rho_mean, rho_std) across the non-degenerate runs; lags in chain
+    steps, one recorded sample per ``thin`` steps."""
+    rhos = [rho for rho in rhos if not np.isnan(rho[0])]
     lines = ["lag,rho_mean,rho_std"]
     if rhos:  # every run degenerate: no rows
         # reduce along contiguous lag rows: axis=0 of the run-major array

@@ -136,8 +136,8 @@ def _run(args) -> int:
         for pair, ratio in sorted(result["ratios"].items()):
             print(f"ratio {pair}: {ratio:.2f}")
     elif args.command == "pipeline":
-        manifest = run.run()
-        print(f"pipeline complete: {len(manifest.stages)} stages in {args.out}")
+        stages = run.run()
+        print(f"pipeline complete: {len(stages)} stages in {args.out}")
     return 0
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_lines
-from .qubo import QuboInstance, random_weight_k_config
+from .qubo import QuboInstance
 
 
 @dataclass(eq=False)
@@ -54,20 +54,6 @@ class MiTable:
 
     feature_label: np.ndarray
     pairwise: dict[tuple[int, int], float]
-
-
-@dataclass(eq=False)
-class FeatureMask:
-    selected: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        if int(self.selected.sum()) != self.k:
-            raise ValueError("mask weight does not match k")
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.selected)
 
 
 def binarize(images: np.ndarray, labels: np.ndarray, threshold: int = 127) -> LabeledDataset:
@@ -191,12 +177,14 @@ def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def evaluate_mask(
     ds_train: LabeledDataset,
     ds_test: LabeledDataset,
-    mask: FeatureMask,
+    mask: np.ndarray,
     reg_strength: float = 1e-4,
     iterations: int = 500,
     learning_rate: float = 0.5,
 ) -> float:
-    """Test accuracy of multinomial logistic regression on the masked pixels.
+    """Test accuracy of multinomial logistic regression on the pixels that
+    the 0/1 ``mask`` (one entry per pixel) selects; an empty mask raises
+    ``ValueError``.
 
     Full-batch gradient descent on L2-penalized cross-entropy from a zero
     initialization with a fixed iteration budget, so identical inputs give
@@ -209,9 +197,9 @@ def evaluate_mask(
     its gradient is (n_u * p(x_u) - counts[u])^T x_u / m with n_u the row's
     image count: the same objective and steps as one row per image.
     """
-    if mask.k < 1:
+    idx = np.flatnonzero(mask)
+    if len(idx) == 0:
         raise ValueError("empty mask")
-    idx = mask.indices
     rows, group = _distinct_rows(ds_train.images[:, idx])
     x_train = rows.astype(np.float64)
     x_test = ds_test.images[:, idx].astype(np.float64)
@@ -233,23 +221,14 @@ def evaluate_mask(
     return float(np.mean(pred == ds_test.labels))
 
 
-def random_mask(n_pixels: int, k: int, rng: np.random.Generator) -> FeatureMask:
-    return mask_from_config(random_weight_k_config(n_pixels, k, rng))
-
-
-def top_k_linear_mask(inst: QuboInstance, k: int) -> FeatureMask:
-    """Mask of the K largest |linear| coefficients (most label-informative)."""
+def top_k_linear_mask(inst: QuboInstance, k: int) -> np.ndarray:
+    """0/1 mask of the K largest |linear| coefficients (most label-informative)."""
     order = np.argsort(-np.abs(inst.lin), kind="stable")
-    selected = np.zeros(inst.n, dtype=np.uint8)
-    selected[order[:k]] = 1
-    return FeatureMask(selected=selected, k=k)
+    mask = np.zeros(inst.n, dtype=np.uint8)
+    mask[order[:k]] = 1
+    return mask
 
 
-def mask_from_config(x: np.ndarray) -> FeatureMask:
-    x = np.asarray(x, dtype=np.uint8)
-    return FeatureMask(selected=x, k=int(x.sum()))
-
-
-def save_mask(mask: FeatureMask, path) -> None:
-    """Sorted selected pixel indices, one per line."""
-    write_lines(path, mask.indices)
+def save_mask(mask: np.ndarray, path) -> None:
+    """Sorted selected pixel indices of 0/1 ``mask``, one per line."""
+    write_lines(path, np.flatnonzero(mask))

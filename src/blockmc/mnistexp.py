@@ -34,8 +34,6 @@ from .features import (
     build_mi_table,
     downsample,
     evaluate_mask,
-    mask_from_config,
-    random_mask,
     save_mask,
     top_k_linear_mask,
 )
@@ -150,7 +148,7 @@ def run_mask_search(cfg: MnistConfig, out, log=None, force=False) -> dict:
     for path in data:
         if not Path(path).is_file():
             raise ConfigError(f"dataset file not found: {path}")
-    run = StageCache(out, _hash(doc), ("mask-search",), force=force, log=log)
+    run = StageCache(out, ("mask-search",), force=force, log=log)
     return run._stage(
         "mask-search",
         _hash({"cfg": doc, "data": [_sha256(path) for path in data]}),
@@ -216,7 +214,7 @@ def _search(cfg: MnistConfig, out: Path, log) -> dict:
 
     def accuracy(mask):
         # evaluate_mask is deterministic, so each distinct mask is scored once
-        key = mask.selected.tobytes()
+        key = mask.tobytes()
         if key not in scores:
             scores[key] = evaluate_mask(train, test, mask, reg_strength=cls.reg_strength,
                                         iterations=cls.iterations, learning_rate=cls.learning_rate)
@@ -228,8 +226,7 @@ def _search(cfg: MnistConfig, out: Path, log) -> dict:
         for stop in cfg.stop_steps:
             energies, accs = [], []
             for r, trace in enumerate(traces[kernel]):
-                bits = best_config_at(trace, stop)
-                mask = mask_from_config(bits)
+                mask = best_config_at(trace, stop)
                 save_mask(mask, out / _mask_file(kernel, stop, r))
                 energies.append(float(np.min(trace.energies[: stop + 1])))
                 accs.append(accuracy(mask))
@@ -246,7 +243,7 @@ def _search(cfg: MnistConfig, out: Path, log) -> dict:
             ))
 
     rng = stream(cfg.seed, 7)
-    rand_accs = [accuracy(random_mask(inst.n, cfg.k, rng)) for _ in range(cfg.random_masks)]
+    rand_accs = [accuracy(random_weight_k_config(inst.n, cfg.k, rng)) for _ in range(cfg.random_masks)]
     lin_mask = top_k_linear_mask(inst, cfg.k)
     save_mask(lin_mask, out / "masks" / "linear_terms.txt")
     lin_acc = accuracy(lin_mask)

@@ -8,8 +8,10 @@ its upstream keys, and a file instance also by the file's sha256;
 re-running with an unchanged key reuses the artifacts on disk
 (``--force`` overrides), and within one ``PipelineRun`` every stage is
 built or loaded once. Each ``ensure_<stage>`` only declares its stage;
-``StageCache._stage`` alone checks the cache, builds, records the sha256
-of every artifact in ``manifest.json`` and logs one line per stage. Every
+``StageCache._stage`` alone checks the cache, builds, records the stage's
+key and the sha256 of each of its artifacts in ``manifest.json`` and logs
+one line per stage. A recorded stage is reused only if its entry names
+exactly the files the stage writes and each still has its sha256. Every
 file reaches disk through ``fileio``'s atomic writer. All artifact files
 are byte-deterministic for fixed config and seeds; wall-clock timings go
 to the log only.
@@ -229,20 +231,13 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    stages: dict[str, dict]
-
-    def save(self, path) -> None:
-        write_json({"config_hash": self.config_hash, "stages": self.stages}, path)
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        doc = read_object(path, ("config_hash", "stages"))
-        if not isinstance(doc["stages"], dict):
-            raise FormatError(f"{path}: stages is not an object")
-        return cls(config_hash=doc["config_hash"], stages=doc["stages"])
+def load_stages(path) -> dict:
+    """The stage entries of the ``manifest.json`` at ``path``; a document
+    without a ``stages`` object raises ``FormatError``."""
+    doc = read_object(path, ("stages",))
+    if not isinstance(doc["stages"], dict):
+        raise FormatError(f"{path}: stages is not an object")
+    return doc["stages"]
 
 
 class StageCache:
@@ -250,31 +245,32 @@ class StageCache:
     recorded artifacts are unchanged.
 
     ``order`` lists the stages so that each depends only on those before it;
-    ``config_hash`` is stored in ``manifest.json`` beside the stage entries.
+    ``stages`` maps each stage to its ``manifest.json`` entry: its key and
+    the sha256 of each of its artifacts.
     """
 
-    def __init__(self, out, config_hash: str, order: tuple[str, ...], force: bool = False, log=None):
+    def __init__(self, out, order: tuple[str, ...], force: bool = False, log=None):
         self.out = Path(out)
         self.order = order
         self.force = force
         self.log = log if log is not None else sys.stderr
         manifest_path = self.out / "manifest.json"
-        stages = RunManifest.load(manifest_path).stages if manifest_path.exists() and not force else {}
-        self.manifest = RunManifest(config_hash=config_hash, stages=stages)
+        self.stages = load_stages(manifest_path) if manifest_path.exists() and not force else {}
         self._done = {}
 
-    def _recorded(self, stage: str, key: str) -> dict | None:
+    def _recorded(self, stage: str, key: str, files: list[str]) -> dict | None:
         """The path -> sha256 map the manifest records for ``stage`` under
-        ``key``, if every file in it exists."""
-        entry = None if self.force else self.manifest.stages.get(stage)
+        ``key``, if it names exactly ``files`` and every one of them exists."""
+        entry = None if self.force else self.stages.get(stage)
         if isinstance(entry, dict) and entry.get("key") == key:
             artifacts = entry.get("artifacts")
-            if isinstance(artifacts, dict) and all((self.out / p).is_file() for p in artifacts):
+            if (isinstance(artifacts, dict) and artifacts.keys() == set(files)
+                    and all((self.out / p).is_file() for p in artifacts)):
                 return artifacts
         return None
 
-    def _cached(self, stage: str, key: str) -> bool:
-        artifacts = self._recorded(stage, key)
+    def _cached(self, stage: str, key: str, files: list[str]) -> bool:
+        artifacts = self._recorded(stage, key, files)
         return artifacts is not None and all(_sha256(self.out / p) == h for p, h in artifacts.items())
 
     def _stage(self, stage: str, key: str, files: list[str], load, build):
@@ -287,8 +283,8 @@ class StageCache:
         """
         if stage in self._done:
             return self._done[stage]
-        value = load() if self._recorded(stage, key) is not None else None
-        if self._cached(stage, key):
+        value = load() if self._recorded(stage, key, files) is not None else None
+        if self._cached(stage, key, files):
             print(f"stage {stage}: cached", file=self.log)
         else:
             t0 = time.monotonic()
@@ -296,10 +292,10 @@ class StageCache:
             # a stage rebuilt under an unchanged key (say, over a corrupt artifact)
             # leaves later keys unchanged too, so their entries go with the old one
             for later in self.order[self.order.index(stage) + 1 :]:
-                self.manifest.stages.pop(later, None)
+                self.stages.pop(later, None)
             artifacts = {p: _sha256(self.out / p) for p in files}
-            self.manifest.stages[stage] = {"key": key, "artifacts": artifacts}
-            self.manifest.save(self.out / "manifest.json")
+            self.stages[stage] = {"key": key, "artifacts": artifacts}
+            write_json({"stages": self.stages}, self.out / "manifest.json")
             print(f"stage {stage}: built in {time.monotonic() - t0:.2f}s", file=self.log)
         self._done[stage] = value
         return value
@@ -320,7 +316,7 @@ class PipelineRun(StageCache):
 
     def __init__(self, cfg: ExperimentConfig, out, force: bool = False, log=None):
         self.cfg = cfg
-        super().__init__(out, _hash(asdict(cfg)), _STAGES, force=force, log=log)
+        super().__init__(out, _STAGES, force=force, log=log)
 
     # ------------------------------------------------------------------ #
 
@@ -477,9 +473,10 @@ class PipelineRun(StageCache):
         result = self._stage("analysis", key, files, lambda: read_object(out_dir / "result.json"), build)
         return result, key
 
-    def run(self) -> RunManifest:
+    def run(self) -> dict:
+        """Every stage, built or reused; returns the manifest's stage entries."""
         self.ensure_analysis()
-        return self.manifest
+        return self.stages
 
 
 def fan_out(fn, tasks: list, workers: int) -> list:
@@ -560,15 +557,15 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
         thin = first.thin
         recorded = len(first.configs)
         lag = min(max_lag, recorded - int(burn_fraction * recorded) - 11)
-        pair_acs = []
+        pair_rhos = []
         try:
             if lag < 1:
                 raise analysis.InsufficientDataError(
                     f"{recorded} recorded samples leave no lag after burn-in"
                 )
-            pair_acs = [analysis.pair_autocorrelation(a, b, lag, burn_fraction) for a, b in traces[kernel]]
-            mean_ac = analysis.mean_autocorrelation(pair_acs)
-            headline = _per_step(analysis.fit_decay_rate(mean_ac, cutoff=cutoff), thin)
+            pair_rhos = [analysis.pair_autocorrelation(a, b, lag, burn_fraction) for a, b in traces[kernel]]
+            mean_rho = analysis.mean_autocorrelation(pair_rhos)
+            headline = _per_step(analysis.fit_decay_rate(mean_rho, cutoff=cutoff), thin)
         except analysis.InsufficientDataError as exc:
             # this kernel has no tau; the others are still fitted and compared
             fit = ("tau", "amplitude", "fit_window", "residual", "slow_mixing", "tau_mean", "tau_std")
@@ -576,9 +573,9 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
             entry.update(n_pairs=len(traces[kernel]), error=str(exc))
         else:
             rates = []
-            for ac in pair_acs:
+            for rho in pair_rhos:
                 try:
-                    rates.append(_per_step(analysis.fit_decay_rate(ac, cutoff=cutoff), thin).rate)
+                    rates.append(_per_step(analysis.fit_decay_rate(rho, cutoff=cutoff), thin).rate)
                 except analysis.InsufficientDataError:
                     continue
             rates = np.array(rates or [headline.rate])
@@ -594,7 +591,7 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
             }
         result["kernels"][kernel] = entry
         if out_dir is not None:
-            analysis.save_rho_csv(pair_acs, Path(out_dir) / f"rho_{kernel}.csv", thin=thin)
+            analysis.save_rho_csv(pair_rhos, Path(out_dir) / f"rho_{kernel}.csv", thin=thin)
             analysis.save_best_energy_csv(
                 traces[kernel][0][0], Path(out_dir) / f"best_energy_{kernel}.csv"
             )

@@ -114,27 +114,20 @@ def _mixer_entries(size: int, edges: tuple[tuple[int, int], ...]) -> tuple[np.nd
 
 @dataclass(frozen=True, eq=False)
 class SectorEigenbasis:
-    """Eigendecomposition of the mixer restricted to each Hamming-weight sector.
+    """Eigendecomposition of the mixer restricted to each Hamming-weight
+    sector, in the padded sector layout.
 
-    ``order`` and ``bounds`` are the block size's ``basis``: sector w is
-    ``order[bounds[w]:bounds[w + 1]]``, ascending within the sector. The sector's
-    eigenvalues are ``values[bounds[w]:bounds[w + 1]]`` and its eigenvectors
-    the columns of ``vectors[w]``, in the same position order. The sector
-    Hamiltonians are real symmetric, so the eigenvectors are real.
-
-    The padded sector layout is a (|B| + 1, d) array, d the largest sector
-    dim: row w holds sector w in position order and zeros after it, and
-    basis index z sits at flat slot ``slot[z]``. ``stack[w]`` is
-    ``vectors[w]`` zero-padded to (d, d), and ``vectors[w]`` a view of it;
-    ``padded_values[w]`` is sector w's eigenvalues zero-padded to d. One
-    instance serves every block of a size and edge set, so every array is
-    read-only.
+    The layout is a (|B| + 1, d) array, d the largest sector dim: row w holds
+    sector w in the position order of the block size's ``basis`` (ascending
+    within the sector) and zeros after it, and basis index z sits at flat
+    slot ``slot[z]``. With d_w sector w's dim, its eigenvalues are
+    ``padded_values[w, :d_w]`` and its eigenvectors the columns of
+    ``stack[w, :d_w, :d_w]``, in the same position order; the rest of both
+    is zero. The sector Hamiltonians are real symmetric, so the eigenvectors
+    are real. One instance serves every block of a size and edge set, so
+    every array is read-only.
     """
 
-    order: np.ndarray
-    bounds: tuple[int, ...]
-    values: np.ndarray
-    vectors: tuple[np.ndarray, ...]
     stack: np.ndarray  # (|B| + 1, d, d)
     padded_values: np.ndarray  # (|B| + 1, d)
     slot: np.ndarray  # (2^|B|,)
@@ -176,21 +169,17 @@ def _sector_eigenbasis(size: int, edges: tuple[tuple[int, int], ...]) -> SectorE
     rows, cols = _mixer_entries(size, edges)
     dims = np.diff(b.bounds)
     d = int(dims.max())
-    values = np.empty(len(b.order))
     stack = np.zeros((size + 1, d, d))
     padded_values = np.zeros((size + 1, d))
     for k, dk in enumerate(dims):
-        lo, hi = b.bounds[k], b.bounds[k + 1]
         sel = b.weight[rows] == k
         h = np.zeros((dk, dk))
         h[b.rank[rows[sel]], b.rank[cols[sel]]] = 1.0
-        values[lo:hi], stack[k, :dk, :dk] = np.linalg.eigh(h)
-        padded_values[k, :dk] = values[lo:hi]
+        padded_values[k, :dk], stack[k, :dk, :dk] = np.linalg.eigh(h)
     slot = b.weight * d + b.rank
-    for a in (values, stack, padded_values, slot):
+    for a in (stack, padded_values, slot):
         a.flags.writeable = False
-    vectors = tuple(stack[k, :dk, :dk] for k, dk in enumerate(dims))
-    return SectorEigenbasis(b.order, b.bounds, values, vectors, stack, padded_values, slot)
+    return SectorEigenbasis(stack, padded_values, slot)
 
 
 @dataclass(eq=False)
@@ -217,15 +206,15 @@ class QaoaParams:
 
 @dataclass(eq=False)
 class BlockSampleSet:
-    """Measured block bitstrings with their Hamming weights."""
+    """Measured block bitstrings; their Hamming weights are derived."""
 
     block_id: tuple[int, int]
     samples: np.ndarray  # (count, |B|) uint8
-    weights: np.ndarray  # (count,) per-sample Hamming weight
 
-    def __post_init__(self):
-        if not np.array_equal(self.weights, self.samples.sum(axis=1)):
-            raise ValueError("weights column inconsistent with samples")
+    @property
+    def weights(self) -> np.ndarray:
+        """(count,) int64 per-sample Hamming weight."""
+        return self.samples.sum(axis=1, dtype=np.int64)
 
     @property
     def count(self) -> int:
@@ -545,7 +534,7 @@ def generate_training_set(
     for row, angle in zip(probs, init_angles):  # row by row: no (angles, dim) complex copy
         row[:] = np.abs(evolved * prepare_initial_state(b, angle)) ** 2
     samples = basis(b).bits[_sample_rows(probs, shots_per_init, rng).ravel()]
-    return BlockSampleSet(block_id=bp.block.id, samples=samples, weights=samples.sum(axis=1).astype(np.int64))
+    return BlockSampleSet(block_id=bp.block.id, samples=samples)
 
 
 def save_params(params: QaoaParams, loss: float, block_id: tuple[int, int], path) -> None:
@@ -584,7 +573,7 @@ _SAMPLES_VERSION = 2
 def save_sample_set(ss: BlockSampleSet, path) -> None:
     """Binary pack (v2, big-endian): magic, u16 version, u16 block id pair,
     u16 |B|, u64 count, then ``count`` rows of |B| bits packed into whole
-    bytes. The weights are recomputed on load."""
+    bytes. The weights are not stored."""
     write_bytes(
         path,
         _SAMPLES_MAGIC,
@@ -602,4 +591,4 @@ def load_sample_set(path) -> BlockSampleSet:
         raise FormatError(f"{path}: block size {b} < 1 at offset 10")
     samples = r.bits(count, b)
     r.end()
-    return BlockSampleSet(block_id=(int(s), int(m)), samples=samples, weights=samples.sum(axis=1).astype(np.int64))
+    return BlockSampleSet(block_id=(int(s), int(m)), samples=samples)

@@ -66,14 +66,14 @@ class TestAutocorrelation:
     def test_lag_zero_is_one(self):
         rng = stream(3)
         s = rng.random(1000)
-        ac = analysis.autocorrelation(s, max_lag=50)
-        assert ac.rho[0] == pytest.approx(1.0, abs=1e-12)
+        rho = analysis.autocorrelation(s, max_lag=50)
+        assert rho[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_white_noise(self):
         rng = stream(4)
         s = rng.random(100_000)
-        ac = analysis.autocorrelation(s, max_lag=100)
-        assert np.all(np.abs(ac.rho[1:]) < 0.02)
+        rho = analysis.autocorrelation(s, max_lag=100)
+        assert np.all(np.abs(rho[1:]) < 0.02)
 
     def test_ar1_analytic(self):
         """AR(1) with phi = 0.9 has rho(l) = phi^l."""
@@ -81,14 +81,14 @@ class TestAutocorrelation:
         rng = stream(5)
         noise = rng.standard_normal(1_000_000)
         series = scipy.signal.lfilter([1.0], [1.0, -phi], noise)
-        ac = analysis.autocorrelation(series, max_lag=30)
+        rho = analysis.autocorrelation(series, max_lag=30)
         for l in range(31):
-            assert abs(ac.rho[l] - phi**l) < 0.02
+            assert abs(rho[l] - phi**l) < 0.02
 
     def test_constant_series_degenerate(self):
         s = np.full(1000, 0.25)
-        ac = analysis.autocorrelation(s, max_lag=20)
-        assert ac.degenerate
+        rho = analysis.autocorrelation(s, max_lag=20)
+        assert np.isnan(rho).all()
 
     def test_too_short_series(self):
         s = np.zeros(50)
@@ -99,18 +99,17 @@ class TestAutocorrelation:
         """FFT path equals the direct biased covariance sum."""
         rng = stream(6)
         q = rng.random(500)
-        ac = analysis.autocorrelation(q, 20)
+        rho = analysis.autocorrelation(q, 20)
         qc = q - q.mean()
         for l in range(21):
             direct = float(np.sum(qc[: 500 - l] * qc[l:])) / 500
-            assert ac.rho[l] == pytest.approx(direct / (np.sum(qc * qc) / 500), abs=1e-10)
+            assert rho[l] == pytest.approx(direct / (np.sum(qc * qc) / 500), abs=1e-10)
 
 
 class TestFitDecayRate:
     def test_exact_geometric(self):
         rho = 0.8 ** np.arange(40)
-        ac = analysis.AutocorrResult(rho=rho)
-        fit = analysis.fit_decay_rate(ac)
+        fit = analysis.fit_decay_rate(rho)
         assert fit.rate == pytest.approx(-math.log(0.8), abs=1e-6)
         assert fit.amplitude == pytest.approx(1.0, abs=1e-9)
         assert fit.residual < 1e-10
@@ -122,30 +121,26 @@ class TestFitDecayRate:
         lags = np.arange(200)
         rho = np.exp(-tau_star * lags) + rng.normal(0.0, 0.01, size=200)
         rho[0] = 1.0
-        ac = analysis.AutocorrResult(rho=rho)
-        fit = analysis.fit_decay_rate(ac)
+        fit = analysis.fit_decay_rate(rho)
         assert abs(fit.rate - tau_star) < 0.1 * tau_star
 
     def test_flat_series_flagged_slow(self):
         rho = np.full(50, 0.98)
         rho[0] = 1.0
-        ac = analysis.AutocorrResult(rho=rho)
-        fit = analysis.fit_decay_rate(ac)
+        fit = analysis.fit_decay_rate(rho)
         assert fit.slow_mixing
         assert fit.rate == pytest.approx(0.0, abs=1e-2)
 
     def test_too_few_usable_lags(self):
         rho = np.array([1.0, 0.5, 0.01, 0.001, 0.0001])
-        ac = analysis.AutocorrResult(rho=rho)
         with pytest.raises(InsufficientDataError):
-            analysis.fit_decay_rate(ac)
+            analysis.fit_decay_rate(rho)
 
     def test_rate_never_negative(self):
         rng = stream(8)
         rho = np.clip(0.3 + rng.normal(0, 0.05, 30), 0.06, 1.0)
         rho[0] = 1.0
-        ac = analysis.AutocorrResult(rho=rho)
-        fit = analysis.fit_decay_rate(ac)
+        fit = analysis.fit_decay_rate(rho)
         assert fit.rate >= 0.0
 
 
@@ -208,7 +203,7 @@ class TestCsvOutputs:
     def test_rho_csv(self, tmp_path):
         rng = stream(11)
         results = [
-            analysis.AutocorrResult(rho=0.9 ** np.arange(20) + rng.normal(0, 1e-3, 20))
+            0.9 ** np.arange(20) + rng.normal(0, 1e-3, 20)
             for _ in range(3)
         ]
         rho_path = tmp_path / "rho.csv"
@@ -222,9 +217,9 @@ class TestCsvOutputs:
         """Bytes equal those of a mean/std taken lag by lag; degenerate runs
         are dropped."""
         rng = stream(14, runs)
-        results = [analysis.AutocorrResult(rho=rng.normal(size=301)) for _ in range(runs)]
-        results.insert(1, analysis.AutocorrResult(rho=np.full(301, np.nan), degenerate=True))
-        rhos = np.array([r.rho for r in results if not r.degenerate])
+        results = [rng.normal(size=301) for _ in range(runs)]
+        results.insert(1, np.full(301, np.nan))
+        rhos = np.array([r for r in results if not np.isnan(r[0])])
         expected = ["lag,rho_mean,rho_std"]
         for lag in range(rhos.shape[1]):
             std = rhos[:, lag].std(ddof=1) if len(rhos) > 1 else 0.0
@@ -233,7 +228,7 @@ class TestCsvOutputs:
         assert (tmp_path / "rho.csv").read_bytes() == "".join(f"{line}\n" for line in expected).encode()
 
     def test_rho_csv_all_degenerate_is_header_only(self, tmp_path):
-        results = [analysis.AutocorrResult(rho=np.full(5, np.nan), degenerate=True)]
+        results = [np.full(5, np.nan)]
         analysis.save_rho_csv(results, tmp_path / "rho.csv")
         assert (tmp_path / "rho.csv").read_text() == "lag,rho_mean,rho_std\n"
 
@@ -249,7 +244,7 @@ class TestCsvOutputs:
     def test_every_field_is_a_number(self, tmp_path):
         """numpy scalars are written as plain numbers, not as np.float64(...)."""
         rng = stream(13)
-        results = [analysis.AutocorrResult(rho=rng.random(5)) for _ in range(2)]
+        results = [rng.random(5) for _ in range(2)]
         analysis.save_rho_csv(results, tmp_path / "rho.csv", thin=2)
         t = fake_trace(np.zeros((6, 4), dtype=np.uint8), energies=rng.standard_normal(6))
         analysis.save_best_energy_csv(t, tmp_path / "best.csv")

@@ -281,7 +281,7 @@ class TestBuildFeatureQubo:
 
 def per_image_accuracy(ds_train, ds_test, mask, reg_strength=1e-4, iterations=500, learning_rate=0.5):
     """Reference classifier: the same descent with one row per training image."""
-    idx_ = mask.indices
+    idx_ = np.flatnonzero(mask)
     x_train = ds_train.images[:, idx_].astype(np.float64)
     x_test = ds_test.images[:, idx_].astype(np.float64)
     m, d = x_train.shape
@@ -311,9 +311,9 @@ def distinct_dataset(n_rows, n_pixels, n_classes, seed):
 
 
 def first_pixels(n_pixels, k):
-    selected = np.zeros(n_pixels, dtype=np.uint8)
-    selected[:k] = 1
-    return features.FeatureMask(selected=selected, k=k)
+    mask = np.zeros(n_pixels, dtype=np.uint8)
+    mask[:k] = 1
+    return mask
 
 
 class TestEvaluateMask:
@@ -350,7 +350,7 @@ class TestEvaluateMask:
         labels = labels[rng.permutation(1000)]
         images = np.ones((1000, 4), dtype=np.uint8)
         ds = features.LabeledDataset(images=images, labels=labels, n_classes=2)
-        mask = features.FeatureMask(selected=np.array([1, 1, 0, 0], dtype=np.uint8), k=2)
+        mask = np.array([1, 1, 0, 0], dtype=np.uint8)
         acc = features.evaluate_mask(ds, ds, mask)
         assert acc == pytest.approx(0.7, abs=1e-9)
 
@@ -361,24 +361,22 @@ class TestEvaluateMask:
         images[:, 0] = labels  # perfectly informative pixel
         images[:, 1:] = (rng.random((2000, 5)) < 0.5).astype(np.uint8)
         ds = features.LabeledDataset(images=images, labels=labels, n_classes=2)
-        mask = features.FeatureMask(selected=np.array([1, 1, 0, 0, 0, 0], dtype=np.uint8), k=2)
+        mask = np.array([1, 1, 0, 0, 0, 0], dtype=np.uint8)
         train = features.LabeledDataset(images[:1500], labels[:1500], 2)
         test = features.LabeledDataset(images[1500:], labels[1500:], 2)
         assert features.evaluate_mask(train, test, mask) >= 0.99
 
     def test_deterministic(self):
         ds = synthetic_dataset(seed=19)
-        mask = features.FeatureMask(
-            selected=np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=np.uint8), k=3
-        )
+        mask = np.array([1, 1, 1, 0, 0, 0, 0, 0], dtype=np.uint8)
         a = features.evaluate_mask(ds, ds, mask)
         b = features.evaluate_mask(ds, ds, mask)
         assert a == b
 
     def test_empty_mask_rejected(self):
         ds = synthetic_dataset(seed=20)
-        with pytest.raises(ValueError):
-            features.FeatureMask(selected=np.zeros(8, dtype=np.uint8), k=1)
+        with pytest.raises(ValueError, match="empty mask"):
+            features.evaluate_mask(ds, ds, np.zeros(8, dtype=np.uint8))
 
 
 class TestBiasedAngle:
@@ -408,20 +406,13 @@ class TestMaskHelpers:
         )
         inst = features.build_feature_qubo(mi, k=2)
         mask = features.top_k_linear_mask(inst, 2)
-        assert set(mask.indices) == {2, 4}
+        assert mask.dtype == np.uint8
+        assert set(np.flatnonzero(mask)) == {2, 4}
 
     def test_mask_io(self, tmp_path):
-        mask = features.FeatureMask(
-            selected=np.array([0, 1, 0, 1, 1], dtype=np.uint8), k=3
-        )
+        mask = np.array([0, 1, 0, 1, 1], dtype=np.uint8)
         path = tmp_path / "mask.txt"
         features.save_mask(mask, path)
         back = np.zeros(5, dtype=np.uint8)
         back[[int(line) for line in path.read_text().split()]] = 1
-        assert np.array_equal(back, mask.selected)
-
-    def test_random_mask_weight(self):
-        rng = stream(22)
-        mask = features.random_mask(20, 7, rng)
-        assert mask.k == 7
-        assert int(mask.selected.sum()) == 7
+        assert np.array_equal(back, mask)

@@ -31,7 +31,7 @@ LOADERS = {
     "qaoa/samples_1_0.bin": qaoa.load_sample_set,
     "made/model_1_0.bin": made.load_model,
     "mcmc/trace_block-surrogate_0_a.bin": mcmc.load_trace,
-    "manifest.json": pipeline.RunManifest.load,
+    "manifest.json": pipeline.load_stages,
     "images.idx": idx.load_idx_images,
     "labels.idx": idx.load_idx_labels,
 }
@@ -106,10 +106,10 @@ def loaded(run_dir):
     }
 
 
-_AC = analysis.AutocorrResult(rho=np.array([1.0, 0.5, 0.25]))
+_RHO = np.array([1.0, 0.5, 0.25])
 _ENTRY = {"tau": 0.5, "tau_mean": 0.5, "tau_std": 0.0, "n_pairs": 1, "slow_mixing": False}
 _ROW = {"n": 8, "kernel": "global-kawasaki", "tau": 0.5, "tau_mean": 0.5, "tau_std": 0.0}
-_MASK = features.FeatureMask(selected=np.array([0, 1, 1], dtype=np.uint8), k=2)
+_MASK = np.array([0, 1, 1], dtype=np.uint8)
 
 # every writer of an artifact file: name -> write(loaded objects, path)
 WRITERS = {
@@ -119,7 +119,7 @@ WRITERS = {
     "write_idx_images": lambda o, p: idx.write_idx_images(p, np.zeros((2, 3, 4), np.uint8)),
     "write_idx_labels": lambda o, p: idx.write_idx_labels(p, np.arange(3, dtype=np.uint8)),
     "TrainReport.save_csv": lambda o, p: made.TrainReport([-1.0], [-1.1]).save_csv(p),
-    "save_rho_csv": lambda o, p: analysis.save_rho_csv([_AC], p),
+    "save_rho_csv": lambda o, p: analysis.save_rho_csv([_RHO], p),
     "save_best_energy_csv": lambda o, p: analysis.save_best_energy_csv(o["trace"], p),
     "_save_tau_table": lambda o, p: pipeline._save_tau_table({"kernels": {"x": _ENTRY}}, p),
     "_save_sweep_csv": lambda o, p: pipeline._save_sweep_csv([_ROW], p, lead="n"),

@@ -29,11 +29,7 @@ def zero_weights(model):
 
 def synthetic_sample_set(samples, block_id=(1, 0)):
     samples = np.asarray(samples, dtype=np.uint8)
-    return qaoa.BlockSampleSet(
-        block_id=block_id,
-        samples=samples,
-        weights=samples.sum(axis=1).astype(np.int64),
-    )
+    return qaoa.BlockSampleSet(block_id=block_id, samples=samples)
 
 
 def logits(model, x, k):
@@ -271,11 +267,7 @@ class TestTrain:
     def test_empty_data_rejected(self):
         cfg = made.TrainConfig()
         model = made.build_model(4, cfg, seed=0)
-        empty = qaoa.BlockSampleSet(
-            block_id=(1, 0),
-            samples=np.zeros((0, 4), dtype=np.uint8),
-            weights=np.zeros(0, dtype=np.int64),
-        )
+        empty = qaoa.BlockSampleSet(block_id=(1, 0), samples=np.zeros((0, 4), dtype=np.uint8))
         with pytest.raises(ValueError):
             made.train(model, empty, cfg)
 

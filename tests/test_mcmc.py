@@ -648,7 +648,7 @@ class TestTableOwnership:
         before = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         mcmc.run_chain(inst, 4, before, steps=200, init=init, seed=1)
         rows = stream(19).integers(0, 2, size=(200, 4)).astype(np.uint8)
-        data = qaoa.BlockSampleSet(block_id=(1, 0), samples=rows, weights=rows.sum(axis=1))
+        data = qaoa.BlockSampleSet(block_id=(1, 0), samples=rows)
         made.train(model, data, made.TrainConfig(epochs=2, seed=1))
         after = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         mcmc.run_chain(inst, 4, after, steps=200, init=init, seed=1)

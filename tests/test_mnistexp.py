@@ -168,7 +168,7 @@ class TestMaskSearch:
         evaluate = mnistexp.evaluate_mask
 
         def counting(train, test, mask, **options):
-            scored.append(mask.selected.tobytes())
+            scored.append(mask.tobytes())
             return evaluate(train, test, mask, **options)
 
         monkeypatch.setattr(mnistexp, "evaluate_mask", counting)

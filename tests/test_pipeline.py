@@ -250,10 +250,10 @@ def clean_run(tmp_path_factory):
 class TestPipelineRun:
     def test_full_pipeline_artifacts(self, tmp_path):
         cfg = tiny_config()
-        manifest = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
+        stages = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
         expected_stages = {"instance", "partition", "qaoa", "made", "mcmc", "analysis"}
-        assert set(manifest.stages) == expected_stages
-        for entry in manifest.stages.values():
+        assert set(stages) == expected_stages
+        for entry in stages.values():
             for p in entry["artifacts"]:
                 assert (tmp_path / "run" / p).exists()
         result = json.loads((tmp_path / "run" / "analysis/result.json").read_text())
@@ -313,9 +313,9 @@ class TestPipelineRun:
     def test_kawasaki_only_skips_surrogate_stages(self, tmp_path):
         cfg = tiny_config(mcmc={"kernels": ["global-kawasaki"], "steps": 800,
                                 "pairs": 2, "seed": 5})
-        manifest = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
-        assert "qaoa" not in manifest.stages
-        assert "made" not in manifest.stages
+        stages = pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).run()
+        assert "qaoa" not in stages
+        assert "made" not in stages
         assert not (tmp_path / "run" / "qaoa").exists()
 
     def test_config_change_invalidates_downstream(self, tmp_path):
@@ -370,6 +370,35 @@ class TestPipelineRun:
         assert not any(line.endswith(": cached") for line in log.getvalue().splitlines())
         assert all_artifact_bytes(tmp_path / "run") == all_artifact_bytes(clean_run)
 
+    def test_entry_naming_fewer_files_than_its_stage_is_rebuilt(self, tmp_path, clean_run):
+        """A trace missing from the mcmc entry, then overwritten with another
+        chain's valid trace, is not trusted: mcmc and analysis are rebuilt."""
+        shutil.copytree(clean_run, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        doc = json.loads(path.read_text())
+        trace = "mcmc/trace_global-kawasaki_0_a.bin"
+        del doc["stages"]["mcmc"]["artifacts"][trace]
+        del doc["stages"]["analysis"]
+        path.write_text(json.dumps(doc))
+        shutil.copyfile(tmp_path / "run/mcmc/trace_global-kawasaki_1_a.bin", tmp_path / "run" / trace)
+        log = io.StringIO()
+        pipeline.PipelineRun(tiny_config(), tmp_path / "run", log=log).run()
+        lines = log.getvalue().splitlines()
+        assert [line.endswith(": cached") for line in lines] == [s not in ("mcmc", "analysis") for s in STAGES]
+        assert all_artifact_bytes(tmp_path / "run") == all_artifact_bytes(clean_run)
+
+    def test_manifest_with_a_config_hash_reuses_every_stage(self, tmp_path, clean_run):
+        """A run dir whose manifest also holds the ``config_hash`` that earlier
+        versions wrote is reused stage for stage."""
+        shutil.copytree(clean_run, tmp_path / "run")
+        path = tmp_path / "run" / "manifest.json"
+        stages = json.loads(path.read_text())["stages"]
+        config_hash = pipeline._hash(dataclasses.asdict(tiny_config()))
+        path.write_text(json.dumps({"config_hash": config_hash, "stages": stages}, sort_keys=True))
+        log = io.StringIO()
+        pipeline.PipelineRun(tiny_config(), tmp_path / "run", log=log).run()
+        assert log.getvalue().splitlines() == [f"stage {s}: cached" for s in STAGES]
+
     def test_edited_instance_file_rebuilds_the_instance(self, tmp_path):
         """The key of a file instance holds the file's contents, not only its path."""
         src = tmp_path / "inst.json"
@@ -390,8 +419,23 @@ class TestPipelineRun:
         pipeline.PipelineRun(cfg2, tmp_path / "parallel", log=io.StringIO()).run()
         a = all_artifact_bytes(tmp_path / "serial")
         b = all_artifact_bytes(tmp_path / "parallel")
-        del a["manifest.json"], b["manifest.json"]  # differs via workers field hash
+        assert "manifest.json" in a
         assert a == b
+
+
+class TestStageCache:
+    def test_entry_naming_more_files_than_its_stage_is_rebuilt(self, tmp_path):
+        """Every recorded file is present and unchanged, but the stage no
+        longer writes one of them (a code change under an unchanged key)."""
+        for name in "abc":
+            (tmp_path / name).write_text(name)
+        entry = {"key": "k", "artifacts": {p: pipeline._sha256(tmp_path / p) for p in "abc"}}
+        (tmp_path / "manifest.json").write_text(json.dumps({"stages": {"s": entry}}))
+        log = io.StringIO()
+        cache = pipeline.StageCache(tmp_path, ("s",), log=log)
+        assert cache._stage("s", "k", ["a", "b"], lambda: "loaded", lambda: "built") == "built"
+        assert log.getvalue().startswith("stage s: built")
+        assert set(pipeline.load_stages(tmp_path / "manifest.json")["s"]["artifacts"]) == {"a", "b"}
 
 
 class TestFailedFit:

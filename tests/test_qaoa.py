@@ -394,22 +394,30 @@ class TestSectorEigenMixer:
             )
             eig = bp.mixer_operator()
             assert isinstance(eig, qaoa.SectorEigenbasis)
+            b = qaoa.basis(size)
+            d = eig.padded_values.shape[1]
             for w in range(size + 1):
                 expected = [z for z in range(1 << size) if bin(z).count("1") == w]
-                got = eig.order[eig.bounds[w] : eig.bounds[w + 1]]
+                got = b.order[b.bounds[w] : b.bounds[w + 1]]
                 assert got.tolist() == expected
+                assert eig.slot[got].tolist() == list(range(w * d, w * d + len(expected)))
 
     def test_sector_blocks_reconstruct_dense_mixer(self):
         size = 7
         bp = random_block_problem(size, seed=30)
         eig = bp.mixer_operator()
         h = dense_mixer(bp.mixer_edges, size)
-        for w, v in enumerate(eig.vectors):
-            assert v.dtype == np.float64
-            lo, hi = eig.bounds[w], eig.bounds[w + 1]
-            sector = eig.order[lo:hi]
-            rebuilt = (v * eig.values[lo:hi]) @ v.T
+        b = qaoa.basis(size)
+        assert eig.stack.dtype == np.float64
+        for w in range(size + 1):
+            lo, hi = b.bounds[w], b.bounds[w + 1]
+            dw = hi - lo
+            sector = b.order[lo:hi]
+            v = eig.stack[w, :dw, :dw]
+            rebuilt = (v * eig.padded_values[w, :dw]) @ v.T
             assert np.max(np.abs(rebuilt - h[np.ix_(sector, sector)])) < 1e-12
+            assert not eig.stack[w, dw:].any() and not eig.stack[w, :, dw:].any()
+            assert not eig.padded_values[w, dw:].any()
 
     def test_csr_above_512_dims(self):
         bp = random_block_problem(10, seed=31)
@@ -587,7 +595,7 @@ class TestPaddedSectorCircuit:
         second = random_block_problem(5, seed=131)
         eig = first.mixer_operator()
         assert second.mixer_operator() is eig
-        for a in (eig.values, eig.stack, eig.padded_values, eig.slot, *eig.vectors):
+        for a in (eig.stack, eig.padded_values, eig.slot):
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
         one_edge = random_block_problem(5, seed=132)

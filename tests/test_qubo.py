@@ -189,6 +189,13 @@ class TestGenRegularInstance:
             qubo.gen_regular_instance(4, 5, seed=0)
 
 
+class TestRandomWeightKConfig:
+    def test_weight(self):
+        x = qubo.random_weight_k_config(20, 7, stream(22))
+        assert x.dtype == np.uint8 and set(x.tolist()) == {0, 1}
+        assert int(x.sum()) == 7
+
+
 class TestEnumerateConstrainedBoltzmann:
     def test_beta_zero_uniform(self):
         inst = qubo.gen_regular_instance(6, 3, seed=13)

@@ -11,7 +11,7 @@ import copy
 import numpy as np
 import pytest
 
-from blockmc import analysis, features, made, mcmc, partition, qaoa, qubo
+from blockmc import features, made, mcmc, partition, qaoa, qubo
 
 
 def _instance():
@@ -32,12 +32,10 @@ def _chain_trace():
 
 
 RECORDS = {
-    "AutocorrResult": lambda: analysis.AutocorrResult(rho=np.array([1.0, 0.5, 0.25])),
     "LabeledDataset": lambda: features.LabeledDataset(
         images=np.array([[0, 1], [1, 1]], dtype=np.uint8), labels=np.array([0, 1]), n_classes=2
     ),
     "MiTable": lambda: features.MiTable(feature_label=np.array([0.1, 0.2]), pairwise={}),
-    "FeatureMask": lambda: features.FeatureMask(selected=np.array([0, 1, 1], dtype=np.uint8), k=2),
     "ConditionalMadeModel": lambda: made.build_model(3, made.TrainConfig(), seed=0),
     "ChainTrace": _chain_trace,
     "PartitionPair": _partition_pair,
@@ -45,7 +43,7 @@ RECORDS = {
     "SectorEigenbasis": lambda: _block_problem().mixer_operator(),
     "QaoaParams": lambda: qaoa.QaoaParams(gammas=[0.1, 0.2], betas=[0.3, 0.4]),
     "BlockSampleSet": lambda: qaoa.BlockSampleSet(
-        block_id=(1, 0), samples=np.array([[0, 1], [1, 1]], dtype=np.uint8), weights=np.array([1, 2])
+        block_id=(1, 0), samples=np.array([[0, 1], [1, 1]], dtype=np.uint8)
     ),
     "QuboInstance": _instance,
 }
