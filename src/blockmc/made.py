@@ -1,11 +1,11 @@
 """Conditional masked autoregressive density estimator over block bitstrings.
 
-The model factorizes q(x | k) = prod_t q(x_{i_t} | x_{i_<t}, k) with a fixed
-variable ordering, where k is the block Hamming weight. Masks on every
-weighted layer enforce the autoregressive structure exactly; the context k
-enters each hidden layer as a one-hot embedding through unmasked weights.
-Hidden units of degree 0 connect to no inputs but still receive the
-context, which is what carries k to the first conditional.
+The model factorizes q(x | k) = prod_t q(x_t | x_<t, k) in position order,
+where k is the block Hamming weight. Masks on every weighted layer enforce
+the autoregressive structure exactly; the context k enters each hidden
+layer as a one-hot embedding through unmasked weights. Hidden units of
+degree 0 connect to no inputs but still receive the context, which is what
+carries k to the first conditional.
 
 Likelihoods are exact by construction, sampling is ancestral, and training
 is plain mini-batch gradient ascent with momentum, all in numpy (reverse
@@ -38,7 +38,6 @@ import numpy as np
 from .errors import FormatError
 from .features import row_groups
 from .fileio import COUNT, COUNTS, SEED, Reader, write_bytes, write_lines
-from .qaoa import BlockSampleSet
 from .streams import stream
 
 _PROB_CLAMP = 1e-12
@@ -79,9 +78,7 @@ class ConditionalMadeModel:
     |B| + 1) into each hidden layer pre-activation, unmasked.
     """
 
-    block_id: tuple[int, int]
     block_size: int
-    ordering: np.ndarray
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     masks: list[np.ndarray]
@@ -96,7 +93,7 @@ class ConditionalMadeModel:
         return float(log_prob_batch(self, x[None], np.array([k]))[0])
 
     def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Ancestral draw in ``ordering``; returns (bits, log q(bits | k)).
+        """Ancestral draw in position order; returns (bits, log q(bits | k)).
 
         The chain kernel draws from ``mcmc.sector_table`` instead, which has this law."""
         if not 0 <= k <= self.block_size:
@@ -114,7 +111,7 @@ def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMade
 
     Hidden layers have ``cfg.widths``, or two of width 4*|B| if it is None:
     small blocks need little capacity. Input degrees are the 1-based
-    positions in the ordering; hidden degrees are sampled uniformly from
+    positions 1..|B|; hidden degrees are sampled uniformly from
     [0, |B|-1], with at least one degree-0 unit forced per hidden layer so
     the context always reaches the first conditional. Mask rule: >= between
     inputs/hiddens, strict > into the outputs. Weights start Glorot-uniform,
@@ -124,9 +121,7 @@ def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMade
         raise ValueError("block_size must be >= 1")
     widths = cfg.widths if cfg.widths is not None else [4 * block_size] * 2
     rng = stream(seed, 70)
-    ordering = np.arange(block_size)
-    pos = np.empty(block_size, dtype=np.int64)
-    pos[ordering] = np.arange(1, block_size + 1)
+    pos = np.arange(1, block_size + 1)
     degrees = [pos]
     for width in widths:
         d = rng.integers(0, max(block_size - 1, 0) + 1, size=width)
@@ -151,9 +146,7 @@ def build_model(block_size: int, cfg: TrainConfig, seed: int) -> ConditionalMade
         bound = np.sqrt(6.0 / (ctx_dim + width))
         ctx_weights.append(rng.uniform(-bound, bound, size=(width, ctx_dim)))
     return ConditionalMadeModel(
-        block_id=(0, 0),
         block_size=block_size,
-        ordering=ordering,
         weights=weights,
         biases=biases,
         masks=masks,
@@ -267,8 +260,9 @@ def _distinct(keys: np.ndarray):
     return distinct.reshape(chunked), counts.reshape(chunked), slot
 
 
-def train(model: ConditionalMadeModel, data: BlockSampleSet, cfg: TrainConfig) -> TrainReport:
-    """Maximize the mean conditional log-likelihood of the sample set.
+def train(model: ConditionalMadeModel, data: np.ndarray, cfg: TrainConfig) -> TrainReport:
+    """Maximize the mean conditional log-likelihood of ``data``, a
+    (count, |B|) 0/1 uint8 array, each row conditioned on its weight.
 
     Mini-batch gradient ascent with momentum 0.9; a seeded shuffle splits
     off the validation rows and reshuffles the training rows each epoch.
@@ -278,7 +272,7 @@ def train(model: ConditionalMadeModel, data: BlockSampleSet, cfg: TrainConfig) -
 
 
 def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
-    """``train`` each model on its data set and config, all in lockstep.
+    """``train`` each model on its sample array and config, all in lockstep.
 
     Members must have equal layer shapes, sample counts and configs up to
     the seed; each keeps its own shuffle stream. Each minibatch is trained
@@ -289,23 +283,23 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
     """
     cfg = cfgs[0]
     for model, data in zip(models, datasets):
-        if data.count == 0:
+        if len(data) == 0:
             raise ValueError("empty training data")
-        if data.block_size != model.block_size:
+        if data.shape[1] != model.block_size:
             raise ValueError("sample width does not match model block size")
-    shapes = {(tuple(w.shape for w in m.weights), d.count) for m, d in zip(models, datasets)}
+    shapes = {(tuple(w.shape for w in m.weights), len(d)) for m, d in zip(models, datasets)}
     if len(shapes) > 1 or any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
         raise ValueError("group members differ in more than their seeds")
     rngs = [stream(c.seed, 71) for c in cfgs]
-    perm = np.stack([rng.permutation(d.count) for rng, d in zip(rngs, datasets)])
+    perm = np.stack([rng.permutation(len(d)) for rng, d in zip(rngs, datasets)])
     n_val = int(round(cfg.validation_fraction * perm.shape[1]))
     val_idx, train_idx = perm[:, :n_val], perm[:, n_val:]
     if train_idx.shape[1] == 0:
         raise ValueError("validation split leaves no training data")
     members = np.arange(len(models))[:, None]
-    x_all = np.stack([d.samples for d in datasets])
-    k_all = np.stack([d.weights.astype(np.uint8) for d in datasets])  # weights <= |B| < 256
-    first = np.stack([_first_copies(d.samples) for d in datasets])
+    x_all = np.stack(datasets)
+    k_all = x_all.sum(axis=2, dtype=np.uint8)  # weights <= |B| < 256
+    first = np.stack([_first_copies(d) for d in datasets])
     # return_index makes np.unique sort stably; its default sort would page in 128 kB more of numpy
     val_rows = [np.unique(first[g, rows], return_index=True, return_inverse=True) for g, rows in enumerate(val_idx)]
     params = _stack(models)
@@ -348,7 +342,7 @@ def sample_batch(
     params = _stack([model])
     x = np.zeros((1, count, model.block_size), dtype=np.float64)
     ks = np.full((1, count), k)
-    for v in model.ordering:
+    for v in range(model.block_size):
         logits, _ = _forward(params, x, ks)
         p = np.clip(_sigmoid(logits[0, :, v]), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
         x[0, :, v] = (rng.random(count) < p).astype(np.float64)
@@ -357,19 +351,19 @@ def sample_batch(
 
 
 _MODEL_MAGIC = b"BMCM"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 
 def save_model(model: ConditionalMadeModel, path) -> None:
-    """Versioned binary: header, ordering, masks, then all weight tensors."""
+    """Versioned binary (v2, big-endian): magic, u16 version, u16 |B|, u16
+    hidden-layer count, u32 per hidden width, the masks as bytes, then every
+    weight and bias and the context weights (width x (|B| + 1)) as f8."""
     widths = [c.shape[0] for c in model.ctx_weights]
-    header = (_MODEL_VERSION, *model.block_id, model.block_size, model.block_size + 1, len(widths))
     write_bytes(
         path,
         _MODEL_MAGIC,
-        struct.pack(">HHHHHH", *header),
+        struct.pack(">HHH", _MODEL_VERSION, model.block_size, len(widths)),
         *(struct.pack(">I", w) for w in widths),
-        model.ordering.astype(">u2").tobytes(),
         *(m.astype(np.uint8).tobytes() for m in model.masks),
         *(t.astype(">f8").tobytes() for wb in zip(model.weights, model.biases) for t in wb),
         *(c.astype(">f8").tobytes() for c in model.ctx_weights),
@@ -379,16 +373,11 @@ def save_model(model: ConditionalMadeModel, path) -> None:
 def load_model(path) -> ConditionalMadeModel:
     """Read what ``save_model`` wrote; anything else raises ``FormatError``."""
     r = Reader(path, _MODEL_MAGIC)
-    version, s, m, b, ctx_dim, n_hidden = r.unpack(">HHHHHH")
+    version, b, n_hidden = r.unpack(">HHH")
     if version != _MODEL_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    if ctx_dim != b + 1:
-        raise FormatError(f"{path}: context_dim {ctx_dim} != block_size+1")
     widths = r.unpack(f">{n_hidden}I")
     shapes = list(zip([*widths, b], [b, *widths]))  # (out, in) per weighted layer
-    ordering = r.array(">u2", b).astype(np.int64)
-    if not np.array_equal(np.sort(ordering), np.arange(b)):
-        raise FormatError(f"{path}: ordering is not a permutation of 0..{b - 1}")
     masks = [r.array(np.uint8, o, i).astype(np.float64) for o, i in shapes]
     if any((mask > 1).any() for mask in masks):
         raise FormatError(f"{path}: mask byte outside {{0, 1}}")
@@ -396,12 +385,10 @@ def load_model(path) -> ConditionalMadeModel:
     for o, i in shapes:
         weights.append(r.array(">f8", o, i).astype(np.float64))
         biases.append(r.array(">f8", o).astype(np.float64))
-    ctx_weights = [r.array(">f8", w, ctx_dim).astype(np.float64) for w in widths]
+    ctx_weights = [r.array(">f8", w, b + 1).astype(np.float64) for w in widths]
     r.end()
     return ConditionalMadeModel(
-        block_id=(int(s), int(m)),
         block_size=int(b),
-        ordering=ordering,
         weights=weights,
         biases=biases,
         masks=masks,

@@ -89,9 +89,9 @@ class MnistConfig:
     binarize_threshold: int = field(default=127, metadata={">=": 0, "<=": 255})
     limit_train: int | None = field(default=None, metadata=COUNT)  # None: no limit
     limit_test: int | None = field(default=None, metadata=COUNT)
-    k: int = 50
+    k: int = field(default=50, metadata={">=": 2})  # build_feature_qubo needs k >= 2
     beta_pi: float = 100.0
-    block_size: int = 14
+    block_size: int = field(default=14, metadata=COUNT)
     edge_threshold: float = 1e-3
     steps: int = 3000
     stop_steps: list[int] = field(default_factory=lambda: [50, 3000], metadata=COUNTS)
@@ -115,8 +115,16 @@ def mnist_config_from_dict(doc: dict) -> MnistConfig:
 
 
 def load_datasets(cfg: MnistConfig) -> tuple[LabeledDataset, LabeledDataset]:
+    """The binarized splits; a split with no images, or images that
+    ``downsample_factor`` does not divide, raises ``ConfigError``."""
     tr_img, tr_lab = load_idx(cfg.train_images, cfg.train_labels)
     te_img, te_lab = load_idx(cfg.test_images, cfg.test_labels)
+    for path, images in ((cfg.train_images, tr_img), (cfg.test_images, te_img)):
+        if len(images) == 0:
+            raise ConfigError(f"{path} holds no images")
+        if images.shape[1] % cfg.downsample_factor or images.shape[2] % cfg.downsample_factor:
+            raise ConfigError(f"downsample_factor={cfg.downsample_factor} does not divide the "
+                              f"{images.shape[1]}x{images.shape[2]} images of {path}")
     if cfg.limit_train:
         tr_img, tr_lab = tr_img[: cfg.limit_train], tr_lab[: cfg.limit_train]
     if cfg.limit_test:
@@ -184,12 +192,12 @@ def _search(cfg: MnistConfig, out: Path, log) -> dict:
     say(f"datasets: {len(train.images)} train, {len(test.images)} test, "
         f"{train.n_pixels} pixels, {train.n_classes} classes "
         f"({time.monotonic() - t0:.1f}s)")
-    # the pixel count is known only now; build_feature_qubo needs k >= 2, and
-    # k = n leaves one mask, on which global Kawasaki has no pair to swap
+    # the pixel count is known only now; k = n leaves one mask, on which
+    # global Kawasaki has no pair to swap
     n = train.n_pixels
-    if not 2 <= cfg.k < n:
+    if cfg.k >= n:
         raise ConfigError(f"k={cfg.k} is not in [2, {n - 1}] for {n} pixels")
-    if not 1 <= cfg.block_size <= n:
+    if cfg.block_size > n:
         raise ConfigError(f"block_size={cfg.block_size} is not in [1, {n}] for {n} pixels")
 
     t0 = time.monotonic()

@@ -365,7 +365,8 @@ class PipelineRun(StageCache):
         pp, up = self.ensure_partition()
         inst, _ = self.ensure_instance()
         cfg = self.cfg.qaoa
-        # a sample-set format change rebuilds the stage instead of failing to load it
+        # a format change of the stage's files (the sample-set version is bumped
+        # for either) rebuilds the stage instead of failing to load it
         key = _hash({"cfg": asdict(cfg), "up": up, "format": qaoa._SAMPLES_VERSION})
         blocks = list(pp.p1) + list(pp.p2)
         paths = {
@@ -375,14 +376,14 @@ class PipelineRun(StageCache):
 
         def load():
             return {
-                bid: (*qaoa.load_params(self.out / params)[:2], qaoa.load_sample_set(self.out / samples))
+                bid: (*qaoa.load_params(self.out / params), qaoa.load_sample_set(self.out / samples))
                 for bid, (params, samples) in paths.items()
             }
 
         def build():
             out = optimize_blocks(inst, blocks, cfg, self.cfg.workers)
             for bid, (params, loss, samples) in out.items():
-                qaoa.save_params(params, loss, bid, self.out / paths[bid][0])
+                qaoa.save_params(params, loss, self.out / paths[bid][0])
                 qaoa.save_sample_set(samples, self.out / paths[bid][1])
             return out
 
@@ -392,7 +393,7 @@ class PipelineRun(StageCache):
     def ensure_made(self) -> tuple[dict, str]:
         qaoa_out, up = self.ensure_qaoa()
         cfg = self.cfg.made
-        key = _hash({"cfg": asdict(cfg), "up": up})
+        key = _hash({"cfg": asdict(cfg), "up": up, "format": made._MODEL_VERSION})
         paths = {
             bid: (f"made/model_{bid[0]}_{bid[1]}.bin", f"made/train_{bid[0]}_{bid[1]}.csv")
             for bid in sorted(qaoa_out)
@@ -503,7 +504,7 @@ def train_surrogates(qaoa_out: dict, cfg: made.TrainConfig, workers: int) -> dic
     most ``workers`` chunks per group."""
     groups = {}
     for bid in sorted(qaoa_out):
-        groups.setdefault((qaoa_out[bid][2].block_size, qaoa_out[bid][2].count), []).append(bid)
+        groups.setdefault(qaoa_out[bid][2].shape, []).append(bid)
     chunks = [g[i::workers] for g in groups.values() for i in range(min(workers, len(g)))]
     tasks = [[(bid, qaoa_out[bid][2], replace(cfg, seed=derive_seed(cfg.seed, *bid))) for bid in c] for c in chunks]
     return dict(sorted(pair for pairs in fan_out(_made_group_task, tasks, workers) for pair in pairs))
@@ -528,9 +529,7 @@ def _qaoa_block_task(args):
 
 def _made_group_task(members):
     bids, datasets, cfgs = zip(*members)
-    models = [made.build_model(d.block_size, c, seed=c.seed) for d, c in zip(datasets, cfgs)]
-    for model, bid in zip(models, bids):
-        model.block_id = bid
+    models = [made.build_model(d.shape[1], c, seed=c.seed) for d, c in zip(datasets, cfgs)]
     return list(zip(bids, zip(models, made.train_group(models, datasets, cfgs))))
 
 

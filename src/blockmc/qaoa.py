@@ -32,7 +32,7 @@ import scipy.sparse
 import scipy.special
 
 from .errors import FormatError, ResourceLimitError
-from .fileio import Reader, is_finite, is_int, read_object, write_bytes, write_json
+from .fileio import Reader, is_finite, read_object, write_bytes, write_json
 from .partition import Block
 from .qubo import QuboInstance
 from .streams import stream
@@ -202,27 +202,6 @@ class QaoaParams:
     @property
     def p(self) -> int:
         return len(self.gammas)
-
-
-@dataclass(eq=False)
-class BlockSampleSet:
-    """Measured block bitstrings; their Hamming weights are derived."""
-
-    block_id: tuple[int, int]
-    samples: np.ndarray  # (count, |B|) uint8
-
-    @property
-    def weights(self) -> np.ndarray:
-        """(count,) int64 per-sample Hamming weight."""
-        return self.samples.sum(axis=1, dtype=np.int64)
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
-
-    @property
-    def block_size(self) -> int:
-        return self.samples.shape[1]
 
 
 def ring_mixer_edges(size: int) -> list[tuple[int, int]]:
@@ -513,8 +492,9 @@ def generate_training_set(
     init_angles: list[float],
     shots_per_init: int,
     seed: int,
-) -> BlockSampleSet:
-    """Evolve each product initial state and measure; label samples by weight.
+) -> np.ndarray:
+    """Evolve each product initial state and measure: the shots as a
+    (len(init_angles) * shots_per_init, |B|) uint8 bit array.
 
     Rows ``a * shots_per_init : (a + 1) * shots_per_init`` are the shots
     from ``init_angles[a]``; all angles are sampled in one pass.
@@ -533,62 +513,50 @@ def generate_training_set(
     probs = np.empty((len(init_angles), bp.dim))
     for row, angle in zip(probs, init_angles):  # row by row: no (angles, dim) complex copy
         row[:] = np.abs(evolved * prepare_initial_state(b, angle)) ** 2
-    samples = basis(b).bits[_sample_rows(probs, shots_per_init, rng).ravel()]
-    return BlockSampleSet(block_id=bp.block.id, samples=samples)
+    return basis(b).bits[_sample_rows(probs, shots_per_init, rng).ravel()]
 
 
-def save_params(params: QaoaParams, loss: float, block_id: tuple[int, int], path) -> None:
-    doc = {
-        "block_id": list(block_id),
-        "p": params.p,
-        "gammas": [float(g) for g in params.gammas],
-        "betas": [float(b) for b in params.betas],
-        "loss": float(loss),
-    }
+def save_params(params: QaoaParams, loss: float, path) -> None:
+    doc = {"gammas": params.gammas.tolist(), "betas": params.betas.tolist(), "loss": float(loss)}
     write_json(doc, path)
 
 
-def load_params(path) -> tuple[QaoaParams, float, tuple[int, int]]:
+def load_params(path) -> tuple[QaoaParams, float]:
     """Read what ``save_params`` wrote; anything else raises ``FormatError``."""
-    doc = read_object(path, ("block_id", "p", "gammas", "betas", "loss"))
-    block_id, p = doc["block_id"], doc["p"]
-    if not (isinstance(block_id, list) and len(block_id) == 2 and all(map(is_int, block_id))):
-        raise FormatError(f"{path}: block_id {block_id!r} is not two ints")
-    if not (is_int(p) and p >= 1):
-        raise FormatError(f"{path}: p {p!r} is not an int >= 1")
-    for key in ("gammas", "betas"):
-        v = doc[key]
-        if not (isinstance(v, list) and len(v) == p and all(map(is_finite, v))):
-            raise FormatError(f"{path}: {key} is not a list of {p} finite numbers")
+    doc = read_object(path, ("gammas", "betas", "loss"))
+    gammas, betas = doc["gammas"], doc["betas"]
+    # all() stops at a malformed gammas before len(gammas) is taken for betas
+    if not all(isinstance(v, list) and v and len(v) == len(gammas) and all(map(is_finite, v)) for v in (gammas, betas)):
+        raise FormatError(f"{path}: gammas and betas are not non-empty lists of equal length of finite numbers")
     if not is_finite(doc["loss"]):
         raise FormatError(f"{path}: loss {doc['loss']!r} is not a finite number")
-    params = QaoaParams(gammas=np.array(doc["gammas"]), betas=np.array(doc["betas"]))
-    return params, float(doc["loss"]), (block_id[0], block_id[1])
+    return QaoaParams(gammas=np.array(gammas), betas=np.array(betas)), float(doc["loss"])
 
 
 _SAMPLES_MAGIC = b"BMCS"
-_SAMPLES_VERSION = 2
+_SAMPLES_VERSION = 3
 
 
-def save_sample_set(ss: BlockSampleSet, path) -> None:
-    """Binary pack (v2, big-endian): magic, u16 version, u16 block id pair,
-    u16 |B|, u64 count, then ``count`` rows of |B| bits packed into whole
-    bytes. The weights are not stored."""
+def save_sample_set(samples: np.ndarray, path) -> None:
+    """Binary pack (v3, big-endian): magic, u16 version, u16 |B|, u64 count,
+    then ``count`` rows of |B| bits packed into whole bytes. The weights
+    are not stored."""
+    count, size = samples.shape
     write_bytes(
         path,
         _SAMPLES_MAGIC,
-        struct.pack(">HHHHQ", _SAMPLES_VERSION, *ss.block_id, ss.block_size, ss.count),
-        np.packbits(ss.samples, axis=1).tobytes(),
+        struct.pack(">HHQ", _SAMPLES_VERSION, size, count),
+        np.packbits(samples, axis=1).tobytes(),
     )
 
 
-def load_sample_set(path) -> BlockSampleSet:
+def load_sample_set(path) -> np.ndarray:
     r = Reader(path, _SAMPLES_MAGIC)
-    version, s, m, b, count = r.unpack(">HHHHQ")
+    version, b, count = r.unpack(">HHQ")
     if version != _SAMPLES_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if b < 1:  # rows of no bytes would leave count unbounded by the file's length
-        raise FormatError(f"{path}: block size {b} < 1 at offset 10")
+        raise FormatError(f"{path}: block size {b} < 1 at offset 6")
     samples = r.bits(count, b)
     r.end()
-    return BlockSampleSet(block_id=(int(s), int(m)), samples=samples)
+    return samples

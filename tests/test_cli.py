@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from blockmc import cli, mcmc, qaoa, qubo
+from blockmc import cli, idx, made, mcmc, qaoa, qubo
 from blockmc.cli import main
 from blockmc.errors import FormatError
 from conftest import write_synthetic_idx
@@ -228,10 +228,11 @@ class TestFormatUpgrade:
         "module, name, load, first_rebuilt",
         [
             (qaoa, "_SAMPLES_VERSION", lambda out: qaoa.load_sample_set(out / "qaoa/samples_1_0.bin"), "qaoa"),
+            (made, "_MODEL_VERSION", lambda out: made.load_model(out / "made/model_1_0.bin"), "made"),
             (mcmc, "_TRACE_VERSION", lambda out: mcmc.load_trace(out / "mcmc/trace_block-surrogate_0_a.bin"),
              "mcmc"),
         ],
-        ids=["samples", "trace"],
+        ids=["samples", "model", "trace"],
     )
     def test_previous_version_rebuilds_the_stage(self, tmp_path, capsys, monkeypatch, module, name, load,
                                                  first_rebuilt):
@@ -365,6 +366,21 @@ class TestMnistCommand:
         manifest.write_bytes(manifest.read_bytes()[:-10])
         assert main(argv) == 3
         assert main(argv + ["--force"]) == 0
+
+    @pytest.mark.parametrize(
+        "factor, n_test, message",
+        [(3, 20, "downsample_factor=3 does not divide the 14x14 images"), (1, 0, "test-images.idx holds no images")],
+        ids=["factor-does-not-divide", "empty-split"],
+    )
+    def test_unusable_dataset_is_2(self, tmp_path, capsys, factor, n_test, message):
+        """On 14x14 images: exit 2 and no output dir, not a traceback."""
+        doc = mnist_doc(tmp_path, downsample_factor=factor)
+        for split, count in (("train", 50), ("test", n_test)):
+            idx.write_idx_images(doc[f"{split}_images"], idx.load_idx_images(doc[f"{split}_images"])[:count, ::2, ::2])
+            idx.write_idx_labels(doc[f"{split}_labels"], idx.load_idx_labels(doc[f"{split}_labels"])[:count])
+        assert main(["mnist", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_truncated_idx_is_3(self, tmp_path):
         paths = write_synthetic_idx(tmp_path, n_train=50, n_test=20, seed=3)

@@ -27,9 +27,8 @@ def zero_weights(model):
     return model
 
 
-def synthetic_sample_set(samples, block_id=(1, 0)):
-    samples = np.asarray(samples, dtype=np.uint8)
-    return qaoa.BlockSampleSet(block_id=block_id, samples=samples)
+def synthetic_sample_set(samples):
+    return np.asarray(samples, dtype=np.uint8)
 
 
 def logits(model, x, k):
@@ -71,7 +70,7 @@ class TestBuildModel:
         assert logits(model, x0, 0)[0] != logits(model, x0, 1)[0]
 
     def test_jacobian_sparsity(self):
-        """Output t must ignore inputs at ordering positions >= t."""
+        """Output t must ignore inputs at positions >= t."""
         model = tiny_model(3, seed=5)
         rng = stream(6)
         for _ in range(20):
@@ -79,11 +78,10 @@ class TestBuildModel:
             base = logits(model, x, 1)
             for t_pos in range(3):
                 y = x.copy()
-                y[model.ordering[t_pos]] ^= 1
+                y[t_pos] ^= 1
                 out = logits(model, y, 1)
                 for s_pos in range(t_pos + 1):
-                    v = model.ordering[s_pos]
-                    assert out[v] == base[v]
+                    assert out[s_pos] == base[s_pos]
 
     def test_normalized_before_training(self):
         model = tiny_model(8, seed=7)
@@ -95,8 +93,7 @@ class TestBuildModel:
         """A degree-0 unit must exist so k can reach the first conditional."""
         for seed in range(10):
             model = tiny_model(4, seed=seed)
-            first = model.ordering[0]
-            assert np.any(model.masks[-1][first] > 0)
+            assert np.any(model.masks[-1][0] > 0)
 
 
 class TestLogProb:
@@ -267,7 +264,7 @@ class TestTrain:
     def test_empty_data_rejected(self):
         cfg = made.TrainConfig()
         model = made.build_model(4, cfg, seed=0)
-        empty = qaoa.BlockSampleSet(block_id=(1, 0), samples=np.zeros((0, 4), dtype=np.uint8))
+        empty = np.zeros((0, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
             made.train(model, empty, cfg)
 
@@ -377,10 +374,10 @@ def per_row_step(params, x, ks):
 def per_row_train(model, data, cfg):
     """Oracle trainer: ``made.train``'s shuffles and updates on every row of each batch."""
     rng = stream(cfg.seed, 71)
-    perm = rng.permutation(data.count)
-    n_val = int(round(cfg.validation_fraction * data.count))
+    perm = rng.permutation(len(data))
+    n_val = int(round(cfg.validation_fraction * len(data)))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    x, ks = data.samples[None], data.weights[None]
+    x, ks = data[None], data.sum(axis=1, dtype=np.int64)[None]
     params = made._stack([model])
     trained = [t for group in params[:3] for t in group]
     vels = [np.zeros_like(t) for t in trained]
@@ -473,13 +470,10 @@ class TestDistinctRows:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         model, _ = _trained_qaoa_model(4, seed=40)
-        model.block_id = (2, 3)
         path = tmp_path / "model.bin"
         made.save_model(model, path)
         back = made.load_model(path)
-        assert back.block_id == (2, 3)
         assert back.block_size == 4
-        assert np.array_equal(back.ordering, model.ordering)
         for a, b in zip(back.weights, model.weights):
             assert np.array_equal(a, b)
         for a, b in zip(back.masks, model.masks):
@@ -519,20 +513,13 @@ class TestPersistence:
             with pytest.raises(made.FormatError):
                 made.load_model(path)
 
-    def _ordering_offset(self):
-        return 16 + 4 * len(tiny_model(4, seed=41).ctx_weights)
-
-    @pytest.mark.parametrize("entries", [b"\0\1\0\1", b"\0\4"], ids=["repeated", "out-of-range"])
-    def test_ordering_not_a_permutation(self, tmp_path, entries):
-        path, raw = self._saved(tmp_path)
-        off = self._ordering_offset()
-        path.write_bytes(raw[:off] + entries + raw[off + len(entries) :])
-        with pytest.raises(made.FormatError, match="permutation"):
-            made.load_model(path)
+    def _masks_offset(self):
+        """Magic, the three u16 header fields and one u32 per hidden width."""
+        return 10 + 4 * len(tiny_model(4, seed=41).ctx_weights)
 
     def test_mask_byte_outside_0_1(self, tmp_path):
         path, raw = self._saved(tmp_path)
-        off = self._ordering_offset() + 2 * 4
+        off = self._masks_offset()
         path.write_bytes(raw[:off] + bytes([2]) + raw[off + 1 :])
         with pytest.raises(made.FormatError, match="mask"):
             made.load_model(path)

@@ -6,14 +6,14 @@ import struct
 import numpy as np
 import pytest
 
-from blockmc import made, mcmc, qaoa, qubo
+from blockmc import made, mcmc, qubo
 from blockmc.errors import ConfigError, FormatError
 from blockmc.partition import Block, PartitionPair, build_partition_pair, crossing_matrix
 from blockmc.streams import stream
 from test_made import exhaustive_conditional_distribution
 
 
-def uniform_model(block_size, block_id):
+def uniform_model(block_size):
     """Zero-weight MADE: q(.|k) uniform over all block bitstrings."""
     cfg = made.TrainConfig()
     model = made.build_model(block_size, cfg, seed=0)
@@ -23,14 +23,13 @@ def uniform_model(block_size, block_id):
         b[:] = 0.0
     for c in model.ctx_weights:
         c[:] = 0.0
-    model.block_id = block_id
     return model
 
 
 def block_surrogate_config(inst, sizes, seed=0, beta_pi=0.5, partition_seed=3):
     pp = build_partition_pair(inst, sizes, sizes, seed=partition_seed)
     models = {
-        b.id: uniform_model(b.size, b.id) for part in (pp.p1, pp.p2) for b in part
+        b.id: uniform_model(b.size) for part in (pp.p1, pp.p2) for b in part
     }
     return mcmc.KernelConfig(
         kind="block-surrogate", beta_pi=beta_pi, partition_pair=pp, models=models
@@ -58,7 +57,7 @@ class TestProposeBlockSurrogate:
         """If the complement holds all K ones, only all-zero bits survive."""
         inst = qubo.gen_regular_instance(8, 3, seed=1)
         pp = build_partition_pair(inst, [4, 4], [4, 4], seed=3)
-        models = {b.id: uniform_model(4, b.id) for p in (pp.p1, pp.p2) for b in p}
+        models = {b.id: uniform_model(4) for p in (pp.p1, pp.p2) for b in p}
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         x = np.zeros(8, dtype=np.uint8)
         x[pp.p1[0].vertices] = 1  # all ones inside p1 block 0
@@ -75,7 +74,6 @@ class TestProposeBlockSurrogate:
         """Weight-mismatch bookkeeping matches the exact weight-k slice mass."""
         inst = qubo.gen_regular_instance(12, 3, seed=5)
         model, _ = _small_trained_model(6, seed=6)
-        model.block_id = (1, 0)
         p1 = [Block(id=(1, 0), vertices=list(range(6))), Block(id=(1, 1), vertices=list(range(6, 12)))]
         p2 = [Block(id=(2, 0), vertices=list(range(6))), Block(id=(2, 1), vertices=list(range(6, 12)))]
         # one model for every block; ids only matter for lookup
@@ -412,7 +410,6 @@ def sharpened_block_config(inst, sizes, seed, beta_pi=0.5):
         model = made.build_model(b.size, made.TrainConfig(), seed=seed + i)
         for w in (*model.weights, *model.ctx_weights):
             w *= 1.5
-        model.block_id = b.id
         models[b.id] = model
     return mcmc.KernelConfig("block-surrogate", beta_pi, pp, models)
 
@@ -648,8 +645,7 @@ class TestTableOwnership:
         before = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         mcmc.run_chain(inst, 4, before, steps=200, init=init, seed=1)
         rows = stream(19).integers(0, 2, size=(200, 4)).astype(np.uint8)
-        data = qaoa.BlockSampleSet(block_id=(1, 0), samples=rows)
-        made.train(model, data, made.TrainConfig(epochs=2, seed=1))
+        made.train(model, rows, made.TrainConfig(epochs=2, seed=1))
         after = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         mcmc.run_chain(inst, 4, after, steps=200, init=init, seed=1)
         checked = 0

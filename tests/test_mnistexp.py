@@ -110,8 +110,8 @@ class TestMaskConfig:
 
 class TestMaskSearch:
     @pytest.mark.parametrize(
-        "overrides", [{"block_size": 100}, {"k": 80}, {"k": 1}, {"k": 49}],
-        ids=["block-size-above-n", "k-above-n", "k-below-2", "k-equals-n"],
+        "overrides", [{"block_size": 100}, {"k": 80}, {"k": 49}],
+        ids=["block-size-above-n", "k-above-n", "k-equals-n"],
     )
     def test_sizes_checked_against_pixel_count(self, tmp_path, idx_paths, overrides):
         """downsample_factor 4 leaves 49 pixels."""

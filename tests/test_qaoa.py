@@ -329,16 +329,16 @@ class TestTrainingSet:
     def test_zero_angle_all_zero_samples(self):
         bp = random_block_problem(4, seed=23)
         params = qaoa.QaoaParams(gammas=np.array([0.4]), betas=np.array([0.9]))
-        ss = qaoa.generate_training_set(bp, params, [0.0], 200, seed=1)
-        assert np.all(ss.samples == 0)
-        assert np.all(ss.weights == 0)
+        samples = qaoa.generate_training_set(bp, params, [0.0], 200, seed=1)
+        assert np.all(samples == 0)
+        assert np.all(samples.sum(axis=1) == 0)
 
     def test_pi_angle_all_one_samples(self):
         bp = random_block_problem(4, seed=24)
         params = qaoa.QaoaParams(gammas=np.array([0.4]), betas=np.array([0.9]))
-        ss = qaoa.generate_training_set(bp, params, [math.pi], 200, seed=2)
-        assert np.all(ss.samples == 1)
-        assert np.all(ss.weights == 4)
+        samples = qaoa.generate_training_set(bp, params, [math.pi], 200, seed=2)
+        assert np.all(samples == 1)
+        assert np.all(samples.sum(axis=1) == 4)
 
     def test_weight_histogram_matches_exact_masses(self):
         """Chi-squared agreement between sampled and exact subspace masses."""
@@ -347,13 +347,13 @@ class TestTrainingSet:
         params, _ = qaoa.optimize_params(bp, p=2, init=init, restarts=2, seed=9)
         angles = qaoa.default_training_angles(6)
         shots = 10_000
-        ss = qaoa.generate_training_set(bp, params, angles, shots, seed=3)
+        weights = qaoa.generate_training_set(bp, params, angles, shots, seed=3).sum(axis=1)
         w = qaoa.basis(6).weight
         for a_idx, angle in enumerate(angles):
             psi = qaoa.qaoa_state(bp, params, qaoa.prepare_initial_state(6, angle))
             probs = np.abs(psi) ** 2
             mass = np.array([probs[w == k].sum() for k in range(7)])
-            got = ss.weights[a_idx * shots : (a_idx + 1) * shots]
+            got = weights[a_idx * shots : (a_idx + 1) * shots]
             counts = np.bincount(got, minlength=7)
             expected = shots * mass
             keep = expected > 5
@@ -361,26 +361,26 @@ class TestTrainingSet:
             # dof <= 6; 99.9th percentile of chi2(6) is 22.46
             assert chi2 < 22.46
 
-    def test_sample_set_roundtrip(self, tmp_path):
-        bp = random_block_problem(5, seed=26)
+    @pytest.mark.parametrize("size", [5, 8, 9, 13])
+    def test_sample_set_roundtrip(self, tmp_path, size):
+        """Rows of one and of two packed bytes, with and without padding bits."""
+        bp = random_block_problem(size, seed=26)
         params = qaoa.QaoaParams(gammas=np.array([0.4]), betas=np.array([0.9]))
-        ss = qaoa.generate_training_set(bp, params, [0.8, 1.9], 100, seed=4)
+        samples = qaoa.generate_training_set(bp, params, [0.8, 1.9], 100, seed=4)
         path = tmp_path / "samples.bin"
-        qaoa.save_sample_set(ss, path)
+        qaoa.save_sample_set(samples, path)
         back = qaoa.load_sample_set(path)
-        assert back.block_id == ss.block_id
-        assert np.array_equal(back.samples, ss.samples)
-        assert np.array_equal(back.weights, ss.weights)
+        assert back.dtype == np.uint8
+        assert np.array_equal(back, samples)
 
     def test_params_roundtrip(self, tmp_path):
         params = qaoa.QaoaParams(gammas=np.array([0.1, 0.2]), betas=np.array([0.3, 0.4]))
         path = tmp_path / "params.json"
-        qaoa.save_params(params, -1.25, (1, 3), path)
-        back, loss, block_id = qaoa.load_params(path)
+        qaoa.save_params(params, -1.25, path)
+        back, loss = qaoa.load_params(path)
         assert np.array_equal(back.gammas, params.gammas)
         assert np.array_equal(back.betas, params.betas)
         assert loss == -1.25
-        assert block_id == (1, 3)
 
 
 class TestSectorEigenMixer:
@@ -555,7 +555,7 @@ class TestTrainingSetOneEvolution:
         params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 3), betas=rng.uniform(-1.5, 1.5, 3))
         angles = [0.0, 0.7, math.pi / 2, 2.2, math.pi]
         shots, seed = 400, 17
-        ss = qaoa.generate_training_set(bp, params, angles, shots, seed=seed)
+        samples = qaoa.generate_training_set(bp, params, angles, shots, seed=seed)
         ref_rng = stream(seed, 91)
         ref_samples = []
         for angle in angles:
@@ -563,7 +563,7 @@ class TestTrainingSetOneEvolution:
             idx = qaoa.sample_state(psi, shots, ref_rng)
             ref_samples.append(((idx[:, None] >> np.arange(size)) & 1).astype(np.uint8))
         # rows a * shots : (a + 1) * shots come from angle a
-        assert np.array_equal(ss.samples, np.concatenate(ref_samples))
+        assert np.array_equal(samples, np.concatenate(ref_samples))
 
     def test_one_circuit_evaluation_per_block(self, monkeypatch):
         bp = random_block_problem(5, seed=62)
@@ -691,20 +691,15 @@ class TestArgumentChecks:
             qaoa.optimize_params(bp, p=1, init=init, restarts=1, max_evals_per_restart=cap)
 
 
-GOOD_PARAMS = {"block_id": [1, 3], "p": 2, "gammas": [0.1, 0.2], "betas": [0.3, 0.4], "loss": -1.0}
+GOOD_PARAMS = {"gammas": [0.1, 0.2], "betas": [0.3, 0.4], "loss": -1.0}
 BAD_PARAMS = [
     "{not json",
     "[1, 2]",
     json.dumps({k: v for k, v in GOOD_PARAMS.items() if k != "betas"}),
     json.dumps({**GOOD_PARAMS, "betas": [0.3]}),
-    json.dumps({**GOOD_PARAMS, "p": 3}),
-    json.dumps({**GOOD_PARAMS, "p": 0, "gammas": [], "betas": []}),
+    json.dumps({**GOOD_PARAMS, "gammas": [], "betas": []}),
     json.dumps({**GOOD_PARAMS, "gammas": [0.1, "x"]}),
     json.dumps({**GOOD_PARAMS, "gammas": [0.1, True]}),
-    json.dumps({**GOOD_PARAMS, "block_id": [1]}),
-    json.dumps({**GOOD_PARAMS, "block_id": [1, 2.5]}),
-    json.dumps({**GOOD_PARAMS, "block_id": [True, 1]}),
-    json.dumps({**GOOD_PARAMS, "block_id": "13"}),
     json.dumps(GOOD_PARAMS).replace("-1.0", "NaN"),
 ] + [json.dumps(GOOD_PARAMS).replace("0.2", bad) for bad in ("NaN", "Infinity", "1e999", "1" + "0" * 400)]
 
@@ -726,23 +721,23 @@ class TestLoaderValidation:
     def test_good_params_load(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(GOOD_PARAMS))
-        params, loss, block_id = qaoa.load_params(path)
-        assert params.p == 2 and loss == -1.0 and block_id == (1, 3)
+        params, loss = qaoa.load_params(path)
+        assert params.p == 2 and loss == -1.0
 
     def test_zero_block_size_raises_format_error(self, tmp_path):
         """No row bytes bound the count, so |B| = 0 is refused before any read."""
         path = tmp_path / "samples.bin"
-        path.write_bytes(b"BMCS" + struct.pack(">HHHHQ", 2, 1, 0, 0, 2**62))
-        with pytest.raises(FormatError, match="offset 10"):
+        path.write_bytes(b"BMCS" + struct.pack(">HHQ", 3, 0, 2**62))
+        with pytest.raises(FormatError, match="offset 6"):
             qaoa.load_sample_set(path)
 
     @pytest.mark.parametrize("cut", [4, 10, 19])
     def test_short_sample_header_raises_format_error(self, tmp_path, cut):
         bp = random_block_problem(4, seed=63)
         params = qaoa.QaoaParams(gammas=np.array([0.4]), betas=np.array([0.9]))
-        ss = qaoa.generate_training_set(bp, params, [1.0], 5, seed=6)
+        samples = qaoa.generate_training_set(bp, params, [1.0], 5, seed=6)
         path = tmp_path / "samples.bin"
-        qaoa.save_sample_set(ss, path)
+        qaoa.save_sample_set(samples, path)
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(FormatError, match="offset"):
             qaoa.load_sample_set(path)

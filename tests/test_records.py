@@ -42,9 +42,6 @@ RECORDS = {
     "BlockProblem": _block_problem,
     "SectorEigenbasis": lambda: _block_problem().mixer_operator(),
     "QaoaParams": lambda: qaoa.QaoaParams(gammas=[0.1, 0.2], betas=[0.3, 0.4]),
-    "BlockSampleSet": lambda: qaoa.BlockSampleSet(
-        block_id=(1, 0), samples=np.array([[0, 1], [1, 1]], dtype=np.uint8)
-    ),
     "QuboInstance": _instance,
 }
 
