@@ -169,9 +169,7 @@ class ChainTrace:
     n: int
     k: int
     kind: str
-    seed: int
     thin: int
-    beta_pi: float
     configs: np.ndarray
     energies: np.ndarray
     accepted: np.ndarray
@@ -319,8 +317,8 @@ def run_chain(
         if (t + 1) % _REVALIDATE_EVERY == 0:
             state, e = _revalidate(inst, state, e, k)
     _revalidate(inst, state, e, k)
-    return ChainTrace(n=inst.n, k=k, kind=kernel.kind, seed=seed, thin=thin, beta_pi=kernel.beta_pi,
-                      configs=configs, energies=energies, accepted=accepted, acceptance_probs=probs)
+    return ChainTrace(n=inst.n, k=k, kind=kernel.kind, thin=thin, configs=configs, energies=energies,
+                      accepted=accepted, acceptance_probs=probs)
 
 
 def _revalidate(inst: QuboInstance, state: ChainState, e: float, k: int) -> tuple[ChainState, float]:
@@ -346,24 +344,22 @@ def _revalidate(inst: QuboInstance, state: ChainState, e: float, k: int) -> tupl
 
 
 _TRACE_MAGIC = b"BMCT"
-_TRACE_VERSION = 2
+_TRACE_VERSION = 3
 
 
 def save_trace(trace: ChainTrace, path) -> None:
     """Binary pack of the full trace; ``load_trace`` reads it back.
 
-    Layout (v2, big-endian): magic, u16 version, u8 kernel code, u32 n,
-    u32 k, u64 steps, u32 thin, f8 beta, u64 seed; then the configs (one
-    row of n bits per recorded step, packed into whole bytes), steps + 1 f8
-    energies, steps u8 accepted flags and steps f8 acceptance probabilities.
+    Layout (v3, big-endian): magic, u16 version, u8 kernel code, u32 n,
+    u32 k, u64 steps, u32 thin; then the configs (one row of n bits per
+    recorded step, packed into whole bytes), steps + 1 f8 energies, steps u8
+    accepted flags and steps f8 acceptance probabilities. The chain's seed
+    and β are not stored: the mcmc stage key fixes both.
     """
-    header = (_TRACE_VERSION, KERNELS[trace.kind].code, trace.n, trace.k, trace.steps, trace.thin,
-              trace.beta_pi)
     write_bytes(
         path,
         _TRACE_MAGIC,
-        struct.pack(">HBIIQId", *header),
-        struct.pack(">Q", trace.seed),
+        struct.pack(">HBIIQI", _TRACE_VERSION, KERNELS[trace.kind].code, trace.n, trace.k, trace.steps, trace.thin),
         np.packbits(trace.configs, axis=1).tobytes(),
         trace.energies.astype(">f8").tobytes(),
         trace.accepted.astype(np.uint8).tobytes(),
@@ -375,7 +371,7 @@ def load_trace(path) -> ChainTrace:
     """Read what ``save_trace`` wrote; a malformed length or value raises
     ``FormatError`` with its offset."""
     r = Reader(path, _TRACE_MAGIC)
-    version, code, n, k, steps, thin, beta_pi = r.unpack(">HBIIQId")
+    version, code, n, k, steps, thin = r.unpack(">HBIIQI")
     if version != _TRACE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     kind = next((name for name, kernel in KERNELS.items() if kernel.code == code), None)
@@ -385,7 +381,6 @@ def load_trace(path) -> ChainTrace:
         raise FormatError(f"{path}: n {n} < 1 at offset 7")
     if thin < 1:
         raise FormatError(f"{path}: thin {thin} < 1 at offset 23")
-    (seed,) = r.unpack(">Q")
     configs = r.bits(steps // thin + 1, n)
     r.require(configs.sum(axis=1) == k, f"config of weight other than k={k}")
     energies = r.array(">f8", steps + 1).astype(np.float64)
@@ -395,5 +390,5 @@ def load_trace(path) -> ChainTrace:
     probs = r.array(">f8", steps).astype(np.float64)
     r.require((probs >= 0.0) & (probs <= 1.0), "acceptance probability outside [0, 1]")
     r.end()
-    return ChainTrace(n=int(n), k=int(k), kind=kind, seed=int(seed), thin=int(thin), beta_pi=float(beta_pi),
-                      configs=configs, energies=energies, accepted=accepted.astype(bool), acceptance_probs=probs)
+    return ChainTrace(n=int(n), k=int(k), kind=kind, thin=int(thin), configs=configs, energies=energies,
+                      accepted=accepted.astype(bool), acceptance_probs=probs)

@@ -94,7 +94,7 @@ class MnistConfig:
     block_size: int = field(default=14, metadata=COUNT)
     edge_threshold: float = 1e-3
     steps: int = 3000
-    stop_steps: list[int] = field(default_factory=lambda: [50, 3000], metadata=COUNTS)
+    stop_steps: list[int] = field(default_factory=lambda: [50, 3000], metadata={**COUNTS, "distinct": True})
     repeats: int = field(default=10, metadata=COUNT)
     random_masks: int = field(default=10, metadata=COUNT)
     kernels: list[str] = field(

@@ -11,7 +11,7 @@ the two greedy runs happen to agree too much.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,18 +41,18 @@ class Block:
 
 @dataclass(eq=False)
 class PartitionPair:
-    """Two partitions plus the matrix of pairwise block intersections.
+    """Two partitions of the same n vertices.
 
-    ``crossing[m2][m1]`` is |p2 block m2 ∩ p1 block m1|. ``degraded`` is set
-    when the swap repair could not make every p2 block cross at least two
-    p1 blocks within its budget.
+    ``crossing[m2][m1]`` is |p2 block m2 ∩ p1 block m1|, computed from the
+    blocks on each read.
     """
 
     p1: list[Block]
     p2: list[Block]
-    crossing: np.ndarray
-    degraded: bool = False
-    notes: list[str] = field(default_factory=list)
+
+    @property
+    def crossing(self) -> np.ndarray:
+        return crossing_matrix(self.p1, self.p2, sum(b.size for b in self.p1))
 
 
 @dataclass
@@ -127,36 +127,23 @@ def build_partition_pair(
 
     Repair swaps a boundary vertex of a non-crossing p2 block with a vertex
     of an adjacent p2 block drawn from a different p1 block, choosing the
-    swap that loses the least intra-block |coupling|. The pair's
-    ``crossing`` matrix is recomputed after every swap, and the blocks that
-    still violate the rule are read from it by ``crossing_report``, the
-    same check the CLI reports. The budget is n swaps; exhaustion marks the
-    pair degraded instead of failing.
+    swap that loses the least intra-block |coupling|. The blocks that still
+    violate the rule are read after every swap from ``crossing_report``,
+    the same check the CLI reports; a vacuous rule has none. The budget is
+    n swaps; a pair still violating after it is returned as it stands, and
+    ``crossing_report`` names its violating blocks.
     """
     p1 = build_partition(inst, sizes1, derive_seed(seed, 1), partition_index=1)
     p2 = build_partition(inst, sizes2, derive_seed(seed, 2), partition_index=2)
     owner1 = _owners(p1, inst.n)
-    pp = PartitionPair(p1=p1, p2=p2, crossing=crossing_matrix(p1, p2, inst.n))
-    report = crossing_report(pp)
-    if report.vacuous:
-        pp.notes.append("single-block partition: crossing requirement vacuous")
-        return pp
-    swaps = 0
-    while report.violating_blocks and swaps < inst.n:
-        pair = _best_repair_swap(inst, p2, report.violating_blocks[0], owner1)
+    pp = PartitionPair(p1=p1, p2=p2)
+    for _ in range(inst.n):
+        violating = crossing_report(pp).violating_blocks
+        pair = _best_repair_swap(inst, p2, violating[0], owner1) if violating else None
         if pair is None:
             break
         (bv, vi), (bu, ui) = pair
         p2[bv].vertices[vi], p2[bu].vertices[ui] = p2[bu].vertices[ui], p2[bv].vertices[vi]
-        swaps += 1
-        pp.crossing = crossing_matrix(p1, p2, inst.n)
-        report = crossing_report(pp)
-    if report.violating_blocks:
-        pp.degraded = True
-        pp.notes.append(
-            f"crossing repair exhausted after {swaps} swaps; "
-            f"p2 blocks {report.violating_blocks} still inside a single p1 block"
-        )
     return pp
 
 
@@ -231,52 +218,30 @@ def crossing_report(pp: PartitionPair) -> CrossingReport:
     )
 
 
+_FORMAT = 2  # the layout of partition.json, named in the partition stage key
+
+
 def save_partition_pair(pp: PartitionPair, path) -> None:
-    doc = {
-        "p1": {"s": 1, "blocks": [list(map(int, b.vertices)) for b in pp.p1]},
-        "p2": {"s": 2, "blocks": [list(map(int, b.vertices)) for b in pp.p2]},
-        "crossing": pp.crossing.tolist(),
-        "degraded": pp.degraded,
-        "notes": pp.notes,
-    }
-    write_json(doc, path)
+    """Write ``{"p1": blocks, "p2": blocks}``, each block its vertex list."""
+    write_json({"p1": [b.vertices for b in pp.p1], "p2": [b.vertices for b in pp.p2]}, path)
 
 
 def load_partition_pair(path) -> PartitionPair:
     """Read what ``save_partition_pair`` wrote; anything else raises ``FormatError``.
 
     Each partition must be a non-empty list of non-empty int lists that
-    together hold every vertex 0..n-1 once, n being the size of p1, and
-    ``crossing`` must hold one row per p2 block of one int per p1 block.
+    together hold every vertex 0..n-1 once, n being the size of p1.
     """
-    doc = read_object(path, ("p1", "p2", "crossing", "degraded", "notes"))
-    parts = {}
+    doc = read_object(path, ("p1", "p2"))
     for name in ("p1", "p2"):
-        blocks = doc[name].get("blocks") if isinstance(doc[name], dict) else None
+        blocks = doc[name]
         if not (isinstance(blocks, list) and blocks and all(is_int_list(b) and b for b in blocks)):
-            raise FormatError(f"{path}: {name}.blocks is not a list of non-empty int lists")
-        parts[name] = blocks
-    n = sum(map(len, parts["p1"]))
-    for name, blocks in parts.items():
-        if sorted(v for b in blocks for v in b) != list(range(n)):
+            raise FormatError(f"{path}: {name} is not a non-empty list of non-empty int lists")
+    n = sum(map(len, doc["p1"]))
+    for name in ("p1", "p2"):
+        if sorted(v for b in doc[name] for v in b) != list(range(n)):
             raise FormatError(f"{path}: {name} does not hold every vertex of [0, {n}) once")
-    crossing = doc["crossing"]
-    if not (
-        isinstance(crossing, list)
-        and len(crossing) == len(parts["p2"])
-        and all(is_int_list(row) and len(row) == len(parts["p1"]) for row in crossing)
-    ):
-        raise FormatError(
-            f"{path}: crossing is not a {len(parts['p2'])}x{len(parts['p1'])} int matrix"
-        )
-    if not isinstance(doc["degraded"], bool):
-        raise FormatError(f"{path}: degraded {doc['degraded']!r} is not a bool")
-    if not (isinstance(doc["notes"], list) and all(isinstance(x, str) for x in doc["notes"])):
-        raise FormatError(f"{path}: notes is not a list of strings")
     return PartitionPair(
-        p1=[Block(id=(1, m), vertices=v) for m, v in enumerate(parts["p1"])],
-        p2=[Block(id=(2, m), vertices=v) for m, v in enumerate(parts["p2"])],
-        crossing=np.array(crossing, dtype=np.intp),
-        degraded=doc["degraded"],
-        notes=doc["notes"],
+        p1=[Block(id=(1, m), vertices=v) for m, v in enumerate(doc["p1"])],
+        p2=[Block(id=(2, m), vertices=v) for m, v in enumerate(doc["p2"])],
     )

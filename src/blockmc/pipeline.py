@@ -7,14 +7,17 @@ directory. Each stage is keyed by the hash of its config subsection plus
 its upstream keys, and a file instance also by the file's sha256;
 re-running with an unchanged key reuses the artifacts on disk
 (``--force`` overrides), and within one ``PipelineRun`` every stage is
-built or loaded once. Each ``ensure_<stage>`` only declares its stage;
-``StageCache._stage`` alone checks the cache, builds, records the stage's
-key and the sha256 of each of its artifacts in ``manifest.json`` and logs
-one line per stage. A recorded stage is reused only if its entry names
-exactly the files the stage writes and each still has its sha256. Every
-file reaches disk through ``fileio``'s atomic writer. All artifact files
-are byte-deterministic for fixed config and seeds; wall-clock timings go
-to the log only.
+built or loaded once. The partition, qaoa, made and mcmc keys also carry
+the format of their files, so a run dir written in an older layout
+rebuilds those stages instead of failing to load them. Each
+``ensure_<stage>`` only declares its stage; ``StageCache._stage`` alone
+checks the cache, builds, records the stage's key and the sha256 of each
+of its artifacts in ``manifest.json`` and logs one line per stage. A
+recorded stage is reused only if its entry names exactly the files the
+stage writes and each still has its sha256. Every file reaches disk
+through ``fileio``'s atomic writer. All artifact files are
+byte-deterministic for fixed config and seeds; wall-clock timings go to
+the log only.
 
 The cache half lives in ``StageCache``, which both experiments use. The
 mask search (``mnistexp``) runs as one stage of it, ``mask-search``, on
@@ -43,7 +46,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import analysis, made, mcmc, qaoa
+from . import analysis, made, mcmc, partition, qaoa
 from .errors import ConfigError, FormatError
 from .fileio import COUNT, SEED, canonical_json, is_finite, is_int, read_object, write_json, write_lines
 from .partition import PartitionPair, build_partition_pair, load_partition_pair, save_partition_pair, spread_block_sizes
@@ -189,20 +192,23 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         n, degree = cfg.instance.n, cfg.instance.degree
         if degree >= n or n * degree % 2:
             raise ConfigError(f"no simple {degree}-regular graph on n={n}: need 0 <= degree < n and n*degree even")
-        require_fits(cfg, n)
+        require_fits(cfg, n, n * degree // 2)
     return cfg
 
 
-def require_fits(cfg: ExperimentConfig, n: int) -> None:
+def require_fits(cfg: ExperimentConfig, n: int, edges: int) -> None:
     """Raise ``ConfigError`` unless ``k``, the explicit block sizes and, where
     a partition's sizes are spread from it, the block size fit an instance of
-    ``n`` variables, and unless global Kawasaki, if it runs, has a pair of
-    unequal bits to swap."""
+    ``n`` variables and ``edges`` edges, unless global Kawasaki, if it runs,
+    has a pair of unequal bits to swap, and unless local Kawasaki, if it
+    runs, has an edge to swap along."""
     if cfg.k is not None and not 0 <= cfg.k <= n:
         raise ConfigError(f"k={cfg.k} is not in [0, n={n}]")
     k = cfg.resolved_k(n)
     if "global-kawasaki" in cfg.mcmc.kernels and k in (0, n):
         raise ConfigError(f"global-kawasaki needs 0 < k < n, got k={k} and n={n}")
+    if "local-kawasaki" in cfg.mcmc.kernels and edges == 0:
+        raise ConfigError("local-kawasaki needs an instance with at least one edge")
     if None in (cfg.partition.sizes1, cfg.partition.sizes2) and cfg.partition.block_size > n:
         raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
     for name in ("sizes1", "sizes2"):
@@ -342,13 +348,13 @@ class PipelineRun(StageCache):
             return inst
 
         inst = self._stage("instance", key, [path.name], lambda: load_instance(path), build)
-        require_fits(self.cfg, inst.n)  # a file instance's n is known only here
+        require_fits(self.cfg, inst.n, inst.num_edges)  # a file instance's size is known only here
         return inst, key
 
     def ensure_partition(self) -> tuple[PartitionPair, str]:
         inst, up = self.ensure_instance()
         cfg = self.cfg.partition
-        key = _hash({"cfg": asdict(cfg), "up": up})
+        key = _hash({"cfg": asdict(cfg), "up": up, "format": partition._FORMAT})
         path = self.out / "partition.json"
 
         def build():
@@ -365,9 +371,7 @@ class PipelineRun(StageCache):
         pp, up = self.ensure_partition()
         inst, _ = self.ensure_instance()
         cfg = self.cfg.qaoa
-        # a format change of the stage's files (the sample-set version is bumped
-        # for either) rebuilds the stage instead of failing to load it
-        key = _hash({"cfg": asdict(cfg), "up": up, "format": qaoa._SAMPLES_VERSION})
+        key = _hash({"cfg": asdict(cfg), "up": up, "format": qaoa._SAMPLES_VERSION})  # bumped for either file
         blocks = list(pp.p1) + list(pp.p2)
         paths = {
             b.id: (f"qaoa/params_{b.id[0]}_{b.id[1]}.json", f"qaoa/samples_{b.id[0]}_{b.id[1]}.bin")

@@ -20,9 +20,7 @@ def fake_trace(configs, kind="global-kawasaki", energies=None):
         n=configs.shape[1],
         k=int(configs[0].sum()),
         kind=kind,
-        seed=0,
         thin=1,
-        beta_pi=0.5,
         configs=configs,
         energies=np.asarray(energies, dtype=np.float64),
         accepted=np.ones(steps, dtype=bool),

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from blockmc import cli, idx, made, mcmc, qaoa, qubo
+from blockmc import cli, idx, made, mcmc, partition, qaoa, qubo
 from blockmc.cli import main
 from blockmc.errors import FormatError
 from conftest import write_synthetic_idx
@@ -68,6 +68,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, tiny_doc(k=40))
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_local_kawasaki_on_an_edgeless_file_instance_is_2(self, tmp_path, capsys):
+        """A file instance's edges are known once it is read, so the run stops
+        there, before QAOA and MADE."""
+        src = tmp_path / "inst.json"
+        qubo.save_instance(qubo.QuboInstance(n=8, quad={}, lin=[0.0] * 8), src)
+        doc = tiny_doc(instance={"source": "file", "path": str(src)}, k=4, mcmc={"steps": 100, "pairs": 1})
+        cfg = write_config(tmp_path, doc)
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: local-kawasaki needs an instance with at least one edge" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "qaoa").exists()
 
     @pytest.mark.parametrize(
         "command, doc, field",
@@ -252,6 +263,19 @@ class TestFormatUpgrade:
         lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("stage ")]
         assert [line.endswith(": cached") for line in lines] == [s in stages[: stages.index(first_rebuilt)] for s in stages]
         load(out)
+
+    def test_partition_key_names_the_layout(self, tmp_path, capsys, monkeypatch):
+        """A run dir written under another partition.json layout rebuilds the
+        partition and every later stage, and exits 0."""
+        doc = tiny_doc(mcmc={"kernels": ["block-surrogate", "global-kawasaki"], "steps": 600, "pairs": 1, "seed": 5})
+        argv = ["pipeline", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]
+        with monkeypatch.context() as m:
+            m.setattr(partition, "_FORMAT", partition._FORMAT - 1)
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("stage ")]
+        assert [line.endswith(": cached") for line in lines] == [True, False, False, False, False, False]
 
 
 class TestFailedFit:

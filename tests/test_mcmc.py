@@ -8,7 +8,7 @@ import pytest
 
 from blockmc import made, mcmc, qubo
 from blockmc.errors import ConfigError, FormatError
-from blockmc.partition import Block, PartitionPair, build_partition_pair, crossing_matrix
+from blockmc.partition import Block, PartitionPair, build_partition_pair
 from blockmc.streams import stream
 from test_made import exhaustive_conditional_distribution
 
@@ -78,7 +78,7 @@ class TestProposeBlockSurrogate:
         p2 = [Block(id=(2, 0), vertices=list(range(6))), Block(id=(2, 1), vertices=list(range(6, 12)))]
         # one model for every block; ids only matter for lookup
         models = {b.id: model for b in p1 + p2}
-        pp = PartitionPair(p1=p1, p2=p2, crossing=crossing_matrix(p1, p2, 12))
+        pp = PartitionPair(p1=p1, p2=p2)
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         x = np.zeros(12, dtype=np.uint8)
         x[[0, 1, 2, 6, 7, 8]] = 1  # every block at weight 3
@@ -674,8 +674,7 @@ class TestPersistence:
         back = mcmc.load_trace(path)
         assert back.kind == trace.kind
         assert back.n == trace.n and back.k == trace.k
-        assert back.thin == trace.thin and back.seed == trace.seed
-        assert back.beta_pi == trace.beta_pi
+        assert back.thin == trace.thin
         assert np.array_equal(back.configs, trace.configs)
         assert np.array_equal(back.energies, trace.energies)
         assert np.array_equal(back.accepted, trace.accepted)
@@ -693,21 +692,21 @@ class TestPersistence:
         with pytest.raises(FormatError, match="offset 6"):
             mcmc.load_trace(path)
 
-    # _trace() in the v2 layout: a 43-byte header, 41 config rows of one byte,
-    # 201 f8 energies from offset 84, 200 accepted bytes from 1692 and 200 f8
-    # acceptance probabilities from 1892
+    # _trace() in the v3 layout: a 27-byte header, 41 config rows of one byte,
+    # 201 f8 energies from offset 68, 200 accepted bytes from 1676 and 200 f8
+    # acceptance probabilities from 1876
     @pytest.mark.parametrize(
         "offset, value, what",
         [
-            (43 + 4, b"\xff", "config of weight other than k=4"),
-            (43 + 4, b"\x07", "config of weight other than k=4"),
-            (84 + 8 * 5, struct.pack(">d", math.inf), "non-finite energy"),
-            (84 + 8 * 5, struct.pack(">d", math.nan), "non-finite energy"),
-            (1692 + 3, b"\x07", "accepted flag other than 0 or 1"),
-            (1692 + 3, b"\x02", "accepted flag other than 0 or 1"),
-            (1892 + 8 * 2, struct.pack(">d", math.nan), r"acceptance probability outside \[0, 1\]"),
-            (1892 + 8 * 2, struct.pack(">d", 7.5), r"acceptance probability outside \[0, 1\]"),
-            (1892 + 8 * 2, struct.pack(">d", -0.25), r"acceptance probability outside \[0, 1\]"),
+            (27 + 4, b"\xff", "config of weight other than k=4"),
+            (27 + 4, b"\x07", "config of weight other than k=4"),
+            (68 + 8 * 5, struct.pack(">d", math.inf), "non-finite energy"),
+            (68 + 8 * 5, struct.pack(">d", math.nan), "non-finite energy"),
+            (1676 + 3, b"\x07", "accepted flag other than 0 or 1"),
+            (1676 + 3, b"\x02", "accepted flag other than 0 or 1"),
+            (1876 + 8 * 2, struct.pack(">d", math.nan), r"acceptance probability outside \[0, 1\]"),
+            (1876 + 8 * 2, struct.pack(">d", 7.5), r"acceptance probability outside \[0, 1\]"),
+            (1876 + 8 * 2, struct.pack(">d", -0.25), r"acceptance probability outside \[0, 1\]"),
         ],
         ids=["weight-8", "weight-3", "energy-inf", "energy-nan", "accepted-7", "accepted-2",
              "prob-nan", "prob-7.5", "prob-negative"],
@@ -718,7 +717,7 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"{what} at offset {offset}$"):
             mcmc.load_trace(path)
 
-    @pytest.mark.parametrize("cut", [4, 20, 42])
+    @pytest.mark.parametrize("cut", [4, 20, 26])
     def test_short_header(self, tmp_path, cut):
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:cut])

@@ -47,6 +47,7 @@ class TestMaskConfig:
             {"repeats": 0},
             {"stop_steps": [0, 50]},
             {"stop_steps": []},
+            {"stop_steps": [50, 50]},
             {"kernels": ["local-kawasaki"]},
             {"kernels": ["global-kawasaki", "global-kawasaki"]},
             {"biased_target_weight": 2.0},
@@ -83,7 +84,7 @@ class TestMaskConfig:
             {"classifier": {"learning_rate": -0.5}},
             {"classifier": {"reg_strength": -1e-4}},
         ],
-        ids=["repeats", "stop-step", "no-stop-steps", "kernel", "kernel-twice",
+        ids=["repeats", "stop-step", "no-stop-steps", "stop-step-twice", "kernel", "kernel-twice",
              "top-level-biased-target", "beta-not-a-number", "beta-nan", "kernels-str",
              "stop-steps-int", "stop-step-str", "limit-str", "threshold-null", "path-not-str",
              "qaoa-p-float", "iterations-bool", "qaoa-p-zero", "restarts-zero", "max-evals-zero",

@@ -90,23 +90,23 @@ class TestBuildPartitionPair:
         inst = qubo.gen_regular_instance(8, 3, seed=4)
         pp = partition.build_partition_pair(inst, [4, 4], [4, 4], seed=11)
         report = partition.crossing_report(pp)
-        assert not pp.degraded
+        assert report.violating_blocks == []
         assert report.min_crossing >= 2
 
     def test_single_block_vacuous(self):
         quad = {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}
         inst = qubo.QuboInstance(n=4, quad=quad, lin=np.zeros(4), konst=0.0)
         pp = partition.build_partition_pair(inst, [4], [4], seed=0)
-        assert not pp.degraded
-        assert pp.notes  # flagged degenerate
-        assert partition.crossing_report(pp).vacuous
+        report = partition.crossing_report(pp)
+        assert report.violating_blocks == []
+        assert report.vacuous  # flagged degenerate
 
     def test_crossing_matrix_row_sums(self):
         inst = qubo.gen_regular_instance(32, 3, seed=8)
         pp = partition.build_partition_pair(inst, [4] * 8, [4] * 8, seed=21)
         sums = pp.crossing.sum(axis=1)
         assert np.all(sums == 4)
-        assert np.all((pp.crossing > 0).sum(axis=1) >= 2) or pp.degraded
+        assert np.all((pp.crossing > 0).sum(axis=1) >= 2)
 
     def test_both_sides_partition_everything(self):
         inst = qubo.gen_regular_instance(24, 3, seed=3)
@@ -127,9 +127,7 @@ class TestCrossingReport:
         inst = qubo.gen_regular_instance(8, 3, seed=4)
         p1 = partition.build_partition(inst, [4, 4], seed=1, partition_index=1)
         p2 = [partition.Block(id=(2, b.id[1]), vertices=list(b.vertices)) for b in p1]
-        pp = partition.PartitionPair(
-            p1=p1, p2=p2, crossing=partition.crossing_matrix(p1, p2, 8)
-        )
+        pp = partition.PartitionPair(p1=p1, p2=p2)
         report = partition.crossing_report(pp)
         assert report.min_crossing == 1
         assert report.violating_blocks == [0, 1]
@@ -201,29 +199,17 @@ class TestLoadPartitionPair:
 
     def test_blocks_not_int_lists(self, tmp_path):
         path, doc = self._doc(tmp_path)
-        for bad in (3, {"s": 1}, {"blocks": 3}, {"blocks": []}, {"blocks": [[]]},
-                    {"blocks": [[0, 1.5]]}, {"blocks": [[0, True]]}, {"blocks": [["0"]]}):
-            self._rejects(path, {**doc, "p1": bad}, "p1.blocks")
+        for bad in (3, {"s": 1}, {"blocks": doc["p1"]}, [], [[]], [[0, 1.5]], [[0, True]], [["0"]]):
+            self._rejects(path, {**doc, "p1": bad}, "p1 is not a non-empty list of non-empty int lists")
 
     def test_vertex_out_of_range(self, tmp_path):
         path, doc = self._doc(tmp_path)
-        doc["p2"]["blocks"][0][0] = 12
+        doc["p2"][0][0] = 12
         self._rejects(path, doc, r"p2 does not hold every vertex of \[0, 12\)")
-        doc["p2"]["blocks"][0][0] = -1
+        doc["p2"][0][0] = -1
         self._rejects(path, doc, "p2 does not hold")
 
     def test_vertex_repeated(self, tmp_path):
         path, doc = self._doc(tmp_path)
-        doc["p1"]["blocks"][0][1] = doc["p1"]["blocks"][0][0]
+        doc["p1"][0][1] = doc["p1"][0][0]
         self._rejects(path, doc, "p1 does not hold")
-
-    def test_crossing_shape(self, tmp_path):
-        path, doc = self._doc(tmp_path)
-        crossing = doc["crossing"]
-        for bad in (crossing[:-1], [row[:-1] for row in crossing], [[0.5] * 3] * 3, 7):
-            self._rejects(path, {**doc, "crossing": bad}, "crossing is not a 3x3 int matrix")
-
-    def test_degraded_and_notes_types(self, tmp_path):
-        path, doc = self._doc(tmp_path)
-        self._rejects(path, {**doc, "degraded": "no"}, "degraded")
-        self._rejects(path, {**doc, "notes": [1]}, "notes")

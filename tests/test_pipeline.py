@@ -186,6 +186,7 @@ class TestConfig:
             {"instance": {"n": 8}, "k": 0},
             {"instance": {"path": "inst.json"}},
             {"instance": {"n": 3, "degree": 2}, "partition": {"sizes1": [3]}},
+            {"instance": {"n": 8, "degree": 0}, "partition": {"block_size": 4}},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
@@ -197,7 +198,7 @@ class TestConfig:
              "degree-negative", "sizes-sum-not-n", "size-zero", "max-lag-zero", "burn-above-one",
              "burn-negative", "cutoff-negative", "cutoff-one", "source-unknown",
              "k-zero-with-global-kawasaki", "path-with-generated-instance",
-             "block-size-above-n-with-sizes2-spread"],
+             "block-size-above-n-with-sizes2-spread", "local-kawasaki-edgeless"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):

@@ -731,7 +731,7 @@ class TestLoaderValidation:
         with pytest.raises(FormatError, match="offset 6"):
             qaoa.load_sample_set(path)
 
-    @pytest.mark.parametrize("cut", [4, 10, 19])
+    @pytest.mark.parametrize("cut", [4, 10, 15])
     def test_short_sample_header_raises_format_error(self, tmp_path, cut):
         bp = random_block_problem(4, seed=63)
         params = qaoa.QaoaParams(gammas=np.array([0.4]), betas=np.array([0.9]))
