@@ -29,8 +29,8 @@ _SWEEPS = {"sweep-n": ("n", "n_values", "n"), "sweep-b": ("block_size", "block_s
 class SweepConfig:
     """The config's optional ``sweep`` section: the values each sweep command runs."""
 
-    n_values: list[int] | None = field(default=None, metadata=COUNT)
-    block_sizes: list[int] | None = field(default=None, metadata=COUNT)
+    n_values: list[int] | None = field(default=None, metadata={**COUNT, "distinct": True})
+    block_sizes: list[int] | None = field(default=None, metadata={**COUNT, "distinct": True})
 
 
 def build_parser() -> argparse.ArgumentParser:

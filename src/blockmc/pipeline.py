@@ -162,7 +162,7 @@ def fill_config(cfg, doc: dict, where: str = ""):
         rule = declared[key].metadata
         if rule.get("nonempty") and value == []:
             raise ConfigError(f"{where}{key} must be a non-empty list, got []")
-        if rule.get("distinct") and len(set(value)) != len(value):
+        if rule.get("distinct") and value is not None and len(set(value)) != len(value):
             raise ConfigError(f"{where}{key} must not hold a value twice, got {value!r}")
         for i, v in enumerate(value if isinstance(value, list) else [value]):
             if rule and v is not None and not _allows(rule, v):

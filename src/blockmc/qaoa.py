@@ -9,8 +9,9 @@ mixer edge set) and shared by every block with that pair. There the
 circuit runs in a padded sector layout, one zero-padded row per weight, so
 a mixer layer is two batched products with the stacked real eigenvectors.
 Above 512 dims a Chebyshev expansion on the sparse mixer matrix computes
-it to a fixed tolerance. Parameter optimization is derivative free on the
-noiseless expectation; sampling inverts the cumulative basis probabilities.
+it to a fixed tolerance; ``qaoa_state`` alone runs a circuit, on either.
+Parameter optimization is derivative free on the noiseless expectation;
+sampling inverts the cumulative basis probabilities.
 
 Index convention used package-wide: bit t of a basis index is the variable
 at position t of the block's vertex list. ``basis(size)`` enumerates the
@@ -275,52 +276,6 @@ def prepare_initial_state(size: int, angle: float) -> Statevector:
     return amps.astype(np.complex128)
 
 
-def apply_cost_layer(state: Statevector, bp: BlockProblem, gamma: float) -> Statevector:
-    """Diagonal phase e^{-i gamma E(z)} per basis state; exactly norm preserving.
-    A non-finite ``gamma`` raises ``ValueError``."""
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma {gamma} is not finite")
-    return state * np.exp(-1j * gamma * bp.diag_energies)
-
-
-def apply_xy_mixer_layer(state: Statevector, bp: BlockProblem, beta: float) -> Statevector:
-    """Apply e^{-i beta H_mixer}, sector-exactly up to 512 dims, by Chebyshev expansion above.
-
-    Up to 512 dims ``state`` is scattered into the padded sector layout of
-    the block's ``SectorEigenbasis``, each weight sector w maps to V_w
-    diag(e^{-i beta lambda_w}) V_w^T as two batched products over the
-    zero-padded eigenvector stack, and the result is gathered back: one
-    layer of ``SectorEigenbasis.evolve``, the product ``qaoa_state`` runs
-    per layer. Above, the CSR mixer H enters the Chebyshev expansion
-    (Tal-Ezer & Kosloff 1984)
-    e^{-i beta H} = sum_k (2 - delta_k0) (-i)^k J_k(beta R) T_k(H / R), with
-    T_k(H / R) applied by the three-term recurrence, one sparse product per
-    term. R bounds ||H||, so ||T_k(H / R)|| <= 1 and the first K terms are
-    exact to 2 sum_{k>=K} |J_k(beta R)|; K is the first count that puts this
-    tail at or below 1e-13, |beta| R plus a few tens. For the ring mixer
-    (``ring_mixer_edges``, |B| >= 3) R is exact: the Jordan-Wigner map
-    turns H into free fermions hopping on a ring whose boundary condition
-    is periodic or antiperiodic by particle parity, with mode energies
-    eps_m = 2 cos(2 pi (m + phi) / |B|), phi in {0, 1/2}; an eigenvalue is a
-    sum of distinct eps_m, so R = max over phi of max(sum eps^+, sum |eps^-|)
-    (6.47 against 10 edges at |B| = 10). Any other edge set takes R = the
-    edge count, a bound because every row has at most one unit entry per
-    edge.
-    Either way the result is rescaled to the input norm (``_rescaled``). A
-    non-finite ``beta`` raises ``ValueError``.
-    """
-    if len(state) != bp.dim:
-        raise ValueError("state dimension does not match block problem")
-    if not math.isfinite(beta):
-        raise ValueError(f"beta {beta} is not finite")
-    h = bp.mixer_operator()
-    if isinstance(h, SectorEigenbasis):
-        psi = h.evolve(state, [np.exp(-1j * beta * h.padded_values)])
-    else:
-        psi = _chebyshev_exp(state, h, beta, _mixer_radius(bp))
-    return _rescaled(psi, np.linalg.norm(state))
-
-
 def _rescaled(psi: Statevector, norm_in: float) -> Statevector:
     """``psi`` rescaled in place to ``norm_in``, the norm of the state it was
     evolved from. A drift beyond 1e-10 relative, or a non-finite norm, would
@@ -334,7 +289,15 @@ def _rescaled(psi: Statevector, norm_in: float) -> Statevector:
 
 
 def _mixer_radius(bp: BlockProblem) -> float:
-    """The bound R >= ||H_mixer|| of ``apply_xy_mixer_layer``."""
+    """R >= ||H_mixer|| for ``_chebyshev_exp``. For the ring mixer
+    (``ring_mixer_edges``, |B| >= 3) R is exact: the Jordan-Wigner map turns H
+    into free fermions hopping on a ring whose boundary condition is periodic
+    or antiperiodic by particle parity, with mode energies
+    eps_m = 2 cos(2 pi (m + phi) / |B|), phi in {0, 1/2}; an eigenvalue is a
+    sum of distinct eps_m, so R = max over phi of max(sum eps^+, sum |eps^-|)
+    (6.47 against 10 edges at |B| = 10). Any other edge set takes R = the
+    edge count, a bound because every row has at most one unit entry per edge.
+    """
     if bp.size >= 3 and bp.mixer_edges == ring_mixer_edges(bp.size):
         return _ring_radius(bp.size)
     return float(len(bp.mixer_edges))
@@ -352,7 +315,13 @@ def _ring_radius(size: int) -> float:
 
 
 def _chebyshev_exp(state: Statevector, h, beta: float, radius: float) -> Statevector:
-    """The truncated Chebyshev expansion of ``apply_xy_mixer_layer``, R = ``radius``."""
+    """e^{-i beta H} ``state`` for the CSR mixer ``h`` by the Chebyshev
+    expansion (Tal-Ezer & Kosloff 1984)
+    e^{-i beta H} = sum_k (2 - delta_k0) (-i)^k J_k(beta R) T_k(H / R), with
+    T_k(H / R) applied by the three-term recurrence, one sparse product per
+    term. R = ``radius`` bounds ||H||, so ||T_k(H / R)|| <= 1 and the first K
+    terms are exact to 2 sum_{k>=K} |J_k(beta R)|; K is the first count that
+    puts this tail at or below 1e-13, |beta| R plus a few tens."""
     r = max(1.0, radius)
     # J_k(x) falls faster than geometrically once k > |x|, so the cut lies below 2|x| + 40.
     k = np.arange(int(2 * abs(beta) * r) + 40)
@@ -369,28 +338,28 @@ def _chebyshev_exp(state: Statevector, h, beta: float, radius: float) -> Stateve
 
 
 def qaoa_state(bp: BlockProblem, params: QaoaParams, init: Statevector) -> Statevector:
-    """Alternate cost and mixer layers, cost first within each layer.
-
-    Up to 512 dims the whole circuit runs in the padded sector layout of the
-    block's ``SectorEigenbasis``: every layer's cost phases and mixer phases
-    come from one ``exp`` each, ``SectorEigenbasis.evolve`` scatters
-    ``init`` into the layout once, runs the layers there and gathers the
-    result back once, and its norm drift is checked and rescaled once.
-    Above, each layer is ``apply_cost_layer`` then
-    ``apply_xy_mixer_layer``.
-    """
+    """Alternate cost and mixer layers on ``init``, cost first within each
+    layer: the one routine that runs a circuit. Up to 512 dims the whole
+    circuit runs in the padded sector layout of the block's
+    ``SectorEigenbasis``: each layer's cost and mixer phases come from one
+    ``exp`` each, ``SectorEigenbasis.evolve`` scatters ``init`` into the layout
+    once, runs the layers there and gathers the result back once, and the norm
+    drift is checked and rescaled once. Above, each layer is the diagonal cost
+    phase e^{-i gamma E(z)}, then ``_chebyshev_exp`` on the CSR mixer, rescaled
+    (``_rescaled``) to the norm after the cost phase."""
     if len(init) != bp.dim:
         raise ValueError("initial state dimension does not match block problem")
-    eig = bp.mixer_operator()
-    if not isinstance(eig, SectorEigenbasis):
+    h = bp.mixer_operator()
+    if not isinstance(h, SectorEigenbasis):
+        radius = _mixer_radius(bp)
         psi = init
         for gamma, beta in zip(params.gammas, params.betas):
-            psi = apply_cost_layer(psi, bp, gamma)
-            psi = apply_xy_mixer_layer(psi, bp, beta)
+            psi = psi * np.exp(-1j * gamma * bp.diag_energies)
+            psi = _rescaled(_chebyshev_exp(psi, h, beta, radius), np.linalg.norm(psi))
         return psi
     cost = np.exp(-1j * params.gammas[:, None, None] * bp.padded_energies())
-    mix = np.exp(-1j * params.betas[:, None, None] * eig.padded_values)
-    return _rescaled(eig.evolve(init, mix, cost), np.linalg.norm(init))
+    mix = np.exp(-1j * params.betas[:, None, None] * h.padded_values)
+    return _rescaled(h.evolve(init, mix, cost), np.linalg.norm(init))
 
 
 def expected_energy(state: Statevector, bp: BlockProblem) -> float:
@@ -442,19 +411,11 @@ def optimize_params(
     return QaoaParams(gammas=best_theta[:p].copy(), betas=best_theta[p:].copy()), float(best_loss)
 
 
-def sample_state(state: Statevector, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw basis indices by inverting the cumulative measurement probabilities.
-
-    A state whose total probability is not finite and positive (a zero
-    state, say) raises ``ValueError``."""
-    return _sample_rows(np.abs(state[None, :]) ** 2, shots, rng)[0]
-
-
 def _sample_rows(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """``shots`` basis indices per row of the unnormalized (rows, dim)
     probabilities ``probs``, which are overwritten by their normalized
     cumulative sums. The draws come from one ``rng.random((rows, shots))``:
-    the same draws in the same order as one ``sample_state`` call per row.
+    the same draws in the same order as one ``rng.random(shots)`` per row.
     A row whose total probability is not finite and positive raises
     ``ValueError``."""
     total = probs.sum(axis=1, keepdims=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ResourceLimitError
-from .fileio import read_object, write_json
+from .fileio import is_finite, is_int, is_int_list, read_object, write_json
 from .streams import stream
 
 SpinConfig = np.ndarray  # uint8 vector of 0/1 bits
@@ -186,20 +186,26 @@ def save_instance(inst: QuboInstance, path) -> None:
 
 
 def load_instance(path) -> QuboInstance:
+    """Read what ``save_instance`` wrote; anything else raises ``FormatError``
+    naming the file. ``n`` and the edge ends must be integers, every
+    coefficient a finite number, and no (i, j) may be listed twice."""
     doc = read_object(path, ("n", "edges", "linear", "constant"))
+    n, edges, lin, konst = doc["n"], doc["edges"], doc["linear"], doc["constant"]
+    if not is_int(n):
+        raise FormatError(f"{path}: n {n!r} is not an integer")
+    if not (isinstance(edges, list) and all(isinstance(e, list) and len(e) == 3 and is_int_list(e[:2]) for e in edges)):
+        raise FormatError(f"{path}: edges are not [i, j, coefficient] lists with integer i and j")
+    if not isinstance(lin, list):
+        raise FormatError(f"{path}: linear is not a list")
+    if not all(map(is_finite, [*(e[2] for e in edges), *lin, konst])):
+        raise FormatError(f"{path}: non-finite or non-numeric coefficient")
+    quad = {(i, j): float(w) for i, j, w in edges}
+    if len(quad) != len(edges):
+        raise FormatError(f"{path}: an edge (i, j) is listed twice")
     try:
-        quad = {(int(i), int(j)): float(w) for i, j, w in doc["edges"]}
-        inst = QuboInstance(
-            n=int(doc["n"]),
-            quad=quad,
-            lin=np.array(doc["linear"], dtype=np.float64),
-            konst=float(doc["constant"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        return QuboInstance(n=n, quad=quad, lin=np.array(lin, dtype=np.float64), konst=float(konst))
+    except ValueError as exc:
         raise FormatError(f"bad instance file {path}: {exc}") from exc
-    if not np.isfinite([*quad.values(), *inst.lin, inst.konst]).all():
-        raise FormatError(f"{path}: non-finite coefficient")
-    return inst
 
 
 def load_instance_csv(path) -> QuboInstance:

@@ -167,9 +167,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "section",
-        ["x", 8, [8], {"n_values": 8}, {"n_values": []}, {"n_values": [8, 0]}, {"n_values": [8, 2.5]},
-         {"n_values": [True]}, {"n_values": "8"}, {"n_values": [8], "block_sizes": 4}, {"n_vals": [8]},
-         {"n_values": [8], "block_sizes": [0]}, {"n_values": [12, 2]}],
+        ["x", 8, [8], {"n_values": 8}, {"n_values": []}, {"n_values": [16, 0]}, {"n_values": [16, 2.5]},
+         {"n_values": [True]}, {"n_values": "8"}, {"n_values": [16], "block_sizes": 4}, {"n_vals": [8]},
+         {"n_values": [16], "block_sizes": [0]}, {"n_values": [12, 2]}, {"n_values": [12, 12]},
+         {"n_values": [16], "block_sizes": [4, 4]}, {"n_values": None}],
     )
     def test_malformed_sweep_section_is_2(self, tmp_path, capsys, section):
         cfg = write_config(tmp_path, tiny_doc(sweep=section))

@@ -390,7 +390,7 @@ class TestBiasedAngle:
         angle = qaoa.angle_for_weight(16, 2.0)
         psi = qaoa.prepare_initial_state(16, angle)
         rng = stream(21)
-        drawn = qaoa.sample_state(psi, 10_000, rng)
+        drawn = qaoa._sample_rows(np.abs(psi[None]) ** 2, 10_000, rng)[0]
         w = qaoa.basis(16).weight[drawn]
         assert abs(w.mean() - 2.0) < 0.1
 

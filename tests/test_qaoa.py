@@ -47,6 +47,16 @@ def random_state(dim, rng):
     return psi / np.linalg.norm(psi)
 
 
+def one_layer(bp, psi, gamma=0.0, beta=0.0):
+    """One cost layer then one mixer layer: a p = 1 circuit."""
+    return qaoa.qaoa_state(bp, qaoa.QaoaParams([gamma], [beta]), psi)
+
+
+def draw(psi, shots, rng):
+    """``shots`` basis indices drawn from the measurement law of ``psi``."""
+    return qaoa._sample_rows(np.abs(psi[None]) ** 2, shots, rng)[0]
+
+
 class TestBasis:
     def test_tables_agree_and_are_read_only(self):
         """Shared by every caller of a block size, so nobody may write to it."""
@@ -101,7 +111,7 @@ class TestPrepareInitialState:
         angle = 2.0 * math.asin(math.sqrt(2.0 / 16.0))
         psi = qaoa.prepare_initial_state(16, angle)
         rng = stream(123)
-        idx = qaoa.sample_state(psi, 10_000, rng)
+        idx = draw(psi, 10_000, rng)
         w = qaoa.basis(16).weight[idx]
         assert abs(w.mean() - 2.0) < 0.1
 
@@ -117,7 +127,7 @@ class TestCostLayer:
         bp = random_block_problem(4, seed=1)
         rng = stream(2)
         psi = random_state(16, rng)
-        assert np.allclose(qaoa.apply_cost_layer(psi, bp, 0.0), psi)
+        assert np.allclose(one_layer(bp, psi, gamma=0.0), psi)
 
     def test_single_qubit_phase(self):
         bp = qaoa.BlockProblem(
@@ -126,7 +136,7 @@ class TestCostLayer:
             mixer_edges=[],
         )
         psi = np.array([0.6, 0.8], dtype=np.complex128)
-        out = qaoa.apply_cost_layer(psi, bp, 0.5)
+        out = one_layer(bp, psi, gamma=0.5)
         assert out[0] == pytest.approx(0.6)
         assert out[1] == pytest.approx(0.8 * np.exp(-1j * 0.5 * 1.3))
 
@@ -136,7 +146,7 @@ class TestCostLayer:
         psi = random_state(64, rng)
         gamma = 0.37
         oracle = scipy.linalg.expm(-1j * gamma * np.diag(bp.diag_energies)) @ psi
-        out = qaoa.apply_cost_layer(psi, bp, gamma)
+        out = one_layer(bp, psi, gamma=gamma)
         assert np.max(np.abs(out - oracle)) < 1e-12
 
 
@@ -145,7 +155,7 @@ class TestXyMixerLayer:
         bp = random_block_problem(4, seed=5)
         rng = stream(6)
         psi = random_state(16, rng)
-        assert np.allclose(qaoa.apply_xy_mixer_layer(psi, bp, 0.0), psi)
+        assert np.allclose(one_layer(bp, psi, beta=0.0), psi)
 
     def test_two_qubit_rotation(self):
         """Single XY edge rotates in the {|01>, |10>} plane."""
@@ -157,7 +167,7 @@ class TestXyMixerLayer:
         psi = np.zeros(4, dtype=np.complex128)
         psi[1] = 1.0  # bit 0 set
         beta = math.pi / 4
-        out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+        out = one_layer(bp, psi, beta=beta)
         assert out[1] == pytest.approx(math.cos(beta))
         assert out[2] == pytest.approx(-1j * math.sin(beta))
         assert abs(out[0]) < 1e-14 and abs(out[3]) < 1e-14
@@ -169,7 +179,7 @@ class TestXyMixerLayer:
         beta = 0.7
         h = dense_mixer(bp.mixer_edges, 6)
         oracle = scipy.linalg.expm(-1j * beta * h) @ psi
-        out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+        out = one_layer(bp, psi, beta=beta)
         assert np.max(np.abs(out - oracle)) < 1e-9
 
     def test_randomized_oracle_cases(self):
@@ -182,14 +192,14 @@ class TestXyMixerLayer:
             beta = float(rng.uniform(-1.5, 1.5))
             h = dense_mixer(bp.mixer_edges, size)
             oracle = scipy.linalg.expm(-1j * beta * h) @ psi
-            out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+            out = one_layer(bp, psi, beta=beta)
             assert np.max(np.abs(out - oracle)) < 1e-9
 
     def test_norm_preserved(self):
         bp = random_block_problem(6, seed=9)
         rng = stream(10)
         psi = random_state(64, rng)
-        out = qaoa.apply_xy_mixer_layer(psi, bp, 1.2)
+        out = one_layer(bp, psi, beta=1.2)
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
@@ -249,7 +259,7 @@ class TestExpectedEnergy:
         bp = random_block_problem(6, seed=19)
         rng = stream(20)
         psi = random_state(64, rng)
-        idx = qaoa.sample_state(psi, 1_000_000, rng)
+        idx = draw(psi, 1_000_000, rng)
         draws = bp.diag_energies[idx]
         se = draws.std() / math.sqrt(len(draws))
         assert abs(qaoa.expected_energy(psi, bp) - draws.mean()) < 3 * se
@@ -431,7 +441,7 @@ class TestSectorEigenMixer:
         for beta in (-1.3, 0.0, 0.4, 2.9):
             psi = random_state(1 << size, rng)
             oracle = scipy.linalg.expm(-1j * beta * h) @ psi
-            out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+            out = one_layer(bp, psi, beta=beta)
             assert np.max(np.abs(out - oracle)) < 1e-9
 
     def test_single_sector_stays_exactly_in_sector(self):
@@ -443,7 +453,7 @@ class TestSectorEigenMixer:
             sel = w == k
             psi = np.zeros(1 << size, dtype=np.complex128)
             psi[sel] = random_state(int(sel.sum()), rng)
-            out = qaoa.apply_xy_mixer_layer(psi, bp, 1.1)
+            out = one_layer(bp, psi, beta=1.1)
             assert np.all(out[~sel] == 0.0)
             assert abs(np.linalg.norm(out[sel]) - 1.0) < 1e-12
 
@@ -484,7 +494,7 @@ class TestMixerAbove512Dims:
             oracle = np.empty_like(psi)
             for sector, h in sectors:
                 oracle[sector] = scipy.linalg.expm(-1j * beta * h) @ psi[sector]
-            out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+            out = one_layer(bp, psi, beta=beta)
             assert np.max(np.abs(out - oracle)) < 1e-9
 
     def test_single_sector_stays_exactly_in_sector(self):
@@ -496,13 +506,13 @@ class TestMixerAbove512Dims:
             sel = w == k
             psi = np.zeros(1 << size, dtype=np.complex128)
             psi[sel] = random_state(int(sel.sum()), rng)
-            out = qaoa.apply_xy_mixer_layer(psi, bp, 1.1)
+            out = one_layer(bp, psi, beta=1.1)
             assert np.all(out[~sel] == 0.0)
             assert abs(np.linalg.norm(out[sel]) - 1.0) < 1e-12
 
     def test_zero_state_stays_zero(self):
         bp = random_block_problem(10, seed=36)
-        out = qaoa.apply_xy_mixer_layer(np.zeros(1 << 10, dtype=np.complex128), bp, 0.4)
+        out = one_layer(bp, np.zeros(1 << 10, dtype=np.complex128), beta=0.4)
         assert np.all(out == 0.0)
 
     @pytest.mark.parametrize("size", range(3, 12))
@@ -532,8 +542,24 @@ class TestMixerAbove512Dims:
             oracle = np.empty_like(psi)
             for sector, h in sectors:
                 oracle[sector] = scipy.linalg.expm(-1j * beta * h) @ psi[sector]
-            out = qaoa.apply_xy_mixer_layer(psi, bp, beta)
+            out = one_layer(bp, psi, beta=beta)
             assert np.max(np.abs(out - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("size", [10, 11])
+    def test_matches_layerwise_sector_oracle(self, size):
+        """A p = 3 circuit, one Chebyshev series and one rescale per layer."""
+        bp = random_block_problem(size, seed=150 + size)
+        rng = stream(160 + size)
+        psi = random_state(1 << size, rng)
+        params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 3), betas=rng.uniform(-1.5, 0, 3))
+        sectors = [sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1)]
+        oracle = psi
+        for g, b in zip(params.gammas, params.betas):
+            oracle = np.exp(-1j * g * bp.diag_energies) * oracle  # expm of the diagonal cost
+            for sector, h in sectors:
+                oracle[sector] = scipy.linalg.expm(-1j * b * h) @ oracle[sector]
+        out = qaoa.qaoa_state(bp, params, psi)
+        assert np.max(np.abs(out - oracle)) < 1e-12
 
     @pytest.mark.parametrize("beta", [0.4, 1.5, -2.9])
     def test_sparse_products_per_layer(self, beta):
@@ -542,7 +568,7 @@ class TestMixerAbove512Dims:
         bp = random_block_problem(size, seed=37)
         bp._mixer_op = counter = CountingOperator(bp.mixer_operator())
         psi = random_state(1 << size, stream(38))
-        qaoa.apply_xy_mixer_layer(psi, bp, beta)
+        one_layer(bp, psi, beta=beta)
         assert 0 < counter.products <= math.ceil(abs(beta) * len(bp.mixer_edges)) + 40
 
 
@@ -560,7 +586,7 @@ class TestTrainingSetOneEvolution:
         ref_samples = []
         for angle in angles:
             psi = qaoa.qaoa_state(bp, params, qaoa.prepare_initial_state(size, angle))
-            idx = qaoa.sample_state(psi, shots, ref_rng)
+            idx = draw(psi, shots, ref_rng)
             ref_samples.append(((idx[:, None] >> np.arange(size)) & 1).astype(np.uint8))
         # rows a * shots : (a + 1) * shots come from angle a
         assert np.array_equal(samples, np.concatenate(ref_samples))
@@ -605,7 +631,7 @@ class TestPaddedSectorCircuit:
         rng = stream(133)
         psi = random_state(32, rng)
         oracle = scipy.linalg.expm(-0.8j * dense_mixer([(0, 1)], 5)) @ psi
-        assert np.max(np.abs(qaoa.apply_xy_mixer_layer(psi, one_edge, 0.8) - oracle)) < 1e-12
+        assert np.max(np.abs(one_layer(one_edge, psi, beta=0.8) - oracle)) < 1e-12
 
     def test_weight_k_state_leaks_nothing_into_other_sectors(self):
         size = 7
@@ -630,24 +656,9 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="finite"):
             qaoa.QaoaParams(gammas=np.array([0.3, 0.4]), betas=np.array([bad, 0.2]))
 
-    @pytest.mark.parametrize("size", [4, 10])
-    def test_mixer_layer_rejects_non_finite_beta(self, size):
-        bp = random_block_problem(size, seed=140)
-        init = qaoa.prepare_initial_state(size, math.pi / 2)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                qaoa.apply_xy_mixer_layer(init, bp, bad)
-
-    def test_cost_layer_rejects_non_finite_gamma(self):
-        bp = random_block_problem(4, seed=145)
-        init = qaoa.prepare_initial_state(4, math.pi / 2)
-        for bad in (math.nan, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                qaoa.apply_cost_layer(init, bp, bad)
-
-    @pytest.mark.parametrize(("size", "error", "match"), [(4, RuntimeError, "drift"), (10, ValueError, "finite")])
+    @pytest.mark.parametrize(("size", "error", "match"), [(4, RuntimeError, "drift"), (10, RuntimeError, "drift")])
     def test_nan_gamma_past_the_params_check_raises(self, size, error, match):
-        """The padded path's norm check catches it; above 512 dims the cost layer does."""
+        """The norm check catches it, once per circuit up to 512 dims and per layer above."""
         bp = random_block_problem(size, seed=141)
         init = qaoa.prepare_initial_state(size, math.pi / 2)
         params = qaoa.QaoaParams(gammas=np.array([0.3, 0.4]), betas=np.array([0.1, 0.2]))
@@ -661,20 +672,20 @@ class TestNonFiniteInputs:
         psi = qaoa.prepare_initial_state(size, math.pi / 2)
         psi[3] = math.nan
         with pytest.raises(RuntimeError, match="drift"):
-            qaoa.apply_xy_mixer_layer(psi, bp, 0.4)
+            one_layer(bp, psi, beta=0.4)
 
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("size", [4, 10])
-    def test_sample_state_rejects_a_zero_state(self, size):
+    def test_sampling_rejects_a_zero_state(self, size):
         with pytest.raises(ValueError, match="probability"):
-            qaoa.sample_state(np.zeros(1 << size, dtype=np.complex128), 3, stream(1))
+            draw(np.zeros(1 << size, dtype=np.complex128), 3, stream(1))
 
-    def test_sample_state_rejects_a_non_finite_state(self):
+    def test_sampling_rejects_a_non_finite_state(self):
         psi = qaoa.prepare_initial_state(4, math.pi / 2)
         psi[0] = math.inf
         with pytest.raises(ValueError, match="probability"):
-            qaoa.sample_state(psi, 3, stream(1))
+            draw(psi, 3, stream(1))
 
     @pytest.mark.parametrize("restarts", [0, -1])
     def test_optimize_rejects_restarts_below_one(self, restarts):

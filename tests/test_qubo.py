@@ -285,6 +285,25 @@ class TestInstanceIO:
         with pytest.raises(FormatError, match="non-finite"):
             qubo.load_instance(path)
 
+    @pytest.mark.parametrize(
+        "change, match",
+        [({"n": 4.7}, "not an integer"), ({"n": "4"}, "not an integer"),
+         ({"edges": [[0, 1.9, 0.5]]}, "edges"), ({"edges": [[True, 3, -1.0]]}, "edges"),
+         ({"edges": [["0", "2", "0.5"]]}, "edges"), ({"edges": [[0, 2, "0.5"]]}, "non-numeric"),
+         ({"linear": ["1", 0.0, 0.0, 0.0]}, "non-numeric"), ({"constant": "2"}, "non-numeric"),
+         ({"edges": [[0, 2, 0.5], [0, 2, 0.7]]}, "listed twice")],
+        ids=["n-float", "n-string", "end-float", "end-bool", "ends-strings", "coefficient-string",
+             "linear-string", "constant-string", "edge-twice"],
+    )
+    def test_misread_field_rejected(self, tmp_path, change, match):
+        """Each value was converted or overwritten without an error before."""
+        doc = {"n": 4, "edges": [[0, 2, 0.5]], "linear": [1.0, 0.0, 0.0, 0.0], "constant": 0.0, **change}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=match) as exc:
+            qubo.load_instance(path)
+        assert str(path) in str(exc.value)
+
     def test_non_utf8_instance_rejected(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_bytes(b'{"n": "\xff"}')
