@@ -19,6 +19,7 @@ from .fileio import COUNT
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
 from .pipeline import PipelineRun, config_from_dict, fill_config, reseed_config, sweep
+from .streams import derive_seed
 
 _STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
 # command -> (swept field, its values under the config's "sweep", printed label)
@@ -86,7 +87,10 @@ def _run(args) -> int:
     if args.command == "mnist":
         if args.seed is not None:
             raw["seed"] = args.seed
-        report = run_mask_search(mnist_config_from_dict(raw), args.out, force=args.force)
+        cfg = mnist_config_from_dict(raw)
+        if args.seed is not None:  # the loader has refused a negative seed; the keys reseed_config uses
+            cfg.qaoa.seed, cfg.made.seed = derive_seed(args.seed, 3), derive_seed(args.seed, 4)
+        report = run_mask_search(cfg, args.out, force=args.force)
         print(json.dumps(report["baselines"], sort_keys=True))
         return 0
 

@@ -19,17 +19,15 @@ trace file and never changes once given; new kernels take 4 and up.
 * ``local-kawasaki``: pick a graph edge uniformly; swap if its endpoints
   differ, otherwise a null move.
 
-A chain carries a ``ChainState``: the configuration as Python ints and as
-the uint8 vector the trace records, the local field
-h_v = q_v + sum_u Q_vu x_u of every vertex, and the sorted positions of the
-1-bits and of the 0-bits. A kernel reads its energy change off the fields
-(``energy_delta_swap``, ``energy_delta_block``) and its pair-flip sites off
-the sorted lists, so a step costs O(degree) Python work, not O(N) array
-work. Because the lists are sorted, ``ones[rng.integers(K)]`` is the
-K-th 1-bit in index order, so each kernel makes the same random draws in
-the same order as a scan of the array would, and a seed gives the same
-chain. Accepting a move flips the changed bits and moves the fields of
-their neighbors, O(degree) per changed bit.
+A chain carries a ``ChainState``: the configuration as Python ints, the
+local field h_v = q_v + sum_u Q_vu x_u of every vertex, and the sorted
+positions of the 1-bits and of the 0-bits. A kernel reads its energy change
+off the fields (``energy_delta_swap``, ``energy_delta_block``) and its
+pair-flip sites off the sorted lists, so a step costs O(degree) Python work,
+not O(N) array work. Because the lists are sorted, ``ones[rng.integers(K)]``
+is the K-th 1-bit in index order, so each kernel makes the same random draws
+in the same order as a scan of the array would, and a seed gives the same
+chain.
 
 ``run_chain`` draws from ``streams.Draws(stream(seed))``, the exact replay
 of the numpy generator's ``integers(n)`` and ``random()`` from its raw
@@ -42,16 +40,19 @@ draw whose weight misses the block's (rejected, alpha = 0; the chain stays
 put and the step still counts), ``()`` for a null move (accepted,
 alpha = 1), or ``(flips, dE, log_q_rev, log_q_fwd)``, where ``flips``
 lists the vertices whose bits the move inverts (none when a block draw
-repeats the block's bits). ``accept`` flips them in the state in place.
-Every kernel preserves the weight by construction, so the chain never
-leaves the feasible set; this, the cached energy and the fields are
-re-validated periodically.
+repeats the block's bits). ``run_chain`` alone accepts or rejects a move.
+An accepted move flips its bits in the state, O(degree) each, and joins the
+chain's flip log, which is replayed into the recorded configurations once,
+at the end. Every kernel preserves the weight by construction, so the chain
+never leaves the feasible set; this, the cached energy and the fields are
+re-validated periodically against the replayed configuration.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -99,28 +100,26 @@ class KernelConfig:
 class ChainState:
     """One chain's configuration and the running sums its kernels read.
 
-    ``x`` is the uint8 configuration (taken as is, not copied, when it is
-    already a uint8 array) and ``bits`` the same as Python ints;
-    ``h[v] = q_v + sum_u Q_vu x_u`` is the local field of vertex v;
-    ``ones`` and ``zeros`` are the positions of the 1- and 0-bits in
-    increasing order. ``flip`` keeps all of them in step.
+    ``bits`` is the configuration as Python ints, read once from ``x``, which
+    is never written; ``h[v] = q_v + sum_u Q_vu x_u`` is the local field of
+    vertex v; ``ones`` and ``zeros`` are the positions of the 1- and 0-bits
+    in increasing order. ``flip`` keeps all of them in step.
     """
 
     def __init__(self, inst: QuboInstance, x: np.ndarray):
-        self.x = np.asarray(x, dtype=np.uint8)
+        x = np.asarray(x, dtype=np.uint8)
         self.adj = inst.adjacency
-        self.bits = self.x.tolist()
-        h, xf = inst.lin.copy(), self.x.astype(np.float64)
+        self.bits = x.tolist()
+        h, xf = inst.lin.copy(), x.astype(np.float64)
         np.add.at(h, inst.edge_i, inst.edge_w * xf[inst.edge_j])
         np.add.at(h, inst.edge_j, inst.edge_w * xf[inst.edge_i])
         self.h = h.tolist()
-        self.ones = np.flatnonzero(self.x).tolist()
-        self.zeros = np.flatnonzero(self.x == 0).tolist()
+        self.ones = np.flatnonzero(x).tolist()
+        self.zeros = np.flatnonzero(x == 0).tolist()
 
     def flip(self, v: int) -> None:
         """Invert bit v and move its neighbors' fields, in O(degree)."""
-        b = 1 - self.bits[v]
-        self.bits[v] = self.x[v] = b
+        b = self.bits[v] = 1 - self.bits[v]
         leave, join = (self.zeros, self.ones) if b else (self.ones, self.zeros)
         del leave[bisect_left(leave, v)]
         insort(join, v)
@@ -257,38 +256,16 @@ KERNELS = {
 }
 
 
-def accept(state: ChainState, e: float, move, beta_pi: float, rng: Rng) -> tuple[float, bool, float]:
-    """Metropolis-Hastings accept/reject of ``move`` at ``state``, whose
-    energy is ``e``; an accepted move is applied to ``state`` in place.
-    Returns the new energy, whether the move was accepted, and its
-    acceptance probability
-
-    alpha = min(1, exp(-beta * dE + log_q_rev - log_q_fwd)).
-    """
-    if move is None:
-        return e, False, 0.0
-    if not move:
-        return e, True, 1.0
-    flips, delta, log_q_rev, log_q_fwd = move
-    log_alpha = -beta_pi * delta + log_q_rev - log_q_fwd
-    if not math.isfinite(log_alpha):
-        raise RuntimeError(f"non-finite acceptance exponent {log_alpha}")
-    alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
-    if rng.random() <= alpha:
-        for v in flips:
-            state.flip(v)
-        return e + delta, True, alpha
-    return e, False, alpha
-
-
 def run_chain(
     inst: QuboInstance, k: int, kernel: KernelConfig, steps: int, init: np.ndarray, seed: int, thin: int = 1
 ) -> ChainTrace:
     """Run one chain for ``steps`` proposals; deterministic per seed.
 
-    Feasibility (weight == K), the cached energy and the state's fields and
-    position lists are re-validated every 10^4 steps; any violation is a
-    bug and raises.
+    A move is accepted with alpha = min(1, exp(-beta * dE + log_q_rev - log_q_fwd))
+    against one uniform (``None`` has alpha 0 and ``()`` alpha 1, neither drawn).
+    Row r of ``configs`` is ``init`` with the flips of the first r * thin steps
+    replayed. The weight, the cached energy and the state are checked against
+    that replay every 10^4 steps and at the end; any violation is a bug and raises.
     """
     init = np.asarray(init)
     if init.shape != (inst.n,) or not np.isin(init, (0, 1)).all() or int(init.sum()) != k:
@@ -298,34 +275,51 @@ def run_chain(
     if thin < 1:
         raise ValueError("thin must be >= 1")
     rng = Draws(stream(seed))
-    propose = KERNELS[kernel.kind].propose
-    state = ChainState(inst, init.astype(np.uint8))
-    e = energy(inst, state.x)
-    configs = np.empty((steps // thin + 1, inst.n), dtype=np.uint8)
-    energies = np.empty(steps + 1, dtype=np.float64)
-    accepted = np.empty(steps, dtype=bool)
-    probs = np.empty(steps, dtype=np.float64)
-    configs[0] = state.x
-    energies[0] = e
-    rec_row = 1
+    propose, beta_pi = KERNELS[kernel.kind].propose, kernel.beta_pi
+    x = init.astype(np.uint8)  # init with the first ``checked`` logged flips replayed
+    state, e = ChainState(inst, x), energy(inst, x)
+    energies, accepted, probs = array("d", [e]), bytearray(), array("d")
+    log, ends, checked = array("i"), array("q"), 0
     for t in range(steps):
-        e, accepted[t], probs[t] = accept(state, e, propose(state, inst, kernel, rng), kernel.beta_pi, rng)
-        energies[t + 1] = e
+        move = propose(state, inst, kernel, rng)
+        if not move:  # None is rejected and () accepted, neither with a draw
+            ok, alpha = (False, 0.0) if move is None else (True, 1.0)
+        else:
+            flips, delta, log_q_rev, log_q_fwd = move
+            log_alpha = -beta_pi * delta + log_q_rev - log_q_fwd
+            if not math.isfinite(log_alpha):
+                raise RuntimeError(f"non-finite acceptance exponent {log_alpha}")
+            alpha = 1.0 if log_alpha >= 0.0 else math.exp(log_alpha)
+            ok = rng.random() <= alpha
+            if ok:
+                for v in flips:
+                    state.flip(v)
+                log.extend(flips)
+                e += delta
+        energies.append(e)
+        accepted.append(ok)
+        probs.append(alpha)
         if (t + 1) % thin == 0:
-            configs[rec_row] = state.x
-            rec_row += 1
+            ends.append(len(log))
         if (t + 1) % _REVALIDATE_EVERY == 0:
-            state, e = _revalidate(inst, state, e, k)
-    _revalidate(inst, state, e, k)
-    return ChainTrace(n=inst.n, k=k, kind=kernel.kind, thin=thin, configs=configs, energies=energies,
-                      accepted=accepted, acceptance_probs=probs)
+            np.bitwise_xor.at(x, log[checked:], 1)
+            checked = len(log)
+            state, e = _revalidate(inst, state, e, k, x)
+    np.bitwise_xor.at(x, log[checked:], 1)
+    _revalidate(inst, state, e, k, x)
+    configs = np.zeros((len(ends) + 1, inst.n), dtype=np.uint8)
+    configs[0] = init
+    rows = np.repeat(np.arange(1, len(configs)), np.diff(ends, prepend=0))  # each replayed flip's first row
+    np.bitwise_xor.at(configs, (rows, log[: len(rows)]), 1)
+    np.bitwise_xor.accumulate(configs, out=configs)
+    return ChainTrace(n=inst.n, k=k, kind=kernel.kind, thin=thin, configs=configs, energies=np.frombuffer(energies),
+                      accepted=np.frombuffer(accepted, dtype=bool), acceptance_probs=np.frombuffer(probs))
 
 
-def _revalidate(inst: QuboInstance, state: ChainState, e: float, k: int) -> tuple[ChainState, float]:
-    """A state rebuilt from ``state.x`` and its energy recomputed, after
-    checking the weight, the cached ``e`` and the state's bits, position
-    lists and fields against ``x``."""
-    x = state.x
+def _revalidate(inst: QuboInstance, state: ChainState, e: float, k: int, x: np.ndarray) -> tuple[ChainState, float]:
+    """A state rebuilt from ``x``, the configuration the trace records, and
+    its energy recomputed, after checking the weight, the cached ``e`` and
+    the state's bits, position lists and fields against ``x``."""
     w = int(x.sum())
     if w != k:
         raise RuntimeError(f"feasibility violated: weight {w} != {k}")

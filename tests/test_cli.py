@@ -8,6 +8,7 @@ import pytest
 from blockmc import cli, idx, made, mcmc, partition, qaoa, qubo
 from blockmc.cli import main
 from blockmc.errors import FormatError
+from blockmc.streams import derive_seed
 from conftest import write_synthetic_idx
 from test_pipeline import check_range_ends, range_cases
 
@@ -233,6 +234,18 @@ class TestOverrides:
         assert "seed must be >= 0, got -1" in err
         assert field == "--seed" or f"error: {field} must be" in err
         assert not (tmp_path / "o").exists()
+
+
+    def test_mnist_seed_derives_stage_seeds(self, tmp_path, monkeypatch):
+        """--seed reseeds the mask search's QAOA and MADE as it does the tau pipeline's."""
+        configs = []
+        monkeypatch.setattr(cli, "run_mask_search", lambda cfg, out, force: configs.append(cfg) or {"baselines": {}})
+        config = write_config(tmp_path, mnist_doc(tmp_path))
+        for seed in (1, 2):
+            assert main(["mnist", "--config", config, "--out", str(tmp_path / "o"), "--seed", str(seed)]) == 0
+        assert [(c.seed, c.qaoa.seed, c.made.seed) for c in configs] == [
+            (s, derive_seed(s, 3), derive_seed(s, 4)) for s in (1, 2)
+        ]
 
 
 class TestFormatUpgrade:

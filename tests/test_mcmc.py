@@ -202,44 +202,37 @@ class TestAccept:
     def test_zero_delta_always_accepts(self):
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        state = mcmc.ChainState(inst, x)
-        move = ((0, 1), mcmc.energy_delta_swap(state, 0, 1), 0.0, 0.0)
-        _, accepted, alpha = mcmc.accept(state, 0.0, move, beta_pi=2.0, rng=stream(1))
-        assert alpha == 1.0
-        assert accepted
+        trace = mcmc.run_chain(inst, 2, mcmc.KernelConfig("global-kawasaki", 2.0), steps=50, init=x, seed=1)
+        assert np.all(trace.acceptance_probs == 1.0)
+        assert trace.accepted.all()
 
     def test_beta_zero_always_accepts(self):
         inst = qubo.gen_regular_instance(8, 3, seed=4)
-        rng = stream(12)
-        x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(inst, x)
-        e = qubo.energy(inst, x)
-        for _ in range(50):
-            move = mcmc.propose_global_kawasaki(state, inst, None, rng)
-            e, accepted, alpha = mcmc.accept(state, e, move, beta_pi=0.0, rng=rng)
-            assert alpha == 1.0
-            assert accepted
+        x = qubo.random_weight_k_config(8, 4, stream(12))
+        trace = mcmc.run_chain(inst, 4, mcmc.KernelConfig("global-kawasaki", 0.0), steps=50, init=x, seed=12)
+        assert np.all(trace.acceptance_probs == 1.0)
+        assert trace.accepted.all()
 
     def test_energy_cache_consistent(self):
         inst = qubo.gen_regular_instance(8, 3, seed=5)
-        rng = stream(13)
-        x = qubo.random_weight_k_config(8, 4, rng)
-        state = mcmc.ChainState(inst, x)  # applies accepted moves to x in place
-        e = qubo.energy(inst, x)
-        for _ in range(200):
-            move = mcmc.propose_global_kawasaki(state, inst, None, rng)
-            e, _, _ = mcmc.accept(state, e, move, beta_pi=0.5, rng=rng)
-            assert e == pytest.approx(qubo.energy(inst, x), abs=1e-9)
+        x = qubo.random_weight_k_config(8, 4, stream(13))
+        trace = mcmc.run_chain(inst, 4, mcmc.KernelConfig("global-kawasaki", 0.5), steps=200, init=x, seed=13)
+        assert 0 < trace.accepted.mean() < 1
+        for row, e in zip(trace.configs, trace.energies):
+            assert e == pytest.approx(qubo.energy(inst, row), abs=1e-9)
 
 
 class TestRunChain:
-    def test_zero_steps(self):
+    @pytest.mark.parametrize("kind", list(mcmc.KERNELS))
+    def test_zero_steps(self, kind):
         inst = qubo.gen_regular_instance(8, 3, seed=6)
         init = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8)
-        cfg = mcmc.KernelConfig("global-kawasaki", 0.5)
+        cfg = block_surrogate_config(inst, [4, 4]) if kind == "block-surrogate" else mcmc.KernelConfig(kind, 0.5)
         trace = mcmc.run_chain(inst, 4, cfg, steps=0, init=init, seed=1)
         assert trace.steps == 0
         assert np.array_equal(trace.configs, init[None, :])
+        assert np.array_equal(trace.energies, [qubo.energy(inst, init)])
+        assert len(trace.accepted) == len(trace.acceptance_probs) == 0
 
     def test_deterministic(self):
         inst = qubo.gen_regular_instance(8, 3, seed=6)
@@ -270,6 +263,9 @@ class TestRunChain:
         trace = mcmc.run_chain(inst, 4, cfg, steps=100, init=init, seed=1, thin=10)
         assert trace.configs.shape == (11, 8)
         assert len(trace.energies) == 101
+        short = mcmc.run_chain(inst, 4, cfg, steps=2, init=init, seed=1, thin=5)  # fewer steps than thin
+        assert np.array_equal(short.configs, init[None, :])
+        assert len(short.energies) == 3
 
 
     @pytest.mark.parametrize(
@@ -438,6 +434,17 @@ class TestParityWithNumpyStepper:
         trace = self._check(inst, cfg, 7, steps=10_500, thin=3, seed=23)
         assert 0 < trace.accepted.mean() < 1
 
+    @pytest.mark.parametrize("kind", list(mcmc.KERNELS))
+    def test_thin_not_dividing_steps(self, kind):
+        """Flips after the last recorded row belong to no row."""
+        inst = qubo.gen_regular_instance(16, 3, seed=21)
+        if kind == "block-surrogate":
+            cfg = sharpened_block_config(inst, [4, 4, 4, 4], seed=22)
+        else:
+            cfg = mcmc.KernelConfig(kind, 0.7)
+        trace = self._check(inst, cfg, 7, steps=10_007, thin=3, seed=23)
+        assert len(trace.configs) == 3336 and trace.energies[-1] != trace.energies[-3]  # the tail moved
+
     def test_mask_search_block_size(self):
         inst = qubo.gen_regular_instance(26, 3, seed=24)
         cfg = sharpened_block_config(inst, [13, 13], seed=25)
@@ -450,19 +457,19 @@ class TestRevalidation:
     def _state(self):
         inst = qubo.gen_regular_instance(8, 3, seed=6)
         x = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        return inst, mcmc.ChainState(inst, x), qubo.energy(inst, x)
+        return inst, mcmc.ChainState(inst, x), qubo.energy(inst, x), x
 
     def test_clean_state_rebuilt(self):
-        inst, state, e = self._state()
-        fresh, exact = mcmc._revalidate(inst, state, e, 4)
+        inst, state, e, x = self._state()
+        fresh, exact = mcmc._revalidate(inst, state, e, 4, x)
         assert fresh is not state and exact == e
         assert fresh.h == state.h and fresh.ones == state.ones and fresh.zeros == state.zeros
 
     def test_drifted_field_raises(self):
-        inst, state, e = self._state()
+        inst, state, e, x = self._state()
         state.h[5] += 1e-6
         with pytest.raises(RuntimeError, match="local field drifted at vertex 5"):
-            mcmc._revalidate(inst, state, e, 4)
+            mcmc._revalidate(inst, state, e, 4, x)
 
     @pytest.mark.parametrize("corrupt", [
         lambda s: s.ones.reverse(),
@@ -470,10 +477,10 @@ class TestRevalidation:
         lambda s: s.bits.__setitem__(0, 0),
     ], ids=["ones-unsorted", "zeros-short", "bits"])
     def test_corrupt_lists_raise(self, corrupt):
-        inst, state, e = self._state()
+        inst, state, e, x = self._state()
         corrupt(state)
         with pytest.raises(RuntimeError, match="bits or position lists"):
-            mcmc._revalidate(inst, state, e, 4)
+            mcmc._revalidate(inst, state, e, 4, x)
 
     def test_chain_checks_its_lists(self, monkeypatch):
         """Local Kawasaki never reads the position lists, so only the check sees them go wrong."""
