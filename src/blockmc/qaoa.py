@@ -4,10 +4,10 @@ Blocks are small (<= 24 qubits), so states are dense complex vectors over
 the 2^|B| computational basis. The cost layer is a diagonal phase. Both
 layers conserve Hamming weight, so the XY mixer exponential acts on each
 fixed-weight sector separately. Up to 512 dims it is exact from the
-mixer's eigendecomposition per sector, computed once per (block size,
-mixer edge set) and shared by every block with that pair. There the
-circuit runs in a padded sector layout, one zero-padded row per weight, so
-a mixer layer is two batched products with the stacked real eigenvectors.
+mixer's eigendecomposition per sector, computed once per block size and
+shared by every block of that size. There the circuit runs in a padded
+sector layout, one zero-padded row per weight, so a mixer layer is two
+batched products with the stacked real eigenvectors.
 Above 512 dims a Chebyshev expansion on the sparse mixer matrix computes
 it to a fixed tolerance; ``qaoa_state`` alone runs a circuit, on either.
 Parameter optimization is derivative free on the noiseless expectation;
@@ -48,18 +48,16 @@ Statevector = np.ndarray  # complex128, length 2^|B|, unit L2 norm
 
 @dataclass(eq=False)
 class BlockProblem:
-    """Block-restricted diagonal energies plus the mixer edge set.
+    """Block-restricted diagonal energies.
 
     ``diag_energies[z]`` is the energy of the block configuration whose bit
     t (of z) gives the value of the t-th block vertex, using only couplings
-    internal to the block. ``mixer_edges`` are local index pairs forming a
-    connected graph over the block.
+    internal to the block. The mixer is ``mixer_operator(size)``, the ring
+    XY mixer of the block's size.
     """
 
     block: Block
     diag_energies: np.ndarray
-    mixer_edges: list[tuple[int, int]]
-    _mixer_op: object = field(default=None, init=False, repr=False)
     _padded_energies: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -70,47 +68,12 @@ class BlockProblem:
     def dim(self) -> int:
         return len(self.diag_energies)
 
-    def mixer_operator(self):
-        """The mixer (1/2) sum over edges of (X_i X_j + Y_i Y_j), found once and cached.
-
-        Up to 512 dims the result is the ``SectorEigenbasis`` shared by every
-        block of this size and edge set; above, a CSR matrix for the
-        Chebyshev recurrence, because the sector dims there (924 at |B|=12)
-        make dense eigenvector products cost more than sparse matvecs.
-        """
-        if self._mixer_op is None:
-            edges = tuple((a, b) for a, b in self.mixer_edges)
-            if self.dim <= _EIGEN_MAX_DIM:
-                self._mixer_op = _sector_eigenbasis(self.size, edges)
-            else:
-                r, c = _mixer_entries(self.size, edges)
-                data = np.ones(len(r), dtype=np.complex128)
-                self._mixer_op = scipy.sparse.csr_matrix((data, (r, c)), shape=(self.dim, self.dim))
-        return self._mixer_op
-
     def padded_energies(self) -> np.ndarray:
-        """``diag_energies`` in the padded sector layout of ``mixer_operator()``
+        """``diag_energies`` in the padded sector layout of ``mixer_operator(size)``
         (dim <= 512 only), zero in the padding; built once."""
         if self._padded_energies is None:
-            self._padded_energies = self.mixer_operator().to_padded(self.diag_energies, np.float64)
+            self._padded_energies = mixer_operator(self.size).to_padded(self.diag_energies, np.float64)
         return self._padded_energies
-
-
-def _mixer_entries(size: int, edges: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, cols) of the mixer's unit entries over ``edges``.
-
-    Each edge contributes the exact swap of antiparallel bit pairs: matrix
-    element 1 between z and z^mask wherever bits i and j of z differ, so z
-    and z^mask share a Hamming weight.
-    """
-    bits = basis(size).bits
-    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for a, b in edges:
-        mask = (1 << a) | (1 << b)
-        sel = np.flatnonzero(bits[:, a] != bits[:, b])
-        rows.append(sel)
-        cols.append(sel ^ mask)
-    return np.concatenate(rows), np.concatenate(cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +88,8 @@ class SectorEigenbasis:
     ``padded_values[w, :d_w]`` and its eigenvectors the columns of
     ``stack[w, :d_w, :d_w]``, in the same position order; the rest of both
     is zero. The sector Hamiltonians are real symmetric, so the eigenvectors
-    are real. One instance serves every block of a size and edge set, so
-    every array is read-only.
+    are real. One instance serves every block of a size, so every array is
+    read-only.
     """
 
     stack: np.ndarray  # (|B| + 1, d, d)
@@ -139,24 +102,23 @@ class SectorEigenbasis:
         x[self.slot] = values
         return x.reshape(self.padded_values.shape)
 
-    def evolve(self, state: Statevector, mixer_phases, cost_phases=None) -> Statevector:
+    def evolve(self, state: Statevector, mixer_phases, cost_phases) -> Statevector:
         """Layers of padded-layout phases applied to ``state``, cost first.
 
         ``state`` is scattered into the padded layout once. Layer l then
-        multiplies it by ``cost_phases[l]`` (when given) and maps every
-        sector w to V_w diag(``mixer_phases[l][w]``) V_w^T, as two batched
-        products of the real stack with the (|B| + 1, d, 2) float view of
-        the complex state, so V is never upcast to complex. The result is
-        gathered back to basis order once.
+        multiplies it by ``cost_phases[l]`` and maps every sector w to
+        V_w diag(``mixer_phases[l][w]``) V_w^T, as two batched products of
+        the real stack with the (|B| + 1, d, 2) float view of the complex
+        state, so V is never upcast to complex. The result is gathered back
+        to basis order once.
         """
         x = self.to_padded(state)
         xf = x.view(np.float64).reshape(*x.shape, 2)
         y = np.empty_like(xf)
         yc = y.view(np.complex128)[..., 0]
         vt = self.stack.transpose(0, 2, 1)
-        for layer, m in enumerate(mixer_phases):
-            if cost_phases is not None:
-                x *= cost_phases[layer]
+        for m, c in zip(mixer_phases, cost_phases):
+            x *= c
             np.matmul(vt, xf, out=y)
             yc *= m
             np.matmul(self.stack, y, out=xf)
@@ -164,10 +126,32 @@ class SectorEigenbasis:
 
 
 @functools.cache
-def _sector_eigenbasis(size: int, edges: tuple[tuple[int, int], ...]) -> SectorEigenbasis:
-    """Diagonalize the mixer over ``edges`` sector by sector, once per (size, edges)."""
+def mixer_operator(size: int):
+    """The ring XY mixer (1/2) sum over ``ring_mixer_edges(size)`` of
+    (X_i X_j + Y_i Y_j), built once per block size and shared by every block
+    of that size, so every array it holds is read-only.
+
+    Each edge contributes the exact swap of antiparallel bit pairs: matrix
+    element 1 between z and z^mask wherever bits i and j of z differ, so z
+    and z^mask share a Hamming weight. Up to 512 dims the result is the
+    ``SectorEigenbasis``, each sector diagonalized; above, a CSR matrix for
+    the Chebyshev recurrence, because the sector dims there (924 at |B|=12)
+    make dense eigenvector products cost more than sparse matvecs.
+    """
     b = basis(size)
-    rows, cols = _mixer_entries(size, edges)
+    rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, j in ring_mixer_edges(size):
+        sel = np.flatnonzero(b.bits[:, i] != b.bits[:, j])
+        rows.append(sel)
+        cols.append(sel ^ ((1 << i) | (1 << j)))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    dim = 1 << size
+    if dim > _EIGEN_MAX_DIM:
+        data = np.ones(len(rows), dtype=np.complex128)
+        h = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+        for a in (h.data, h.indices, h.indptr):
+            a.flags.writeable = False
+        return h
     dims = np.diff(b.bounds)
     d = int(dims.max())
     stack = np.zeros((size + 1, d, d))
@@ -215,7 +199,7 @@ def ring_mixer_edges(size: int) -> list[tuple[int, int]]:
 
 
 def build_block_problem(inst: QuboInstance, block: Block) -> BlockProblem:
-    """Restrict the objective to a block and attach the ring mixer."""
+    """Restrict the objective to a block."""
     b = block.size
     if b > MAX_BLOCK_QUBITS:
         raise ResourceLimitError(f"block of {b} qubits exceeds limit {MAX_BLOCK_QUBITS}")
@@ -228,7 +212,7 @@ def build_block_problem(inst: QuboInstance, block: Block) -> BlockProblem:
             s = local.get(u)
             if s is not None and s > t:
                 diag = diag + wu * (bits[:, t] * bits[:, s])
-    return BlockProblem(block=block, diag_energies=diag, mixer_edges=ring_mixer_edges(b))
+    return BlockProblem(block=block, diag_energies=diag)
 
 
 class Basis(NamedTuple):
@@ -288,24 +272,14 @@ def _rescaled(psi: Statevector, norm_in: float) -> Statevector:
     return psi
 
 
-def _mixer_radius(bp: BlockProblem) -> float:
-    """R >= ||H_mixer|| for ``_chebyshev_exp``. For the ring mixer
-    (``ring_mixer_edges``, |B| >= 3) R is exact: the Jordan-Wigner map turns H
-    into free fermions hopping on a ring whose boundary condition is periodic
-    or antiperiodic by particle parity, with mode energies
-    eps_m = 2 cos(2 pi (m + phi) / |B|), phi in {0, 1/2}; an eigenvalue is a
-    sum of distinct eps_m, so R = max over phi of max(sum eps^+, sum |eps^-|)
-    (6.47 against 10 edges at |B| = 10). Any other edge set takes R = the
-    edge count, a bound because every row has at most one unit entry per edge.
-    """
-    if bp.size >= 3 and bp.mixer_edges == ring_mixer_edges(bp.size):
-        return _ring_radius(bp.size)
-    return float(len(bp.mixer_edges))
-
-
 @functools.cache
 def _ring_radius(size: int) -> float:
-    """||H|| of the ring XY mixer on ``size`` qubits, from its free-fermion modes."""
+    """||H|| of the ring XY mixer on ``size`` >= 3 qubits, an R for
+    ``_chebyshev_exp``. The Jordan-Wigner map turns H into free fermions
+    hopping on a ring whose boundary condition is periodic or antiperiodic by
+    particle parity, with mode energies eps_m = 2 cos(2 pi (m + phi) / |B|),
+    phi in {0, 1/2}; an eigenvalue is a sum of distinct eps_m, so R = max over
+    phi of max(sum eps^+, sum |eps^-|) (6.47 against 10 edges at |B| = 10)."""
     m = np.arange(size)
     radius = 0.0
     for phi in (0.0, 0.5):
@@ -340,7 +314,7 @@ def _chebyshev_exp(state: Statevector, h, beta: float, radius: float) -> Stateve
 def qaoa_state(bp: BlockProblem, params: QaoaParams, init: Statevector) -> Statevector:
     """Alternate cost and mixer layers on ``init``, cost first within each
     layer: the one routine that runs a circuit. Up to 512 dims the whole
-    circuit runs in the padded sector layout of the block's
+    circuit runs in the padded sector layout of the block size's
     ``SectorEigenbasis``: each layer's cost and mixer phases come from one
     ``exp`` each, ``SectorEigenbasis.evolve`` scatters ``init`` into the layout
     once, runs the layers there and gathers the result back once, and the norm
@@ -349,9 +323,9 @@ def qaoa_state(bp: BlockProblem, params: QaoaParams, init: Statevector) -> State
     (``_rescaled``) to the norm after the cost phase."""
     if len(init) != bp.dim:
         raise ValueError("initial state dimension does not match block problem")
-    h = bp.mixer_operator()
+    h = mixer_operator(bp.size)
     if not isinstance(h, SectorEigenbasis):
-        radius = _mixer_radius(bp)
+        radius = _ring_radius(bp.size)
         psi = init
         for gamma, beta in zip(params.gammas, params.betas):
             psi = psi * np.exp(-1j * gamma * bp.diag_energies)

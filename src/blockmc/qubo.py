@@ -223,12 +223,12 @@ def load_instance_csv(path) -> QuboInstance:
     if not np.isfinite(mat).all():
         raise FormatError(f"{path}: non-finite coefficient")
     if mat.shape[0] != mat.shape[1]:
-        raise FormatError(f"coefficient matrix must be square, got {mat.shape}")
+        raise FormatError(f"{path}: coefficient matrix must be square, got {mat.shape}")
     n = mat.shape[0]
     low = np.tril(mat, k=-1)
     if np.any(low != 0.0):
         r, c = np.argwhere(low != 0.0)[0]
-        raise FormatError(f"nonzero lower-triangle entry at row {r}, col {c}")
+        raise FormatError(f"{path}: nonzero lower-triangle entry at row {r}, col {c}")
     quad = {
         (i, j): float(mat[i, j])
         for i in range(n)

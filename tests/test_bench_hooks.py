@@ -4,26 +4,36 @@
 deleted function would fail only the benchmark's traced runs. Here its
 ``install`` runs against a stub tracer that checks every hook, and a short
 chain of each kernel is run to check that the chain code calls its hooked
-functions through their module, where the tracer's wrappers sit.
+functions through their module, where the tracer's wrappers sit. A tiny
+traced pipeline run checks the arguments the tracer reads to label a call.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from blockmc import mcmc, qubo
+from blockmc import mcmc, pipeline, qubo
 from blockmc.pipeline import _chain_task
 from test_mcmc import block_surrogate_config
 
-CHILD = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_module(name, path, monkeypatch=None):
+    """Execute ``path`` as module ``name``; with ``monkeypatch``, registered in
+    ``sys.modules`` first (dataclasses look their module up there)."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_child():
-    spec = importlib.util.spec_from_file_location("bench_child", CHILD)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("bench_child", BENCH / "child.py")
 
 
 class HookCheck:
@@ -57,3 +67,27 @@ def test_chains_call_the_hooked_functions_through_their_module(monkeypatch):
         cfg = block_surrogate_config(inst, [4, 4]) if kind == "block-surrogate" else mcmc.KernelConfig(kind, 0.5)
         _chain_task((inst, 4, cfg, 200, init, 3, 1))
     assert {"run_chain", "energy_delta_swap", "energy_delta_block"} <= set(calls)
+
+
+def test_traced_run_labels_calls_by_block_size_and_kernel(tmp_path, monkeypatch):
+    """The tracer labels ``qaoa_state`` calls by ``args[0].size`` and
+    ``run_chain`` calls by ``args[2].kind``, so both keep those arguments."""
+    child = load_child()
+    hooks = HookCheck()
+    child.install(hooks)
+    for owner, attr in hooks.hooked:  # undone at teardown, with the wrappers set below
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))
+    tracer = load_module("bench_tracing", BENCH / "tracing.py", monkeypatch).Tracer()
+    child.install(tracer)
+    cfg = pipeline.config_from_dict({
+        "instance": {"n": 8, "degree": 3, "seed": 1},
+        "partition": {"block_size": 4, "seed": 2},
+        "qaoa": {"p": 1, "restarts": 1, "max_evals_per_restart": 10, "shots_per_angle": 20, "seed": 3},
+        "made": {"epochs": 1, "seed": 4},
+        "mcmc": {"kernels": list(mcmc.KERNELS), "steps": 50, "pairs": 1, "seed": 5},
+        "analysis": {"max_lag": 10},
+    })
+    pipeline.PipelineRun(cfg, tmp_path).run()
+    stats = {(name, label) for name, label, *_ in tracer.dump()["stats"]}
+    assert ("qaoa.qaoa_state", "b4") in stats
+    assert {("mcmc.run_chain", kind) for kind in mcmc.KERNELS} <= stats

@@ -569,7 +569,6 @@ class TestStationarity:
             model = made.build_model(4, made.TrainConfig(), seed=40 + i)
             for w in (*model.weights, *model.ctx_weights):
                 w *= 1.5
-            model.block_id = b.id
             models[b.id] = model
         cfg = mcmc.KernelConfig("block-surrogate", 0.5, pp, models)
         assert self._tv(cfg) < 0.06

@@ -133,7 +133,6 @@ class TestCostLayer:
         bp = qaoa.BlockProblem(
             block=Block(id=(1, 0), vertices=[0]),
             diag_energies=np.array([0.0, 1.3]),
-            mixer_edges=[],
         )
         psi = np.array([0.6, 0.8], dtype=np.complex128)
         out = one_layer(bp, psi, gamma=0.5)
@@ -162,7 +161,6 @@ class TestXyMixerLayer:
         bp = qaoa.BlockProblem(
             block=Block(id=(1, 0), vertices=[0, 1]),
             diag_energies=np.zeros(4),
-            mixer_edges=[(0, 1)],
         )
         psi = np.zeros(4, dtype=np.complex128)
         psi[1] = 1.0  # bit 0 set
@@ -177,7 +175,7 @@ class TestXyMixerLayer:
         rng = stream(8)
         psi = random_state(64, rng)
         beta = 0.7
-        h = dense_mixer(bp.mixer_edges, 6)
+        h = dense_mixer(qaoa.ring_mixer_edges(6), 6)
         oracle = scipy.linalg.expm(-1j * beta * h) @ psi
         out = one_layer(bp, psi, beta=beta)
         assert np.max(np.abs(out - oracle)) < 1e-9
@@ -190,7 +188,7 @@ class TestXyMixerLayer:
             bp = random_block_problem(size, seed=100 + case)
             psi = random_state(1 << size, rng)
             beta = float(rng.uniform(-1.5, 1.5))
-            h = dense_mixer(bp.mixer_edges, size)
+            h = dense_mixer(qaoa.ring_mixer_edges(size), size)
             oracle = scipy.linalg.expm(-1j * beta * h) @ psi
             out = one_layer(bp, psi, beta=beta)
             assert np.max(np.abs(out - oracle)) < 1e-9
@@ -230,7 +228,7 @@ class TestQaoaState:
         rng = stream(16)
         psi = random_state(16, rng)
         params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 2), betas=rng.uniform(0, 1.5, 2))
-        h = dense_mixer(bp.mixer_edges, 4)
+        h = dense_mixer(qaoa.ring_mixer_edges(4), 4)
         oracle = psi
         for g, b in zip(params.gammas, params.betas):
             oracle = scipy.linalg.expm(-1j * g * np.diag(bp.diag_energies)) @ oracle
@@ -270,7 +268,6 @@ class TestOptimizeParams:
         bp = qaoa.BlockProblem(
             block=Block(id=(1, 0), vertices=[0, 1]),
             diag_energies=np.full(4, 2.5),
-            mixer_edges=[(0, 1)],
         )
         init = qaoa.prepare_initial_state(2, math.pi / 2)
         _, loss = qaoa.optimize_params(bp, p=1, init=init, restarts=2, seed=0)
@@ -397,12 +394,7 @@ class TestSectorEigenMixer:
     def test_sector_positions(self):
         """Sector w lists the weight-w basis indices in ascending order."""
         for size in (1, 2, 5, 8):
-            bp = qaoa.BlockProblem(
-                block=Block(id=(1, 0), vertices=list(range(size))),
-                diag_energies=np.zeros(1 << size),
-                mixer_edges=qaoa.ring_mixer_edges(size),
-            )
-            eig = bp.mixer_operator()
+            eig = qaoa.mixer_operator(size)
             assert isinstance(eig, qaoa.SectorEigenbasis)
             b = qaoa.basis(size)
             d = eig.padded_values.shape[1]
@@ -414,9 +406,8 @@ class TestSectorEigenMixer:
 
     def test_sector_blocks_reconstruct_dense_mixer(self):
         size = 7
-        bp = random_block_problem(size, seed=30)
-        eig = bp.mixer_operator()
-        h = dense_mixer(bp.mixer_edges, size)
+        eig = qaoa.mixer_operator(size)
+        h = dense_mixer(qaoa.ring_mixer_edges(size), size)
         b = qaoa.basis(size)
         assert eig.stack.dtype == np.float64
         for w in range(size + 1):
@@ -430,14 +421,21 @@ class TestSectorEigenMixer:
             assert not eig.padded_values[w, dw:].any()
 
     def test_csr_above_512_dims(self):
-        bp = random_block_problem(10, seed=31)
-        assert scipy.sparse.issparse(bp.mixer_operator())
+        """One read-only CSR serves every block of a size."""
+        first = random_block_problem(10, seed=31)
+        second = random_block_problem(10, seed=32)
+        h = qaoa.mixer_operator(first.size)
+        assert scipy.sparse.issparse(h)
+        assert qaoa.mixer_operator(second.size) is h
+        for a in (h.data, h.indices, h.indptr):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
     @pytest.mark.parametrize("size", [7, 8, 9])
     def test_matches_dense_expm_larger_blocks(self, size):
         bp = random_block_problem(size, seed=40 + size)
         rng = stream(50 + size)
-        h = dense_mixer(bp.mixer_edges, size)
+        h = dense_mixer(qaoa.ring_mixer_edges(size), size)
         for beta in (-1.3, 0.0, 0.4, 2.9):
             psi = random_state(1 << size, rng)
             oracle = scipy.linalg.expm(-1j * beta * h) @ psi
@@ -488,7 +486,7 @@ class TestMixerAbove512Dims:
     def test_matches_sector_expm(self, size):
         bp = random_block_problem(size, seed=70 + size)
         rng = stream(80 + size)
-        sectors = [sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1)]
+        sectors = [sector_mixer(qaoa.ring_mixer_edges(size), size, w) for w in range(size + 1)]
         for beta in (-1.3, 0.0, 0.4, 2.9):
             psi = random_state(1 << size, rng)
             oracle = np.empty_like(psi)
@@ -518,25 +516,19 @@ class TestMixerAbove512Dims:
     @pytest.mark.parametrize("size", range(3, 12))
     def test_ring_radius_is_the_mixer_norm(self, size):
         """The free-fermion R bounds ||H|| (from each weight sector's spectrum) and is tight."""
-        bp = random_block_problem(size, seed=90 + size)
         norm = max(
             float(np.max(np.abs(np.linalg.eigvalsh(h)))) if len(h) else 0.0
-            for _, h in (sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1))
+            for _, h in (sector_mixer(qaoa.ring_mixer_edges(size), size, w) for w in range(size + 1))
         )
-        radius = qaoa._mixer_radius(bp)
+        radius = qaoa._ring_radius(size)
         assert norm <= radius <= norm * (1 + 1e-9)
-        assert radius < len(bp.mixer_edges) or size == 3
-
-    def test_other_edge_sets_keep_the_edge_count(self):
-        bp = random_block_problem(10, seed=39)
-        bp.mixer_edges = [(t, t + 1) for t in range(9)]  # an open chain
-        assert qaoa._mixer_radius(bp) == 9.0
+        assert radius < size or size == 3
 
     def test_ring_layer_matches_sector_expm_to_1e_12(self):
         size = 10
         bp = random_block_problem(size, seed=41)
         rng = stream(42)
-        sectors = [sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1)]
+        sectors = [sector_mixer(qaoa.ring_mixer_edges(size), size, w) for w in range(size + 1)]
         for beta in (-1.3, 0.4, 2.9):
             psi = random_state(1 << size, rng)
             oracle = np.empty_like(psi)
@@ -552,7 +544,7 @@ class TestMixerAbove512Dims:
         rng = stream(160 + size)
         psi = random_state(1 << size, rng)
         params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 3), betas=rng.uniform(-1.5, 0, 3))
-        sectors = [sector_mixer(bp.mixer_edges, size, w) for w in range(size + 1)]
+        sectors = [sector_mixer(qaoa.ring_mixer_edges(size), size, w) for w in range(size + 1)]
         oracle = psi
         for g, b in zip(params.gammas, params.betas):
             oracle = np.exp(-1j * g * bp.diag_energies) * oracle  # expm of the diagonal cost
@@ -562,14 +554,15 @@ class TestMixerAbove512Dims:
         assert np.max(np.abs(out - oracle)) < 1e-12
 
     @pytest.mark.parametrize("beta", [0.4, 1.5, -2.9])
-    def test_sparse_products_per_layer(self, beta):
+    def test_sparse_products_per_layer(self, beta, monkeypatch):
         """One layer costs about |beta| * edges sparse products, not a series per sub-step."""
         size = 10
         bp = random_block_problem(size, seed=37)
-        bp._mixer_op = counter = CountingOperator(bp.mixer_operator())
+        counter = CountingOperator(qaoa.mixer_operator(size))
+        monkeypatch.setattr(qaoa, "mixer_operator", lambda _size: counter)
         psi = random_state(1 << size, stream(38))
         one_layer(bp, psi, beta=beta)
-        assert 0 < counter.products <= math.ceil(abs(beta) * len(bp.mixer_edges)) + 40
+        assert 0 < counter.products <= math.ceil(abs(beta) * size) + 40
 
 
 class TestTrainingSetOneEvolution:
@@ -608,7 +601,7 @@ class TestPaddedSectorCircuit:
         rng = stream(120 + size)
         psi = random_state(1 << size, rng)
         params = qaoa.QaoaParams(gammas=rng.uniform(0, 1.5, 3), betas=rng.uniform(-1.5, 0, 3))
-        h = dense_mixer(bp.mixer_edges, size)
+        h = dense_mixer(qaoa.ring_mixer_edges(size), size)
         oracle = psi
         for g, b in zip(params.gammas, params.betas):
             oracle = np.exp(-1j * g * bp.diag_energies) * oracle  # expm of the diagonal cost
@@ -616,22 +609,14 @@ class TestPaddedSectorCircuit:
         out = qaoa.qaoa_state(bp, params, psi)
         assert np.max(np.abs(out - oracle)) < 1e-12
 
-    def test_blocks_of_one_size_and_edge_set_share_one_read_only_eigenbasis(self):
+    def test_blocks_of_one_size_share_one_read_only_eigenbasis(self):
         first = random_block_problem(5, seed=130)
         second = random_block_problem(5, seed=131)
-        eig = first.mixer_operator()
-        assert second.mixer_operator() is eig
+        eig = qaoa.mixer_operator(first.size)
+        assert qaoa.mixer_operator(second.size) is eig
         for a in (eig.stack, eig.padded_values, eig.slot):
             with pytest.raises(ValueError):
                 a.flat[0] = 1.0
-        one_edge = random_block_problem(5, seed=132)
-        one_edge.mixer_edges = [(0, 1)]
-        own = one_edge.mixer_operator()
-        assert own is not eig
-        rng = stream(133)
-        psi = random_state(32, rng)
-        oracle = scipy.linalg.expm(-0.8j * dense_mixer([(0, 1)], 5)) @ psi
-        assert np.max(np.abs(one_layer(one_edge, psi, beta=0.8) - oracle)) < 1e-12
 
     def test_weight_k_state_leaks_nothing_into_other_sectors(self):
         size = 7

@@ -265,8 +265,9 @@ class TestInstanceIO:
     @pytest.mark.parametrize(
         "text, match",
         [("1.0,abc\n0.0,1.0\n", "bad coefficient CSV"), ("1.0,2.0,0.0\n0.0,1.0\n", "bad coefficient CSV"),
-         ("1.0,nan\n0.0,1.0\n", "non-finite")],
-        ids=["non-numeric", "ragged", "nan"],
+         ("1.0,nan\n0.0,1.0\n", "non-finite"), ("1.0,2.0\n", "must be square"), ("", "must be square"),
+         ("1.0,2.0\n3.0,1.0\n", "lower-triangle")],
+        ids=["non-numeric", "ragged", "nan", "not-square", "empty", "lower-triangle"],
     )
     def test_csv_malformed_rejected(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"

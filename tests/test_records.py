@@ -40,7 +40,7 @@ RECORDS = {
     "ChainTrace": _chain_trace,
     "PartitionPair": _partition_pair,
     "BlockProblem": _block_problem,
-    "SectorEigenbasis": lambda: _block_problem().mixer_operator(),
+    "SectorEigenbasis": lambda: qaoa.mixer_operator(_block_problem().size),
     "QaoaParams": lambda: qaoa.QaoaParams(gammas=[0.1, 0.2], betas=[0.3, 0.4]),
     "QuboInstance": _instance,
 }
