@@ -7,7 +7,8 @@ the biased (1/T) covariance estimator, and the decay rate tau comes from a
 weighted log-domain straight-line fit of rho(l) ~ A exp(-tau l) over the
 lags above a cutoff. An overlap series and its autocorrelation are plain
 float arrays; a series with no variance has rho NaN at every lag, so
-``np.isnan(rho[0])`` marks it (otherwise rho[0] is 1).
+``np.isnan(rho[0])`` marks it (otherwise rho[0] is 1). A chain pair whose
+overlap series has T samples allows lags up to T - 11, the one lag limit.
 """
 
 from __future__ import annotations
@@ -101,8 +102,12 @@ def best_energy_trace(t: ChainTrace) -> np.ndarray:
 def pair_autocorrelation(
     a: ChainTrace, b: ChainTrace, max_lag: int, burn_fraction: float = 0.1
 ) -> np.ndarray:
-    """Overlap autocorrelation of one chain pair after burn-in discard."""
-    return autocorrelation(overlap_series(a, b, burn_fraction=burn_fraction), max_lag)
+    """Overlap autocorrelation of one chain pair after burn-in discard, at
+    lags 0..min(max_lag, T - 11) for an overlap series of T samples."""
+    q = overlap_series(a, b, burn_fraction=burn_fraction)
+    if len(q) <= 11:
+        raise InsufficientDataError(f"{len(a.configs)} recorded samples leave no lag after burn-in")
+    return autocorrelation(q, min(max_lag, len(q) - 11))
 
 
 def mean_autocorrelation(rhos: list[np.ndarray]) -> np.ndarray:

@@ -19,7 +19,6 @@ from .fileio import COUNT
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
 from .pipeline import PipelineRun, config_from_dict, fill_config, reseed_config, sweep
-from .streams import derive_seed
 
 _STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
 # command -> (swept field, its values under the config's "sweep", printed label)
@@ -88,8 +87,8 @@ def _run(args) -> int:
         if args.seed is not None:
             raw["seed"] = args.seed
         cfg = mnist_config_from_dict(raw)
-        if args.seed is not None:  # the loader has refused a negative seed; the keys reseed_config uses
-            cfg.qaoa.seed, cfg.made.seed = derive_seed(args.seed, 3), derive_seed(args.seed, 4)
+        if args.seed is not None:  # the loader has refused a negative seed
+            reseed_config(cfg, args.seed)
         report = run_mask_search(cfg, args.out, force=args.force)
         print(json.dumps(report["baselines"], sort_keys=True))
         return 0

@@ -168,12 +168,6 @@ def row_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
-def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of 0/1 integer matrix ``x`` and each row's index among them."""
-    firsts, group = row_groups(x)
-    return x[firsts], group
-
-
 def evaluate_mask(
     ds_train: LabeledDataset,
     ds_test: LabeledDataset,
@@ -200,8 +194,9 @@ def evaluate_mask(
     idx = np.flatnonzero(mask)
     if len(idx) == 0:
         raise ValueError("empty mask")
-    rows, group = _distinct_rows(ds_train.images[:, idx])
-    x_train = rows.astype(np.float64)
+    pixels = ds_train.images[:, idx]
+    firsts, group = row_groups(pixels)
+    x_train = pixels[firsts].astype(np.float64)
     x_test = ds_test.images[:, idx].astype(np.float64)
     m = len(group)
     u, d = x_train.shape

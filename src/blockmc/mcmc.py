@@ -40,7 +40,9 @@ draw whose weight misses the block's (rejected, alpha = 0; the chain stays
 put and the step still counts), ``()`` for a null move (accepted,
 alpha = 1), or ``(flips, dE, log_q_rev, log_q_fwd)``, where ``flips``
 lists the vertices whose bits the move inverts (none when a block draw
-repeats the block's bits). ``run_chain`` alone accepts or rejects a move.
+repeats the block's bits). The propose functions only move: ``run_chain``
+checks a kernel's move conditions (``require_moves``) once, before its first
+step, and alone accepts or rejects a move.
 An accepted move flips its bits in the state, O(degree) each, and joins the
 chain's flip log, which is replayed into the recorded configurations once,
 at the end. Every kernel preserves the weight by construction, so the chain
@@ -226,8 +228,6 @@ def propose_block_surrogate(state: ChainState, inst: QuboInstance, cfg: KernelCo
 def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: Rng):
     """Uniform (one-site, zero-site) swap; symmetric with prob 1/(K(N-K))."""
     ones, zeros = state.ones, state.zeros
-    if not ones or not zeros:
-        raise ConfigError("global Kawasaki undefined for K in {0, N}")
     i = ones[rng.integers(len(ones))]
     j = zeros[rng.integers(len(zeros))]
     return (i, j), energy_delta_swap(state, i, j), 0.0, 0.0
@@ -235,8 +235,6 @@ def propose_global_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelCo
 
 def propose_local_kawasaki(state: ChainState, inst: QuboInstance, cfg: KernelConfig, rng: Rng):
     """Uniform edge; swap when endpoint bits differ, else a null move."""
-    if inst.num_edges == 0:
-        raise ConfigError("local Kawasaki undefined on an edgeless instance")
     i, j = inst.edge_list[rng.integers(inst.num_edges)]
     if state.bits[i] == state.bits[j]:
         return ()
@@ -254,6 +252,15 @@ KERNELS = {
     "global-kawasaki": Kernel(2, propose_global_kawasaki, False),
     "local-kawasaki": Kernel(3, propose_local_kawasaki, False),
 }
+
+
+def require_moves(kind: str, n: int, k: int, edges: int) -> None:
+    """Raise ``ConfigError`` unless kernel ``kind`` has a move on weight ``k`` of ``n``
+    variables and ``edges`` edges: global Kawasaki two unequal bits, local Kawasaki an edge."""
+    if kind == "global-kawasaki" and k in (0, n):
+        raise ConfigError(f"global-kawasaki needs 0 < k < n, got k={k} and n={n}")
+    if kind == "local-kawasaki" and edges == 0:
+        raise ConfigError("local-kawasaki needs an instance with at least one edge")
 
 
 def run_chain(
@@ -274,6 +281,7 @@ def run_chain(
         raise ValueError(f"steps must be >= 0, got {steps}")
     if thin < 1:
         raise ValueError("thin must be >= 1")
+    require_moves(kernel.kind, inst.n, k, inst.num_edges)
     rng = Draws(stream(seed))
     propose, beta_pi = KERNELS[kernel.kind].propose, kernel.beta_pi
     x = init.astype(np.uint8)  # init with the first ``checked`` logged flips replayed

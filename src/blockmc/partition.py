@@ -99,11 +99,7 @@ def build_partition(
         _absorb_neighbors(inst, v0, unassigned, score)
         while len(members) < size:
             if score:
-                best_v, best_s = -1, -np.inf
-                for v in sorted(score):
-                    if score[v] > best_s:
-                        best_v, best_s = v, score[v]
-                v = best_v
+                v = min(score, key=lambda u: (-score[u], u))  # largest score, lowest index on ties
                 del score[v]
             else:
                 v = int(rng.choice(np.flatnonzero(unassigned)))

@@ -199,16 +199,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def require_fits(cfg: ExperimentConfig, n: int, edges: int) -> None:
     """Raise ``ConfigError`` unless ``k``, the explicit block sizes and, where
     a partition's sizes are spread from it, the block size fit an instance of
-    ``n`` variables and ``edges`` edges, unless global Kawasaki, if it runs,
-    has a pair of unequal bits to swap, and unless local Kawasaki, if it
-    runs, has an edge to swap along."""
+    ``n`` variables and ``edges`` edges, and unless every configured kernel
+    has a move to make there (``mcmc.require_moves``, which ``run_chain``
+    checks again), so a bad config stops before any stage runs."""
     if cfg.k is not None and not 0 <= cfg.k <= n:
         raise ConfigError(f"k={cfg.k} is not in [0, n={n}]")
-    k = cfg.resolved_k(n)
-    if "global-kawasaki" in cfg.mcmc.kernels and k in (0, n):
-        raise ConfigError(f"global-kawasaki needs 0 < k < n, got k={k} and n={n}")
-    if "local-kawasaki" in cfg.mcmc.kernels and edges == 0:
-        raise ConfigError("local-kawasaki needs an instance with at least one edge")
+    for kind in cfg.mcmc.kernels:
+        mcmc.require_moves(kind, n, cfg.resolved_k(n), edges)
     if None in (cfg.partition.sizes1, cfg.partition.sizes2) and cfg.partition.block_size > n:
         raise ConfigError(f"partition.block_size={cfg.partition.block_size} exceeds n={n}")
     for name in ("sizes1", "sizes2"):
@@ -217,15 +214,19 @@ def require_fits(cfg: ExperimentConfig, n: int, edges: int) -> None:
             raise ConfigError(f"partition.{name}={sizes} must be sizes >= 1 that sum to n={n}")
 
 
-def reseed_config(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
-    """Derive all stage seeds from one master seed (CLI --seed)."""
+_SEED_KEYS = {"instance": 1, "partition": 2, "qaoa": 3, "made": 4, "mcmc": 5}
+
+
+def reseed_config(cfg, master_seed: int):
+    """Derive the seed of each section of ``cfg`` named in ``_SEED_KEYS``
+    (section -> stream key) from one master seed (CLI --seed): all five of an
+    ``ExperimentConfig``, and qaoa and made of a ``MnistConfig``, whose own
+    ``seed`` this leaves as it is."""
     if master_seed < 0:
         raise ConfigError(f"master seed must be >= 0, got {master_seed!r}")
-    cfg.instance.seed = derive_seed(master_seed, 1)
-    cfg.partition.seed = derive_seed(master_seed, 2)
-    cfg.qaoa.seed = derive_seed(master_seed, 3)
-    cfg.made.seed = derive_seed(master_seed, 4)
-    cfg.mcmc.seed = derive_seed(master_seed, 5)
+    for name, key in _SEED_KEYS.items():
+        if hasattr(cfg, name):
+            getattr(cfg, name).seed = derive_seed(master_seed, key)
     return cfg
 
 
@@ -558,15 +559,9 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
     for kernel in sorted(traces):
         first = traces[kernel][0][0]
         thin = first.thin
-        recorded = len(first.configs)
-        lag = min(max_lag, recorded - int(burn_fraction * recorded) - 11)
         pair_rhos = []
         try:
-            if lag < 1:
-                raise analysis.InsufficientDataError(
-                    f"{recorded} recorded samples leave no lag after burn-in"
-                )
-            pair_rhos = [analysis.pair_autocorrelation(a, b, lag, burn_fraction) for a, b in traces[kernel]]
+            pair_rhos = [analysis.pair_autocorrelation(a, b, max_lag, burn_fraction) for a, b in traces[kernel]]
             mean_rho = analysis.mean_autocorrelation(pair_rhos)
             headline = _per_step(analysis.fit_decay_rate(mean_rho, cutoff=cutoff), thin)
         except analysis.InsufficientDataError as exc:
@@ -595,9 +590,7 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
         result["kernels"][kernel] = entry
         if out_dir is not None:
             analysis.save_rho_csv(pair_rhos, Path(out_dir) / f"rho_{kernel}.csv", thin=thin)
-            analysis.save_best_energy_csv(
-                traces[kernel][0][0], Path(out_dir) / f"best_energy_{kernel}.csv"
-            )
+            analysis.save_best_energy_csv(first, Path(out_dir) / f"best_energy_{kernel}.csv")
     means = {k: e["tau_mean"] for k, e in result["kernels"].items() if e["tau_mean"] is not None}
     result["ratios"] = {
         f"{a}/{b}": means[a] / means[b] for a in means for b in means if a != b and means[b] > 0.0

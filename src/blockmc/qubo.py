@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,7 +218,9 @@ def load_instance_csv(path) -> QuboInstance:
     table of numbers, or a non-finite entry, raises ``FormatError``.
     """
     try:
-        mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is refused as not square below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            mat = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"bad coefficient CSV {path}: {exc}") from exc
     if not np.isfinite(mat).all():

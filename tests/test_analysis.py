@@ -104,6 +104,22 @@ class TestAutocorrelation:
             assert rho[l] == pytest.approx(direct / (np.sum(qc * qc) / 500), abs=1e-10)
 
 
+class TestPairAutocorrelation:
+    def test_lags_stop_eleven_short_of_the_series(self):
+        """60 samples less a 0.1 burn-in leave 54, so lags 0..43 however many are asked for."""
+        rng = stream(31)
+        a, b = (fake_trace((rng.random((60, 8)) < 0.5).astype(np.uint8)) for _ in range(2))
+        rho = analysis.pair_autocorrelation(a, b, 300, 0.1)
+        assert len(rho) == 44
+        np.testing.assert_array_equal(rho, analysis.autocorrelation(analysis.overlap_series(a, b, 0.1), 43))
+
+    def test_no_lag_after_burn_in(self):
+        rng = stream(32)
+        a, b = (fake_trace((rng.random((12, 8)) < 0.5).astype(np.uint8)) for _ in range(2))
+        with pytest.raises(InsufficientDataError, match="^12 recorded samples leave no lag after burn-in$"):
+            analysis.pair_autocorrelation(a, b, 300, 0.1)
+
+
 class TestFitDecayRate:
     def test_exact_geometric(self):
         rho = 0.8 ** np.arange(40)

@@ -155,9 +155,11 @@ class TestProposeGlobalKawasaki:
         assert chi2 < 26.12  # 99.9th percentile of chi2(8)
 
     def test_degenerate_weight_rejected(self):
+        """With K = N there are no unequal bits to swap: the chain stops before its first step."""
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
-        with pytest.raises(ConfigError):
-            mcmc.propose_global_kawasaki(mcmc.ChainState(inst, np.ones(4, dtype=np.uint8)), inst, None, stream(0))
+        cfg = mcmc.KernelConfig("global-kawasaki", 1.0)
+        with pytest.raises(ConfigError, match="global-kawasaki needs 0 < k < n"):
+            mcmc.run_chain(inst, 4, cfg, steps=0, init=np.ones(4, dtype=np.uint8), seed=0)
 
 
 class TestProposeLocalKawasaki:
@@ -192,10 +194,11 @@ class TestProposeLocalKawasaki:
             assert abs(nulls / trials - exact) < 5 * se + 1e-3
 
     def test_edgeless_rejected(self):
+        """With no edge to swap along, the chain stops before its first step."""
         inst = qubo.QuboInstance(n=4, quad={}, lin=np.zeros(4), konst=0.0)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        with pytest.raises(ConfigError):
-            mcmc.propose_local_kawasaki(mcmc.ChainState(inst, x), inst, None, stream(0))
+        with pytest.raises(ConfigError, match="local-kawasaki needs an instance with at least one edge"):
+            mcmc.run_chain(inst, 2, mcmc.KernelConfig("local-kawasaki", 1.0), steps=0, init=x, seed=0)
 
 
 class TestAccept:

@@ -16,7 +16,8 @@ import pytest
 
 from blockmc import analysis, mcmc, pipeline, qubo
 from blockmc.errors import ConfigError
-from blockmc.streams import stream
+from blockmc.mnistexp import MnistConfig
+from blockmc.streams import derive_seed, stream
 
 
 def tiny_config(**overrides):
@@ -132,6 +133,11 @@ class TestConfig:
         assert a.mcmc.seed == b.mcmc.seed
         c = pipeline.reseed_config(tiny_config(), 100)
         assert c.instance.seed != a.instance.seed
+
+    def test_reseed_mnist_config(self):
+        """The mask search's sections take the tau run's qaoa and made keys; its own seed is the loader's."""
+        cfg = pipeline.reseed_config(MnistConfig(), 7)
+        assert (cfg.qaoa.seed, cfg.made.seed, cfg.seed) == (derive_seed(7, 3), derive_seed(7, 4), 11)
 
     def test_default_k_is_half(self):
         cfg = pipeline.config_from_dict({"instance": {"n": 20}})
