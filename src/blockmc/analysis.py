@@ -133,6 +133,8 @@ def save_rho_csv(rhos: list[np.ndarray], path, thin: int = 1) -> None:
     write_lines(path, lines)
 
 
-def save_best_energy_csv(trace: ChainTrace, path) -> None:
-    best = best_energy_trace(trace)
-    write_lines(path, ["step,best_energy", *(f"{t},{e!r}" for t, e in enumerate(best.tolist()))])
+def save_best_energy_csv(traces: list[ChainTrace], path, names: list[str]) -> None:
+    """Running minimum energy of each trace, one column per trace headed by its name."""
+    best = [best_energy_trace(t).tolist() for t in traces]
+    rows = (",".join([str(t), *map(repr, row)]) for t, row in enumerate(zip(*best)))
+    write_lines(path, [",".join(["step", *names]), *rows])

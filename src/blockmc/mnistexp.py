@@ -10,7 +10,8 @@ isolated vertices, which leave that kernel unable to move their bits.
 
 The partition, per-block QAOA and MADE and the search chains run on the
 stage code of ``pipeline`` (``optimize_blocks``, ``train_surrogates``,
-``fan_out``). The whole search is one stage, ``mask-search``, of
+``run_chains``), and the best-energy CSVs go through the tau analysis's
+writer, ``analysis.save_best_energy_csv``. The whole search is one stage, ``mask-search``, of
 ``pipeline.StageCache``: keyed by the config (less ``workers``) and the
 contents of the four IDX files, it is reused from ``manifest.json`` while
 every file it wrote is unchanged (``force`` rebuilds it). Its QAOA, MADE
@@ -37,18 +38,17 @@ from .features import (
     save_mask,
     top_k_linear_mask,
 )
-from .fileio import COUNT, COUNTS, SEED, read_object, write_json, write_lines
+from .fileio import COUNT, COUNTS, SEED, read_object, write_json
 from .idx import load_idx
 from .partition import build_partition_pair, save_partition_pair, spread_block_sizes
 from .pipeline import (
     QaoaConfig,
     StageCache,
-    _chain_task,
     _hash,
     _sha256,
-    fan_out,
     fill_config,
     optimize_blocks,
+    run_chains,
     train_surrogates,
 )
 from .qubo import QuboInstance, random_weight_k_config, save_instance
@@ -98,7 +98,8 @@ class MnistConfig:
     repeats: int = field(default=10, metadata=COUNT)
     random_masks: int = field(default=10, metadata=COUNT)
     kernels: list[str] = field(
-        default_factory=lambda: list(SEARCH_KERNELS), metadata={"choices": SEARCH_KERNELS, "distinct": True}
+        default_factory=lambda: list(SEARCH_KERNELS),
+        metadata={"choices": SEARCH_KERNELS, "nonempty": True, "distinct": True},
     )
     qaoa: QaoaConfig = field(default_factory=QaoaConfig)  # biased_target_weight None: K*|B|/N
     made: made.TrainConfig = field(default_factory=lambda: made.TrainConfig(seed=4))
@@ -115,8 +116,9 @@ def mnist_config_from_dict(doc: dict) -> MnistConfig:
 
 
 def load_datasets(cfg: MnistConfig) -> tuple[LabeledDataset, LabeledDataset]:
-    """The binarized splits; a split with no images, or images that
-    ``downsample_factor`` does not divide, raises ``ConfigError``."""
+    """The binarized splits; a split with no images, images that
+    ``downsample_factor`` does not divide, or test images of another shape
+    than the training images raise ``ConfigError``."""
     tr_img, tr_lab = load_idx(cfg.train_images, cfg.train_labels)
     te_img, te_lab = load_idx(cfg.test_images, cfg.test_labels)
     for path, images in ((cfg.train_images, tr_img), (cfg.test_images, te_img)):
@@ -125,6 +127,9 @@ def load_datasets(cfg: MnistConfig) -> tuple[LabeledDataset, LabeledDataset]:
         if images.shape[1] % cfg.downsample_factor or images.shape[2] % cfg.downsample_factor:
             raise ConfigError(f"downsample_factor={cfg.downsample_factor} does not divide the "
                               f"{images.shape[1]}x{images.shape[2]} images of {path}")
+    if tr_img.shape[1:] != te_img.shape[1:]:
+        raise ConfigError(f"{cfg.train_images} holds {tr_img.shape[1]}x{tr_img.shape[2]} images but "
+                          f"{cfg.test_images} holds {te_img.shape[1]}x{te_img.shape[2]}")
     if cfg.limit_train:
         tr_img, tr_lab = tr_img[: cfg.limit_train], tr_lab[: cfg.limit_train]
     if cfg.limit_test:
@@ -228,9 +233,10 @@ def _search(cfg: MnistConfig, out: Path, log) -> dict:
                                         iterations=cls.iterations, learning_rate=cls.learning_rate)
         return scores[key]
 
+    runs = [f"run{r}" for r in range(cfg.repeats)]
     for kernel in cfg.kernels:
         entry = {"stops": {}}
-        _write_best_energy_csv(traces[kernel], out / f"best_energy_{kernel}.csv")
+        analysis.save_best_energy_csv(traces[kernel], out / f"best_energy_{kernel}.csv", runs)
         for stop in cfg.stop_steps:
             energies, accs = [], []
             for r, trace in enumerate(traces[kernel]):
@@ -289,23 +295,7 @@ def _optimize_masks(cfg: MnistConfig, inst: QuboInstance, out: Path, say) -> dic
         say(f"made: {len(models)} models ({time.monotonic() - t0:.1f}s)")
 
     t0 = time.monotonic()
-    tasks = []
-    for k_idx, kernel in enumerate(cfg.kernels):
-        kernel_cfg = mcmc.KernelConfig(kernel, cfg.beta_pi, pp, models)
-        for r in range(cfg.repeats):
-            init = random_weight_k_config(inst.n, cfg.k, stream(cfg.seed, 50, r))
-            seed = derive_seed(cfg.seed, k_idx, r)
-            tasks.append((inst, cfg.k, kernel_cfg, cfg.steps, init, seed, 1))
-    chains = fan_out(_chain_task, tasks, cfg.workers)
-    say(f"mcmc: {len(tasks)} runs x {cfg.steps} steps ({time.monotonic() - t0:.1f}s)")
-    return {
-        kernel: chains[k_idx * cfg.repeats : (k_idx + 1) * cfg.repeats]
-        for k_idx, kernel in enumerate(cfg.kernels)
-    }
-
-
-def _write_best_energy_csv(traces, path):
-    """Running minimum of every run, one column per run."""
-    best = [analysis.best_energy_trace(t).tolist() for t in traces]
-    rows = (f"{t}," + ",".join(repr(b[t]) for b in best) for t in range(len(best[0])))
-    write_lines(path, ["step," + ",".join(f"run{r}" for r in range(len(best))), *rows])
+    traces = run_chains(inst, cfg.k, cfg.kernels, cfg.beta_pi, pp, models, steps=cfg.steps, thin=1, seed=cfg.seed,
+                        init_key=50, replicas=[(r,) for r in range(cfg.repeats)], workers=cfg.workers)
+    say(f"mcmc: {len(cfg.kernels) * cfg.repeats} runs x {cfg.steps} steps ({time.monotonic() - t0:.1f}s)")
+    return traces

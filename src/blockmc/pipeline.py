@@ -21,8 +21,9 @@ the log only.
 
 The cache half lives in ``StageCache``, which both experiments use. The
 mask search (``mnistexp``) runs as one stage of it, ``mask-search``, on
-the same per-block QAOA and MADE helpers, chain task and fan-out, and
-fills its config with the same loader.
+the same per-block QAOA and MADE helpers and chain-ensemble routine
+(``run_chains``, with its own init key and replica ids), and fills its
+config with the same loader.
 
 Each config field declares its range or choices in its field metadata;
 ``fill_config`` checks type and range in one pass for both experiments and
@@ -110,7 +111,8 @@ class QaoaConfig:
 @dataclass
 class McmcConfig:
     kernels: list[str] = field(
-        default_factory=lambda: list(mcmc.KERNELS), metadata={"choices": tuple(mcmc.KERNELS), "distinct": True}
+        default_factory=lambda: list(mcmc.KERNELS),
+        metadata={"choices": tuple(mcmc.KERNELS), "nonempty": True, "distinct": True},
     )
     steps: int = field(default=30_000, metadata=COUNT)
     pairs: int = field(default=4, metadata=COUNT)
@@ -253,7 +255,8 @@ class StageCache:
 
     ``order`` lists the stages so that each depends only on those before it;
     ``stages`` maps each stage to its ``manifest.json`` entry: its key and
-    the sha256 of each of its artifacts.
+    the sha256 of each of its artifacts. An ``out`` that names a file, or a
+    path under one, raises ``ConfigError`` before any stage runs.
     """
 
     def __init__(self, out, order: tuple[str, ...], force: bool = False, log=None):
@@ -261,6 +264,9 @@ class StageCache:
         self.order = order
         self.force = force
         self.log = log if log is not None else sys.stderr
+        existing = next(p for p in (self.out, *self.out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {self.out} cannot be made: {existing} is not a directory")
         manifest_path = self.out / "manifest.json"
         self.stages = load_stages(manifest_path) if manifest_path.exists() and not force else {}
         self._done = {}
@@ -429,37 +435,23 @@ class PipelineRun(StageCache):
             models, upstreams["made"] = self.ensure_made()
         key = _hash({"cfg": asdict(cfg), "k": k, "beta": self.cfg.beta_pi, "up": upstreams,
                      "format": mcmc._TRACE_VERSION})
-        paths = {
-            (kernel, pair, tag): f"mcmc/trace_{kernel}_{pair}_{tag}.bin"
-            for kernel in cfg.kernels
-            for pair in range(cfg.pairs)
-            for tag in "ab"
-        }
+        replicas = [(pair, t) for pair in range(cfg.pairs) for t in range(2)]  # chains a and b of each pair
+        paths = {kernel: [f"mcmc/trace_{kernel}_{pair}_{'ab'[t]}.bin" for pair, t in replicas]
+                 for kernel in cfg.kernels}
 
         def load():
-            return {chain: mcmc.load_trace(self.out / p) for chain, p in paths.items()}
+            return {kernel: [mcmc.load_trace(self.out / p) for p in files] for kernel, files in paths.items()}
 
         def build():
-            tasks = []
-            for k_idx, kernel in enumerate(cfg.kernels):
-                kernel_cfg = mcmc.KernelConfig(kernel, self.cfg.beta_pi, pp, models)
-                for pair in range(cfg.pairs):
-                    for t_idx in range(2):
-                        init = random_weight_k_config(inst.n, k, stream(cfg.seed, 100, pair, t_idx))
-                        seed = derive_seed(cfg.seed, k_idx, pair, t_idx)
-                        tasks.append((inst, k, kernel_cfg, cfg.steps, init, seed, cfg.thin))
-            # tasks run in the order of ``paths``: kernel, then pair, then a/b
-            by_chain = dict(zip(paths, fan_out(_chain_task, tasks, self.cfg.workers)))
-            for chain, trace in by_chain.items():
-                mcmc.save_trace(trace, self.out / paths[chain])
-            return by_chain
+            chains = run_chains(inst, k, cfg.kernels, self.cfg.beta_pi, pp, models, steps=cfg.steps, thin=cfg.thin,
+                                seed=cfg.seed, init_key=100, replicas=replicas, workers=self.cfg.workers)
+            for kernel, files in paths.items():
+                for p, trace in zip(files, chains[kernel]):
+                    mcmc.save_trace(trace, self.out / p)
+            return chains
 
-        by_chain = self._stage("mcmc", key, list(paths.values()), load, build)
-        traces = {
-            kernel: [tuple(by_chain[kernel, pair, tag] for tag in "ab") for pair in range(cfg.pairs)]
-            for kernel in cfg.kernels
-        }
-        return traces, key
+        chains = self._stage("mcmc", key, [p for files in paths.values() for p in files], load, build)
+        return {kernel: list(zip(ts[::2], ts[1::2])) for kernel, ts in chains.items()}, key
 
     def ensure_analysis(self) -> tuple[dict, str]:
         traces, up = self.ensure_mcmc()
@@ -513,6 +505,21 @@ def train_surrogates(qaoa_out: dict, cfg: made.TrainConfig, workers: int) -> dic
     chunks = [g[i::workers] for g in groups.values() for i in range(min(workers, len(g)))]
     tasks = [[(bid, qaoa_out[bid][2], replace(cfg, seed=derive_seed(cfg.seed, *bid))) for bid in c] for c in chunks]
     return dict(sorted(pair for pairs in fan_out(_made_group_task, tasks, workers) for pair in pairs))
+
+
+def run_chains(inst: QuboInstance, k: int, kernels: list[str], beta_pi: float, pp: PartitionPair | None,
+               models: dict | None, *, steps: int, thin: int, seed: int, init_key: int, replicas: list[tuple],
+               workers: int) -> dict:
+    """Per kernel, in order: one chain's trace per replica id in ``replicas``.
+    A kernel's chains share one ``KernelConfig``, so its sector tables are
+    built once. Replica ``rep`` starts at the weight-``k`` draw of
+    ``stream(seed, init_key, *rep)`` and runs on ``derive_seed(seed, i, *rep)`` under the i-th kernel."""
+    inits = [random_weight_k_config(inst.n, k, stream(seed, init_key, *rep)) for rep in replicas]
+    configs = [mcmc.KernelConfig(kind, beta_pi, pp, models) for kind in kernels]
+    tasks = [(inst, k, kernel_cfg, steps, init, derive_seed(seed, i, *rep), thin)
+             for i, kernel_cfg in enumerate(configs) for rep, init in zip(replicas, inits)]
+    traces = iter(fan_out(_chain_task, tasks, workers))
+    return {kind: [next(traces) for _ in replicas] for kind in kernels}
 
 
 def _qaoa_block_task(args):
@@ -590,7 +597,7 @@ def analyze_traces(traces, max_lag, cutoff, burn_fraction, out_dir=None):
         result["kernels"][kernel] = entry
         if out_dir is not None:
             analysis.save_rho_csv(pair_rhos, Path(out_dir) / f"rho_{kernel}.csv", thin=thin)
-            analysis.save_best_energy_csv(first, Path(out_dir) / f"best_energy_{kernel}.csv")
+            analysis.save_best_energy_csv([first], Path(out_dir) / f"best_energy_{kernel}.csv", ["best_energy"])
     means = {k: e["tau_mean"] for k, e in result["kernels"].items() if e["tau_mean"] is not None}
     result["ratios"] = {
         f"{a}/{b}": means[a] / means[b] for a in means for b in means if a != b and means[b] > 0.0

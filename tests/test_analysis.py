@@ -250,7 +250,7 @@ class TestCsvOutputs:
         rng = stream(12)
         t = fake_trace(np.zeros((50, 4), dtype=np.uint8), energies=rng.standard_normal(50))
         path = tmp_path / "best.csv"
-        analysis.save_best_energy_csv(t, path)
+        analysis.save_best_energy_csv([t], path, ["best_energy"])
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "step,best_energy"
         assert len(lines) == 51
@@ -261,7 +261,7 @@ class TestCsvOutputs:
         results = [rng.random(5) for _ in range(2)]
         analysis.save_rho_csv(results, tmp_path / "rho.csv", thin=2)
         t = fake_trace(np.zeros((6, 4), dtype=np.uint8), energies=rng.standard_normal(6))
-        analysis.save_best_energy_csv(t, tmp_path / "best.csv")
+        analysis.save_best_energy_csv([t], tmp_path / "best.csv", ["best_energy"])
         for name in ("rho.csv", "best.csv"):
             rows = (tmp_path / name).read_text().splitlines()[1:]
             assert rows

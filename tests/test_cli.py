@@ -106,6 +106,20 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert "cannot be read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["pipeline", "mnist"])
+    def test_out_naming_a_file_is_2(self, tmp_path, capsys, command, under):
+        """--out naming a file, or a path under one: exit 2 and one line, not a
+        traceback, and the file is left as it was."""
+        doc = tiny_doc() if command == "pipeline" else mnist_doc(tmp_path)
+        (tmp_path / "o").write_text("kept")
+        out = tmp_path / "o" / "run" if under else tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: output directory {out} cannot be made: {tmp_path / 'o'} is not a directory\n"
+        )
+        assert (tmp_path / "o").read_text() == "kept"
+
     def test_config_not_an_object_is_2(self, tmp_path):
         cfg = write_config(tmp_path, [1, 2])
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -406,18 +420,21 @@ class TestMnistCommand:
         assert main(argv + ["--force"]) == 0
 
     @pytest.mark.parametrize(
-        "factor, n_test, message",
-        [(3, 20, "downsample_factor=3 does not divide the 14x14 images"), (1, 0, "test-images.idx holds no images")],
-        ids=["factor-does-not-divide", "empty-split"],
+        "factor, n_test, test_step, message",
+        [(3, 20, 2, "downsample_factor=3 does not divide the 14x14 images"),
+         (1, 0, 2, "test-images.idx holds no images"),
+         (1, 20, 4, "{train_images} holds 14x14 images but {test_images} holds 7x7")],
+        ids=["factor-does-not-divide", "empty-split", "shape-mismatch"],
     )
-    def test_unusable_dataset_is_2(self, tmp_path, capsys, factor, n_test, message):
-        """On 14x14 images: exit 2 and no output dir, not a traceback."""
+    def test_unusable_dataset_is_2(self, tmp_path, capsys, factor, n_test, test_step, message):
+        """On 14x14 train images: exit 2 and no output dir, not a traceback."""
         doc = mnist_doc(tmp_path, downsample_factor=factor)
-        for split, count in (("train", 50), ("test", n_test)):
-            idx.write_idx_images(doc[f"{split}_images"], idx.load_idx_images(doc[f"{split}_images"])[:count, ::2, ::2])
+        for split, count, step in (("train", 50, 2), ("test", n_test, test_step)):
+            images = idx.load_idx_images(doc[f"{split}_images"])[:count, ::step, ::step]
+            idx.write_idx_images(doc[f"{split}_images"], images)
             idx.write_idx_labels(doc[f"{split}_labels"], idx.load_idx_labels(doc[f"{split}_labels"])[:count])
         assert main(["mnist", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 2
-        assert message in capsys.readouterr().err
+        assert message.format(**doc) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_truncated_idx_is_3(self, tmp_path):

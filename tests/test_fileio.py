@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import blockmc
-from blockmc import analysis, features, fileio, idx, made, mcmc, mnistexp, pipeline, qaoa
+from blockmc import analysis, features, fileio, idx, made, mcmc, pipeline, qaoa
 from blockmc.errors import FormatError
 from blockmc.partition import load_partition_pair
 from blockmc.qubo import load_instance
@@ -120,10 +120,9 @@ WRITERS = {
     "write_idx_labels": lambda o, p: idx.write_idx_labels(p, np.arange(3, dtype=np.uint8)),
     "TrainReport.save_csv": lambda o, p: made.TrainReport([-1.0], [-1.1]).save_csv(p),
     "save_rho_csv": lambda o, p: analysis.save_rho_csv([_RHO], p),
-    "save_best_energy_csv": lambda o, p: analysis.save_best_energy_csv(o["trace"], p),
+    "save_best_energy_csv": lambda o, p: analysis.save_best_energy_csv([o["trace"]], p, ["best_energy"]),
     "_save_tau_table": lambda o, p: pipeline._save_tau_table({"kernels": {"x": _ENTRY}}, p),
     "_save_sweep_csv": lambda o, p: pipeline._save_sweep_csv([_ROW], p, lead="n"),
-    "_write_best_energy_csv": lambda o, p: mnistexp._write_best_energy_csv([o["trace"]], p),
     "save_mask": lambda o, p: features.save_mask(_MASK, p),
 }
 

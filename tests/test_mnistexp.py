@@ -7,11 +7,13 @@ import io
 import numpy as np
 import pytest
 
-from blockmc import idx, mnistexp, qaoa
+from blockmc import analysis, idx, mnistexp, qaoa
 from blockmc.errors import ConfigError, FormatError
+from blockmc.qubo import random_weight_k_config
+from blockmc.streams import derive_seed, stream
 from conftest import write_synthetic_idx
 from test_analysis import fake_trace
-from test_pipeline import all_artifact_bytes, check_range_ends, range_cases
+from test_pipeline import all_artifact_bytes, check_range_ends, range_cases, record_chains
 
 
 def tiny_mask_config(paths, **overrides):
@@ -83,6 +85,7 @@ class TestMaskConfig:
             {"classifier": {"learning_rate": 0.0}},
             {"classifier": {"learning_rate": -0.5}},
             {"classifier": {"reg_strength": -1e-4}},
+            {"kernels": []},
         ],
         ids=["repeats", "stop-step", "no-stop-steps", "stop-step-twice", "kernel", "kernel-twice",
              "top-level-biased-target", "beta-not-a-number", "beta-nan", "kernels-str",
@@ -93,7 +96,7 @@ class TestMaskConfig:
              "limit-train-zero", "limit-train-negative", "limit-test-zero", "downsample-zero",
              "downsample-negative", "threshold-below-0", "threshold-above-255", "random-masks-zero",
              "classifier-iterations-zero", "classifier-learning-rate-zero",
-             "classifier-learning-rate-negative", "classifier-reg-negative"],
+             "classifier-learning-rate-negative", "classifier-reg-negative", "kernels-empty"],
     )
     def test_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -124,6 +127,16 @@ class TestMaskSearch:
         mnistexp.run_mask_search(tiny_mask_config(idx_paths), tmp_path / "out", log=io.StringIO())
         assert (tmp_path / "out/masks/linear_terms.txt").is_file()
         assert not list((tmp_path / "out").rglob("*.tmp"))
+
+    def test_chain_starts_and_seeds_follow_the_search_scheme(self, tmp_path, idx_paths, monkeypatch):
+        """Run r of the i-th kernel starts at the weight-k draw of
+        stream(seed, 50, r) and runs unthinned on derive_seed(seed, i, r)."""
+        calls = record_chains(monkeypatch)
+        mnistexp.run_mask_search(tiny_mask_config(idx_paths), tmp_path / "out", log=io.StringIO())
+        assert calls == [
+            (kernel, random_weight_k_config(49, 4, stream(9, 50, r)).tolist(), derive_seed(9, i, r), 60, 1)
+            for i, kernel in enumerate(mnistexp.SEARCH_KERNELS) for r in range(2)
+        ]
 
     def test_workers_do_not_change_artifacts(self, tmp_path, idx_paths):
         for workers, name in ((1, "serial"), (2, "parallel")):
@@ -265,7 +278,7 @@ class TestMaskSearchCache:
 def test_best_energy_csv_fields_are_numbers(tmp_path):
     """One column per run, every field a plain number."""
     traces = [fake_trace(np.zeros((5, 3)), energies=np.arange(5.0)[::-1] + r) for r in range(2)]
-    mnistexp._write_best_energy_csv(traces, tmp_path / "best.csv")
+    analysis.save_best_energy_csv(traces, tmp_path / "best.csv", ["run0", "run1"])
     lines = (tmp_path / "best.csv").read_text().splitlines()
     assert lines[0] == "step,run0,run1"
     assert lines[1:] == [f"{t},{4.0 - t!r},{5.0 - t!r}" for t in range(5)]

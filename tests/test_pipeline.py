@@ -115,6 +115,20 @@ def all_artifact_bytes(out):
     }
 
 
+def record_chains(monkeypatch) -> list:
+    """Wrap ``mcmc.run_chain`` so that each call appends its kernel kind,
+    start configuration, seed, steps and thin to the returned list."""
+    calls = []
+    run_chain = mcmc.run_chain
+
+    def recording(inst, k, kernel, steps, init, seed, thin=1):
+        calls.append((kernel.kind, init.tolist(), seed, steps, thin))
+        return run_chain(inst, k, kernel, steps, init, seed, thin)
+
+    monkeypatch.setattr(mcmc, "run_chain", recording)
+    return calls
+
+
 class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError):
@@ -193,6 +207,7 @@ class TestConfig:
             {"instance": {"path": "inst.json"}},
             {"instance": {"n": 3, "degree": 2}, "partition": {"sizes1": [3]}},
             {"instance": {"n": 8, "degree": 0}, "partition": {"block_size": 4}},
+            {"mcmc": {"kernels": []}},
         ],
         ids=["steps", "pairs", "thin", "block-size", "n", "k-above-n", "k-not-int",
              "block-size-above-n", "kernel-twice", "beta-not-a-number", "beta-infinite",
@@ -204,7 +219,7 @@ class TestConfig:
              "degree-negative", "sizes-sum-not-n", "size-zero", "max-lag-zero", "burn-above-one",
              "burn-negative", "cutoff-negative", "cutoff-one", "source-unknown",
              "k-zero-with-global-kawasaki", "path-with-generated-instance",
-             "block-size-above-n-with-sizes2-spread", "local-kawasaki-edgeless"],
+             "block-size-above-n-with-sizes2-spread", "local-kawasaki-edgeless", "kernels-empty"],
     )
     def test_out_of_range_value_rejected(self, doc):
         with pytest.raises(ConfigError):
@@ -316,6 +331,19 @@ class TestPipelineRun:
         assert a.keys() == b.keys()
         for name in a:
             assert a[name] == b[name], f"artifact {name} differs between runs"
+
+    def test_chain_starts_and_seeds_follow_the_tau_scheme(self, tmp_path, monkeypatch):
+        """Chain t of pair p of the i-th kernel starts at the weight-k draw of
+        stream(mcmc.seed, 100, p, t) and runs on derive_seed(mcmc.seed, i, p, t)."""
+        calls = record_chains(monkeypatch)
+        kernels = ["block-surrogate", "global-kawasaki", "local-kawasaki"]
+        cfg = tiny_config(mcmc={"kernels": kernels, "steps": 40, "pairs": 2, "thin": 2, "seed": 5})
+        pipeline.PipelineRun(cfg, tmp_path / "run", log=io.StringIO()).ensure_mcmc()
+        assert calls == [
+            (kernel, qubo.random_weight_k_config(16, 8, stream(5, 100, pair, t)).tolist(),
+             derive_seed(5, i, pair, t), 40, 2)
+            for i, kernel in enumerate(kernels) for pair in range(2) for t in range(2)
+        ]
 
     def test_kawasaki_only_skips_surrogate_stages(self, tmp_path):
         cfg = tiny_config(mcmc={"kernels": ["global-kawasaki"], "steps": 800,
