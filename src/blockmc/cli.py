@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands run individual pipeline stages (upstream stages are ensured
-first, cached stages are reused), the full pipeline, a tau sweep over
-system size (``sweep-n``) or block size (``sweep-b``), and the
+first, cached stages are reused), the full pipeline, a tau sweep along
+one axis of ``pipeline.SWEEP_AXES`` (``sweep-n``, ``sweep-b``), and the
 feature-selection experiment, itself one cached stage. Exit codes:
 0 success, 2 config error, 3 data/format error, 4 resource limit.
 """
@@ -12,25 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .errors import ConfigError, FormatError, ResourceLimitError
-from .fileio import COUNT
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
-from .pipeline import PipelineRun, config_from_dict, fill_config, reseed_config, sweep
+from .pipeline import SWEEP_AXES, PipelineRun, SweepConfig, config_from_dict, fill_config, reseed_config, sweep
 
 _STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
-# command -> (swept field, its values under the config's "sweep", printed label)
-_SWEEPS = {"sweep-n": ("n", "n_values", "n"), "sweep-b": ("block_size", "block_sizes", "|B|")}
-
-
-@dataclass
-class SweepConfig:
-    """The config's optional ``sweep`` section: the values each sweep command runs."""
-
-    n_values: list[int] | None = field(default=None, metadata={**COUNT, "distinct": True})
-    block_sizes: list[int] | None = field(default=None, metadata={**COUNT, "distinct": True})
+_SWEEPS = {f"sweep-{axis.tag}": swept for swept, axis in SWEEP_AXES.items()}  # command -> swept field
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +47,7 @@ def _load_raw(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} is not a JSON object")
@@ -95,12 +84,13 @@ def _run(args) -> int:
 
     cfg, sweep_cfg = _experiment_config(raw, args)
     if args.command in _SWEEPS:
-        swept, values_key, label = _SWEEPS[args.command]
-        values = getattr(sweep_cfg, values_key)
+        swept = _SWEEPS[args.command]
+        axis = SWEEP_AXES[swept]
+        values = getattr(sweep_cfg, axis.values)
         if not values:
-            raise ConfigError(f"{args.command} requires config field sweep.{values_key}")
+            raise ConfigError(f"{args.command} requires config field sweep.{axis.values}")
         for r in sweep(cfg, swept, values, args.out, force=args.force):
-            print(f"{label}={r[swept]} kernel={r['kernel']} tau={_tau(r['tau'])}")
+            print(f"{axis.label}={r[swept]} kernel={r['kernel']} tau={_tau(r['tau'])}")
         return 0
 
     run = PipelineRun(cfg, args.out, force=args.force)

@@ -38,7 +38,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     labels = load_idx_labels(labels_path)
     if len(images) != len(labels):
         raise FormatError(
-            f"count mismatch: {len(images)} images vs {len(labels)} labels"
+            f"count mismatch: {len(images)} images in {images_path} vs {len(labels)} labels in {labels_path}"
         )
     return images, labels
 

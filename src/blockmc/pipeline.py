@@ -25,9 +25,12 @@ the same per-block QAOA and MADE helpers and chain-ensemble routine
 (``run_chains``, with its own init key and replica ids), and fills its
 config with the same loader.
 
+``sweep`` runs one pipeline per value of a sweep axis; ``SWEEP_AXES`` is the
+one table of them, and ``SweepConfig`` the section that lists their values.
+
 Each config field declares its range or choices in its field metadata;
 ``fill_config`` checks type and range in one pass for both experiments and
-the CLI's sweep section, and a loader adds only the rules that span fields.
+the ``sweep`` section, and a loader adds only the rules that span fields.
 The ``made`` section of both experiments is the trainer's own
 ``made.TrainConfig``, so its ranges are declared once, on its fields.
 """
@@ -43,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -627,54 +630,60 @@ def _save_tau_table(result, path):
     write_lines(path, ["kernel,tau,tau_mean,tau_std,n_pairs,slow_mixing", *rows])
 
 
-_SWEEP_TAGS = {"n": "n", "block_size": "b"}
+# A sweep axis: the config section of its field, the field of ``SweepConfig``
+# that lists its values, the tag of its points' directories (<tag><value>),
+# CSV (sweep_<tag>.csv) and command (sweep-<tag>), and its printed label.
+SweepAxis = NamedTuple("SweepAxis", [("section", str), ("values", str), ("tag", str), ("label", str)])
+SWEEP_AXES = {  # swept field -> its axis
+    "n": SweepAxis("instance", "n_values", "n", "n"),
+    "block_size": SweepAxis("partition", "block_sizes", "b", "|B|"),
+}
+
+
+@dataclass
+class SweepConfig:
+    """The config's optional ``sweep`` section: the values of each axis in ``SWEEP_AXES``."""
+
+    n_values: list[int] | None = field(default=None, metadata={**COUNT, "distinct": True})
+    block_sizes: list[int] | None = field(default=None, metadata={**COUNT, "distinct": True})
 
 
 def sweep(
     cfg: ExperimentConfig, field: str, values: list[int], out, force=False, log=None
 ) -> list[dict]:
-    """One pipeline per value of ``field``, under ``out/<n|b><value>``, and
-    one tau row per point and kernel, also written to ``sweep_<n|b>.csv``.
+    """One pipeline per value of ``field``, a key of ``SWEEP_AXES``, under
+    ``out/<tag><value>``, and one tau row per point and kernel, also written
+    to ``sweep_<tag>.csv``.
 
-    ``field`` is ``"n"`` (system size at fixed block size; each size gets
-    an instance seed derived from ``instance.seed``, so the instance must
-    be generated) or ``"block_size"`` (at fixed system size). Both re-spread
-    the partition's block sizes. Every point's config is checked, and every
-    point's instance built or loaded and checked against its config, before
-    any point's later stages run.
+    Each point sets the field in its axis's section and re-spreads the
+    partition's block sizes. A point on an instance axis (``n``) is a new
+    instance: it gets an instance seed derived from ``instance.seed`` and
+    the value, so the instance must be generated. Every point's config is
+    checked, and every point's instance built or loaded and checked against
+    its config, before any point's later stages run.
     """
-    if field not in _SWEEP_TAGS:
-        raise ConfigError(f"cannot sweep {field!r}; choose from {sorted(_SWEEP_TAGS)}")
-    if field == "n" and cfg.instance.source == "file":
-        raise ConfigError("cannot sweep n over a file instance, whose n is fixed by the file")
-    tag = _SWEEP_TAGS[field]
-    subs = []
+    axis = SWEEP_AXES[field]
+    new_instance = axis.section == "instance"
+    if new_instance and cfg.instance.source == "file":
+        raise ConfigError(f"cannot sweep {field} over a file instance, whose {field} is fixed by the file")
+    runs = []
     for value in values:
         doc = asdict(cfg)
-        if field == "n":
-            doc["instance"].update(n=value, seed=derive_seed(cfg.instance.seed, value))
-        else:
-            doc["partition"]["block_size"] = value
+        doc[axis.section][field] = value
+        if new_instance:
+            doc["instance"]["seed"] = derive_seed(cfg.instance.seed, value)
         doc["partition"].update(sizes1=None, sizes2=None)
-        subs.append(config_from_dict(doc))
-    runs = [PipelineRun(sub, Path(out) / f"{tag}{value}", force=force, log=log) for value, sub in zip(values, subs)]
+        runs.append(PipelineRun(config_from_dict(doc), Path(out) / f"{axis.tag}{value}", force=force, log=log))
     for run in runs:  # a file instance's fit is known only once it is read
         run.ensure_instance()
     rows = []
-    for run in runs:
+    for value, run in zip(values, runs):
         result, _ = run.ensure_analysis()
         for kernel, e in sorted(result["kernels"].items()):
             rows.append(
-                {
-                    "n": run.cfg.instance.n,
-                    "block_size": run.cfg.partition.block_size,
-                    "kernel": kernel,
-                    "tau": e["tau"],
-                    "tau_mean": e["tau_mean"],
-                    "tau_std": e["tau_std"],
-                }
+                {field: value, "kernel": kernel, "tau": e["tau"], "tau_mean": e["tau_mean"], "tau_std": e["tau_std"]}
             )
-    _save_sweep_csv(rows, Path(out) / f"sweep_{tag}.csv", lead=field)
+    _save_sweep_csv(rows, Path(out) / f"sweep_{axis.tag}.csv", lead=field)
     return rows
 
 

@@ -102,6 +102,13 @@ class TestExitCodes:
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "is not valid JSON" in capsys.readouterr().err
 
+    def test_config_nested_too_deep_is_2(self, tmp_path, capsys):
+        """An array nested past the JSON parser's recursion limit is a config error, not a traceback."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: config file {path} is not valid JSON" in capsys.readouterr().err
+
     def test_config_path_is_a_directory_is_2(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
         assert "cannot be read" in capsys.readouterr().err
@@ -445,3 +452,10 @@ class TestMnistCommand:
                "repeats": 1, "random_masks": 2}
         cfg = write_config(tmp_path, doc)
         assert main(["mnist", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_label_count_that_misfits_its_images_is_3_and_names_both_files(self, tmp_path, capsys):
+        doc = mnist_doc(tmp_path)
+        idx.write_idx_labels(doc["test_labels"], idx.load_idx_labels(doc["test_labels"])[:19])
+        assert main(["mnist", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == 3
+        message = f"count mismatch: 20 images in {doc['test_images']} vs 19 labels in {doc['test_labels']}"
+        assert f"format error: {message}" in capsys.readouterr().err

@@ -563,6 +563,38 @@ class TestSweeps:
         assert (tmp_path / "sweep_n.csv").exists()
 
 
+    @pytest.mark.parametrize("field, values, tag", [("n", [12, 20], "n"), ("block_size", [2, 8], "b")])
+    def test_each_point_sets_only_its_axis(self, tmp_path, monkeypatch, field, values, tag):
+        """Each point runs in ``<tag><value>`` on the base config with the swept
+        field set and the explicit block sizes cleared; a point on n also gets
+        an instance seed derived from the value."""
+        built = []
+
+        class RecordedRun(pipeline.PipelineRun):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+            def ensure_instance(self):
+                return None, ""
+
+            def ensure_analysis(self):
+                return {"kernels": {}}, ""
+
+        monkeypatch.setattr(pipeline, "PipelineRun", RecordedRun)
+        base = tiny_config(partition={"block_size": 4, "sizes1": [8, 8], "sizes2": [6, 10], "seed": 2})
+        pipeline.sweep(base, field, values, tmp_path, log=io.StringIO())
+        assert [run.out for run in built] == [tmp_path / f"{tag}{v}" for v in values]
+        for value, run in zip(values, built):
+            expected = dataclasses.asdict(base)
+            if field == "n":
+                expected["instance"].update(n=value, seed=derive_seed(base.instance.seed, value))
+            else:
+                expected["partition"]["block_size"] = value
+            expected["partition"].update(sizes1=None, sizes2=None)
+            assert dataclasses.asdict(run.cfg) == expected
+
+
 class TestAnalyzeTracesUnits:
     def test_thinned_tau_is_per_step(self, tmp_path):
         """At thin=2 the reported rates are the per-sample fits halved and the
