@@ -7,12 +7,15 @@ layer as a one-hot embedding through unmasked weights. Hidden units of
 degree 0 connect to no inputs but still receive the context, which is what
 carries k to the first conditional.
 
-Likelihoods are exact by construction, sampling is ancestral, and training
+``ConditionalMadeModel.log_prob`` is the one density: exact by
+construction, over a batch of rows with one context each. ``.sample`` is
+the one sampler: ancestral, over a batch of draws at one weight. Training
 is plain mini-batch gradient ascent with momentum, all in numpy (reverse
 mode by hand; the networks are tiny). ``TrainConfig`` holds the widths and
 training settings, and is also the ``made`` section of both experiments'
 configs. A model holds its weights and nothing derived from them; the chain
-kernel's per-weight proposal tables belong to ``mcmc`` (``sector_table``).
+kernel's per-weight proposal tables belong to ``mcmc`` (``sector_table``),
+which reads them off ``log_prob`` and never calls ``sample``.
 
 ``train_group`` trains same-shape models in lockstep: each layer's tensors
 are stacked on a leading member axis, so one minibatch is one forward, one
@@ -84,22 +87,34 @@ class ConditionalMadeModel:
     masks: list[np.ndarray]
     ctx_weights: list[np.ndarray]
 
-    def log_prob(self, x: np.ndarray, k: int) -> float:
-        """Exact log q(x | k); probabilities clamped away from {0, 1}."""
-        if len(x) != self.block_size:
-            raise ValueError(f"x has length {len(x)}, expected {self.block_size}")
-        if not 0 <= k <= self.block_size:
-            raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
-        return float(log_prob_batch(self, x[None], np.array([k]))[0])
+    def log_prob(self, x: np.ndarray, ks) -> np.ndarray:
+        """Exact log q(x | k) of each row of ``x``, a (rows, |B|) 0/1 array,
+        given that row's context in ``ks``; probabilities clamped away from
+        {0, 1}. The model's one density."""
+        ks = np.asarray(ks)
+        if x.ndim != 2 or x.shape[1] != self.block_size:
+            raise ValueError(f"x has shape {x.shape}, expected (rows, {self.block_size})")
+        bad = ks[(ks < 0) | (ks > self.block_size)]
+        if bad.size:
+            raise ValueError(f"context weight {bad[0]} outside [0, {self.block_size}]")
+        return _group_log_prob(_stack([self]), x[None], ks[None])[0]
 
-    def sample(self, k: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Ancestral draw in position order; returns (bits, log q(bits | k)).
+    def sample(self, k: int, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` ancestral draws in position order, vectorized across
+        draws; returns their (count, |B|) uint8 bits and log q(bits | k).
 
         The chain kernel draws from ``mcmc.sector_table`` instead, which has this law."""
         if not 0 <= k <= self.block_size:
             raise ValueError(f"context weight {k} outside [0, {self.block_size}]")
-        bits, log_q = sample_batch(self, k, 1, rng)
-        return bits[0], float(log_q[0])
+        params = _stack([self])
+        x = np.zeros((1, count, self.block_size), dtype=np.float64)
+        ks = np.full((1, count), k)
+        for v in range(self.block_size):
+            logits, _ = _forward(params, x, ks)
+            p = np.clip(_sigmoid(logits[0, :, v]), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
+            x[0, :, v] = (rng.random(count) < p).astype(np.float64)
+        bits = x[0].astype(np.uint8)
+        return bits, self.log_prob(bits, ks[0])
 
 
 def _sigmoid(z):
@@ -195,11 +210,6 @@ def _row_log_lik(xf, p):
 def _group_log_prob(params, x, ks):
     xf = x.astype(np.float64)
     return _row_log_lik(xf, _sigmoid(_forward(params, xf, ks)[0]))
-
-
-def log_prob_batch(model: ConditionalMadeModel, x: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Vectorized log q(x | k) for rows of x with matching contexts."""
-    return _group_log_prob(_stack([model]), x[None], np.asarray(ks)[None])[0]
 
 
 def _group_loss_and_grads(params, x, ks, counts, size):
@@ -333,21 +343,6 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
         for dst, src in zip((*model.weights, *model.biases, *model.ctx_weights), trained):
             dst[...] = src[g]
     return reports
-
-
-def sample_batch(
-    model: ConditionalMadeModel, k: int, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ancestral sampling vectorized across draws; same law as ``sample``."""
-    params = _stack([model])
-    x = np.zeros((1, count, model.block_size), dtype=np.float64)
-    ks = np.full((1, count), k)
-    for v in range(model.block_size):
-        logits, _ = _forward(params, x, ks)
-        p = np.clip(_sigmoid(logits[0, :, v]), _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-        x[0, :, v] = (rng.random(count) < p).astype(np.float64)
-    bits = x[0].astype(np.uint8)
-    return bits, log_prob_batch(model, bits, np.full(count, k, dtype=np.int64))
 
 
 _MODEL_MAGIC = b"BMCM"

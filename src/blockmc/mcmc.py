@@ -8,12 +8,13 @@ trace file and never changes once given; new kernels take 4 and up.
   block uniformly, read off the only feasible block weight from the
   complement, draw the block's bits from its conditional MADE, and correct
   with the proposal ratio q(x_B|k)/q(x'_B|k). The draw is one uniform
-  against the block's weight-k table (``sector_table``), which has the law
-  of the ancestral sampler, mismatch rate included; both log q terms are
-  table lookups. The ``KernelConfig`` builds each (block, k) table on its
-  first use and keeps it for every chain it runs, so a table lives exactly
-  as long as the config and a config built after training reads the
-  trained weights.
+  against the block's weight-k table (``sector_table``), which is built
+  from the MADE's density (``ConditionalMadeModel.log_prob``) and has the
+  law of its ancestral sampler (``.sample``), mismatch rate included; both
+  log q terms are table lookups. The ``KernelConfig`` builds each (block,
+  k) table on its first use and keeps it for every chain it runs, so a
+  table lives exactly as long as the config and a config built after
+  training reads the trained weights.
 * ``global-kawasaki``: swap a uniformly chosen 1-bit with a uniformly
   chosen 0-bit; symmetric, so the ratio term vanishes.
 * ``local-kawasaki``: pick a graph edge uniformly; swap if its endpoints
@@ -63,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .fileio import Reader, write_bytes
-from .made import ConditionalMadeModel, log_prob_batch
+from .made import ConditionalMadeModel
 from .partition import PartitionPair
 from .qaoa import basis
 from .qubo import QuboInstance, energy
@@ -187,14 +188,15 @@ def sector_table(model: ConditionalMadeModel, k: int) -> tuple[tuple, tuple, dic
 
     ``codes`` ascend (bit t of a code is x_t); ``cdf`` is the running sum of
     q(code | k) over them, so ``cdf[-1]`` is the mass q gives weight k and
-    one uniform below it picks a code with the ancestral sampler's law;
-    ``log_q`` maps each code to log q(code | k).
+    one uniform below it picks a code with the law of the sampler,
+    ``model.sample``; ``log_q`` maps each code to log q(code | k). The
+    probabilities come from the density, ``model.log_prob``, in one call.
     """
     if not 0 <= k <= model.block_size:
         raise ValueError(f"context weight {k} outside [0, {model.block_size}]")
     b = basis(model.block_size)
     codes = b.order[b.bounds[k] : b.bounds[k + 1]]
-    log_q = log_prob_batch(model, b.bits[codes], np.full(len(codes), k))
+    log_q = model.log_prob(b.bits[codes], np.full(len(codes), k))
     cdf, codes = tuple(np.cumsum(np.exp(log_q)).tolist()), tuple(codes.tolist())
     return cdf, codes, dict(zip(codes, log_q.tolist()))
 

@@ -184,10 +184,6 @@ class QaoaParams:
         if not all(map(math.isfinite, self.gammas.tolist() + self.betas.tolist())):
             raise ValueError("gammas and betas must be finite")
 
-    @property
-    def p(self) -> int:
-        return len(self.gammas)
-
 
 def ring_mixer_edges(size: int) -> list[tuple[int, int]]:
     """Ring over the block's local indices; connected with O(|B|) edges."""

@@ -4,8 +4,10 @@
 deleted function would fail only the benchmark's traced runs. Here its
 ``install`` runs against a stub tracer that checks every hook, and a short
 chain of each kernel is run to check that the chain code calls its hooked
-functions through their module, where the tracer's wrappers sit. A tiny
-traced pipeline run checks the arguments the tracer reads to label a call.
+functions through their module, where the tracer's wrappers sit; a sector
+table is built to check that it reads the MADE's density through its class.
+A tiny traced pipeline run checks the arguments the tracer reads to label a
+call.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from blockmc import mcmc, pipeline, qubo
+from blockmc import made, mcmc, pipeline, qubo
 from blockmc.pipeline import _chain_task
 from test_mcmc import block_surrogate_config
 
@@ -67,6 +69,14 @@ def test_chains_call_the_hooked_functions_through_their_module(monkeypatch):
         cfg = block_surrogate_config(inst, [4, 4]) if kind == "block-surrogate" else mcmc.KernelConfig(kind, 0.5)
         _chain_task((inst, 4, cfg, 200, init, 3, 1))
     assert {"run_chain", "energy_delta_swap", "energy_delta_block"} <= set(calls)
+
+
+def test_sector_tables_call_the_density_through_its_class(monkeypatch):
+    calls = []
+    fn = made.ConditionalMadeModel.log_prob
+    monkeypatch.setattr(made.ConditionalMadeModel, "log_prob", lambda *a: calls.append(a) or fn(*a))
+    mcmc.sector_table(made.build_model(4, made.TrainConfig(), seed=0), 2)
+    assert calls
 
 
 def test_traced_run_labels_calls_by_block_size_and_kernel(tmp_path, monkeypatch):

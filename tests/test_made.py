@@ -39,7 +39,7 @@ def logits(model, x, k):
 def exhaustive_conditional_distribution(model, k):
     """Exact q(. | k) over all 2^|B| bitstrings (bit t of the index is x_t)."""
     bits = qaoa.basis(model.block_size).bits
-    return np.exp(made.log_prob_batch(model, bits, np.full(len(bits), k, dtype=np.int64)))
+    return np.exp(model.log_prob(bits, np.full(len(bits), k, dtype=np.int64)))
 
 
 def count_weighted_step(params, x, ks):
@@ -101,7 +101,7 @@ class TestLogProb:
         model = zero_weights(tiny_model(5, seed=1))
         x = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         for k in range(6):
-            assert model.log_prob(x, k) == pytest.approx(5 * math.log(0.5))
+            assert model.log_prob(x[None], [k])[0] == pytest.approx(5 * math.log(0.5))
 
     def test_exhaustive_normalization(self):
         model = tiny_model(6, seed=2)
@@ -112,7 +112,7 @@ class TestLogProb:
     def test_context_out_of_range(self):
         model = tiny_model(4, seed=3)
         with pytest.raises(ValueError):
-            model.log_prob(np.zeros(4, dtype=np.uint8), 5)
+            model.log_prob(np.zeros((1, 4), dtype=np.uint8), [5])
 
     def test_training_improves_heldout(self):
         """Weight-concentrated data: trained beats untrained on held-out LL."""
@@ -126,10 +126,10 @@ class TestLogProb:
         ks = held.sum(axis=1).astype(np.int64)
         cfg = made.TrainConfig(epochs=30, seed=4)
         untrained = made.build_model(6, cfg, seed=9)
-        before = float(np.mean(made.log_prob_batch(untrained, held, ks)))
+        before = float(np.mean(untrained.log_prob(held, ks)))
         model = made.build_model(6, cfg, seed=9)
         made.train(model, data, cfg)
-        after = float(np.mean(made.log_prob_batch(model, held, ks)))
+        after = float(np.mean(model.log_prob(held, ks)))
         assert after > before
 
 
@@ -137,7 +137,7 @@ class TestSample:
     def test_zero_weights_fair_coin(self):
         model = zero_weights(tiny_model(4, seed=1))
         rng = stream(12)
-        bits, _ = made.sample_batch(model, 2, 10_000, rng)
+        bits, _ = model.sample(2, 10_000, rng)
         frac = bits.mean(axis=0)
         assert np.all(np.abs(frac - 0.5) < 0.02)
 
@@ -146,14 +146,14 @@ class TestSample:
         rng = stream(13)
         for k in (0, 2, 5):
             for _ in range(20):
-                x, lp = model.sample(k, rng)
-                assert lp == pytest.approx(model.log_prob(x, k), abs=1e-12)
+                (x,), (lp,) = model.sample(k, 1, rng)
+                assert lp == pytest.approx(model.log_prob(x[None], [k])[0], abs=1e-12)
 
-    def test_sample_batch_matches_exhaustive(self):
+    def test_batched_draws_match_exhaustive(self):
         """TV(empirical, exact) < 0.01 on 1e5 ancestral draws."""
         model, _ = _trained_qaoa_model(6, seed=21)
         rng = stream(14)
-        bits, _ = made.sample_batch(model, 3, 100_000, rng)
+        bits, _ = model.sample(3, 100_000, rng)
         idx = bits @ (1 << np.arange(6))
         counts = np.bincount(idx, minlength=64) / len(bits)
         exact = exhaustive_conditional_distribution(model, 3)
@@ -163,7 +163,7 @@ class TestSample:
     def test_single_and_batch_agree_in_distribution(self):
         model, _ = _trained_qaoa_model(4, seed=22)
         rng = stream(15)
-        singles = np.array([model.sample(2, rng)[0] for _ in range(4000)])
+        singles = np.array([model.sample(2, 1, rng)[0][0] for _ in range(4000)])
         idx_s = singles @ (1 << np.arange(4))
         exact = exhaustive_conditional_distribution(model, 2)
         counts = np.bincount(idx_s, minlength=16) / len(singles)
@@ -211,7 +211,7 @@ class TestTrain:
         cfg = made.TrainConfig(epochs=200, seed=5, validation_fraction=0.0)
         model = made.build_model(4, cfg, seed=6)
         made.train(model, data, cfg)
-        assert math.exp(model.log_prob(x_star, 2)) >= 0.9
+        assert math.exp(model.log_prob(x_star[None], [2])[0]) >= 0.9
 
     def test_gradient_matches_finite_differences(self):
         model = tiny_model(4, seed=8, widths=[8, 8])
@@ -222,7 +222,7 @@ class TestTrain:
         _, (g_w, g_b, g_c) = loss_and_grads(model, x, ks)
 
         def loss():
-            return float(np.mean(made.log_prob_batch(model, x, ks)))
+            return float(np.mean(model.log_prob(x, ks)))
 
         step = 1e-5
         params = (
@@ -481,7 +481,7 @@ class TestPersistence:
         for a, b in zip(back.ctx_weights, model.ctx_weights):
             assert np.array_equal(a, b)
         x = np.array([1, 0, 1, 0], dtype=np.uint8)
-        assert back.log_prob(x, 2) == model.log_prob(x, 2)
+        assert back.log_prob(x[None], [2])[0] == model.log_prob(x[None], [2])[0]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

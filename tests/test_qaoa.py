@@ -718,7 +718,7 @@ class TestLoaderValidation:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(GOOD_PARAMS))
         params, loss = qaoa.load_params(path)
-        assert params.p == 2 and loss == -1.0
+        assert len(params.gammas) == 2 and loss == -1.0
 
     def test_zero_block_size_raises_format_error(self, tmp_path):
         """No row bytes bound the count, so |B| = 0 is refused before any read."""
