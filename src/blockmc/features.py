@@ -48,14 +48,6 @@ class LabeledDataset:
         return self.images.shape[1]
 
 
-@dataclass(eq=False)
-class MiTable:
-    """I(z_i; y) per pixel and sparse symmetric I(z_i; z_j), stored i < j."""
-
-    feature_label: np.ndarray
-    pairwise: dict[tuple[int, int], float]
-
-
 def binarize(images: np.ndarray, labels: np.ndarray, threshold: int = 127) -> LabeledDataset:
     """Flatten and binarize raw grayscale images: z = 1 iff pixel > threshold."""
     flat = images.reshape(len(images), -1)
@@ -74,73 +66,56 @@ def downsample(images: np.ndarray, factor: int) -> np.ndarray:
     return pooled.mean(axis=(2, 4)).astype(np.uint8)
 
 
-def build_mi_table(ds: LabeledDataset) -> MiTable:
-    """All feature-label and pairwise mutual informations, vectorized.
-
-    The pairwise table comes from a single Z^T Z product; exact zeros are
-    dropped (they could never survive edge thresholding).
-    """
-    n = len(ds.images)
-    z = ds.images.astype(np.float64)
-    npix = ds.n_pixels
-    # feature-label: per-class count of ones per pixel
-    n1c = np.zeros((ds.n_classes, npix))
-    class_tot = np.zeros(ds.n_classes)
-    for c in range(ds.n_classes):
-        sel = ds.labels == c
-        class_tot[c] = sel.sum()
-        n1c[c] = z[sel].sum(axis=0)
-    n0c = class_tot[:, None] - n1c
-    feature_label = np.zeros(npix)
-    p1 = z.sum(axis=0) / n
-    p0 = 1.0 - p1
-    for c in range(ds.n_classes):
-        pc = class_tot[c] / n
-        for counts, pv in ((n1c[c] / n, p1), (n0c[c] / n, p0)):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = counts * np.log(counts / (pv * pc))
-            feature_label += np.where(counts > 0, term, 0.0)
-    feature_label = np.maximum(feature_label, 0.0)
-    # pairwise: joint counts from one matrix product
-    n11 = z.T @ z
-    ones = z.sum(axis=0)
-    n10 = ones[:, None] - n11
-    n01 = ones[None, :] - n11
-    n00 = n - ones[:, None] - ones[None, :] + n11
-    mi = np.zeros((npix, npix))
-    pi1 = ones / n
-    pj1 = ones / n
-    for counts, pa, pb in (
-        (n11, pi1[:, None], pj1[None, :]),
-        (n10, pi1[:, None], 1.0 - pj1[None, :]),
-        (n01, 1.0 - pi1[:, None], pj1[None, :]),
-        (n00, 1.0 - pi1[:, None], 1.0 - pj1[None, :]),
-    ):
-        p = counts / n
+def _mutual_information(cells) -> np.ndarray:
+    """Plug-in mutual information clamped at 0: the sum over the contingency ``cells``
+    (p, pa, pb), arrays that broadcast, of p log(p / (pa pb)), or 0 where p is 0."""
+    total = 0.0
+    for p, pa, pb in cells:
         with np.errstate(divide="ignore", invalid="ignore"):
             term = p * np.log(p / (pa * pb))
-        mi += np.where(counts > 0, term, 0.0)
-    mi = np.maximum(mi, 0.0)
-    pairwise = {}
-    iu, ju = np.triu_indices(npix, k=1)
-    vals = mi[iu, ju]
-    keep = vals > 0.0
-    for i, j, v in zip(iu[keep], ju[keep], vals[keep]):
-        pairwise[(int(i), int(j))] = float(v)
-    return MiTable(feature_label=feature_label, pairwise=pairwise)
+        total = total + np.where(p > 0, term, 0.0)
+    return np.maximum(total, 0.0)
 
 
-def build_feature_qubo(mi: MiTable, k: int, edge_threshold: float = 1e-3) -> QuboInstance:
-    """Selection QUBO: lin = -I(z_i;y), quad = I(z_i;z_j)/(K-1) above threshold."""
+def build_mi_table(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """I(z_i; y) per pixel, and the dense (pixels x pixels) matrix of I(z_i; z_j),
+    symmetric up to rounding, with each pixel's entropy on its diagonal. The joint
+    counts come from one Z^T Z product; each cell is summed over every pixel at once."""
+    n = len(ds.images)
+    z = ds.images.astype(np.float64)
+    ones = z.sum(axis=0)
+    p1 = ones / n
+    classes = ds.labels == np.arange(ds.n_classes)[:, None]
+    n1c = np.array([z[sel].sum(axis=0) for sel in classes])
+    n0c = classes.sum(axis=1)[:, None] - n1c
+    feature_label = _mutual_information((counts[c] / n, pv, classes[c].sum() / n) for c in range(ds.n_classes)
+                                        for counts, pv in ((n1c, p1), (n0c, 1.0 - p1)))
+    n11 = z.T @ z
+    pi, pj = p1[:, None], p1[None, :]
+    pairwise = _mutual_information((
+        (n11 / n, pi, pj),
+        ((ones[:, None] - n11) / n, pi, 1.0 - pj),
+        ((ones[None, :] - n11) / n, 1.0 - pi, pj),
+        ((n - ones[:, None] - ones[None, :] + n11) / n, 1.0 - pi, 1.0 - pj),
+    ))
+    # a constant pixel informs on nothing, but its cells' (n - a)/n and 1 - a/n round apart
+    constant = (ones == 0) | (ones == n)
+    pairwise[constant] = pairwise[:, constant] = 0.0
+    return feature_label, pairwise
+
+
+def build_feature_qubo(mi: tuple[np.ndarray, np.ndarray], k: int, edge_threshold: float = 1e-3) -> QuboInstance:
+    """Selection QUBO from ``build_mi_table``'s pair: lin = -I(z_i; y), and
+    quad = I(z_i; z_j)/(K-1) on each pair i < j whose weight is positive and
+    at least ``edge_threshold``."""
     if k < 2:
         raise ValueError("K must be >= 2 (redundancy normalization divides by K-1)")
-    n = len(mi.feature_label)
-    quad = {}
-    for (i, j), v in mi.pairwise.items():
-        w = v / (k - 1)
-        if w >= edge_threshold and w > 0.0:
-            quad[(i, j)] = w
-    return QuboInstance(n=n, quad=quad, lin=-mi.feature_label.copy(), konst=0.0)
+    feature_label, pairwise = mi
+    iu, ju = np.triu_indices(len(feature_label), 1)
+    w = pairwise[iu, ju] / (k - 1)
+    keep = (w >= edge_threshold) & (w > 0.0)
+    quad = dict(zip(zip(iu[keep].tolist(), ju[keep].tolist()), w[keep].tolist()))
+    return QuboInstance(n=len(feature_label), quad=quad, lin=-feature_label, konst=0.0)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

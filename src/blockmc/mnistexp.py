@@ -12,10 +12,10 @@ The partition, per-block QAOA and MADE and the search chains run on the
 stage code of ``pipeline`` (``optimize_blocks``, ``train_surrogates``,
 ``run_chains``), and the best-energy CSVs go through the tau analysis's
 writer, ``analysis.save_best_energy_csv``. The whole search is one stage, ``mask-search``, of
-``pipeline.StageCache``: keyed by the config (less ``workers``) and the
-contents of the four IDX files, it is reused from ``manifest.json`` while
-every file it wrote is unchanged (``force`` rebuilds it). Its QAOA, MADE
-and chain results are not kept as artifacts, so any miss rebuilds them all.
+``pipeline.StageCache``: keyed by the config (less ``workers``), the contents of the four IDX
+files and the layout of ``report.json`` (``_FORMAT``), it is reused from ``manifest.json`` while
+every file it wrote is unchanged (``force`` rebuilds it). Its QAOA, MADE and chain results are
+not kept as artifacts, so any miss rebuilds them all.
 
 The paper's 28x28 MNIST results (K=50, chains stopped at steps 50 and
 3000) give accuracies of 0.7951 and 0.8051 for block-surrogate, 0.7748
@@ -63,6 +63,7 @@ from .streams import derive_seed, stream
 # the kernels a mask search may run: local Kawasaki cannot move the bits of
 # isolated vertices (module docstring)
 SEARCH_KERNELS = ("block-surrogate", "global-kawasaki")
+_FORMAT = 1  # the layout of report.json, named in the mask-search stage key
 
 
 @dataclass
@@ -157,7 +158,7 @@ def run_mask_search(cfg: MnistConfig, out, log=None, force=False) -> dict:
     run = StageCache(out, ("mask-search",), force=force, log=log)
     return run._stage(
         "mask-search",
-        _hash({"cfg": doc, "data": [_sha256(path) for path in data]}),
+        _hash({"cfg": doc, "data": [_sha256(path) for path in data], "format": _FORMAT}),
         _artifacts(cfg),
         lambda: read_object(run.out / "report.json"),
         lambda: _search(cfg, run.out, run.log),
@@ -199,8 +200,7 @@ def _search(cfg: MnistConfig, out: Path, log) -> dict:
         raise ConfigError(f"block_size={cfg.block_size} is not in [1, {n}] for {n} pixels")
 
     t0 = time.monotonic()
-    mi = build_mi_table(train)
-    inst = build_feature_qubo(mi, cfg.k, edge_threshold=cfg.edge_threshold)
+    inst = build_feature_qubo(build_mi_table(train), cfg.k, edge_threshold=cfg.edge_threshold)
     save_instance(inst, out / "qubo.json")
     say(f"selection qubo: {inst.n} vars, {inst.num_edges} edges "
         f"({time.monotonic() - t0:.1f}s)")

@@ -1,6 +1,7 @@
 """Tests for IDX parsing, mutual information, the selection QUBO, and the
 mask classifier."""
 
+import hashlib
 import itertools
 import math
 
@@ -223,20 +224,18 @@ class TestMutualInfo:
 
     def test_table_matches_pointwise_ops(self):
         ds = synthetic_dataset(seed=13)
-        table = features.build_mi_table(ds)
+        feature_label, pairwise = features.build_mi_table(ds)
         for i in range(ds.n_pixels):
-            assert table.feature_label[i] == pytest.approx(
+            assert feature_label[i] == pytest.approx(
                 mutual_info_feature_label(ds, i), abs=1e-10
             )
-        for (i, j), v in table.pairwise.items():
-            assert v == pytest.approx(mutual_info_pairwise(ds, i, j), abs=1e-10)
+        for i, j in itertools.combinations(range(ds.n_pixels), 2):
+            assert pairwise[i, j] == pytest.approx(mutual_info_pairwise(ds, i, j), abs=1e-10)
 
 
 class TestBuildFeatureQubo:
     def test_pure_linear_optimum_is_top_k(self):
-        mi = features.MiTable(
-            feature_label=np.array([0.5, 0.1, 0.9, 0.3, 0.7]), pairwise={}
-        )
+        mi = (np.array([0.5, 0.1, 0.9, 0.3, 0.7]), np.zeros((5, 5)))
         inst = features.build_feature_qubo(mi, k=2, edge_threshold=1e-3)
         best, _ = exhaustive_minimum(inst, 2)
         assert set(np.flatnonzero(best)) == {2, 4}
@@ -258,23 +257,43 @@ class TestBuildFeatureQubo:
     def test_exhaustive_mask_oracle(self):
         """QUBO minimizer equals brute-force best mask over C(12, 4)."""
         ds = synthetic_dataset(n_samples=3000, n_pixels=12, seed=16, informative=5)
-        mi = features.build_mi_table(ds)
-        inst = features.build_feature_qubo(mi, k=4, edge_threshold=1e-4)
+        feature_label, pairwise = features.build_mi_table(ds)
+        inst = features.build_feature_qubo((feature_label, pairwise), k=4, edge_threshold=1e-4)
         best_bits, best_e = exhaustive_minimum(inst, 4)
         # independent recomputation straight from the MI table
         oracle_best, oracle_e = None, np.inf
         for combo in itertools.combinations(range(12), 4):
-            e = -sum(mi.feature_label[i] for i in combo)
+            e = -sum(feature_label[i] for i in combo)
             for a, b in itertools.combinations(sorted(combo), 2):
-                v = mi.pairwise.get((a, b), 0.0) / 3
+                v = pairwise[a, b] / 3
                 e += v if v >= 1e-4 else 0.0
             if e < oracle_e:
                 oracle_e, oracle_best = e, combo
         assert set(np.flatnonzero(best_bits)) == set(oracle_best)
         assert best_e == pytest.approx(oracle_e, abs=1e-12)
 
+    def test_qubo_bytes_are_pinned(self, tmp_path):
+        """The saved selection QUBO, byte for byte: the order in which the
+        contingency cells are summed shows in the last bits of its numbers."""
+        inst = features.build_feature_qubo(features.build_mi_table(synthetic_dataset(seed=15)), k=4)
+        qubo.save_instance(inst, tmp_path / "qubo.json")
+        digest = hashlib.sha256((tmp_path / "qubo.json").read_bytes()).hexdigest()
+        assert digest == "2c3258b42bfa40ee23f841aa14eea7ff2de33db0bbc9cc2c5565b400bc4e119a"
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_non_positive_threshold_keeps_the_positive_pairs(self, threshold):
+        """Every pair of positive information becomes an edge, and a constant
+        pixel, which informs on nothing, gets none."""
+        ds = synthetic_dataset()
+        ds.images[:, 5] = 0
+        feature_label, pairwise = features.build_mi_table(ds)
+        inst = features.build_feature_qubo((feature_label, pairwise), k=3, edge_threshold=threshold)
+        positive = {(i, j) for i, j in itertools.combinations(range(ds.n_pixels), 2) if pairwise[i, j] > 0}
+        assert set(inst.quad) == positive
+        assert positive and not any(5 in pair for pair in positive)
+
     def test_k_below_two_rejected(self):
-        mi = features.MiTable(feature_label=np.zeros(4), pairwise={})
+        mi = (np.zeros(4), np.zeros((4, 4)))
         with pytest.raises(ValueError):
             features.build_feature_qubo(mi, k=1)
 
@@ -402,9 +421,7 @@ class TestBiasedAngle:
 
 class TestMaskHelpers:
     def test_top_k_linear(self):
-        mi = features.MiTable(
-            feature_label=np.array([0.5, 0.1, 0.9, 0.3, 0.7]), pairwise={}
-        )
+        mi = (np.array([0.5, 0.1, 0.9, 0.3, 0.7]), np.zeros((5, 5)))
         inst = features.build_feature_qubo(mi, k=2)
         mask = features.top_k_linear_mask(inst, 2)
         assert mask.dtype == np.uint8

@@ -1,11 +1,11 @@
 """Every module-level import in ``blockmc`` is used by its module, and
-every function is named somewhere in the package.
+every function and class is named somewhere in the package.
 
-No linter runs on this package, so a deletion that leaves an import or a
-function behind would go unnoticed; these tests parse each module and name
-any such import or function. A package's ``__init__.py`` is skipped by the
-import check: its imports are its exports, and they count as names of the
-functions they export.
+No linter runs on this package, so a deletion that leaves an import, a
+function or a class behind would go unnoticed; these tests parse each
+module and name any such import, function or class. A package's
+``__init__.py`` is skipped by the import check: its imports are its
+exports, and they count as names of what they export.
 """
 
 import ast
@@ -19,7 +19,7 @@ import blockmc
 SOURCES = sorted(Path(blockmc.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
-# functions no code in the package names, each with the reason it stays
+# functions and classes no code in the package names, each with the reason it stays
 UNNAMED_BUT_KEPT = {
     "idx.write_idx_images": "the benchmark workloads write their synthetic digits with it",
     "idx.write_idx_labels": "the benchmark workloads write their synthetic digits with it",
@@ -62,17 +62,18 @@ def identifiers(node):
             yield n.name.split(".")[-1]
 
 
-def unnamed_functions(sources: dict[str, str]) -> list[str]:
-    """The module-level functions and the methods of module-level classes in
-    ``sources`` (module name -> source) whose name occurs nowhere outside
-    their own body, as a name, an attribute or an imported name. Python
-    calls dunder methods itself, so they are not checked."""
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes and the methods of module-level
+    classes in ``sources`` (module name -> source) whose name occurs nowhere
+    outside their own body, as a name, an attribute or an imported name.
+    Python calls dunder methods itself, so they are not checked."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     counts = Counter(i for tree in trees.values() for i in identifiers(tree))
     unnamed = []
     for module, tree in trees.items():
         defs = [(f"{module}.{n.name}", n) for n in tree.body if isinstance(n, ast.FunctionDef)]
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            defs.append((f"{module}.{cls.name}", cls))
             defs += [(f"{module}.{cls.name}.{n.name}", n) for n in cls.body if isinstance(n, ast.FunctionDef)]
         for qualname, node in defs:
             own = sum(i == node.name for stmt in node.body for i in identifiers(stmt))
@@ -90,11 +91,15 @@ def test_the_check_finds_an_unnamed_function():
         "    def __init__(self):\n        pass\n"
         "    def method(self):\n        pass\n"
         "    def unused(self):\n        pass\n"
+        "class Orphan:\n"
+        "    def make(self):\n        return Orphan()\n"
     )
     b = "from a import Model, exported\nModel().method()\n"
-    assert unnamed_functions({"a": a, "b": b}) == ["a.recursive", "a.Model.unused"]
+    assert unnamed_definitions({"a": a, "b": b}) == [
+        "a.recursive", "a.Model.unused", "a.Orphan", "a.Orphan.make"
+    ]
 
 
 def test_every_function_is_named_outside_its_body():
     sources = {p.stem: p.read_text() for p in SOURCES}
-    assert sorted(unnamed_functions(sources)) == sorted(UNNAMED_BUT_KEPT)
+    assert sorted(unnamed_definitions(sources)) == sorted(UNNAMED_BUT_KEPT)

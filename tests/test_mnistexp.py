@@ -236,6 +236,13 @@ class TestMaskSearchCache:
         search(cfg, tmp_path / "fresh")
         assert all_artifact_bytes(tmp_path / "out") == all_artifact_bytes(tmp_path / "fresh")
 
+    def test_new_report_format_rebuilds_the_stage(self, tmp_path, idx_paths, monkeypatch):
+        cfg = tiny_mask_config(idx_paths)
+        search(cfg, tmp_path / "out")
+        monkeypatch.setattr(mnistexp, "_FORMAT", 2)
+        _, log = search(cfg, tmp_path / "out")
+        assert log[-1].startswith("stage mask-search: built")
+
     def test_edited_mask_file_rebuilds_the_stage_and_is_restored(self, tmp_path, idx_paths):
         cfg = tiny_mask_config(idx_paths)
         search(cfg, tmp_path / "out")

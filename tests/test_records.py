@@ -35,7 +35,6 @@ RECORDS = {
     "LabeledDataset": lambda: features.LabeledDataset(
         images=np.array([[0, 1], [1, 1]], dtype=np.uint8), labels=np.array([0, 1]), n_classes=2
     ),
-    "MiTable": lambda: features.MiTable(feature_label=np.array([0.1, 0.2]), pairwise={}),
     "ConditionalMadeModel": lambda: made.build_model(3, made.TrainConfig(), seed=0),
     "ChainTrace": _chain_trace,
     "PartitionPair": _partition_pair,
