@@ -18,17 +18,18 @@ kernel's per-weight proposal tables belong to ``mcmc`` (``sector_table``),
 which reads them off ``log_prob`` and never calls ``sample``.
 
 ``train_group`` trains same-shape models in lockstep: each layer's tensors
-are stacked on a leading member axis, so one minibatch is one forward, one
-backward and one momentum update for every member. QAOA shots repeat a
-lot, so a step runs over each minibatch's distinct rows weighted by their
-counts, which has the batch's objective and gradient at a fraction of the
-rows; a step costs in proportion to its rows. Members are padded to the
-group's largest distinct count with zero-count rows, in whole chunks of
-``_CHUNK`` rows, and every matmul sees one chunk: a gemm's rounding depends
-on its shape, so a member's call then has the same shape alone and in any
-group. Chunk partials are summed in order, every elementwise op and
-reduction runs per member, and padding adds exact zeros. A member thus
-ends bit for bit where ``train``, the one-member case, would leave it.
+are stacked on a leading member axis as views of one flat buffer (one each
+for parameters, gradients and momenta), so a minibatch is one forward, one
+backward and a three-op update for every member; log-likelihood reports
+are computed only when asked. QAOA shots repeat a lot, so a step runs over
+each minibatch's distinct rows weighted by their counts (one sort per epoch
+groups every full batch). Members are padded to the group's largest
+distinct count with zero-count rows, in whole chunks of ``_CHUNK`` rows,
+and every matmul sees one chunk: a gemm's rounding depends on its shape, so
+a member's call then has the same shape alone and in any group. Chunk
+partials are summed in order, every elementwise op and reduction runs per
+member, and padding adds exact zeros. A member thus ends bit for bit where
+``train``, the one-member case, would leave it.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class ConditionalMadeModel:
         ks = np.asarray(ks)
         if x.ndim != 2 or x.shape[1] != self.block_size:
             raise ValueError(f"x has shape {x.shape}, expected (rows, {self.block_size})")
+        if ks.shape != (len(x),) or ks.dtype.kind not in "iu":
+            raise ValueError(f"ks is {ks.dtype} of shape {ks.shape}, expected integers of shape ({len(x)},)")
+        if ((x != 0) & (x != 1)).any():
+            raise ValueError("x holds a value other than 0 and 1")
         bad = ks[(ks < 0) | (ks > self.block_size)]
         if bad.size:
             raise ValueError(f"context weight {bad[0]} outside [0, {self.block_size}]")
@@ -212,33 +217,34 @@ def _group_log_prob(params, x, ks):
     return _row_log_lik(xf, _sigmoid(_forward(params, xf, ks)[0]))
 
 
-def _group_loss_and_grads(params, x, ks, counts, size):
-    """Log-likelihood of each distinct row of a (G, chunks, _CHUNK, |B|)
-    stack, and the gradient of sum_u counts_u * ll_u / size, the mean
-    log-likelihood of a batch of ``size`` rows holding row u counts_u times,
-    in every weight, bias and context weight.
+def _group_loss_and_grads(params, x, ks, counts, size, grads, ll=True):
+    """Write into ``grads`` (shaped as ``params``' weights, biases and context
+    weights) the gradient of sum_u counts_u * ll_u / size, the mean
+    log-likelihood of a batch of ``size`` rows holding row u of a
+    (G, chunks, _CHUNK, |B|) stack counts_u times; return each ll_u if ``ll``.
 
     Every matmul sees one chunk, and the chunks' partial gradients are summed
     in order, so a member's results do not depend on how many chunks of
     zero-count rows pad it: those add exact zeros.
     """
     weights, _, ctx_weights, masks = params
+    g_w, g_b, g_c = grads
     xf = x.astype(np.float64)
     logits, (eff, acts) = _forward(params, xf, ks)
     k_onehot = np.eye(x.shape[-1] + 1)[ks]
     p = _sigmoid(logits)
-    ll = _row_log_lik(xf, p)
+    ll = _row_log_lik(xf, p) if ll else None
     back = (xf - p) * counts[..., None] / size
-    g_w, g_b, g_c = [], [], []  # output layer first
-    for l in range(len(weights) - 1, -1, -1):
+    for l in range(len(weights) - 1, -1, -1):  # output layer first
         if l < len(ctx_weights):
             back *= acts.pop() > 0.0  # acts[l + 1], freed as the pass goes down
-            g_c.append((back.swapaxes(2, 3) @ k_onehot).sum(axis=1))
-        g_w.append((back.swapaxes(2, 3) @ acts[l]).sum(axis=1) * masks[l])
-        g_b.append(back.sum(axis=(1, 2)))
+            np.add.reduce(back.swapaxes(2, 3) @ k_onehot, axis=1, out=g_c[l])
+        np.add.reduce(back.swapaxes(2, 3) @ acts[l], axis=1, out=g_w[l])
+        g_w[l] *= masks[l]
+        np.add.reduce(back, axis=(1, 2), out=g_b[l])
         if l:
             back = back @ eff[l][:, None]
-    return ll, (g_w[::-1], g_b[::-1], g_c[::-1])
+    return ll
 
 
 def _first_copies(samples: np.ndarray) -> np.ndarray:
@@ -249,24 +255,36 @@ def _first_copies(samples: np.ndarray) -> np.ndarray:
     return firsts[group].astype(np.int32)
 
 
+def _ranks(keys: np.ndarray, slot: np.ndarray):
+    """Sort ``keys`` in place along their last axis; returns them and, written
+    into the int32 ``slot``, each sorted key's position among the distinct
+    keys of its row."""
+    keys.sort(axis=-1)
+    slot[..., 0] = 0
+    np.not_equal(keys[..., 1:], keys[..., :-1], out=slot[..., 1:])  # 1 where a new distinct key starts
+    return keys, np.cumsum(slot, axis=-1, out=slot)
+
+
 def _distinct(keys: np.ndarray):
-    """Group each member's row of ``keys`` (G, size) into its distinct values.
+    """Group each member's row of ``keys`` (G, size), sorted in place, into
+    its distinct values.
 
     Returns the distinct keys (G, chunks, _CHUNK) ascending, padded to the
     group's whole chunks with copies of each member's smallest key; their
     counts, zero on the padding; and, for the member's keys in ascending
     order, each one's position among its distinct keys.
     """
-    ranked = np.sort(keys, axis=1)
-    starts = np.ones(ranked.shape, dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    slot = np.cumsum(starts, axis=1) - 1
+    return _plan(*_ranks(keys, np.empty(keys.shape, dtype=np.int32)))
+
+
+def _plan(ranked: np.ndarray, slot: np.ndarray):
+    """``_distinct`` of the keys that ``_ranks`` sorted and placed."""
     width = -(-(int(slot[:, -1].max()) + 1) // _CHUNK) * _CHUNK
-    members = np.arange(len(keys))[:, None]
+    members = np.arange(len(ranked))[:, None]
     distinct = np.repeat(ranked[:, :1], width, axis=1)
     distinct[members, slot] = ranked  # equal keys write the same value
     counts = np.bincount((slot + width * members).reshape(-1), minlength=distinct.size).astype(np.float64)
-    chunked = (len(keys), -1, _CHUNK)
+    chunked = (len(ranked), -1, _CHUNK)
     return distinct.reshape(chunked), counts.reshape(chunked), slot
 
 
@@ -281,7 +299,7 @@ def train(model: ConditionalMadeModel, data: np.ndarray, cfg: TrainConfig) -> Tr
     return train_group([model], [data], [cfg])[0]
 
 
-def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
+def train_group(models: list, datasets: list, cfgs: list, reports=True) -> list[TrainReport] | None:
     """``train`` each model on its sample array and config, all in lockstep.
 
     Members must have equal layer shapes, sample counts and configs up to
@@ -289,7 +307,9 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
     on its distinct rows, each weighted by its count in the batch: the
     objective and gradient are the batch mean's, summed over fewer rows.
     The validation rows are grouped the same way once. Every member ends
-    bit for bit where a lone ``train`` would have left it.
+    bit for bit where a lone ``train`` would have left it. Unless
+    ``reports``, no log-likelihood is computed and None is returned; the
+    validation rows are still held out.
     """
     cfg = cfgs[0]
     for model, data in zip(models, datasets):
@@ -311,38 +331,47 @@ def train_group(models: list, datasets: list, cfgs: list) -> list[TrainReport]:
     k_all = x_all.sum(axis=2, dtype=np.uint8)  # weights <= |B| < 256
     first = np.stack([_first_copies(d) for d in datasets])
     # return_index makes np.unique sort stably; its default sort would page in 128 kB more of numpy
-    val_rows = [np.unique(first[g, rows], return_index=True, return_inverse=True) for g, rows in enumerate(val_idx)]
-    params = _stack(models)
-    trained = [t for group in params[:3] for t in group]
-    vels = [np.zeros_like(t) for t in trained]
-    reports = [TrainReport(train_ll=[], val_ll=[]) for _ in models]
-    order = np.empty_like(train_idx)
+    val_rows = [np.unique(first[g, rows], return_index=True, return_inverse=True)
+                for g, rows in enumerate(val_idx if reports else [])]
+    *stacked, masks = _stack(models)
+    theta = np.concatenate([t.reshape(-1) for group in stacked for t in group])
+    params = (*_views(theta, stacked), masks)
+    grad, vel = np.empty_like(theta), np.zeros_like(theta)
+    grads = _views(grad, stacked)
+    curves = []  # per epoch: each member's mean training and validation log-likelihood
+    keys = np.empty(train_idx.shape, dtype=np.int32)  # each epoch's training rows as first-copy keys
+    n_full = keys.shape[1] // cfg.batch_size * cfg.batch_size
+    slots = np.empty((len(models), n_full // cfg.batch_size, cfg.batch_size), dtype=np.int32)
     for _ in range(cfg.epochs):
         for g, (idx, rng) in enumerate(zip(train_idx, rngs)):
-            order[g] = idx[rng.permutation(len(idx))]
+            keys[g] = first[g, idx[rng.permutation(len(idx))]]
+        ranked, _ = _ranks(keys[:, :n_full].reshape(slots.shape), slots)
         epoch_ll = np.zeros(len(models))
-        for start in range(0, order.shape[1], cfg.batch_size):
-            rows, counts, slot = _distinct(first[members, order[:, start : start + cfg.batch_size]])
-            ll, grads = _group_loss_and_grads(
-                params, x_all[members[..., None], rows], k_all[members[..., None], rows], counts, slot.shape[1]
-            )
-            epoch_ll += np.mean(ll.reshape(len(models), -1)[members, slot], axis=1) * slot.shape[1]
-            for theta, vel, grad in zip(trained, vels, (g for gs in grads for g in gs)):
-                vel *= _MOMENTUM
-                vel += grad
-                theta += cfg.learning_rate * vel
+        for b, start in enumerate(range(0, keys.shape[1], cfg.batch_size)):
+            rows, counts, slot = _plan(ranked[:, b], slots[:, b]) if start < n_full else _distinct(keys[:, start:])
+            ll = _group_loss_and_grads(params, x_all[members[..., None], rows], k_all[members[..., None], rows],
+                                       counts, slot.shape[1], grads, reports)
+            if reports:
+                epoch_ll += np.mean(ll.reshape(len(models), -1)[members, slot], axis=1) * slot.shape[1]
+            vel *= _MOMENTUM
+            vel += grad
+            theta += cfg.learning_rate * vel
         val_ll = np.full(len(models), np.nan)
-        for g in range(len(models) if n_val else 0):  # one at a time, to keep the memory peak low
+        for g in range(len(models) if n_val and reports else 0):  # one at a time, to keep the memory peak low
             member = tuple([t[g : g + 1] for t in group] for group in params)
             rows, _, slot = val_rows[g]
             val_ll[g] = np.mean(_group_log_prob(member, x_all[g, rows][None], k_all[g, rows][None])[0][slot])
-        for report, t, v in zip(reports, epoch_ll / order.shape[1], val_ll):
-            report.train_ll.append(float(t))
-            report.val_ll.append(float(v))
+        curves.append((epoch_ll / keys.shape[1], val_ll))
     for g, model in enumerate(models):
-        for dst, src in zip((*model.weights, *model.biases, *model.ctx_weights), trained):
+        for dst, src in zip((*model.weights, *model.biases, *model.ctx_weights), (t for ts in params[:3] for t in ts)):
             dst[...] = src[g]
-    return reports
+    return [TrainReport(t.tolist(), v.tolist()) for t, v in np.transpose(curves, (2, 1, 0))] if reports else None
+
+
+def _views(buf: np.ndarray, groups) -> tuple[list[np.ndarray], ...]:
+    """Views of consecutive stretches of flat ``buf``, shaped as each array of each list in ``groups``."""
+    parts = iter(np.split(buf, np.cumsum([t.size for ts in groups for t in ts])[:-1]))
+    return tuple([next(parts).reshape(t.shape) for t in ts] for ts in groups)
 
 
 _MODEL_MAGIC = b"BMCM"
@@ -382,10 +411,5 @@ def load_model(path) -> ConditionalMadeModel:
         biases.append(r.array(">f8", o).astype(np.float64))
     ctx_weights = [r.array(">f8", w, b + 1).astype(np.float64) for w in widths]
     r.end()
-    return ConditionalMadeModel(
-        block_size=int(b),
-        weights=weights,
-        biases=biases,
-        masks=masks,
-        ctx_weights=ctx_weights,
-    )
+    return ConditionalMadeModel(block_size=int(b), weights=weights, biases=biases, masks=masks,
+                                ctx_weights=ctx_weights)

@@ -71,6 +71,7 @@ from .qubo import QuboInstance, energy
 from .streams import Draws, stream
 
 _REVALIDATE_EVERY = 10_000
+_TABLE_ROWS = 256  # codes per density call in a sector table: bounds the transient arrays of a large sector
 
 # what a kernel draws from: a chain's replay, or the generator it replays
 Rng = Draws | np.random.Generator
@@ -190,13 +191,15 @@ def sector_table(model: ConditionalMadeModel, k: int) -> tuple[tuple, tuple, dic
     q(code | k) over them, so ``cdf[-1]`` is the mass q gives weight k and
     one uniform below it picks a code with the law of the sampler,
     ``model.sample``; ``log_q`` maps each code to log q(code | k). The
-    probabilities come from the density, ``model.log_prob``, in one call.
+    probabilities come from the density, ``model.log_prob``, on at most
+    ``_TABLE_ROWS`` codes per call.
     """
     if not 0 <= k <= model.block_size:
         raise ValueError(f"context weight {k} outside [0, {model.block_size}]")
     b = basis(model.block_size)
     codes = b.order[b.bounds[k] : b.bounds[k + 1]]
-    log_q = model.log_prob(b.bits[codes], np.full(len(codes), k))
+    parts = [codes[i : i + _TABLE_ROWS] for i in range(0, len(codes), _TABLE_ROWS)]
+    log_q = np.concatenate([model.log_prob(b.bits[part], np.full(len(part), k)) for part in parts])
     cdf, codes = tuple(np.cumsum(np.exp(log_q)).tolist()), tuple(codes.tolist())
     return cdf, codes, dict(zip(codes, log_q.tolist()))
 

@@ -282,7 +282,7 @@ def _optimize_masks(cfg: MnistConfig, inst: QuboInstance, out: Path, say) -> dic
         qaoa_out = optimize_blocks(inst, list(pp.p1) + list(pp.p2), qaoa_cfg, cfg.workers)
         say(f"qaoa: {len(qaoa_out)} blocks ({time.monotonic() - t0:.1f}s)")
         t0 = time.monotonic()
-        trained = train_surrogates(qaoa_out, cfg.made, cfg.workers)
+        trained = train_surrogates(qaoa_out, cfg.made, cfg.workers, reports=False)
         models = {bid: model for bid, (model, _) in trained.items()}
         say(f"made: {len(models)} models ({time.monotonic() - t0:.1f}s)")
 

@@ -496,17 +496,18 @@ def optimize_blocks(inst: QuboInstance, blocks: list, cfg: QaoaConfig, workers: 
     return {b.id: r for b, r in zip(blocks, fan_out(_qaoa_block_task, tasks, workers))}
 
 
-def train_surrogates(qaoa_out: dict, cfg: made.TrainConfig, workers: int) -> dict:
+def train_surrogates(qaoa_out: dict, cfg: made.TrainConfig, workers: int, reports=True) -> dict:
     """Per block id of ``optimize_blocks``'s output, in sorted order:
     (model, report) of a conditional MADE trained on the block's samples
     with ``cfg``, its seed replaced by one derived from ``cfg.seed`` and the
-    block id. Blocks of one size and sample count train in lockstep, in at
-    most ``workers`` chunks per group."""
+    block id; the report is None unless ``reports``. Blocks of one size and
+    sample count train in lockstep, in at most ``workers`` chunks per group."""
     groups = {}
     for bid in sorted(qaoa_out):
         groups.setdefault(qaoa_out[bid][2].shape, []).append(bid)
     chunks = [g[i::workers] for g in groups.values() for i in range(min(workers, len(g)))]
-    tasks = [[(bid, qaoa_out[bid][2], replace(cfg, seed=derive_seed(cfg.seed, *bid))) for bid in c] for c in chunks]
+    tasks = [([(bid, qaoa_out[bid][2], replace(cfg, seed=derive_seed(cfg.seed, *bid))) for bid in c], reports)
+             for c in chunks]
     return dict(sorted(pair for pairs in fan_out(_made_group_task, tasks, workers) for pair in pairs))
 
 
@@ -542,10 +543,12 @@ def _qaoa_block_task(args):
     return params, loss, samples
 
 
-def _made_group_task(members):
+def _made_group_task(args):
+    members, reports = args
     bids, datasets, cfgs = zip(*members)
     models = [made.build_model(d.shape[1], c, seed=c.seed) for d, c in zip(datasets, cfgs)]
-    return list(zip(bids, zip(models, made.train_group(models, datasets, cfgs))))
+    trained = made.train_group(models, datasets, cfgs, reports=reports)
+    return list(zip(bids, zip(models, trained or [None] * len(models))))
 
 
 def _chain_task(args):

@@ -301,9 +301,12 @@ def _chebyshev_exp(state: Statevector, h, beta: float, radius: float) -> Stateve
     t0 = np.asarray(state, dtype=np.complex128)
     t1 = (h @ t0) / r
     psi = coeffs[0] * t0 + coeffs[1] * t1
+    term = np.empty_like(psi)
     for c in coeffs[2:n_terms]:
-        t0, t1 = t1, (2.0 / r) * (h @ t1) - t0
-        psi += c * t1
+        hv = h @ t1
+        hv *= 2.0 / r
+        t0, t1 = t1, np.subtract(hv, t0, out=hv)
+        psi += np.multiply(c, t1, out=term)
     return psi
 
 

@@ -48,8 +48,9 @@ def count_weighted_step(params, x, ks):
     members = np.arange(len(x))[:, None]
     keys = np.stack([made._first_copies(rows) for rows in x])
     rows, counts, slot = made._distinct(keys)
-    ll, grads = made._group_loss_and_grads(params, x[members[..., None], rows], ks[members[..., None], rows],
-                                           counts, x.shape[1])
+    grads = tuple([np.empty_like(t) for t in group] for group in params[:3])
+    ll = made._group_loss_and_grads(params, x[members[..., None], rows], ks[members[..., None], rows],
+                                    counts, x.shape[1], grads)
     return np.mean(ll.reshape(len(x), -1)[members, slot], axis=1), grads
 
 
@@ -113,6 +114,22 @@ class TestLogProb:
         model = tiny_model(4, seed=3)
         with pytest.raises(ValueError):
             model.log_prob(np.zeros((1, 4), dtype=np.uint8), [5])
+
+    @pytest.mark.parametrize(
+        "ks, bit, match",
+        [([2], 1, "ks is"), (2, 1, "ks is"), ([2, 2], 1, "ks is"), ([[2, 2, 2]], 1, "ks is"),
+         ([2.0, 2.0, 2.0], 1, "ks is"), ([2, 2, 2], 2, "other than 0 and 1")],
+        ids=["one-context", "scalar", "short", "2-d", "float", "bit-2"],
+    )
+    def test_malformed_input_raises_a_named_error(self, ks, bit, match):
+        """One integer context per row of a 0/1 array, or a ``ValueError`` that says which rule broke."""
+        x = np.zeros((3, 4), dtype=np.uint8)
+        x[0, 0] = bit
+        with pytest.raises(ValueError, match=match):
+            tiny_model(4, seed=3).log_prob(x, ks)
+
+    def test_no_rows(self):
+        assert tiny_model(4, seed=3).log_prob(np.zeros((0, 4), dtype=np.uint8), np.zeros(0, dtype=int)).shape == (0,)
 
     def test_training_improves_heldout(self):
         """Weight-concentrated data: trained beats untrained on held-out LL."""
@@ -465,6 +482,32 @@ class TestDistinctRows:
     def test_first_copies(self):
         rows = np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1], [0, 0, 0], [1, 1, 1]], dtype=np.uint8)
         assert made._first_copies(rows).tolist() == [0, 1, 0, 1, 4]
+
+
+class TestFlatTraining:
+    @pytest.mark.parametrize("block_size", [4, 8, 12])
+    def test_training_without_reports_moves_no_bit(self, block_size):
+        reported = _skewed_members([6, 7, 8], block_size)
+        assert made.train_group(*reported) is not None
+        silent = _skewed_members([6, 7, 8], block_size)
+        assert made.train_group(*silent, reports=False) is None
+        for a, b in zip(reported[0], silent[0]):
+            for name in ("weights", "biases", "ctx_weights"):
+                assert all(np.array_equal(x, y) for x, y in zip(getattr(a, name), getattr(b, name)))
+
+    def test_members_share_no_memory(self):
+        """Each member keeps its own arrays: training one again leaves the others be."""
+        models, datasets, cfgs = _skewed_members([6, 7, 8], 4)
+        made.train_group(models, datasets, cfgs)
+        arrays = [[*m.weights, *m.biases, *m.ctx_weights] for m in models]
+        for i, mine in enumerate(arrays):
+            for theirs in arrays[i + 1 :]:
+                assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+        before = [[a.copy() for a in arrs] for arrs in arrays]
+        made.train(models[0], datasets[0], cfgs[0])
+        assert not all(np.array_equal(a, b) for a, b in zip(arrays[0], before[0]))
+        for arrs, want in zip(arrays[1:], before[1:]):
+            assert all(np.array_equal(a, b) for a, b in zip(arrs, want))
 
 
 class TestPersistence:

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from blockmc import analysis, idx, mnistexp, qaoa
+from blockmc import analysis, idx, made, mnistexp, pipeline, qaoa
 from blockmc.errors import ConfigError, FormatError
 from blockmc.qubo import random_weight_k_config
 from blockmc.streams import derive_seed, stream
@@ -207,6 +207,24 @@ def search(cfg, out, **options):
     log = io.StringIO()
     report = mnistexp.run_mask_search(cfg, out, log=log, **options)
     return report, log.getvalue().splitlines()
+
+
+def test_mask_search_trains_without_log_likelihoods(tmp_path, idx_paths, monkeypatch):
+    """The search reads only the models, so its MADE training computes no row log-likelihood."""
+    calls, during = [], []
+    row_log_lik = made._row_log_lik
+    monkeypatch.setattr(made, "_row_log_lik", lambda *args: calls.append(1) or row_log_lik(*args))
+
+    def train_surrogates(*args, **kwargs):
+        before = len(calls)
+        trained = pipeline.train_surrogates(*args, **kwargs)
+        during.append(len(calls) - before)
+        return trained
+
+    monkeypatch.setattr(mnistexp, "train_surrogates", train_surrogates)
+    search(tiny_mask_config(idx_paths), tmp_path / "out")
+    assert during == [0]
+    assert calls  # the chains' sector tables still read the density
 
 
 class TestMaskSearchCache:
