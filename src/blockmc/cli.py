@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands run individual pipeline stages (upstream stages are ensured
-first, cached stages are reused), the full pipeline, a tau sweep along
-one axis of ``pipeline.SWEEP_AXES`` (``sweep-n``, ``sweep-b``), and the
-feature-selection experiment, itself one cached stage. Exit codes:
+Four commands: ``pipeline`` runs the tau experiment through the stages of
+``pipeline.STAGES`` and prints the summary of the last it runs; ``--until
+STAGE`` stops it after that stage, and the stages before it come from the
+cache of ``--out`` when their keys are unchanged. ``sweep-n`` and
+``sweep-b`` run it along one axis of ``pipeline.SWEEP_AXES``, and ``mnist``
+runs the feature-selection experiment, itself one cached stage. Exit codes:
 0 success, 2 config error, 3 data/format error, 4 resource limit.
 """
 
@@ -16,9 +18,8 @@ import sys
 from .errors import ConfigError, FormatError, ResourceLimitError
 from .mnistexp import mnist_config_from_dict, run_mask_search
 from .partition import crossing_report
-from .pipeline import SWEEP_AXES, PipelineRun, SweepConfig, config_from_dict, fill_config, reseed_config, sweep
+from .pipeline import STAGES, SWEEP_AXES, PipelineRun, SweepConfig, config_from_dict, fill_config, reseed_config, sweep
 
-_STAGES = ("generate", "partition", "qaoa", "made", "mcmc", "analyze")
 _SWEEPS = {f"sweep-{axis.tag}": swept for swept, axis in SWEEP_AXES.items()}  # command -> swept field
 
 
@@ -28,14 +29,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Block-surrogate MCMC for fixed-Hamming-weight Boltzmann sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = list(_STAGES) + ["pipeline", *_SWEEPS, "mnist"]
-    for name in commands:
+    for name in ["pipeline", *_SWEEPS, "mnist"]:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--force", action="store_true", help="ignore cached stages")
         p.add_argument("--workers", type=int, default=None, help="worker processes")
+        if name == "pipeline":
+            p.add_argument("--until", choices=STAGES, default=STAGES[-1],
+                           help="last stage to run and summarize; the stages before it are read "
+                                "from the cache when unchanged (default: %(default)s)")
     return parser
 
 
@@ -94,43 +98,33 @@ def _run(args) -> int:
         return 0
 
     run = PipelineRun(cfg, args.out, force=args.force)
-    if args.command == "generate":
-        inst, _ = run.ensure_instance()
-        print(f"instance: n={inst.n}, edges={inst.num_edges}")
-    elif args.command == "partition":
-        pp, _ = run.ensure_partition()
-        report = crossing_report(pp)
+    value, _ = getattr(run, f"ensure_{args.until}")()
+    if args.until == "instance":
+        print(f"instance: n={value.n}, edges={value.num_edges}")
+    elif args.until == "partition":
+        report = crossing_report(value)
         print("block  p1-blocks-met")
-        for r, met in enumerate((pp.crossing > 0).sum(axis=1)):
+        for r, met in enumerate((value.crossing > 0).sum(axis=1)):
             print(f"p2/{r:<4} {int(met)}")
-        print(
-            f"min={report.min_crossing} mean={report.mean_crossing:.2f} "
-            f"violating={report.violating_blocks} vacuous={report.vacuous}"
-        )
-    elif args.command == "qaoa":
-        out, _ = run.ensure_qaoa()
-        losses = ", ".join(f"{bid}: {loss:.4f}" for bid, (_, loss, _) in sorted(out.items()))
+        print(f"min={report.min_crossing} mean={report.mean_crossing:.2f} "
+              f"violating={report.violating_blocks} vacuous={report.vacuous}")
+    elif args.until == "qaoa":
+        losses = ", ".join(f"{bid}: {loss:.4f}" for bid, (_, loss, _) in sorted(value.items()))
         print(f"qaoa losses: {losses}")
-    elif args.command == "made":
-        models, _ = run.ensure_made()
-        print(f"trained {len(models)} surrogate models")
-    elif args.command == "mcmc":
-        traces, _ = run.ensure_mcmc()
-        for kernel, pairs in sorted(traces.items()):
+    elif args.until == "made":
+        print(f"trained {len(value)} surrogate models")
+    elif args.until == "mcmc":
+        for kernel, pairs in sorted(value.items()):
             rate = sum(t.accepted.mean() for pair in pairs for t in pair) / (2 * len(pairs))
             print(f"{kernel}: {len(pairs)} pairs, mean acceptance {rate:.3f}")
-    elif args.command == "analyze":
-        result, _ = run.ensure_analysis()
-        for kernel, e in sorted(result["kernels"].items()):
+    else:  # analysis
+        for kernel, e in sorted(value["kernels"].items()):
             if e["tau"] is None:
                 print(f"{kernel}: tau=n/a ({e['error']})")
             else:
                 print(f"{kernel}: tau={e['tau']:.6f} (mean {e['tau_mean']:.6f} +- {e['tau_std']:.6f})")
-        for pair, ratio in sorted(result["ratios"].items()):
+        for pair, ratio in sorted(value["ratios"].items()):
             print(f"ratio {pair}: {ratio:.2f}")
-    elif args.command == "pipeline":
-        stages = run.run()
-        print(f"pipeline complete: {len(stages)} stages in {args.out}")
     return 0
 
 

@@ -318,7 +318,7 @@ class StageCache:
 
 
 # every stage depends only on stages before it
-_STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
+STAGES = ("instance", "partition", "qaoa", "made", "mcmc", "analysis")
 
 
 class PipelineRun(StageCache):
@@ -332,7 +332,7 @@ class PipelineRun(StageCache):
 
     def __init__(self, cfg: ExperimentConfig, out, force: bool = False, log=None):
         self.cfg = cfg
-        super().__init__(out, _STAGES, force=force, log=log)
+        super().__init__(out, STAGES, force=force, log=log)
 
     # ------------------------------------------------------------------ #
 

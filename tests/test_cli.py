@@ -1,4 +1,4 @@
-"""Tests for the CLI: subcommands, exit codes, end-to-end mask search."""
+"""Tests for the CLI: the pipeline and its --until stages, exit codes, end-to-end mask search."""
 
 import argparse
 import json
@@ -8,6 +8,7 @@ import pytest
 from blockmc import cli, idx, made, mcmc, partition, qaoa, qubo
 from blockmc.cli import main
 from blockmc.errors import FormatError
+from blockmc.pipeline import STAGES
 from blockmc.streams import derive_seed
 from conftest import write_synthetic_idx
 from test_pipeline import check_range_ends, range_cases
@@ -37,13 +38,13 @@ def tiny_doc(**overrides):
 class TestStageCommands:
     def test_generate(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
-        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert main(["pipeline", "--until", "instance", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert (tmp_path / "o" / "instance.json").exists()
         assert "edges=24" in capsys.readouterr().out
 
     def test_partition_prints_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
-        assert main(["partition", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert main(["pipeline", "--until", "partition", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         assert "p1-blocks-met" in out
         assert "min=" in out
@@ -51,9 +52,54 @@ class TestStageCommands:
     def test_pipeline_and_analyze(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_doc())
         assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert main(["pipeline", "--until", "analysis", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         out = capsys.readouterr().out
         assert "global-kawasaki: tau=" in out
+
+    KERNELS = ["block-surrogate", "global-kawasaki"]
+    BOTH = tiny_doc(mcmc={"kernels": KERNELS, "steps": 600, "pairs": 1, "seed": 5})
+
+    @pytest.mark.parametrize(
+        "kernels, until, summary",
+        [
+            (KERNELS, "instance", "instance: n=16, edges=24"),
+            (KERNELS, "partition", "p1-blocks-met"),
+            (KERNELS, "qaoa", "qaoa losses: "),
+            (KERNELS, "made", "trained 8 surrogate models"),
+            (KERNELS, "mcmc", "block-surrogate: 1 pairs, mean acceptance"),
+            (KERNELS, "analysis", "global-kawasaki: tau="),
+            (["global-kawasaki"], "mcmc", "global-kawasaki: 1 pairs, mean acceptance"),
+        ],
+        ids=[*STAGES, "mcmc-global-kawasaki-only"],
+    )
+    def test_until_stops_after_its_stage(self, tmp_path, capsys, kernels, until, summary):
+        """The run records the stages it needs up to ``until`` and writes no
+        artifact of a stage it did not run."""
+        doc = tiny_doc(mcmc={**self.BOTH["mcmc"], "kernels": kernels})
+        out = tmp_path / "o"
+        assert main(["pipeline", "--until", until, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert summary in capsys.readouterr().out
+        ran = STAGES[: STAGES.index(until) + 1] if kernels == self.KERNELS else ("instance", "mcmc")
+        assert set(json.loads((out / "manifest.json").read_text())["stages"]) == set(ran)
+        for stage in set(STAGES) - set(ran):  # instance always runs
+            assert not (out / ("partition.json" if stage == "partition" else stage)).exists()
+
+    def test_partial_run_is_a_cache_prefix(self, tmp_path, capsys):
+        """A full run after ``--until qaoa`` reads the stages that one built
+        and builds the rest; a third run reads all six and prints the same."""
+        argv = ["pipeline", "--config", write_config(tmp_path, self.BOTH), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--until", "qaoa"]) == 0
+        capsys.readouterr()
+        printed = []
+        for states in (["cached"] * 3 + ["built in"] * 3, ["cached"] * 6):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            lines = [line for line in err.splitlines() if line.startswith("stage ")]
+            assert len(lines) == len(STAGES)
+            assert all(line.startswith(f"stage {s}: {state}") for line, s, state in zip(lines, STAGES, states))
+            printed.append(out)
+        assert "global-kawasaki: tau=" in printed[0]
+        assert printed[0] == printed[1]
 
 
 class TestExitCodes:
@@ -85,7 +131,7 @@ class TestExitCodes:
         "command, doc, field",
         [
             ("qaoa", {"instance": {"n": 8}, "qaoa": {"p": "x"}}, "qaoa.p"),
-            ("generate", {"instance": {"n": 8, "degree": "3"}}, "instance.degree"),
+            ("instance", {"instance": {"n": 8, "degree": "3"}}, "instance.degree"),
             ("made", {"instance": {"n": 8}, "made": {"epochs": "2"}}, "made.epochs"),
             ("mcmc", {"mcmc": {"kernels": "global-kawasaki"}}, "mcmc.kernels"),
         ],
@@ -93,7 +139,7 @@ class TestExitCodes:
     )
     def test_config_value_of_wrong_type_is_2(self, tmp_path, capsys, command, doc, field):
         cfg = write_config(tmp_path, doc)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert main(["pipeline", "--until", command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: config field {field} must be" in capsys.readouterr().err
 
     def test_config_not_utf8_is_2(self, tmp_path, capsys):
@@ -134,18 +180,18 @@ class TestExitCodes:
     def test_corrupt_partition_file_is_3(self, tmp_path):
         cfg = write_config(tmp_path, tiny_doc())
         out = tmp_path / "o"
-        assert main(["partition", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["pipeline", "--until", "partition", "--config", cfg, "--out", str(out)]) == 0
         (out / "partition.json").write_text('{"p1": 3}')
-        assert main(["partition", "--config", cfg, "--out", str(out)]) == 3
+        assert main(["pipeline", "--until", "partition", "--config", cfg, "--out", str(out)]) == 3
 
     def test_truncated_manifest_is_3(self, tmp_path):
         cfg = write_config(tmp_path, tiny_doc())
         out = tmp_path / "o"
-        assert main(["generate", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["pipeline", "--until", "instance", "--config", cfg, "--out", str(out)]) == 0
         manifest = out / "manifest.json"
         manifest.write_bytes(manifest.read_bytes()[:-10])
-        assert main(["generate", "--config", cfg, "--out", str(out)]) == 3
-        assert main(["generate", "--config", cfg, "--out", str(out), "--force"]) == 0
+        assert main(["pipeline", "--until", "instance", "--config", cfg, "--out", str(out)]) == 3
+        assert main(["pipeline", "--until", "instance", "--config", cfg, "--out", str(out), "--force"]) == 0
 
     def test_corrupt_instance_file_is_3(self, tmp_path):
         bad = tmp_path / "inst.json"
@@ -153,7 +199,7 @@ class TestExitCodes:
         cfg = write_config(
             tmp_path, tiny_doc(instance={"source": "file", "path": str(bad)})
         )
-        assert main(["generate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert main(["pipeline", "--until", "instance", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize(
         "command, overrides, message",
@@ -170,7 +216,7 @@ class TestExitCodes:
         src.write_text("0,1,0,0\n0,0,1,0\n0,0,0,1\n0,0,0,0\n")
         doc = tiny_doc(instance={"source": "file", "path": str(src)}, **overrides)
         cfg = write_config(tmp_path, doc)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert main(["pipeline", "--until", command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
 
     def test_resource_limit_is_4(self, tmp_path):
@@ -181,7 +227,7 @@ class TestExitCodes:
             mcmc={"kernels": ["block-surrogate"], "steps": 100, "pairs": 1, "seed": 5},
         )
         cfg = write_config(tmp_path, doc)
-        assert main(["qaoa", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+        assert main(["pipeline", "--until", "qaoa", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
 
     def test_sweep_without_values_is_2(self, tmp_path):
         cfg = write_config(tmp_path, tiny_doc())
@@ -320,7 +366,7 @@ class TestFailedFit:
 
     def test_analyze_reports_no_tau_and_exits_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.DOC)
-        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert main(["pipeline", "--until", "analysis", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert "global-kawasaki: tau=n/a (only 1 usable lags" in capsys.readouterr().out
         result = json.loads((tmp_path / "o/analysis/result.json").read_text())
         assert result["kernels"]["global-kawasaki"]["tau"] is None
@@ -330,7 +376,7 @@ class TestFailedFit:
         doc = {"instance": {"n": 8, "degree": 3},
                "mcmc": {"kernels": ["global-kawasaki"], "steps": 10, "pairs": 1}}
         cfg = write_config(tmp_path, doc)
-        assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert main(["pipeline", "--until", "analysis", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert "global-kawasaki: tau=n/a (11 recorded samples leave no lag" in capsys.readouterr().out
         entry = json.loads((tmp_path / "o/analysis/result.json").read_text())["kernels"]["global-kawasaki"]
         assert entry["tau"] is None and entry["error"]
